@@ -58,15 +58,16 @@ EXIT_INTERRUPTED = 3
 ENV_NODE_LIMIT = "LINTURAN_NODE_LIMIT"
 ENV_TIME_LIMIT = "LINTURAN_TIME_LIMIT"
 
-_CONFIG_KEYS = {
-    "node_limit",
-    "time_limit",
-    "prime_cap",
-    "search_cap",
-    "deterministic",
-    "output_dir",
-    "format",
+# accepted JSON type of each config key; the caps may also be null
+_CONFIG_TYPES = {
+    "node_limit": int,
+    "time_limit": (int, float),
+    "prime_cap": int,
+    "search_cap": int,
+    "output_dir": str,
+    "format": str,
 }
+_CAPS = ("node_limit", "time_limit", "prime_cap", "search_cap")
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ class Config:
     time_limit: Optional[float] = None
     prime_cap: int = DEFAULT_PRIME_CAP
     search_cap: Optional[int] = None
-    deterministic: bool = True
     output_dir: str = "."
     format: str = "text"
 
@@ -90,26 +90,40 @@ def load_config(path: Optional[str]) -> Config:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(obj) - _CONFIG_KEYS)
+    unknown = sorted(set(obj) - set(_CONFIG_TYPES))
     if unknown:
         raise BadParameters(f"{path}: unknown config keys {unknown}")
-    for cap in ("node_limit", "time_limit", "prime_cap", "search_cap"):
-        if obj.get(cap) is not None and obj[cap] <= 0:
-            raise BadParameters(f"{path}: {cap} must be positive")
+    for key, value in obj.items():
+        if value is None and key in _CAPS:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+            raise BadParameters(f"{path}: {key} has the wrong type: {value!r}")
+        if key in _CAPS and value <= 0:
+            raise BadParameters(f"{path}: {key} must be positive")
     if obj.get("format", "text") not in ("text", "structured"):
         raise BadParameters(f"{path}: format must be 'text' or 'structured'")
     return Config(**obj)
 
 
+def _env_number(name: str, kind: type):
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return kind(raw)
+    except ValueError:
+        raise BadParameters(f"{name} must be a number, got {raw!r}") from None
+
+
 def _budget(args, config: Config) -> SearchBudget:
     node = args.node_limit
-    if node is None and os.environ.get(ENV_NODE_LIMIT):
-        node = int(os.environ[ENV_NODE_LIMIT])
+    if node is None:
+        node = _env_number(ENV_NODE_LIMIT, int)
     if node is None:
         node = config.node_limit
     wall = args.time_limit
-    if wall is None and os.environ.get(ENV_TIME_LIMIT):
-        wall = float(os.environ[ENV_TIME_LIMIT])
+    if wall is None:
+        wall = _env_number(ENV_TIME_LIMIT, float)
     if wall is None:
         wall = config.time_limit
     return SearchBudget(node_limit=node, time_limit=wall)

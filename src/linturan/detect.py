@@ -112,91 +112,91 @@ class _Search:
                 self.incidence.setdefault(v, []).append(pos)
 
     # -- single-component generators ------------------------------------
-    # Each yields (positions in construction order, local vertex map dict,
-    # used host vertices).  Positions are live positions, not host indices.
+    # Each yields (positions in construction order, vertex list in the
+    # numbering of realize(component), used host vertices).  Positions are
+    # live positions, not host indices.
 
     def iter_component(
         self, comp: PatternComponent, banned: frozenset[int]
-    ) -> Iterator[tuple[list[int], dict[int, int], frozenset[int]]]:
-        if comp.kind == "path":
-            yield from self._iter_paths(comp.length, banned)
-        elif comp.kind == "star":
+    ) -> Iterator[tuple[list[int], list[int], frozenset[int]]]:
+        if comp.kind == "star" and comp.length > 1:
             yield from self._iter_stars(comp.length, banned)
-        else:
-            yield from self._iter_cycles(comp.length, banned)
+        else:  # a one-edge star is a one-edge path
+            yield from self._iter_chains(comp.length, banned, comp.kind == "cycle")
 
-    def _single_edge(self, banned):
-        for pos, es in enumerate(self.sets):
-            if es & banned:
-                continue
-            vmap = {p: v for p, v in enumerate(sorted(es))}
-            yield [pos], vmap, es
+    def _chain_map(self, chain, conns, back):
+        """Vertex list of a loose path (back None) or cycle (back is the
+        vertex the closing edge shares with chain[0]): each edge's free
+        vertices in ascending order, preceded by the vertex it enters
+        through; a cycle starts at back."""
+        ends = conns + [back]
+        vm = [] if back is None else [back]
+        for i, pos in enumerate(chain):
+            if i:
+                vm.append(conns[i - 1])
+            vm += sorted(self.sets[pos] - {ends[i - 1], ends[i]})
+        return vm
 
-    def _iter_paths(self, ell, banned):
-        if ell == 1:
-            yield from self._single_edge(banned)
-            return
-        r = self.r
+    def _iter_chains(self, ell, banned, closed):
+        """Loose paths with ell edges or, when closed, loose cycles.
 
-        def vmap_of(chain, conns):
-            vm: dict[int, int] = {}
-            first = self.sets[chain[0]]
-            for p, v in enumerate(sorted(first - {conns[0]})):
-                vm[p] = v
-            for i in range(1, ell):
-                vm[i * (r - 1)] = conns[i - 1]
-            for i in range(2, ell):
-                mids = sorted(self.sets[chain[i - 1]] - {conns[i - 2], conns[i - 1]})
-                for off, v in enumerate(mids, start=1):
-                    vm[(i - 1) * (r - 1) + off] = v
-            last = sorted(self.sets[chain[ell - 1]] - {conns[ell - 2]})
-            for off, v in enumerate(last, start=1):
-                vm[(ell - 1) * (r - 1) + off] = v
-            return vm
+        Candidates are the edges through a free vertex u of the last edge
+        (one other than the vertex it was entered by).  A step accepts q
+        when q meets the walk in one vertex, which must then be u.  A
+        cycle is walked as a path of ell-1 edges from its minimum-index
+        edge, so every later edge has a larger position, and is closed by
+        an edge q that meets the walk in exactly two vertices, one of them
+        a free vertex of the first edge.  The other is then u: the free
+        vertices of the first and last edges are disjoint, since the walk
+        is a loose path.
+        """
+        sets = self.sets
+        incidence = self.incidence
 
         def extend(chain, used, conns):
             if len(chain) == ell:
-                yield list(chain), vmap_of(chain, conns), frozenset(used)
+                yield chain, self._chain_map(chain, conns, None), frozenset(used)
                 return
-            last_set = self.sets[chain[-1]]
+            closing = closed and len(chain) == ell - 1
+            floor = chain[0] if closed else -1
             prev = conns[-1] if conns else None
+            tail = sets[chain[-1]] - {prev}
             cand: set[int] = set()
-            for v in last_set:
-                if v == prev:
-                    continue
-                cand.update(self.incidence.get(v, ()))
+            for v in tail:
+                cand.update(incidence.get(v, ()))
             for q in sorted(cand):
-                if q in chain:
+                if q <= floor or q in chain:
                     continue
-                eq = self.sets[q]
+                eq = sets[q]
                 if eq & banned:
                     continue
                 inter = eq & used
-                if len(inter) != 1:
-                    continue
-                (v,) = inter
-                if v == prev or v not in last_set:
-                    continue
-                yield from extend(chain + [q], used | eq, conns + [v])
+                if closing:
+                    if len(inter) != 2:
+                        continue
+                    back = inter & (sets[chain[0]] - {conns[0]})
+                    if len(back) != 1:
+                        continue
+                    (va,) = inter - back
+                    (vb,) = back
+                    cycle = chain + [q]
+                    vmap = self._chain_map(cycle, conns + [va], vb)
+                    yield cycle, vmap, frozenset(used | eq)
+                elif len(inter) == 1:
+                    (v,) = inter
+                    yield from extend(chain + [q], used | eq, conns + [v])
 
-        for p0 in range(len(self.sets)):
-            e0 = self.sets[p0]
+        for p0 in range(len(sets)):
+            e0 = sets[p0]
             if e0 & banned:
                 continue
             yield from extend([p0], set(e0), [])
 
     def _iter_stars(self, ell, banned):
-        if ell == 1:
-            yield from self._single_edge(banned)
-            return
-        r = self.r
-
         def vmap_of(chosen, centre):
-            vm = {0: centre}
-            for i, pos in enumerate(chosen):
-                leaves = sorted(self.sets[pos] - {centre})
-                for off, v in enumerate(leaves, start=1):
-                    vm[i * (r - 1) + off] = v
+            vm = [centre]
+            for pos in chosen:
+                vm += sorted(self.sets[pos] - {centre})
             return vm
 
         def extend(chosen, centre, used):
@@ -224,87 +224,6 @@ class _Search:
             if e0 & banned:
                 continue
             yield from extend([p0], None, set(e0))
-
-    def _iter_cycles(self, ell, banned):
-        r = self.r
-
-        def vmap_of(chain, conns, back):
-            # back is the vertex shared by the closing edge and chain[0]
-            vm = {0: back}
-            first = self.sets[chain[0]]
-            for off, v in enumerate(sorted(first - {back, conns[0]}), start=1):
-                vm[off] = v
-            for i in range(1, ell):
-                vm[i * (r - 1)] = conns[i - 1]
-            for i in range(2, ell):
-                mids = sorted(self.sets[chain[i - 1]] - {conns[i - 2], conns[i - 1]})
-                for off, v in enumerate(mids, start=1):
-                    vm[(i - 1) * (r - 1) + off] = v
-            closing = sorted(self.sets[chain[ell - 1]] - {conns[ell - 2], back})
-            for off, v in enumerate(closing, start=1):
-                vm[(ell - 1) * (r - 1) + off] = v
-            return vm
-
-        def extend(p0, chain, used, conns):
-            if len(chain) == ell - 1:
-                last_set = self.sets[chain[-1]]
-                prev = conns[-1]
-                first_set = self.sets[chain[0]]
-                cand: set[int] = set()
-                for v in last_set:
-                    if v == prev:
-                        continue
-                    cand.update(self.incidence.get(v, ()))
-                for q in sorted(cand):
-                    if q <= p0 or q in chain:
-                        continue
-                    eq = self.sets[q]
-                    if eq & banned:
-                        continue
-                    inter = eq & used
-                    if len(inter) != 2:
-                        continue
-                    va_set = inter & (last_set - {prev})
-                    vb_set = inter & (first_set - {conns[0]})
-                    if len(va_set) != 1 or len(vb_set) != 1 or va_set == vb_set:
-                        continue
-                    (va,) = va_set
-                    (vb,) = vb_set
-                    full_chain = chain + [q]
-                    yield (
-                        list(full_chain),
-                        vmap_of(full_chain, conns + [va], vb),
-                        frozenset(used | eq),
-                    )
-                return
-            last_set = self.sets[chain[-1]]
-            prev = conns[-1] if conns else None
-            cand = set()
-            for v in last_set:
-                if v == prev:
-                    continue
-                cand.update(self.incidence.get(v, ()))
-            for q in sorted(cand):
-                if q <= p0 or q in chain:
-                    continue
-                eq = self.sets[q]
-                if eq & banned:
-                    continue
-                inter = eq & used
-                if len(inter) != 1:
-                    continue
-                (v,) = inter
-                if v == prev or v not in last_set:
-                    continue
-                yield from extend(p0, chain + [q], used | eq, conns + [v])
-
-        # the minimum-index edge of any cycle serves as the chain start,
-        # so later edges are restricted to larger positions
-        for p0 in range(len(self.sets)):
-            e0 = self.sets[p0]
-            if e0 & banned:
-                continue
-            yield from extend(p0, [p0], set(e0), [])
 
     # -- union search -----------------------------------------------------
 
@@ -354,7 +273,7 @@ class _Search:
             if not self.component_present(comp, frozenset()):
                 return
 
-        chosen: list[tuple[list[int], dict[int, int]]] = []
+        chosen: list[tuple[list[int], list[int]]] = []
 
         def dfs(idx: int, banned: frozenset[int]) -> Iterator[Embedding]:
             if idx == len(comps):
@@ -385,8 +304,7 @@ class _Search:
         offset = 0
         for k, comp in enumerate(self.pattern.components):
             positions, vmap = chosen[k]
-            for local, host_v in vmap.items():
-                vertex_map[local + offset] = host_v
+            vertex_map[offset : offset + len(vmap)] = vmap
             for ci, pe in enumerate(construction_edges(comp, self.r)):
                 shifted = tuple(sorted(v + offset for v in pe))
                 edge_map[index_of[shifted]] = self.orig_index[positions[ci]]

@@ -7,11 +7,12 @@ for everything else in the package: witnesses are re-verified through
 detect and is_linear before being returned, never trusted from search
 state.
 
-Budgets turn an over-long search into an explicit interrupted result (or
-InterruptedSearch for the enumerators, which have no partial answer worth
-returning).  The parallelism field is honored as an interface; exploration
-is currently serial, which trivially satisfies the requirement that values
-not depend on scheduling.
+Both max_edges and the enumerators consume the same depth-first walk
+(_Searcher.walk); they differ only in the size bar below which a branch is
+cut and in the size at which it stops growing.  Budgets turn an over-long
+search into an explicit interrupted result (or InterruptedSearch for the
+enumerators, which have no partial answer worth returning).  Exploration
+is serial, so values never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .bounds import linear_path_upper
 from .detect import is_free
@@ -47,16 +48,12 @@ HOSTS = ("linear", "general")
 class SearchBudget:
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None  # seconds
-    parallelism: int = 1
-    deterministic_witness: bool = True
 
     def __post_init__(self):
         if self.node_limit is not None and self.node_limit <= 0:
             raise BadParameters(f"node limit must be positive, got {self.node_limit}")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN too
             raise BadParameters(f"time limit must be positive, got {self.time_limit}")
-        if self.parallelism < 1:
-            raise BadParameters(f"parallelism must be at least 1, got {self.parallelism}")
 
 
 @dataclass
@@ -157,6 +154,39 @@ class _Searcher:
             count = min(count, free_pairs // self.pairs_per_edge)
         return count
 
+    def walk(
+        self, need: Callable[[], int], stop_at: Optional[int] = None
+    ) -> Iterator[list[int]]:
+        """Admitted edge lists, depth first in lexicographic order.
+
+        Each node ticks the budget once and is yielded (as the live list;
+        copy it to keep it) before its children are explored.  A node is
+        not expanded when it has stop_at edges, or when need() exceeds its
+        size and even the optimistic headroom cannot reach need() edges.
+        need is re-read at every node, so a consumer may raise the bar
+        between yields.
+        """
+        chosen: list[int] = []
+
+        def visit(last: int, used_pairs: frozenset) -> Iterator[list[int]]:
+            self.tick()
+            yield chosen
+            size = len(chosen)
+            if size == stop_at:
+                return
+            bar = need()
+            if bar > size and size + self.headroom(last, used_pairs) < bar:
+                return
+            for q in range(last + 1, len(self.cands)):
+                if not self.compatible(q, used_pairs):
+                    continue
+                chosen.append(q)
+                if self.admits(chosen):
+                    yield from visit(q, used_pairs | self.pair_sets[q])
+                chosen.pop()
+
+        return visit(-1, frozenset())
+
 
 def max_edges(
     n: int,
@@ -178,25 +208,11 @@ def max_edges(
     best_value = -1
     best_edges: tuple[int, ...] = ()
     interrupted = False
-
-    def dfs(last: int, chosen: list[int], used_pairs: frozenset) -> None:
-        nonlocal best_value, best_edges
-        s.tick()
-        if len(chosen) > best_value:
-            best_value = len(chosen)
-            best_edges = tuple(chosen)
-        if len(chosen) + s.headroom(last, used_pairs) <= best_value:
-            return
-        for q in range(last + 1, len(s.cands)):
-            if not s.compatible(q, used_pairs):
-                continue
-            chosen.append(q)
-            if s.admits(chosen):
-                dfs(q, chosen, used_pairs | s.pair_sets[q])
-            chosen.pop()
-
     try:
-        dfs(-1, [], frozenset())
+        for chosen in s.walk(lambda: best_value + 1):
+            if len(chosen) > best_value:
+                best_value = len(chosen)
+                best_edges = tuple(chosen)
     except _Stop:
         interrupted = True
     s.finish()
@@ -260,25 +276,10 @@ def iter_free(
     if edge_count is not None and edge_count < 0:
         raise BadParameters(f"edge count must be nonnegative, got {edge_count}")
 
-    def dfs(last: int, chosen: list[int], used_pairs: frozenset) -> Iterator[Hypergraph]:
-        s.tick()
-        if edge_count is None:
-            yield s.graph(chosen)
-        elif len(chosen) == edge_count:
-            yield s.graph(chosen)
-            return
-        elif len(chosen) + s.headroom(last, used_pairs) < edge_count:
-            return
-        for q in range(last + 1, len(s.cands)):
-            if not s.compatible(q, used_pairs):
-                continue
-            chosen.append(q)
-            if s.admits(chosen):
-                yield from dfs(q, chosen, used_pairs | s.pair_sets[q])
-            chosen.pop()
-
     try:
-        yield from dfs(-1, [], frozenset())
+        for chosen in s.walk(lambda: edge_count or 0, edge_count):
+            if edge_count is None or len(chosen) == edge_count:
+                yield s.graph(chosen)
     except _Stop:
         s.finish()
         raise InterruptedSearch(
@@ -308,8 +309,9 @@ def ex_table(
     """max_edges over a parameter grid of (n, r, pattern) rows.
 
     With a store, exact results already on file are reused (their
-    witnesses re-verified, not trusted) and fresh results are appended,
-    so an interrupted batch resumes where it left off.
+    witnesses re-verified, not trusted) and fresh results are appended.
+    A row whose stored record is only interrupted is searched again from
+    scratch.
     """
     out: list[OracleResult] = []
     for n, r, pattern in rows:

@@ -55,11 +55,20 @@ class ResultRecord:
         missing = [name for name in _FIELDS if name not in obj]
         if missing:
             raise FormatError(f"result record missing {missing}")
+        witness = obj["witness"]
+        if not (isinstance(witness, dict) and "n" in witness and "edges" in witness):
+            raise FormatError(f"result record witness needs n and edges, got {witness!r}")
         return cls(**{name: obj[name] for name in _FIELDS})
 
 
 class ResultsStore:
-    """JSON Lines store; safe to point several runs at the same file."""
+    """JSON Lines store.
+
+    Each record is appended as one line and nothing is locked.  Loading
+    rejects the whole file with a FormatError naming the first invalid
+    line, so a final line torn by a crashed or concurrent writer makes the
+    store unreadable until that line is removed.
+    """
 
     def __init__(self, path: str):
         self.path = path
@@ -74,7 +83,10 @@ class ResultsStore:
                         obj = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                    self._records.append(ResultRecord.from_obj(obj))
+                    try:
+                        self._records.append(ResultRecord.from_obj(obj))
+                    except FormatError as exc:
+                        raise FormatError(f"{path}:{lineno}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self._records)

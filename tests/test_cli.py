@@ -295,6 +295,25 @@ class TestConfigAndUsage:
         assert code == EXIT_USAGE
         assert "unknown config keys" in err
 
+    def test_config_value_of_wrong_type(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"node_limit": "5"}')
+        code, _, err = run(
+            capsys, "turan", "--n", "6", "--r", "3", "--pattern", "P2@r3",
+            "--linear", "--config", str(cfg),
+        )
+        assert code == EXIT_USAGE
+        assert "node_limit" in err
+
+    @pytest.mark.parametrize("name", [cli.ENV_NODE_LIMIT, cli.ENV_TIME_LIMIT])
+    def test_env_budget_not_a_number(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, _, err = run(
+            capsys, "turan", "--n", "6", "--r", "3", "--pattern", "P2@r3", "--linear",
+        )
+        assert code == EXIT_USAGE
+        assert name in err
+
     def test_config_budget_applies(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"node_limit": 5}')

@@ -63,6 +63,24 @@ def test_embeddings_are_all_valid(fano):
     assert seen > 0
 
 
+@pytest.mark.parametrize(
+    "design,expr,edge_map,vertex_map,count",
+    [
+        ("fano", "P2@r3", (0, 1), (1, 6, 0, 2, 3), 42),
+        ("fano", "C3@r3", (0, 3, 1), (1, 6, 0, 3, 2, 4), 56),
+        ("affine9", "P3@r3", (0, 1, 8), (1, 5, 0, 4, 2, 6, 7), 216),
+        ("affine9", "C4@r3", (0, 6, 1, 8), (1, 5, 0, 4, 2, 7, 6, 8), 108),
+    ],
+)
+def test_first_embedding_and_count_are_pinned(
+    request, design, expr, edge_map, vertex_map, count
+):
+    host = request.getfixturevalue(design)
+    embs = list(lt.iter_embeddings(host, lt.parse_pattern(expr)))
+    assert (embs[0].edge_map, embs[0].vertex_map) == (edge_map, vertex_map)
+    assert len(embs) == count
+
+
 PATTERNS = [
     ("P2@r{r}", ("path", 2)),
     ("P3@r{r}", ("path", 3)),
@@ -84,10 +102,16 @@ def _agreement(host):
     for expr, comp in PATTERNS:
         pat = lt.parse_pattern(expr.format(r=r))
         got = lt.contains(host, pat)
-        want = bool(nd.occurrences(host, *comp))
-        assert (got is not None) == want, (expr, host.edges)
+        want = nd.occurrences(host, *comp)
+        assert (got is not None) == bool(want), (expr, host.edges)
         if got is not None:
             assert lt.verify_embedding(host, got)
+        if comp[0] != "star":
+            spans = {
+                frozenset(v for i in emb.edge_map for v in host.edges[i])
+                for emb in lt.iter_embeddings(host, pat)
+            }
+            assert spans == want, (expr, host.edges)
     for expr, comps in FORESTS:
         pat = lt.parse_pattern(expr.format(r=r))
         got = lt.contains(host, pat)

@@ -92,6 +92,24 @@ def test_oracle_matches_exhaustive_search(expr, comps, host):
         assert lt.max_edges(n, 3, pattern, host).value == brute_max(n, 3, comps, host)
 
 
+@pytest.mark.parametrize(
+    "n,expr,host,nodes",
+    [
+        (7, "P3@r3", "linear", 81),
+        (6, "C3@r3", "linear", 121),
+        (7, "P4@r3", "linear", 86),
+        (7, "S2@r3", "general", 1160),
+        (6, "P3@r3", "general", 211),
+    ],
+)
+def test_node_counts_are_pinned(n, expr, host, nodes):
+    # node counts are deterministic; a change here means the search
+    # visits a different tree, not just that it runs faster or slower
+    res = lt.max_edges(n, 3, lt.parse_pattern(expr), host)
+    assert res.exact
+    assert res.stats.nodes == nodes
+
+
 def test_general_host_dominates_linear():
     for n in (5, 6):
         lin = lt.max_edges(n, 3, P3, "linear").value
@@ -133,6 +151,8 @@ def test_budget_validation():
         lt.SearchBudget(node_limit=0)
     with pytest.raises(BadParameters):
         lt.SearchBudget(time_limit=-1.0)
+    with pytest.raises(BadParameters):
+        lt.SearchBudget(time_limit=float("nan"))
 
 
 def test_bad_host_and_pattern_mismatch():

@@ -76,3 +76,16 @@ def test_entries_resolve_per_key_in_order(tmp_path):
     resolved = list(store.entries())
     assert [e.n for e in resolved] == [6, 7]
     assert resolved[0].status == "exact"
+
+
+@pytest.mark.parametrize("witness", [{"r": 3, "edges": []}, {"n": 6, "r": 3}, [6, []]])
+def test_malformed_witness_is_rejected_on_read(tmp_path, witness):
+    obj = dict(record().to_obj(), witness=witness)
+    with pytest.raises(FormatError) as exc:
+        ResultRecord.from_obj(obj)
+    assert "witness" in str(exc.value)
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(FormatError) as exc:
+        lt.ResultsStore(path)
+    assert ":1:" in str(exc.value)
