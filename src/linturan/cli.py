@@ -264,11 +264,21 @@ def _cmd_check(args, config: Config) -> int:
 # turan
 
 
+def _open_store(path: str) -> ResultsStore:
+    store = ResultsStore(path)
+    if store.torn is not None:
+        print(
+            f"warning: {path}:{store.torn}: dropped a torn final line",
+            file=sys.stderr,
+        )
+    return store
+
+
 def _cmd_turan(args, config: Config) -> int:
     pattern = _pattern(args.pattern, args.r) if args.pattern else None
     host = "linear" if args.linear else "general"
     budget = _budget(args, config)
-    store = ResultsStore(args.results) if args.results else None
+    store = _open_store(args.results) if args.results else None
     result = ex_table([(args.n, args.r, pattern)], host, budget, store)[0]
     structured = _structured(args, config)
     if structured:
@@ -282,6 +292,9 @@ def _cmd_turan(args, config: Config) -> int:
                     "value": result.value,
                     "status": result.status,
                     "nodes": result.stats.nodes,
+                    "admits_calls": result.stats.admits_calls,
+                    "admits_rejects": result.stats.admits_rejects,
+                    "bound_cuts": result.stats.bound_cuts,
                 },
                 sort_keys=True,
             )
@@ -510,7 +523,7 @@ def _cmd_verify_suite(args, config: Config) -> int:
 
 
 def _cmd_report(args, config: Config) -> int:
-    store = ResultsStore(args.results)
+    store = _open_store(args.results)
     structured = _structured(args, config)
     rows = []
     for rec in store.entries():

@@ -18,7 +18,14 @@ sound prunes: each component type must exist individually, and when k
 components remain, deleting any k-1 vertices must leave at least one
 remaining type present (pigeonhole over vertex-disjoint copies), so if
 greedily deleting the k-1 busiest vertices kills every remaining type the
-branch is abandoned.
+branch is abandoned.  A single-component pattern skips that first prune:
+its search is the presence check.
+
+occurs_through(sets, incidence, q, component) is the yes/no query for
+callers that keep their own edge state (the search oracle): does some
+occurrence of one path, star or cycle use edge q?  It reads the caller's
+edge sets and per-vertex incidence as they are, builds nothing and
+assembles no Embedding.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ __all__ = [
     "contains",
     "iter_embeddings",
     "is_free",
+    "occurs_through",
     "verify_embedding",
     "star_presence_linear",
 ]
@@ -94,6 +102,35 @@ def _require_valid(h: Hypergraph, emb: Embedding) -> Embedding:
     return emb
 
 
+def _steps(sets, incidence, tail, used, meets, floor=-1, banned=None):
+    """The loose-walk step rule: ascending (edge, meet) pairs for the edges
+    above position floor, through a vertex of tail and avoiding banned,
+    that share exactly `meets` vertices (meet) with the walk's vertex set
+    used.
+
+    tail is the last edge of the walk minus the vertex it was entered by.
+    A path step asks for meets == 1: the new edge meets the walk only in
+    its entry vertex, which is then the tail vertex it was found through.
+    A cycle's closing edge asks for meets == 2: its entry vertex and the
+    vertex where the cycle started, which the caller checks.  An edge
+    already on the walk lies inside used, so it is never a path step
+    (r >= 2); the only one through tail is the last edge, whose meet holds
+    no start vertex, so the caller's check rejects it as a closing edge.
+    """
+    cand: set[int] = set()
+    for v in tail:
+        cand.update(incidence[v])
+    for q in sorted(cand):
+        if q <= floor:
+            continue
+        eq = sets[q]
+        if banned and eq & banned:
+            continue
+        meet = eq & used
+        if len(meet) == meets:
+            yield q, meet
+
+
 class _Search:
     """One containment query; holds the host's order-r view."""
 
@@ -140,15 +177,10 @@ class _Search:
     def _iter_chains(self, ell, banned, closed):
         """Loose paths with ell edges or, when closed, loose cycles.
 
-        Candidates are the edges through a free vertex u of the last edge
-        (one other than the vertex it was entered by).  A step accepts q
-        when q meets the walk in one vertex, which must then be u.  A
-        cycle is walked as a path of ell-1 edges from its minimum-index
-        edge, so every later edge has a larger position, and is closed by
-        an edge q that meets the walk in exactly two vertices, one of them
-        a free vertex of the first edge.  The other is then u: the free
-        vertices of the first and last edges are disjoint, since the walk
-        is a loose path.
+        The walk grows by _steps.  A cycle is walked as a path of ell-1
+        edges from its minimum-index edge, so every later edge has a
+        larger position, and is closed by an edge q that meets the walk
+        in its entry vertex and in one free vertex of the first edge.
         """
         sets = self.sets
         incidence = self.incidence
@@ -157,34 +189,23 @@ class _Search:
             if len(chain) == ell:
                 yield chain, self._chain_map(chain, conns, None), frozenset(used)
                 return
-            closing = closed and len(chain) == ell - 1
-            floor = chain[0] if closed else -1
-            prev = conns[-1] if conns else None
-            tail = sets[chain[-1]] - {prev}
-            cand: set[int] = set()
-            for v in tail:
-                cand.update(incidence.get(v, ()))
-            for q in sorted(cand):
-                if q <= floor or q in chain:
-                    continue
-                eq = sets[q]
-                if eq & banned:
-                    continue
-                inter = eq & used
-                if closing:
-                    if len(inter) != 2:
-                        continue
-                    back = inter & (sets[chain[0]] - {conns[0]})
+            tail = sets[chain[-1]] - {conns[-1] if conns else None}
+            if closed and len(chain) == ell - 1:
+                start = sets[chain[0]] - {conns[0]}
+                for q, meet in _steps(sets, incidence, tail, used, 2, chain[0], banned):
+                    back = meet & start
                     if len(back) != 1:
                         continue
-                    (va,) = inter - back
+                    (va,) = meet - back
                     (vb,) = back
                     cycle = chain + [q]
                     vmap = self._chain_map(cycle, conns + [va], vb)
-                    yield cycle, vmap, frozenset(used | eq)
-                elif len(inter) == 1:
-                    (v,) = inter
-                    yield from extend(chain + [q], used | eq, conns + [v])
+                    yield cycle, vmap, frozenset(used | sets[q])
+                return
+            floor = chain[0] if closed else -1
+            for q, meet in _steps(sets, incidence, tail, used, 1, floor, banned):
+                (v,) = meet
+                yield from extend(chain + [q], used | sets[q], conns + [v])
 
         for p0 in range(len(sets)):
             e0 = sets[p0]
@@ -269,9 +290,10 @@ class _Search:
             return
         if self.pattern.num_edges > len(self.sets):
             return
-        for comp in set(comps):
-            if not self.component_present(comp, frozenset()):
-                return
+        if not self.pattern.is_single:  # one component: the DFS is the check
+            for comp in set(comps):
+                if not self.component_present(comp, frozenset()):
+                    return
 
         chosen: list[tuple[list[int], list[int]]] = []
 
@@ -353,3 +375,58 @@ def iter_embeddings(h: Hypergraph, pattern: ForbiddenPattern) -> Iterator[Embedd
 def is_free(h: Hypergraph, pattern: ForbiddenPattern) -> bool:
     """True when the host has no occurrence of the pattern."""
     return contains(h, pattern) is None
+
+
+def occurs_through(sets, incidence, q: int, comp: PatternComponent) -> bool:
+    """Yes/no: does some occurrence of the component use edge q?
+
+    The host is given by edge state the caller keeps and updates in
+    place: sets[i] is the vertex set of edge i, and incidence[v] lists the
+    host edges through vertex v, q among them.  Edges of any other order
+    must not be listed.  Nothing is built: no Hypergraph, no Embedding and
+    no whole-host pass.  Paths and cycles grow outward from q by the same
+    step rule as contains.  A star through q has its centre c in q; in a
+    linear host any two edges at c meet only there, so the degree test
+    below decides it and the search after it succeeds at once.
+    """
+    eq = sets[q]
+    ell = comp.length
+    if comp.kind == "star":
+        for c in eq:
+            if len(incidence[c]) >= ell and _star_around(sets, incidence[c], eq, ell - 1):
+                return True
+        return False
+    closed = comp.kind == "cycle"
+
+    def walk(tail, used, left, rest):
+        # left: edges still to add; rest: the vertices of q the other end
+        # may use (a path's second arm, a cycle's closing edge), which the
+        # first step away from q fixes as q minus its entry vertex
+        if closed and left == 1:
+            # meet is the entry vertex plus one more, which must be in rest
+            return any(meet & rest for _, meet in _steps(sets, incidence, tail, used, 2))
+        if left == 0:
+            return True
+        # a path through q is two arms; walk the longer one first
+        if not closed and rest is not None and 2 * left <= ell - 1:
+            if walk(rest, used, left, None):
+                return True
+        for e, meet in _steps(sets, incidence, tail, used, 1):
+            es = sets[e]
+            if walk(es - meet, used | es, left - 1, eq - meet if left == ell - 1 else rest):
+                return True
+        return False
+
+    return walk(eq, eq, ell - 1, eq)
+
+
+def _star_around(sets, through, used, left) -> bool:
+    """Whether `left` more edges of through (the edges at a centre c, all
+    of which contain c) meet used, and each other, only in c."""
+    if left == 0:
+        return True
+    for i, e in enumerate(through):
+        es = sets[e]
+        if len(es & used) == 1 and _star_around(sets, through[i + 1 :], used | es, left - 1):
+            return True
+    return False

@@ -13,6 +13,17 @@ cut and in the size at which it stops growing.  Budgets turn an over-long
 search into an explicit interrupted result (or InterruptedSearch for the
 enumerators, which have no partial answer worth returning).  Exploration
 is serial, so values never depend on scheduling.
+
+Admissibility is anchored.  The walk grows every host one admitted edge
+at a time from the empty host, so when it tries a new edge q, the host
+without q is pattern-free.  Any occurrence of the pattern in the host
+with q must therefore use q, and the check asks only that: does an
+occurrence go through q?  (detect.occurs_through, on edge sets and a
+per-vertex incidence that the walk updates in place.)  Its answer equals
+a whole-host check without looking at the rest of the host.  Union
+patterns still take the whole-host check.  No value rests on the
+anchored answer alone: every witness is re-checked by the full detector.
+Vertex pairs are int bitmasks, so the linear-host tests allocate nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .bounds import linear_path_upper
-from .detect import is_free
+from .detect import is_free, occurs_through
 from .errors import BadParameters, InterruptedSearch, InvariantViolation
 from .hgio import dump_json
 from .hypergraph import Hypergraph, is_linear, make_hypergraph
@@ -58,8 +69,18 @@ class SearchBudget:
 
 @dataclass
 class SearchStats:
+    """What a search did.  Every count is deterministic.
+
+    admits_calls counts admissibility checks of a candidate edge and
+    admits_rejects those that found the pattern; bound_cuts counts nodes
+    not expanded because the headroom bound could not reach the bar.
+    """
+
     nodes: int = 0
     elapsed: float = 0.0
+    admits_calls: int = 0
+    admits_rejects: int = 0
+    bound_cuts: int = 0
 
 
 @dataclass(frozen=True)
@@ -105,9 +126,23 @@ class _Searcher:
         self.cands: list[tuple[int, ...]] = list(
             itertools.combinations(range(n), r)
         )
-        self.pair_sets: list[frozenset[tuple[int, int]]] = [
-            frozenset(itertools.combinations(e, 2)) for e in self.cands
+        self.sets: list[frozenset[int]] = [frozenset(e) for e in self.cands]
+        # bit a*n+b stands for the pair {a, b}, a < b; a general host
+        # shares pairs freely, so its masks are empty and never conflict
+        self.pair_masks: list[int] = [
+            sum(1 << (a * n + b) for a, b in itertools.combinations(e, 2))
+            if host == "linear"
+            else 0
+            for e in self.cands
         ]
+        # incidence[v]: the chosen edges through v, kept by walk;
+        # slots[q]: the incidence lists of q's vertices
+        self.incidence: list[list[int]] = [[] for _ in range(n)]
+        self.slots = [[self.incidence[v] for v in e] for e in self.cands]
+        # a host with fewer edges than the pattern is free; min_edges is
+        # None when every host is (no pattern, or one wider than n)
+        fits = pattern is not None and pattern.num_vertices <= n
+        self.min_edges = pattern.num_edges if fits else None
         self.pairs_per_edge = r * (r - 1) // 2
         self.total_pairs = n * (n - 1) // 2
         self.stats = SearchStats()
@@ -128,29 +163,33 @@ class _Searcher:
     def graph(self, chosen: Sequence[int]) -> Hypergraph:
         return make_hypergraph(self.n, [self.cands[i] for i in chosen], self.r)
 
-    def compatible(self, q: int, used_pairs: frozenset) -> bool:
-        if self.host == "linear" and self.pair_sets[q] & used_pairs:
-            return False
-        return True
-
     def admits(self, chosen: list[int]) -> bool:
-        # a config grown one edge at a time from a free config contains the
-        # pattern only through its newest edge, so a whole-graph check is an
-        # exact implementation of the incremental test
-        if self.pattern is None:
-            return True
-        return is_free(self.graph(chosen), self.pattern)
+        """True when the host of the chosen edges is pattern-free.
 
-    def headroom(self, last: int, used_pairs: frozenset) -> int:
+        Sound only for walk's hosts: chosen[:-1] was admitted before, so it
+        is free, and every occurrence in the host must use the newest edge
+        q = chosen[-1].  Asking whether one goes through q (incidence
+        already lists q) is then exact.  With fewer edges or vertices than
+        the pattern needs, no occurrence exists at all.
+        """
+        p = self.pattern
+        if self.min_edges is None or len(chosen) < self.min_edges:
+            return True
+        if not p.is_single:
+            return is_free(self.graph(chosen), p)
+        return not occurs_through(self.sets, self.incidence, chosen[-1], p.components[0])
+
+    def headroom(self, last: int, used_pairs: int) -> int:
         """Optimistic count of further edges: later candidates compatible
         with the current config, additionally capped by leftover pair
         capacity when the host is linear."""
+        masks = self.pair_masks
         count = 0
-        for q in range(last + 1, len(self.cands)):
-            if self.compatible(q, used_pairs):
+        for q in range(last + 1, len(masks)):
+            if not masks[q] & used_pairs:
                 count += 1
         if self.host == "linear":
-            free_pairs = self.total_pairs - len(used_pairs)
+            free_pairs = self.total_pairs - used_pairs.bit_count()
             count = min(count, free_pairs // self.pairs_per_edge)
         return count
 
@@ -167,8 +206,10 @@ class _Searcher:
         between yields.
         """
         chosen: list[int] = []
+        stats = self.stats
+        masks = self.pair_masks
 
-        def visit(last: int, used_pairs: frozenset) -> Iterator[list[int]]:
+        def visit(last: int, used_pairs: int) -> Iterator[list[int]]:
             self.tick()
             yield chosen
             size = len(chosen)
@@ -176,16 +217,24 @@ class _Searcher:
                 return
             bar = need()
             if bar > size and size + self.headroom(last, used_pairs) < bar:
+                stats.bound_cuts += 1
                 return
-            for q in range(last + 1, len(self.cands)):
-                if not self.compatible(q, used_pairs):
+            for q in range(last + 1, len(masks)):
+                if masks[q] & used_pairs:
                     continue
                 chosen.append(q)
+                for edges in self.slots[q]:
+                    edges.append(q)
+                stats.admits_calls += 1
                 if self.admits(chosen):
-                    yield from visit(q, used_pairs | self.pair_sets[q])
+                    yield from visit(q, used_pairs | masks[q])
+                else:
+                    stats.admits_rejects += 1
+                for edges in self.slots[q]:
+                    edges.pop()
                 chosen.pop()
 
-        return visit(-1, frozenset())
+        return visit(-1, 0)
 
 
 def max_edges(

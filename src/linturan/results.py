@@ -64,36 +64,55 @@ class ResultRecord:
 class ResultsStore:
     """JSON Lines store.
 
-    Each record is appended as one line and nothing is locked.  Loading
-    rejects the whole file with a FormatError naming the first invalid
-    line, so a final line torn by a crashed or concurrent writer makes the
-    store unreadable until that line is removed.
+    Each record is appended as one line and nothing is locked.  A final
+    line without its newline that does not parse was torn by a writer
+    that stopped mid-line: loading drops it and reports its line number
+    in `torn`, and the next add cuts it off before appending, so the new
+    record starts on a fresh line.  Any other invalid line rejects the
+    whole file with a FormatError naming it.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._records: list[ResultRecord] = []
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                    try:
-                        self._records.append(ResultRecord.from_obj(obj))
-                    except FormatError as exc:
-                        raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        self.torn: Optional[int] = None  # line number of a dropped torn line
+        self._torn_at: Optional[int] = None  # its byte offset
+        if not os.path.exists(path):
+            return
+        with open(path, "rb") as fh:
+            data = fh.read()
+        offset = 0
+        for lineno, raw in enumerate(data.split(b"\n"), start=1):
+            start, offset = offset, offset + len(raw) + 1
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                if offset > len(data):  # final line, no newline
+                    self.torn, self._torn_at = lineno, start
+                    continue
+                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            try:
+                self._records.append(ResultRecord.from_obj(obj))
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self._records)
 
     def add(self, record: ResultRecord) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.to_obj(), sort_keys=True) + "\n")
+        line = json.dumps(record.to_obj(), sort_keys=True) + "\n"
+        with open(self.path, "ab+") as fh:
+            if self._torn_at is not None:
+                fh.truncate(self._torn_at)
+                self._torn_at = None
+            fh.seek(0, os.SEEK_END)
+            if fh.tell():
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":  # a last record without its newline
+                    line = "\n" + line
+            fh.write(line.encode("utf-8"))
         self._records.append(record)
 
     def best(

@@ -135,6 +135,9 @@ class TestTuran:
         assert code == EXIT_OK
         obj = json.loads(text)
         assert (obj["value"], obj["status"]) == (2, "exact")
+        stats = lt.max_edges(6, 3, lt.linear_path(2, 3)).stats
+        counters = ("nodes", "admits_calls", "admits_rejects", "bound_cuts")
+        assert [obj[k] for k in counters] == [getattr(stats, k) for k in counters]
 
     def test_witness_out(self, capsys, tmp_path):
         wfile = tmp_path / "w.json"
@@ -165,6 +168,18 @@ class TestTuran:
         code, text, _ = run(capsys, *args, "--node-limit", "1")
         assert code == EXIT_OK
         assert text.strip() == "2"
+
+    def test_torn_results_file_warns_once(self, capsys, tmp_path):
+        rfile = tmp_path / "r.jsonl"
+        args = ("turan", "--n", "6", "--r", "3", "--pattern", "P2@r3",
+                "--linear", "--results", str(rfile))
+        assert run(capsys, *args)[0] == EXIT_OK
+        with open(rfile, "a", encoding="utf-8") as fh:
+            fh.write('{"n": 7, "r": 3, "pat')
+        code, text, err = run(capsys, *args)
+        assert (code, text.strip()) == (EXIT_OK, "2")
+        assert err.count("warning") == 1
+        assert f"{rfile}:2: dropped a torn final line" in err
 
 
 class TestBound:

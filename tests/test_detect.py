@@ -39,6 +39,20 @@ def test_witness_is_deterministic(fano):
     assert a == b
 
 
+def test_single_component_host_is_walked_once(monkeypatch):
+    host = lt.realize(lt.linear_path(3, 3))
+    calls = []
+    walker = lt.detect._Search._iter_chains
+
+    def counted(self, *args):
+        calls.append(args)
+        return walker(self, *args)
+
+    monkeypatch.setattr(lt.detect._Search, "_iter_chains", counted)
+    assert lt.contains(host, lt.linear_path(3, 3)) is not None
+    assert len(calls) == 1
+
+
 def test_lattice_star_degree_cap():
     lat = lt.integer_lattice(4, 2)
     # 2-regular linear host: a 3-edge star cannot exist

@@ -2,10 +2,12 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linturan as lt
 import naive_detect as nd
 from linturan.errors import BadParameters, InterruptedSearch, InvariantViolation
+from linturan.oracle import HOSTS, _Searcher
 
 P2 = lt.linear_path(2, 3)
 P3 = lt.linear_path(3, 3)
@@ -108,6 +110,63 @@ def test_node_counts_are_pinned(n, expr, host, nodes):
     res = lt.max_edges(n, 3, lt.parse_pattern(expr), host)
     assert res.exact
     assert res.stats.nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "n,expr,host,counters",
+    [
+        (7, "P3@r3", "linear", (85, 5, 74)),
+        (7, "S2@r3", "general", (11359, 10200, 204)),
+    ],
+)
+def test_search_counters_are_pinned(n, expr, host, counters):
+    stats = lt.max_edges(n, 3, lt.parse_pattern(expr), host).stats
+    assert (stats.admits_calls, stats.admits_rejects, stats.bound_cuts) == counters
+    again = lt.max_edges(n, 3, lt.parse_pattern(expr), host).stats
+    assert (again.nodes, again.admits_calls, again.admits_rejects, again.bound_cuts) == (
+        stats.nodes, *counters
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_anchored_admits_matches_whole_host_check(data):
+    # grow a host one admitted edge at a time, in any order, keeping the
+    # searcher's incidence as walk does; every verdict must equal a
+    # whole-host is_free
+    r = data.draw(st.sampled_from((2, 3, 4)), label="r")
+    n = data.draw(st.integers(r + 1, 9), label="n")
+    host = data.draw(st.sampled_from(HOSTS), label="host")
+    expr = data.draw(
+        st.sampled_from(["P1", "P2", "P3", "P4", "S1", "S2", "S3", "C3", "C4"]),
+        label="pattern",
+    )
+    pattern = lt.parse_pattern(f"{expr}@r{r}")
+    s = _Searcher(n, r, pattern, host, lt.SearchBudget())
+    order = data.draw(st.permutations(range(len(s.cands))), label="order")
+    chosen, used = [], 0
+    for q in order[:30]:
+        if s.pair_masks[q] & used:
+            continue
+        chosen.append(q)
+        for edges in s.slots[q]:
+            edges.append(q)
+        admitted = s.admits(chosen)
+        assert admitted == lt.is_free(s.graph(chosen), pattern), s.graph(chosen).edges
+        if admitted:
+            used |= s.pair_masks[q]
+        else:
+            for edges in s.slots[q]:
+                edges.pop()
+            chosen.pop()
+
+
+def test_pattern_wider_than_host_searches_like_no_pattern():
+    # P4 has 9 vertices, so no host on 8 contains it: the search must be
+    # the unconstrained one, node for node
+    a = lt.max_edges(8, 3, P4)
+    b = lt.max_edges(8, 3, None)
+    assert (a.value, a.stats.nodes, a.witness) == (b.value, b.stats.nodes, b.witness)
 
 
 def test_general_host_dominates_linear():

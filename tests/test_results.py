@@ -51,6 +51,40 @@ def test_bad_line_is_located(tmp_path):
     assert ":1:" in str(exc.value)
 
 
+def test_torn_final_line_is_dropped_and_cut_by_the_next_add(tmp_path):
+    path = tmp_path / "s.jsonl"
+    lt.ResultsStore(path).add(record())
+    line = json.dumps(record(n=7).to_obj(), sort_keys=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line[:40])  # a writer stopped mid-line
+    store = lt.ResultsStore(path)
+    assert store.torn == 2
+    assert len(store) == 1
+    store.add(record(n=8))
+    again = lt.ResultsStore(path)
+    assert again.torn is None
+    assert [rec.n for rec in again.entries()] == [6, 8]
+    assert len(path.read_text().splitlines()) == 2
+
+
+def test_unterminated_valid_last_line_is_kept(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps(record().to_obj()))
+    store = lt.ResultsStore(path)
+    assert (store.torn, len(store)) == (None, 1)
+    store.add(record(n=7))
+    assert [rec.n for rec in lt.ResultsStore(path).entries()] == [6, 7]
+
+
+def test_invalid_line_before_the_last_still_fails(tmp_path):
+    path = tmp_path / "s.jsonl"
+    good = json.dumps(record().to_obj())
+    path.write_text(good[:40] + "\n" + good)
+    with pytest.raises(FormatError) as exc:
+        lt.ResultsStore(path)
+    assert ":1:" in str(exc.value)
+
+
 def test_best_prefers_exact_then_latest(tmp_path):
     store = lt.ResultsStore(tmp_path / "s.jsonl")
     store.add(record(value=1, status="interrupted", nodes=5))
