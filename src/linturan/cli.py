@@ -86,7 +86,7 @@ def load_config(path: Optional[str]) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: config must be a JSON object")

@@ -13,13 +13,15 @@ host from scratch, so witnesses are independently auditable.
 
 Only host edges of exactly the pattern's order participate; a mixed host
 is searched through its order-r edges.  The host does not have to be
-linear.  Union patterns are embedded component by component with two
-sound prunes: each component type must exist individually, and when k
-components remain, deleting any k-1 vertices must leave at least one
-remaining type present (pigeonhole over vertex-disjoint copies), so if
-greedily deleting the k-1 busiest vertices kills every remaining type the
-branch is abandoned.  A single-component pattern skips that first prune:
-its search is the presence check.
+linear.  Paths and cycles grow by one step rule (_steps), stars by one
+star rule (_star_leaves); contains and occurs_through share both.  Union
+patterns are embedded component by component with two sound prunes: each
+component type must exist individually, and when k components remain,
+deleting any k-1 vertices must leave at least one remaining type present
+(pigeonhole over vertex-disjoint copies), so if greedily deleting the k-1
+busiest vertices kills every remaining type the branch is abandoned.  A
+single-component pattern skips that first prune: its search is the
+presence check.
 
 occurs_through(sets, incidence, q, component) is the yes/no query for
 callers that keep their own edge state (the search oracle): does some
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import MalformedEmbedding
-from .hypergraph import Hypergraph, is_linear
+from .hypergraph import Hypergraph
 from .patterns import (
     ForbiddenPattern,
     PatternComponent,
@@ -49,7 +51,6 @@ __all__ = [
     "is_free",
     "occurs_through",
     "verify_embedding",
-    "star_presence_linear",
 ]
 
 
@@ -129,6 +130,25 @@ def _steps(sets, incidence, tail, used, meets, floor=-1, banned=None):
         meet = eq & used
         if len(meet) == meets:
             yield q, meet
+
+
+def _star_leaves(sets, through, used, left, banned=None):
+    """The star step rule: ascending picks (lists) of `left` more edges
+    from through, the edges at a centre c, that avoid banned and meet
+    used, and each other, only in c.  Each edge of through holds c, so a
+    single shared vertex is c, and an edge inside used (r >= 2) never fits."""
+    if left == 0:
+        yield []
+        return
+    for i, e in enumerate(through):
+        es = sets[e]
+        if len(es & used) != 1 or banned and es & banned:
+            continue
+        if left == 1:
+            yield [e]
+            continue
+        for rest in _star_leaves(sets, through[i + 1 :], used | es, left - 1, banned):
+            yield [e] + rest
 
 
 class _Search:
@@ -214,37 +234,28 @@ class _Search:
             yield from extend([p0], set(e0), [])
 
     def _iter_stars(self, ell, banned):
-        def vmap_of(chosen, centre):
-            vm = [centre]
-            for pos in chosen:
-                vm += sorted(self.sets[pos] - {centre})
-            return vm
+        """Loose stars with ell >= 2 edges, in ascending position order.
 
-        def extend(chosen, centre, used):
-            if len(chosen) == ell:
-                yield list(chosen), vmap_of(chosen, centre), frozenset(used)
-                return
-            for q in range(chosen[-1] + 1, len(self.sets)):
-                eq = self.sets[q]
-                if eq & banned:
-                    continue
-                if centre is None:
-                    inter = eq & used
-                    if len(inter) != 1:
-                        continue
-                    (c,) = inter
-                    yield from extend(chosen + [q], c, used | eq)
-                else:
-                    inter = eq & used
-                    if inter != {centre}:
-                        continue
-                    yield from extend(chosen + [q], centre, used | eq)
-
-        for p0 in range(len(self.sets)):
-            e0 = self.sets[p0]
-            if e0 & banned:
+        A star's lowest edge p0 holds its centre c, and c lies in ell
+        edges, so a p0 none of whose vertices has degree ell is skipped.
+        The second edge is a path step from p0, whose single meet is c;
+        a c of degree below ell is skipped, and the other edges are
+        picked from c's incidence above the second edge.
+        """
+        sets, incidence = self.sets, self.incidence
+        for p0, e0 in enumerate(sets):
+            if e0 & banned or all(len(incidence[v]) < ell for v in e0):
                 continue
-            yield from extend([p0], None, set(e0))
+            for p1, (c,) in _steps(sets, incidence, e0, e0, 1, p0, banned):
+                at_c = incidence[c]
+                if len(at_c) < ell:
+                    continue
+                used = e0 | sets[p1]
+                above = at_c[at_c.index(p1) + 1 :]
+                for pick in _star_leaves(sets, above, used, ell - 2, banned):
+                    chosen = [p0, p1] + pick
+                    vm = [c] + [v for pos in chosen for v in sorted(sets[pos] - {c})]
+                    yield chosen, vm, used.union(*(sets[pos] for pos in pick))
 
     # -- union search -----------------------------------------------------
 
@@ -336,30 +347,8 @@ class _Search:
         )
 
 
-def star_presence_linear(h: Hypergraph, length: int, r: int) -> bool:
-    """Presence of a loose star in a linear host, by degree counting.
-
-    In a linear host, any two edges through a vertex meet exactly there, so
-    a star of the given length exists iff some vertex lies in that many
-    order-r edges.  Callers must ensure the host is linear.
-    """
-    deg = [0] * h.n
-    for e in h.edges:
-        if len(e) != r:
-            continue
-        for v in e:
-            deg[v] += 1
-            if deg[v] >= length:
-                return True
-    return False
-
-
 def contains(h: Hypergraph, pattern: ForbiddenPattern) -> Optional[Embedding]:
     """Witness of the pattern inside the host, or None when free."""
-    single_star = pattern.single("star")
-    if single_star is not None and is_linear(h):
-        if not star_presence_linear(h, single_star, pattern.r):
-            return None
     return _Search(h, pattern).find()
 
 
@@ -385,16 +374,17 @@ def occurs_through(sets, incidence, q: int, comp: PatternComponent) -> bool:
     host edges through vertex v, q among them.  Edges of any other order
     must not be listed.  Nothing is built: no Hypergraph, no Embedding and
     no whole-host pass.  Paths and cycles grow outward from q by the same
-    step rule as contains.  A star through q has its centre c in q; in a
-    linear host any two edges at c meet only there, so the degree test
-    below decides it and the search after it succeeds at once.
+    step rule as contains.  A star through q has its centre c in q and
+    ell edges at c: contains' star rule searches each c of degree ell or
+    more, and on a linear host its first pick succeeds.
     """
     eq = sets[q]
     ell = comp.length
     if comp.kind == "star":
         for c in eq:
-            if len(incidence[c]) >= ell and _star_around(sets, incidence[c], eq, ell - 1):
-                return True
+            if len(incidence[c]) >= ell:
+                for _ in _star_leaves(sets, incidence[c], eq, ell - 1):
+                    return True
         return False
     closed = comp.kind == "cycle"
 
@@ -418,15 +408,3 @@ def occurs_through(sets, incidence, q: int, comp: PatternComponent) -> bool:
         return False
 
     return walk(eq, eq, ell - 1, eq)
-
-
-def _star_around(sets, through, used, left) -> bool:
-    """Whether `left` more edges of through (the edges at a centre c, all
-    of which contain c) meet used, and each other, only in c."""
-    if left == 0:
-        return True
-    for i, e in enumerate(through):
-        es = sets[e]
-        if len(es & used) == 1 and _star_around(sets, through[i + 1 :], used | es, left - 1):
-            return True
-    return False

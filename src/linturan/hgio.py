@@ -25,6 +25,7 @@ __all__ = [
     "load_text",
     "dump_json",
     "load_json",
+    "check_json_fields",
     "write_file",
     "read_file",
 ]
@@ -97,20 +98,35 @@ def dump_json(h: Hypergraph, indent: Optional[int] = None) -> str:
     return json.dumps(obj, indent=indent)
 
 
+def check_json_fields(obj: Any, what: str = "hypergraph") -> None:
+    """Raise FormatError unless obj is a JSON object with an integer n, an
+    integer or null r and a list of integer lists as edges (bools are not)."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, got {obj!r}")
+    for key in ("n", "edges"):
+        if key not in obj:
+            raise FormatError(f"{what} is missing key {key!r}")
+    if type(obj["n"]) is not int:
+        raise FormatError(f"{what} vertex count must be an integer, got {obj['n']!r}")
+    if obj.get("r") is not None and type(obj["r"]) is not int:
+        raise FormatError(f"{what} order must be an integer or null, got {obj['r']!r}")
+    edges = obj["edges"]
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and all(type(v) is int for v in e) for e in edges
+    ):
+        raise FormatError(f"{what} edges must be a list of integer lists")
+
+
 def load_json(text: str) -> Hypergraph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too long or too deep
         raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FormatError("top-level JSON value must be an object")
-    for key in ("n", "edges"):
-        if key not in obj:
-            raise FormatError(f"missing key {key!r}")
-    labels = None
-    if "labels" in obj and obj["labels"] is not None:
-        labels = [_label_from_obj(o) for o in obj["labels"]]
+    check_json_fields(obj)
     try:
+        labels = obj.get("labels")
+        if labels is not None:
+            labels = [_label_from_obj(o) for o in labels]
         return make_hypergraph(obj["n"], [tuple(e) for e in obj["edges"]], obj.get("r"), labels)
     except FormatError:
         raise

@@ -177,8 +177,11 @@ def realize(pattern: ForbiddenPattern) -> Hypergraph:
     return disjoint_union([realize_component(c, pattern.r) for c in pattern.components])
 
 
-_TERM = re.compile(r"^(?:(\d+)\*)?([PSC])(\d+)$")
-_SUFFIX = re.compile(r"^r(\d+)$")
+# at most nine digits keep int() inside its digit limit; a pattern stores
+# one component per copy, so their number is capped as well
+_TERM = re.compile(r"^(?:(\d{1,9})\*)?([PSC])(\d{1,9})$")
+_SUFFIX = re.compile(r"^r(\d{1,9})$")
+MAX_COMPONENTS = 100_000
 
 
 def parse_pattern(text: str, default_r: Optional[int] = None) -> ForbiddenPattern:
@@ -203,8 +206,8 @@ def parse_pattern(text: str, default_r: Optional[int] = None) -> ForbiddenPatter
         if m is None:
             raise BadParameters(f"bad pattern term {term!r} (expected [k*]P|S|C<length>)")
         k = int(m.group(1)) if m.group(1) else 1
-        if k < 1:
-            raise BadParameters(f"copy count must be >= 1 in term {term!r}")
+        if not 1 <= k <= MAX_COMPONENTS - len(components):
+            raise BadParameters(f"term {term!r} needs 1 to {MAX_COMPONENTS - len(components)} copies")
         comp = PatternComponent(_LETTER_KIND[m.group(2)], int(m.group(3)))
         components.extend([comp] * k)
     return ForbiddenPattern(r, tuple(components))

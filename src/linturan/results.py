@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from .errors import FormatError
+from .hgio import check_json_fields
 from .hypergraph import Hypergraph, make_hypergraph
 
 __all__ = ["ResultRecord", "ResultsStore"]
 
-_FIELDS = ("n", "r", "pattern", "host", "value", "status", "witness", "nodes", "elapsed")
+_FIELDS = {"n": int, "r": int, "pattern": (str, type(None)), "host": str, "value": int,
+           "status": str, "witness": dict, "nodes": int, "elapsed": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,12 @@ class ResultRecord:
     def from_obj(cls, obj: Any) -> "ResultRecord":
         if not isinstance(obj, dict):
             raise FormatError(f"result record must be an object, got {obj!r}")
-        missing = [name for name in _FIELDS if name not in obj]
-        if missing:
-            raise FormatError(f"result record missing {missing}")
-        witness = obj["witness"]
-        if not (isinstance(witness, dict) and "n" in witness and "edges" in witness):
-            raise FormatError(f"result record witness needs n and edges, got {witness!r}")
+        for name, kind in _FIELDS.items():
+            if name not in obj:
+                raise FormatError(f"result record missing {name!r}")
+            if isinstance(obj[name], bool) or not isinstance(obj[name], kind):
+                raise FormatError(f"result record {name} has the wrong type: {obj[name]!r}")
+        check_json_fields(obj["witness"], "result record witness")
         return cls(**{name: obj[name] for name in _FIELDS})
 
 
@@ -88,7 +90,7 @@ class ResultsStore:
                 continue
             try:
                 obj = json.loads(raw)
-            except ValueError as exc:  # bad JSON or bad UTF-8
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
                 if offset > len(data):  # final line, no newline
                     self.torn, self._torn_at = lineno, start
                     continue

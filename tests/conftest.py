@@ -13,6 +13,11 @@ def affine9():
     return lt.require_design(9, 3).graph
 
 
+@pytest.fixture(scope="session")
+def sts13():
+    return lt.require_design(13, 3).graph
+
+
 @pytest.fixture
 def announce(capsys):
     # one visible verdict line per acceptance criterion, even under capture

@@ -250,15 +250,17 @@ def test_criterion_10_detector_agreement(announce):
     rng = random.Random(20260814)
     hosts = 0
     linear_hosts = 0
+    forests = 0
     for _ in range(500):
         h = random_host(rng)
-        _agreement(h)
+        forests += _agreement(h)
         hosts += 1
         if lt.is_linear(h):
             linear_hosts += 1
     elapsed = time.perf_counter() - t0
     assert hosts == 500
     assert 0 < linear_hosts < 500
+    assert forests > 0
     announce(
         f"criterion 10: PASS - detector agrees with the naive enumerator on {hosts} "
         f"random hosts ({linear_hosts} linear, {hosts - linear_hosts} not) across the "

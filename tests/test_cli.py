@@ -182,6 +182,19 @@ class TestTuran:
         assert f"{rfile}:2: dropped a torn final line" in err
 
 
+    def test_mistyped_stored_witness_is_an_error(self, capsys, tmp_path):
+        rfile = tmp_path / "r.jsonl"
+        args = ("turan", "--n", "6", "--r", "3", "--pattern", "P2@r3",
+                "--linear", "--results", str(rfile))
+        assert run(capsys, *args)[0] == EXIT_OK
+        rec = json.loads(rfile.read_text())
+        rec["witness"]["edges"] = 3
+        rfile.write_text(json.dumps(rec) + "\n")
+        code, _, err = run(capsys, *args)
+        assert code == EXIT_USAGE
+        assert f"{rfile}:1:" in err and "edges" in err
+
+
 class TestBound:
     def test_text_line(self, capsys):
         code, text, _ = run(
@@ -294,6 +307,20 @@ class TestReport:
         assert code == EXIT_OK
         row = [l for l in text.splitlines() if "P2@r3" in l][0]
         assert "2" in row.split()
+
+
+    def test_mistyped_stored_field_is_an_error(self, capsys, tmp_path):
+        rfile = tmp_path / "r.jsonl"
+        for n in ("6", "7"):
+            run(capsys, "turan", "--n", n, "--r", "3", "--pattern", "P2@r3",
+                "--linear", "--results", str(rfile))
+        first, second = rfile.read_text().splitlines()
+        rec = json.loads(second)
+        rec["n"] = "4"
+        rfile.write_text(first + "\n" + json.dumps(rec) + "\n")
+        code, _, err = run(capsys, "report", "--results", str(rfile))
+        assert code == EXIT_USAGE
+        assert f"{rfile}:2:" in err
 
 
 class TestConfigAndUsage:

@@ -84,6 +84,11 @@ def test_embeddings_are_all_valid(fano):
         ("fano", "C3@r3", (0, 3, 1), (1, 6, 0, 3, 2, 4), 56),
         ("affine9", "P3@r3", (0, 1, 8), (1, 5, 0, 4, 2, 6, 7), 216),
         ("affine9", "C4@r3", (0, 6, 1, 8), (1, 5, 0, 4, 2, 7, 6, 8), 108),
+        ("fano", "S3@r3", (0, 1, 2), (0, 1, 6, 2, 3, 4, 5), 7),
+        ("affine9", "S4@r3", (0, 1, 2, 3), (0, 1, 5, 2, 4, 3, 6, 7, 8), 9),
+        ("affine9", "3*P1@r3", (0, 8, 9), (0, 1, 5, 2, 6, 7, 3, 4, 8), 4),
+        # a star of three edges that must avoid the vertices of another component
+        ("sts13", "P1+S3@r3", (0, 11, 12, 13), (0, 1, 11, 2, 3, 8, 4, 5, 6, 10), 260),
     ],
 )
 def test_first_embedding_and_count_are_pinned(
@@ -105,13 +110,21 @@ PATTERNS = [
     ("C4@r{r}", ("cycle", 4)),
 ]
 
+# random_host has at most 9 vertices: the first two never fit and check
+# only the vacuous case, the rest do fit
 FORESTS = [
     ("P2+S2@r{r}", (("path", 2), ("star", 2))),
     ("2*P2@r{r}", (("path", 2), ("path", 2))),
+    ("2*P1@r{r}", (("path", 1), ("path", 1))),
+    ("P1+S2@r{r}", (("path", 1), ("star", 2))),
+    ("P2+P1@r{r}", (("path", 2), ("path", 1))),
+    ("3*P1@r{r}", (("path", 1), ("path", 1), ("path", 1))),
 ]
 
 
 def _agreement(host):
+    """Compare the detector with the naive enumerator on one host; returns
+    how many forest patterns the host contains."""
     r = host.r
     for expr, comp in PATTERNS:
         pat = lt.parse_pattern(expr.format(r=r))
@@ -120,20 +133,21 @@ def _agreement(host):
         assert (got is not None) == bool(want), (expr, host.edges)
         if got is not None:
             assert lt.verify_embedding(host, got)
-        if comp[0] != "star":
-            spans = {
-                frozenset(v for i in emb.edge_map for v in host.edges[i])
-                for emb in lt.iter_embeddings(host, pat)
-            }
-            assert spans == want, (expr, host.edges)
+        spans = {
+            frozenset(v for i in emb.edge_map for v in host.edges[i])
+            for emb in lt.iter_embeddings(host, pat)
+        }
+        assert spans == want, (expr, host.edges)
+    positive = 0
     for expr, comps in FORESTS:
         pat = lt.parse_pattern(expr.format(r=r))
         got = lt.contains(host, pat)
         assert (got is not None) == nd.has_forest(host, comps), (expr, host.edges)
+        positive += got is not None
+    return positive
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_detector_matches_naive_enumeration(seed):
     rng = random.Random(7000 + seed)
-    for _ in range(10):
-        _agreement(random_host(rng))
+    assert sum(_agreement(random_host(rng)) for _ in range(10)) > 0

@@ -44,7 +44,21 @@ def test_text_format_errors(text):
         load_text(text)
 
 
-@pytest.mark.parametrize("blob", ["{]", "{}", '{"n": 3}'])
+@pytest.mark.parametrize(
+    "blob",
+    [
+        "{]",
+        "{}",
+        '{"n": 3}',
+        '{"n": 7.5, "r": 3, "edges": []}',
+        '{"n": true, "r": 3, "edges": []}',
+        '{"n": 7, "r": "3", "edges": []}',
+        '{"n": 7, "r": 3, "edges": 3}',
+        '{"n": 7, "r": 3, "edges": [[0, 1, 2.0]]}',
+        '{"n": 7, "r": 3, "edges": [7]}',
+        '{"n": 7, "r": 3, "edges": [], "labels": 7}',
+    ],
+)
 def test_json_format_errors(blob):
     with pytest.raises(FormatError):
         load_json(blob)

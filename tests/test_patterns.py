@@ -59,11 +59,18 @@ def test_copies_multiplies_components():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "P4", "Q3@r3", "P0@r3", "C2@r3", "P4@r1", "0*P4@r3", "P4@@r3"],
+    ["", "P4", "Q3@r3", "P0@r3", "C2@r3", "P4@r1", "0*P4@r3", "P4@@r3",
+     "100001*P4@r3", "50000*P4+50001*S2@r3", "P1234567890@r3", "P4@r1234567890",
+     "99999999999999999999*P1@r3"],
 )
 def test_parse_rejections(text):
     with pytest.raises(BadParameters):
         lt.parse_pattern(text)
+
+
+def test_copy_cap_is_reachable():
+    cap = lt.patterns.MAX_COMPONENTS
+    assert len(lt.parse_pattern(f"{cap - 1}*P1+S2@r3").components) == cap
 
 
 @st.composite

@@ -112,7 +112,18 @@ def test_entries_resolve_per_key_in_order(tmp_path):
     assert resolved[0].status == "exact"
 
 
-@pytest.mark.parametrize("witness", [{"r": 3, "edges": []}, {"n": 6, "r": 3}, [6, []]])
+@pytest.mark.parametrize(
+    "witness",
+    [
+        {"r": 3, "edges": []},
+        {"n": 6, "r": 3},
+        [6, []],
+        {"n": 6, "r": 3, "edges": 3},
+        {"n": 6.0, "r": 3, "edges": []},
+        {"n": 6, "r": "3", "edges": []},
+        {"n": 6, "r": 3, "edges": [[0, 1, "2"]]},
+    ],
+)
 def test_malformed_witness_is_rejected_on_read(tmp_path, witness):
     obj = dict(record().to_obj(), witness=witness)
     with pytest.raises(FormatError) as exc:
@@ -123,3 +134,20 @@ def test_malformed_witness_is_rejected_on_read(tmp_path, witness):
     with pytest.raises(FormatError) as exc:
         lt.ResultsStore(path)
     assert ":1:" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("n", "4"), ("r", None), ("pattern", 3), ("host", None), ("value", True),
+     ("status", 1), ("nodes", 2.5), ("elapsed", "0.01")],
+)
+def test_field_of_wrong_type_is_rejected_on_read(tmp_path, field, value):
+    obj = dict(record().to_obj(), **{field: value})
+    with pytest.raises(FormatError) as exc:
+        ResultRecord.from_obj(obj)
+    assert field in str(exc.value)
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps(record().to_obj()) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(FormatError) as exc:
+        lt.ResultsStore(path)
+    assert ":2:" in str(exc.value)
