@@ -5,10 +5,13 @@ part of the interface: 0 the property holds / the command succeeded, 2 a
 property failed or a pattern was found (a witness is printed), 3 a search
 budget ran out, 1 usage or internal errors.
 
-Budgets may come from flags, the LINTURAN_NODE_LIMIT / LINTURAN_TIME_LIMIT
+Each subcommand accepts only the shared options it reads: --config (all
+but verify suite, which takes no options), --report-format (commands that
+print a report), --out and --graph-format (every build target; turan
+takes --graph-format for --witness-out).  turan's budgets may come from
+--node-limit / --time-limit, the LINTURAN_NODE_LIMIT / LINTURAN_TIME_LIMIT
 environment variables, or a config file, in that order of precedence.
-Semantic parameters are flags only.  --seed is accepted everywhere for
-interface stability and ignored: every algorithm here is exact.
+Semantic parameters are flags only.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ from .errors import (
     InterruptedSearch,
     InvariantViolation,
     LinturanError,
-    NoDesignAvailable,
+    ProductTooLarge,
 )
 from .hgio import read_file, write_file
 from .hypergraph import (
+    DEFAULT_PRODUCT_CAP,
     cartesian_product,
     integer_lattice,
-    is_linear,
     linearity_violation,
 )
 from .oracle import SearchBudget, ex_table, max_edges
@@ -58,7 +61,8 @@ EXIT_INTERRUPTED = 3
 ENV_NODE_LIMIT = "LINTURAN_NODE_LIMIT"
 ENV_TIME_LIMIT = "LINTURAN_TIME_LIMIT"
 
-# accepted JSON type of each config key; the caps may also be null
+# accepted JSON type of each config key; the caps must be positive, and
+# all but prime_cap (an int parameter of build_design) may also be null
 _CONFIG_TYPES = {
     "node_limit": int,
     "time_limit": (int, float),
@@ -68,6 +72,7 @@ _CONFIG_TYPES = {
     "format": str,
 }
 _CAPS = ("node_limit", "time_limit", "prime_cap", "search_cap")
+_NULLABLE = ("node_limit", "time_limit", "search_cap")
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ def load_config(path: Optional[str]) -> Config:
     if unknown:
         raise BadParameters(f"{path}: unknown config keys {unknown}")
     for key, value in obj.items():
-        if value is None and key in _CAPS:
+        if value is None and key in _NULLABLE:
             continue
         if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
             raise BadParameters(f"{path}: {key} has the wrong type: {value!r}")
@@ -158,34 +163,54 @@ def _write_graph(h, args, config: Config) -> None:
         write_file(h, sys.stdout, fmt=args.graph_format)
 
 
-def _pattern(expr: str, default_r: Optional[int]):
-    return parse_pattern(expr, default_r=default_r)
+def _need(args, command: str, *names) -> list:
+    missing = [name for name in names if getattr(args, name) is None]
+    if missing:
+        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        raise BadParameters(f"{command} needs {flags}")
+    return [getattr(args, name) for name in names]
+
+
+def _construct(args, command: str, kind: str, certify: bool):
+    """The thm45, thm47 or cone construction report for `build` and
+    `verify construction`; cone certifies its pattern whatever certify says."""
+    if kind == "thm45":
+        r, ell, n = _need(args, command, "r", "ell", "n")
+        return thm45_construction(r, ell, n, certify=certify)
+    if kind == "thm47":
+        r, ell, k, copies = _need(args, command, "r", "ell", "k", "copies")
+        return thm47_construction(r, ell, k, copies, certify=certify)
+    n, r, k, kernel = _need(args, command, "n", "r", "k", "kernel")
+    kernel = read_file(kernel)
+    pattern = parse_pattern(args.pattern, r) if args.pattern else None
+    return cone_construction(n, r, k, kernel, free_pattern=pattern)
 
 
 # ---------------------------------------------------------------------------
 # build
 
+_LETTER = {"path": "P", "star": "S", "cycle": "C"}
+
 
 def _cmd_build(args, config: Config) -> int:
     kind = args.what
-    if kind in ("path", "star", "cycle"):
-        letter = {"path": "P", "star": "S", "cycle": "C"}[kind]
-        pattern = _pattern(f"{letter}{args.ell}", args.r)
-        _write_graph(realize(pattern), args, config)
-        return EXIT_OK
-    if kind == "forest":
-        pattern = _pattern(args.pattern, args.r)
-        _write_graph(realize(pattern), args, config)
-        return EXIT_OK
-    if kind == "lattice":
-        _write_graph(integer_lattice(args.base, args.dim), args, config)
-        return EXIT_OK
-    if kind == "product":
+    if kind in ("path", "star", "cycle", "forest"):
+        expr = args.pattern if kind == "forest" else f"{_LETTER[kind]}{args.ell}"
+        pattern = parse_pattern(expr, args.r)
+        # realize allocates about half a KiB per edge, so cap it like a product
+        if pattern.num_vertices > DEFAULT_PRODUCT_CAP:
+            raise ProductTooLarge(
+                f"pattern would have {pattern.num_vertices} vertices "
+                f"(cap {DEFAULT_PRODUCT_CAP})"
+            )
+        graph = realize(pattern)
+    elif kind == "lattice":
+        graph = integer_lattice(args.base, args.dim)
+    elif kind == "product":
         left = read_file(args.left)
         right = read_file(args.right)
-        _write_graph(cartesian_product(left, right), args, config)
-        return EXIT_OK
-    if kind == "design":
+        graph = cartesian_product(left, right)
+    elif kind == "design":
         outcome = build_design(
             args.n, args.r, prime_cap=config.prime_cap,
             search_cap=config.search_cap,
@@ -201,23 +226,15 @@ def _cmd_build(args, config: Config) -> int:
             f"{design.num_blocks} blocks ({design.strategy})",
             _structured(args, config),
         )
-        _write_graph(design.graph, args, config)
-        return EXIT_OK
-    if kind == "thm45":
-        report = thm45_construction(args.r, args.ell, args.n, certify=not args.no_certify)
-    elif kind == "thm47":
-        report = thm47_construction(
-            args.r, args.ell, args.k, args.copies, certify=not args.no_certify
-        )
-    elif kind == "cone":
-        kernel = read_file(args.kernel)
-        pattern = _pattern(args.pattern, args.r) if args.pattern else None
-        report = cone_construction(args.n, args.r, args.k, kernel, free_pattern=pattern)
-    else:  # pragma: no cover - argparse restricts choices
-        raise BadParameters(f"unknown build target {kind!r}")
-    _emit(report.to_obj(), str(report), _structured(args, config))
-    if args.out:
-        _write_graph(report.result, args, config)
+        graph = design.graph
+    else:  # thm45, thm47, cone: print the report, write the graph on --out only
+        certify = not getattr(args, "no_certify", False)
+        report = _construct(args, f"build {kind}", kind, certify)
+        _emit(report.to_obj(), str(report), _structured(args, config))
+        if not args.out:
+            return EXIT_OK
+        graph = report.result
+    _write_graph(graph, args, config)
     return EXIT_OK
 
 
@@ -246,7 +263,7 @@ def _cmd_check(args, config: Config) -> int:
         _emit({"design": False}, "not a design", structured)
         return EXIT_FAIL
     if args.what == "free":
-        pattern = _pattern(args.pattern, h.r)
+        pattern = parse_pattern(args.pattern, h.r)
         emb = contains(h, pattern)
         if emb is None:
             _emit({"free": True, "pattern": str(pattern)}, f"free of {pattern}", structured)
@@ -275,7 +292,7 @@ def _open_store(path: str) -> ResultsStore:
 
 
 def _cmd_turan(args, config: Config) -> int:
-    pattern = _pattern(args.pattern, args.r) if args.pattern else None
+    pattern = parse_pattern(args.pattern, args.r) if args.pattern else None
     host = "linear" if args.linear else "general"
     budget = _budget(args, config)
     store = _open_store(args.results) if args.results else None
@@ -313,51 +330,49 @@ def _cmd_turan(args, config: Config) -> int:
 # bound
 
 
-def _need(args, *names) -> list:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise BadParameters(f"bound --theorem {args.theorem} needs {flags}")
-    return [getattr(args, name) for name in names]
+# theorem id -> (flags it needs, in argument order; its reports from args
+# and their values).  bounds_mod is looked up at call time, not here.
+_THEOREMS = {
+    "linear-path": (("r", "ell", "n"),
+                    lambda a, *v: [bounds_mod.linear_path_upper(*v)]),
+    "star-forest": (("r", "ell", "k", "n"),
+                    lambda a, *v: [bounds_mod.star_forest_upper(*v)]),
+    "path-star-forest": (("r", "ell", "n"), lambda a, r, ell, n: [
+        bounds_mod.path_star_forest_upper(r, ell, _lengths(a), n)]),
+    "packing": (("r", "ell", "n"),
+                lambda a, *v: [bounds_mod.packing_lower(*v)]),
+    "removal": (("r", "ell", "k", "n"),
+                lambda a, *v: [bounds_mod.removal_upper(*v, path_free_max=a.ex)]),
+    "inserted-product": (("r", "ell", "k", "n"),
+                         lambda a, *v: [bounds_mod.inserted_product_lower(*v)]),
+    "path-turan": (("r", "ell", "n"),
+                   lambda a, *v: [bounds_mod.path_turan_exact(*v)]),
+    "disjoint-paths-turan": (("r", "ell", "k", "n"),
+                             lambda a, *v: [bounds_mod.disjoint_paths_turan(*v)]),
+    "star-turan": (("r", "ell", "n"),
+                   lambda a, *v: [bounds_mod.star_turan_upper(*v, c=a.c)]),
+    "path-star-turan": (("r", "ell", "k", "n"),
+                        lambda a, *v: list(bounds_mod.path_star_turan(*v, c=a.c))),
+    "forest-turan": (("r", "ell", "k1", "k2", "n"),
+                     lambda a, *v: list(bounds_mod.forest_turan(*v, c=a.c))),
+}
+
+
+def _lengths(args) -> list:
+    try:
+        return [int(x) for x in args.lengths.split(",")] if args.lengths else []
+    except ValueError:
+        raise BadParameters(
+            f"--lengths must be comma-separated integers, got {args.lengths!r}"
+        ) from None
 
 
 def _bound_reports(args) -> list:
     t = args.theorem
-    if t == "linear-path":
-        r, ell, n = _need(args, "r", "ell", "n")
-        return [bounds_mod.linear_path_upper(r, ell, n)]
-    if t == "star-forest":
-        r, ell, k, n = _need(args, "r", "ell", "k", "n")
-        return [bounds_mod.star_forest_upper(r, ell, k, n)]
-    if t == "path-star-forest":
-        r, ell, n = _need(args, "r", "ell", "n")
-        lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else []
-        return [bounds_mod.path_star_forest_upper(r, ell, lengths, n)]
-    if t == "packing":
-        r, ell, n = _need(args, "r", "ell", "n")
-        return [bounds_mod.packing_lower(r, ell, n)]
-    if t == "removal":
-        r, ell, k, n = _need(args, "r", "ell", "k", "n")
-        return [bounds_mod.removal_upper(r, ell, k, n, path_free_max=args.ex)]
-    if t == "inserted-product":
-        r, ell, k, n = _need(args, "r", "ell", "k", "n")
-        return [bounds_mod.inserted_product_lower(r, ell, k, n)]
-    if t == "path-turan":
-        r, ell, n = _need(args, "r", "ell", "n")
-        return [bounds_mod.path_turan_exact(r, ell, n)]
-    if t == "disjoint-paths-turan":
-        r, ell, k, n = _need(args, "r", "ell", "k", "n")
-        return [bounds_mod.disjoint_paths_turan(r, ell, k, n)]
-    if t == "star-turan":
-        r, ell, n = _need(args, "r", "ell", "n")
-        return [bounds_mod.star_turan_upper(r, ell, n, c=args.c)]
-    if t == "path-star-turan":
-        r, ell, k, n = _need(args, "r", "ell", "k", "n")
-        return list(bounds_mod.path_star_turan(r, ell, k, n, c=args.c))
-    if t == "forest-turan":
-        r, ell, k1, k2, n = _need(args, "r", "ell", "k1", "k2", "n")
-        return list(bounds_mod.forest_turan(r, ell, k1, k2, n, c=args.c))
-    raise BadParameters(f"unknown theorem id {t!r}")
+    if t not in _THEOREMS:
+        raise BadParameters(f"unknown theorem id {t!r}")
+    names, reports = _THEOREMS[t]
+    return reports(args, *_need(args, f"bound --theorem {t}", *names))
 
 
 def _cmd_bound(args, config: Config) -> int:
@@ -419,28 +434,11 @@ def _cmd_verify_section2(args, config: Config) -> int:
     return EXIT_FAIL if sweep.status == "fail" else EXIT_OK
 
 
-_CONSTRUCTION_PARAMS = {
-    "thm45": ("r", "ell", "n"),
-    "thm47": ("r", "ell", "k", "copies"),
-    "cone": ("n", "r", "k", "kernel"),
-}
-
-
 def _cmd_verify_construction(args, config: Config) -> int:
     structured = _structured(args, config)
-    missing = [p for p in _CONSTRUCTION_PARAMS[args.which] if getattr(args, p) is None]
-    if missing:
-        flags = ", ".join("--" + p for p in missing)
-        raise BadParameters(f"verify construction --which {args.which} needs {flags}")
+    command = f"verify construction --which {args.which}"
     try:
-        if args.which == "thm45":
-            report = thm45_construction(args.r, args.ell, args.n, certify=True)
-        elif args.which == "thm47":
-            report = thm47_construction(args.r, args.ell, args.k, args.copies, certify=True)
-        else:
-            kernel = read_file(args.kernel)
-            pattern = _pattern(args.pattern, args.r) if args.pattern else None
-            report = cone_construction(args.n, args.r, args.k, kernel, free_pattern=pattern)
+        report = _construct(args, command, args.which, certify=True)
     except InvariantViolation as exc:
         _emit({"verified": False, "error": str(exc)}, f"verification failed: {exc}", structured)
         return EXIT_FAIL
@@ -566,113 +564,83 @@ def _cmd_report(args, config: Config) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted and ignored; algorithms are exact")
-    p.add_argument("--report-format", choices=("text", "structured"), default=None,
-                   help="report object rendering (default from config)")
-    p.add_argument("--graph-format", choices=("text", "json"), default="text",
-                   help="interchange format for graph output")
-
-
-def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the shared options, each declared once and inherited through parents=
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="JSON config file")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report-format", choices=("text", "structured"), default=None,
+                        help="report object rendering (default from config)")
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph-format", choices=("text", "json"), default="text",
+                       help="interchange format for graph output")
+    out = argparse.ArgumentParser(add_help=False, parents=[graph])
+    out.add_argument("--out", default=None)
+    host = argparse.ArgumentParser(add_help=False, parents=[config, report])
+    host.add_argument("--in", dest="infile", required=True)
+
     top = _Parser(prog="linturan", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("build", help="construct hosts and witnesses")
+    pb.set_defaults(func=_cmd_build)
     bsub = pb.add_subparsers(dest="what", required=True)
-    for kind in ("path", "star", "cycle"):
-        sp = bsub.add_parser(kind)
-        sp.add_argument("--ell", type=int, required=True)
-        sp.add_argument("--r", type=int, required=True)
-        sp.add_argument("--out", default=None)
-        _add_common(sp)
-        sp.set_defaults(func=_cmd_build)
-    sp = bsub.add_parser("forest")
+    sp = bsub.add_parser("path", aliases=["star", "cycle"], parents=[config, out])
+    sp.add_argument("--ell", type=int, required=True)
+    sp.add_argument("--r", type=int, required=True)
+    sp = bsub.add_parser("forest", parents=[config, out])
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_build)
-    sp = bsub.add_parser("lattice")
+    sp = bsub.add_parser("lattice", parents=[config, out])
     sp.add_argument("--base", type=int, required=True)
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--out", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_build)
-    sp = bsub.add_parser("product")
+    sp = bsub.add_parser("product", parents=[config, out])
     sp.add_argument("--left", required=True)
     sp.add_argument("--right", required=True)
-    sp.add_argument("--out", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_build)
-    sp = bsub.add_parser("design")
+    sp = bsub.add_parser("design", parents=[config, report, out])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--out", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_build)
-    sp = bsub.add_parser("thm45")
+    sp = bsub.add_parser("thm45", parents=[config, report, out])
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--no-certify", action="store_true")
-    sp.add_argument("--out", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_build)
-    sp = bsub.add_parser("thm47")
+    sp = bsub.add_parser("thm47", parents=[config, report, out])
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--copies", type=int, required=True)
     sp.add_argument("--no-certify", action="store_true")
-    sp.add_argument("--out", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_build)
-    sp = bsub.add_parser("cone")
+    sp = bsub.add_parser("cone", parents=[config, report, out])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--kernel", required=True, help="kernel hypergraph file")
     sp.add_argument("--pattern", default=None, help="pattern to certify absent")
-    sp.add_argument("--out", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_build)
 
     pc = sub.add_parser("check", help="verify properties of a host file")
+    pc.set_defaults(func=_cmd_check)
     csub = pc.add_subparsers(dest="what", required=True)
-    for kind in ("linear", "design", "free"):
-        sp = csub.add_parser(kind)
-        sp.add_argument("--in", dest="infile", required=True)
-        if kind == "free":
-            sp.add_argument("--pattern", required=True)
-        _add_common(sp)
-        sp.set_defaults(func=_cmd_check)
+    csub.add_parser("linear", aliases=["design"], parents=[host])
+    sp = csub.add_parser("free", parents=[host])
+    sp.add_argument("--pattern", required=True)
 
-    pt = sub.add_parser("turan", help="exact extremal edge count by search")
+    pt = sub.add_parser("turan", help="exact extremal edge count by search",
+                        parents=[config, report, graph])
     pt.add_argument("--n", type=int, required=True)
     pt.add_argument("--r", type=int, required=True)
     pt.add_argument("--pattern", default=None)
     pt.add_argument("--linear", action="store_true")
     pt.add_argument("--results", default=None, help="append to this results file")
     pt.add_argument("--witness-out", default=None)
-    _add_budget(pt)
-    _add_common(pt)
+    pt.add_argument("--node-limit", type=int, default=None)
+    pt.add_argument("--time-limit", type=float, default=None)
     pt.set_defaults(func=_cmd_turan)
 
-    pd = sub.add_parser("bound", help="evaluate closed-form bounds")
-    pd.add_argument("--theorem", required=True, help=(
-        "one of linear-path, star-forest, path-star-forest, packing, removal, "
-        "inserted-product, path-turan, disjoint-paths-turan, star-turan, "
-        "path-star-turan, forest-turan"
-    ))
+    pd = sub.add_parser("bound", help="evaluate closed-form bounds",
+                        parents=[config, report])
+    pd.add_argument("--theorem", required=True, help="one of " + ", ".join(_THEOREMS))
     pd.add_argument("--r", type=int, default=None)
     pd.add_argument("--ell", type=int, default=None)
     pd.add_argument("--n", type=int, default=None)
@@ -684,17 +652,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="known extremal value to splice in (fraction)")
     pd.add_argument("--c", type=Fraction, default=Fraction(1),
                     help="constant factor for the star cap")
-    _add_common(pd)
     pd.set_defaults(func=_cmd_bound)
 
     pv = sub.add_parser("verify", help="run verification batteries")
     vsub = pv.add_subparsers(dest="what", required=True)
-    sp = vsub.add_parser("section2", help="end-edge-set checks over all path embeddings")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = vsub.add_parser("section2", help="end-edge-set checks over all path embeddings",
+                         parents=[host])
     sp.add_argument("--ell", type=int, required=True)
-    _add_common(sp)
     sp.set_defaults(func=_cmd_verify_section2)
-    sp = vsub.add_parser("construction")
+    sp = vsub.add_parser("construction", parents=[config, report])
     sp.add_argument("--which", choices=("thm45", "thm47", "cone"), required=True)
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--ell", type=int, default=None)
@@ -703,15 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--copies", type=int, default=None)
     sp.add_argument("--kernel", default=None)
     sp.add_argument("--pattern", default=None)
-    _add_common(sp)
     sp.set_defaults(func=_cmd_verify_construction)
     sp = vsub.add_parser("suite", help="fast self-checks")
-    _add_common(sp)
     sp.set_defaults(func=_cmd_verify_suite)
 
-    pr = sub.add_parser("report", help="collate a results file")
+    pr = sub.add_parser("report", help="collate a results file", parents=[config, report])
     pr.add_argument("--results", required=True)
-    _add_common(pr)
     pr.set_defaults(func=_cmd_report)
 
     return top

@@ -51,8 +51,8 @@ class NonUniformEdge(LinturanError):
     """An edge's order disagrees with the declared uniformity."""
 
 
-class ProductTooLarge(LinturanError):
-    """A product or lattice would exceed the configured size cap."""
+class ProductTooLarge(BadParameters):
+    """A product, lattice or realized pattern would exceed the size cap."""
 
 
 class MalformedEmbedding(LinturanError):

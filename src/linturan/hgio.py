@@ -84,7 +84,12 @@ def _label_to_obj(lab: EdgeLabel) -> dict[str, Any]:
 def _label_from_obj(obj: Any) -> EdgeLabel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError(f"bad label object {obj!r}")
-    return EdgeLabel(obj["kind"], obj.get("index"))
+    kind, index = obj["kind"], obj.get("index")
+    if not isinstance(kind, str) or not (index is None or type(index) is int):
+        raise FormatError(
+            f"label kind must be a string and index an integer or null, got {obj!r}"
+        )
+    return EdgeLabel(kind, index)
 
 
 def dump_json(h: Hypergraph, indent: Optional[int] = None) -> str:

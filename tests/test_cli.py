@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +86,39 @@ class TestBuild:
         assert code == EXIT_OK
         assert "59 vertices, 141 edges (nominal 451/3)" in text
         assert "fallback block count" in text
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("star", "--ell", "3", "--r", "3"), "n 7 r 3\n0 1 2\n0 3 4\n0 5 6\n"),
+        (("cycle", "--ell", "5", "--r", "3"),
+         "n 10 r 3\n0 1 2\n0 8 9\n2 3 4\n4 5 6\n6 7 8\n"),
+    ])
+    def test_star_and_cycle_text_is_pinned(self, capsys, argv, expected):
+        assert run(capsys, "build", *argv) == (EXIT_OK, expected, "")
+
+    def test_thm45_certify_flag(self, capsys):
+        argv = ("build", "thm45", "--r", "3", "--ell", "4", "--n", "14")
+        head = "thm45: 14 vertices, 14 edges (nominal 49/3)\n  free of P4@r3 (structural)\n"
+        note = "  note: fallback block count: 7 points per block copy instead of 8\n"
+        code, text, _ = run(capsys, *argv)
+        assert (code, text) == (EXIT_OK, head + "  free of P4@r3 (detect)\n" + note)
+        code, text, _ = run(capsys, *argv, "--no-certify")
+        assert (code, text) == (EXIT_OK, head + note)
+
+    def test_pattern_past_the_size_cap_is_refused(self, capsys, tmp_path):
+        out = tmp_path / "p.txt"
+        code, text, err = run(
+            capsys, "build", "path", "--ell", "100000", "--r", "3", "--out", str(out)
+        )
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err == "error: pattern would have 200001 vertices (cap 200000)\n"
+        assert not out.exists()
+        code, _, err = run(capsys, "build", "forest", "--pattern", "2*P50000@r3")
+        assert code == EXIT_USAGE and err.startswith("error: pattern would have 200002")
+
+    def test_lattice_past_the_size_cap_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "build", "lattice", "--base", "2", "--dim", "30")
+        assert code == EXIT_USAGE
+        assert err == "error: lattice would have 1073741824 vertices (cap 200000)\n"
 
     def test_cone_from_kernel_file(self, capsys, tmp_path, fano):
         kfile = tmp_path / "k.json"
@@ -224,6 +260,15 @@ class TestBound:
         assert code == EXIT_USAGE
         assert "unknown theorem id" in err
 
+    def test_lengths_must_be_integers(self, capsys):
+        code, _, err = run(
+            capsys, "bound", "--theorem", "path-star-forest", "--r", "3", "--ell", "4",
+            "--n", "10", "--lengths", "4,x",
+        )
+        assert (code, err) == (
+            EXIT_USAGE, "error: --lengths must be comma-separated integers, got '4,x'\n"
+        )
+
     def test_fraction_arguments(self, capsys):
         code, text, _ = run(
             capsys, "bound", "--theorem", "star-turan", "--r", "3", "--ell", "4",
@@ -290,6 +335,34 @@ class TestVerify:
         assert code == EXIT_OK
         assert "14 edges" in text
 
+    def test_construction_cone_with_and_without_pattern(self, capsys, fano_file):
+        argv = ("verify", "construction", "--which", "cone", "--n", "9", "--r", "3",
+                "--k", "2", "--kernel", fano_file)
+        head = "cone: 9 vertices, 56 edges (nominal 56) [not linear]\n  note: result is not linear\n"
+        assert run(capsys, *argv) == (EXIT_OK, head, "")
+        code, text, _ = run(capsys, *argv, "--pattern", "P4@r3")
+        assert (code, text) == (
+            EXIT_OK, head + "  note: pattern P4@r3 present; no freeness certificate\n"
+        )
+        code, _, err = run(capsys, *argv[:-2])
+        assert (code, err) == (
+            EXIT_USAGE, "error: verify construction --which cone needs --kernel\n"
+        )
+
+    def test_construction_invariant_violation_exits_2(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise lt.InvariantViolation("copy 1 holds a P4")
+
+        monkeypatch.setattr(cli, "thm45_construction", broken)
+        argv = ("verify", "construction", "--which", "thm45", "--r", "3", "--ell", "4",
+                "--n", "14")
+        assert run(capsys, *argv) == (
+            EXIT_FAIL, "verification failed: copy 1 holds a P4\n", ""
+        )
+        code, text, _ = run(capsys, *argv, "--report-format", "structured")
+        assert code == EXIT_FAIL
+        assert json.loads(text) == {"verified": False, "error": "copy 1 holds a P4"}
+
     def test_suite_all_pass(self, capsys):
         code, text, _ = run(capsys, "verify", "suite")
         assert code == EXIT_OK
@@ -333,7 +406,10 @@ class TestConfigAndUsage:
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"wat": 1}')
-        code, _, err = run(capsys, "verify", "suite", "--config", str(cfg))
+        code, _, err = run(
+            capsys, "bound", "--theorem", "linear-path", "--r", "3", "--ell", "4",
+            "--n", "100", "--config", str(cfg),
+        )
         assert code == EXIT_USAGE
         assert "unknown config keys" in err
 
@@ -346,6 +422,15 @@ class TestConfigAndUsage:
         )
         assert code == EXIT_USAGE
         assert "node_limit" in err
+
+    def test_null_prime_cap_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"prime_cap": null}')
+        code, _, err = run(
+            capsys, "build", "design", "--n", "13", "--r", "4", "--config", str(cfg)
+        )
+        assert code == EXIT_USAGE
+        assert "prime_cap has the wrong type: None" in err
 
     @pytest.mark.parametrize("name", [cli.ENV_NODE_LIMIT, cli.ENV_TIME_LIMIT])
     def test_env_budget_not_a_number(self, capsys, monkeypatch, name):
@@ -384,15 +469,36 @@ class TestConfigAndUsage:
         )
         assert code == EXIT_INTERRUPTED
 
-    def test_seed_is_accepted(self, capsys):
-        code, text, _ = run(
-            capsys, "turan", "--n", "6", "--r", "3", "--pattern", "P2@r3",
-            "--linear", "--seed", "42",
-        )
-        assert code == EXIT_OK
-        assert text.strip() == "2"
+    @pytest.mark.parametrize("argv", [
+        ("turan", "--n", "6", "--r", "3", "--pattern", "P2@r3", "--linear", "--seed", "42"),
+        ("check", "linear", "--in", "x.txt", "--graph-format", "json"),
+        ("verify", "suite", "--report-format", "structured"),
+        ("verify", "suite", "--config", "c.json"),
+        ("build", "path", "--ell", "3", "--r", "3", "--report-format", "structured"),
+    ], ids=["seed", "check-graph-format", "suite-report-format", "suite-config",
+            "path-report-format"])
+    def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):
+        code, text, err = run(capsys, *argv)
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err.startswith("error: unrecognized arguments: ")
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "check", "linear", "--in", "/nonexistent/x.txt")
         assert code == EXIT_USAGE
         assert "error" in err
+
+
+def _readme_commands() -> list:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("linturan ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) > 20
+    parser = cli.build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

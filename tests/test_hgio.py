@@ -57,6 +57,11 @@ def test_text_format_errors(text):
         '{"n": 7, "r": 3, "edges": [[0, 1, 2.0]]}',
         '{"n": 7, "r": 3, "edges": [7]}',
         '{"n": 7, "r": 3, "edges": [], "labels": 7}',
+        '{"n": 7, "r": 3, "edges": [[0, 1, 2]], "labels": [{"kind": "axis", "index": 0.5}]}',
+        '{"n": 7, "r": 3, "edges": [[0, 1, 2]], "labels": [{"kind": "axis", "index": true}]}',
+        '{"n": 7, "r": 3, "edges": [[0, 1, 2]], "labels": [{"kind": "axis", "index": "0"}]}',
+        '{"n": 7, "r": 3, "edges": [[0, 1, 2]], "labels": [{"kind": 1, "index": 0}]}',
+        '{"n": 7, "r": 3, "edges": [[0, 1, 2]], "labels": [{"kind": ["axis"], "index": 0}]}',
     ],
 )
 def test_json_format_errors(blob):
