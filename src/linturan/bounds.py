@@ -44,18 +44,12 @@ class BoundReport:
     applicable: bool = True
     caveats: tuple[str, ...] = ()
 
-    def param(self, name: str) -> object:
-        for key, val in self.params:
-            if key == name:
-                return val
-        raise KeyError(name)
-
     def to_obj(self) -> dict:
         return {
             "rule": self.rule,
             "params": {k: _obj(v) for k, v in self.params},
             "value": str(self.value),
-            "value_float": float(self.value),
+            "value_float": _float(self.value),
             "side": self.side,
             "applicable": self.applicable,
             "caveats": list(self.caveats),
@@ -65,6 +59,14 @@ class BoundReport:
         flag = "" if self.applicable else " [premises not established]"
         note = f" ({'; '.join(self.caveats)})" if self.caveats else ""
         return f"{self.rule}: {self.side} {self.value}{flag}{note}"
+
+
+def _float(value: Fraction) -> Optional[float]:
+    """The nearest float, or None when the value is out of float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def _obj(value: object) -> object:

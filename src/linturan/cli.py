@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,6 +359,22 @@ _THEOREMS = {
 }
 
 
+# integers, p/q and plain decimals: Fraction() would also take exponent
+# forms such as 1e99999999, whose digits it then computes one by one
+_EXACT = re.compile(r"[+-]?(?:\d+/\d+|\d+\.?\d*|\.\d+)")
+
+
+def _exact_number(text: str) -> Fraction:
+    if not _EXACT.fullmatch(text):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, p/q or decimal such as 0.5, got {text!r}"
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def _lengths(args) -> list:
     try:
         return [int(x) for x in args.lengths.split(",")] if args.lengths else []
@@ -377,12 +394,15 @@ def _bound_reports(args) -> list:
 
 def _cmd_bound(args, config: Config) -> int:
     reports = _bound_reports(args)
-    structured = _structured(args, config)
-    if structured:
-        print(json.dumps([rep.to_obj() for rep in reports], sort_keys=True))
-    else:
-        for rep in reports:
-            print(rep)
+    try:  # str() refuses ints past the interpreter's digit limit
+        if _structured(args, config):
+            lines = [json.dumps([rep.to_obj() for rep in reports], sort_keys=True)]
+        else:
+            lines = [str(rep) for rep in reports]
+    except ValueError:
+        raise BadParameters("a report value is too long to print") from None
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 
@@ -392,6 +412,8 @@ def _cmd_bound(args, config: Config) -> int:
 
 def _cmd_verify_section2(args, config: Config) -> int:
     h = read_file(args.infile)
+    if h.r is None:
+        raise BadParameters(f"verify section2 needs a uniform host; {args.infile} is mixed")
     structured = _structured(args, config)
     try:
         sweep = verify_frame_sweep(h, args.ell, h.r)
@@ -648,10 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--k1", type=int, default=None)
     pd.add_argument("--k2", type=int, default=None)
     pd.add_argument("--lengths", default=None, help="comma-separated star lengths")
-    pd.add_argument("--ex", type=Fraction, default=None,
-                    help="known extremal value to splice in (fraction)")
-    pd.add_argument("--c", type=Fraction, default=Fraction(1),
-                    help="constant factor for the star cap")
+    pd.add_argument("--ex", type=_exact_number, default=None,
+                    help="known extremal value to splice in (integer, p/q or decimal)")
+    pd.add_argument("--c", type=_exact_number, default=Fraction(1),
+                    help="constant factor for the star cap (integer, p/q or decimal)")
     pd.set_defaults(func=_cmd_bound)
 
     pv = sub.add_parser("verify", help="run verification batteries")

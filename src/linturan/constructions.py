@@ -19,8 +19,9 @@ from typing import Optional
 from .bounds import inserted_product_lower, packing_lower
 from .designs import Design, build_design, is_admissible, require_design
 from .detect import contains
-from .errors import BadParameters, InvariantViolation, NoDesignAvailable
+from .errors import BadParameters, InvariantViolation, NoDesignAvailable, ProductTooLarge
 from .hypergraph import (
+    DEFAULT_PRODUCT_CAP,
     PLAIN,
     Hypergraph,
     cartesian_product,
@@ -136,12 +137,15 @@ def thm45_construction(r: int, ell: int, n: int, certify: bool = True) -> Constr
     Fills n vertices with floor(n/m) copies of the fallback design on m
     points plus isolated padding.  Freeness is structural (every component
     has m <= ell*(r-1) vertices, one fewer than the path needs) and
-    rechecked by search when ``certify`` is set.
+    rechecked by search when ``certify`` is set.  Raises ProductTooLarge
+    when n exceeds DEFAULT_PRODUCT_CAP.
     """
     if r < 3 or ell < 4:
         raise BadParameters(f"need r >= 3 and ell >= 4, got r={r}, ell={ell}")
     if n < r:
         raise NoDesignAvailable(f"no design fits on {n} < {r} vertices")
+    if n > DEFAULT_PRODUCT_CAP:
+        raise ProductTooLarge(f"thm45 host would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
     design = fallback_block_count(r, ell, limit=n)
     m = design.n
     copies = n // m
@@ -214,7 +218,8 @@ def thm47_construction(
     (m-point design) x (k-dimensional lattice over r-1 points); every thin
     lattice edge in direction i absorbs hub i, restoring order r.  Each
     forbidden-forest component would need a hub of its own, and there are
-    only k hubs against k+1 components.
+    only k hubs against k+1 components.  Raises ProductTooLarge when the
+    host would have more than DEFAULT_PRODUCT_CAP vertices.
     """
     if r < 3 or ell < 4 or k < 1 or copies < 0:
         raise BadParameters(
@@ -224,6 +229,9 @@ def thm47_construction(
     hub_core = _hub_core(k, r)
     design = fallback_block_count(r, ell)
     m = design.n
+    n = k + copies * m * (r - 1) ** k
+    if n > DEFAULT_PRODUCT_CAP:
+        raise ProductTooLarge(f"thm47 host would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
     lattice = integer_lattice(r - 1, k)
     product = cartesian_product(design.graph, lattice)
     block_n = product.n
@@ -241,7 +249,6 @@ def thm47_construction(
             else:
                 edges.append(shifted)
                 labels.append(PLAIN)
-    n = k + copies * block_n
     result = make_hypergraph(n, edges, r=r, labels=labels)
     if not is_linear(result):
         raise InvariantViolation("hub insertion broke linearity")

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadParameters, InvariantViolation, NoDesignAvailable
-from .hypergraph import Hypergraph, make_hypergraph
+from .errors import BadParameters, InvariantViolation, NoDesignAvailable, ProductTooLarge
+from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, make_hypergraph
 
 __all__ = [
     "Design",
@@ -103,10 +103,6 @@ class Design:
     @property
     def num_blocks(self) -> int:
         return self.graph.edge_count
-
-    @property
-    def replication_number(self) -> int:
-        return (self.n - 1) // (self.r - 1)
 
 
 @dataclass(frozen=True)
@@ -250,10 +246,17 @@ def build_design(
     prime_cap: int = DEFAULT_PRIME_CAP,
     search_cap: Optional[int] = None,
 ) -> DesignOutcome:
-    """Construct a verified design, or report why none was produced."""
+    """Construct a verified design, or report why none was produced.
+
+    Raises ProductTooLarge when an admissible design would have more than
+    DEFAULT_PRODUCT_CAP blocks.
+    """
     _check_params(n, r)
     if not is_admissible(n, r):
         return DesignOutcome(None, "inadmissible")
+    blocks = block_count(n, r)  # an integer, n and r being admissible
+    if blocks > DEFAULT_PRODUCT_CAP:
+        raise ProductTooLarge(f"design would have {blocks} blocks (cap {DEFAULT_PRODUCT_CAP})")
     if search_cap is None:
         search_cap = default_search_cap(r)
 

@@ -7,9 +7,11 @@ directions and deterministic: re-running it on equal inputs returns the
 same witness (edge choices are explored in ascending index order, so the
 witness is the first one in that canonical ordering).
 
-An Embedding maps the pattern's minimum realization (see
-patterns.realize) into the host; verify_embedding rechecks it against the
-host from scratch, so witnesses are independently auditable.
+An Embedding maps the pattern's minimum realization into the host.  The
+pattern owns that realization and its edge numbering
+(ForbiddenPattern.realization and edge_slots); this module only reads
+them.  verify_embedding rechecks an embedding against the host from
+scratch, so witnesses are independently auditable.
 
 Only host edges of exactly the pattern's order participate; a mixed host
 is searched through its order-r edges.  The host does not have to be
@@ -37,12 +39,7 @@ from typing import Iterator, Optional
 
 from .errors import MalformedEmbedding
 from .hypergraph import Hypergraph
-from .patterns import (
-    ForbiddenPattern,
-    PatternComponent,
-    construction_edges,
-    realize,
-)
+from .patterns import ForbiddenPattern, PatternComponent
 
 __all__ = [
     "Embedding",
@@ -58,10 +55,10 @@ __all__ = [
 class Embedding:
     """A certified occurrence of a pattern in a host.
 
-    vertex_map[p] is the host vertex for pattern vertex p (numbering of
-    realize(pattern)); edge_map[j] is the host edge index whose vertex set
-    is the image of pattern edge j (lexicographic edge numbering of the
-    realization).
+    vertex_map[p] is the host vertex for vertex p of pattern.realization;
+    edge_map[j] is the host edge index whose vertex set is the image of
+    pattern.realization.edges[j] (the lexicographic edge numbering, which
+    pattern.edge_slots maps construction edges to).
     """
 
     pattern: ForbiddenPattern
@@ -78,7 +75,7 @@ class Embedding:
 
 def verify_embedding(h: Hypergraph, emb: Embedding) -> bool:
     """Recheck an embedding against the host from first principles."""
-    ideal = realize(emb.pattern)
+    ideal = emb.pattern.realization
     if len(emb.vertex_map) != ideal.n or len(emb.edge_map) != ideal.edge_count:
         return False
     if len(set(emb.vertex_map)) != ideal.n:
@@ -157,10 +154,9 @@ class _Search:
     def __init__(self, h: Hypergraph, pattern: ForbiddenPattern):
         self.h = h
         self.pattern = pattern
-        self.r = pattern.r
         # live positions index only the order-r edges of the host
         self.orig_index: list[int] = [
-            i for i, e in enumerate(h.edges) if len(e) == self.r
+            i for i, e in enumerate(h.edges) if len(e) == pattern.r
         ]
         self.sets: list[frozenset[int]] = [h.edge_sets[i] for i in self.orig_index]
         self.incidence: dict[int, list[int]] = {}
@@ -170,8 +166,8 @@ class _Search:
 
     # -- single-component generators ------------------------------------
     # Each yields (positions in construction order, vertex list in the
-    # numbering of realize(component), used host vertices).  Positions are
-    # live positions, not host indices.
+    # numbering of the component's block of the realization, used host
+    # vertices).  Positions are live positions, not host indices.
 
     def iter_component(
         self, comp: PatternComponent, banned: frozenset[int]
@@ -326,30 +322,20 @@ class _Search:
 
         yield from dfs(0, frozenset())
 
-    def find(self) -> Optional[Embedding]:
-        return next(self.iter_all(), None)
-
     def _assemble(self, chosen) -> Embedding:
-        ideal = realize(self.pattern)
-        index_of = {e: j for j, e in enumerate(ideal.edges)}
-        vertex_map = [0] * ideal.n
-        edge_map = [0] * ideal.edge_count
-        offset = 0
-        for k, comp in enumerate(self.pattern.components):
-            positions, vmap = chosen[k]
-            vertex_map[offset : offset + len(vmap)] = vmap
-            for ci, pe in enumerate(construction_edges(comp, self.r)):
-                shifted = tuple(sorted(v + offset for v in pe))
-                edge_map[index_of[shifted]] = self.orig_index[positions[ci]]
-            offset += comp.vertex_count(self.r)
-        return _require_valid(
-            self.h, Embedding(self.pattern, tuple(edge_map), tuple(vertex_map))
-        )
+        """Write each component's host edges into the pattern's edge slots;
+        the vertex lists, in component order, are the vertex map."""
+        edge_map = [0] * self.pattern.num_edges
+        for (positions, _), slots in zip(chosen, self.pattern.edge_slots):
+            for pos, j in zip(positions, slots):
+                edge_map[j] = self.orig_index[pos]
+        vertex_map = tuple(v for _, vmap in chosen for v in vmap)
+        return _require_valid(self.h, Embedding(self.pattern, tuple(edge_map), vertex_map))
 
 
 def contains(h: Hypergraph, pattern: ForbiddenPattern) -> Optional[Embedding]:
     """Witness of the pattern inside the host, or None when free."""
-    return _Search(h, pattern).find()
+    return next(_Search(h, pattern).iter_all(), None)
 
 
 def iter_embeddings(h: Hypergraph, pattern: ForbiddenPattern) -> Iterator[Embedding]:

@@ -52,7 +52,8 @@ class NonUniformEdge(LinturanError):
 
 
 class ProductTooLarge(BadParameters):
-    """A product, lattice or realized pattern would exceed the size cap."""
+    """A product, lattice, design, construction host or realized pattern
+    would exceed the size cap."""
 
 
 class MalformedEmbedding(LinturanError):

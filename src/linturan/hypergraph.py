@@ -53,7 +53,9 @@ __all__ = [
     "DEFAULT_PRODUCT_CAP",
 ]
 
-# Largest vertex count a product/lattice constructor will produce by default.
+# Size cap of every constructor that could otherwise exhaust memory: the
+# vertex count of a product, lattice, realized pattern (in the CLI) or
+# thm45/thm47 host, and the block count of a design.
 DEFAULT_PRODUCT_CAP = 200_000
 
 
@@ -125,10 +127,6 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def is_uniform(self) -> bool:
-        return self.r is not None
-
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise OutOfRangeVertex(f"vertex {v} not in range(0, {self.n})")
@@ -139,9 +137,6 @@ class Hypergraph:
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
-
-    def min_degree(self) -> int:
-        return min(self.degrees(), default=0)
 
     def __repr__(self) -> str:  # keep failure output short
         u = f"r={self.r}" if self.r is not None else "mixed"

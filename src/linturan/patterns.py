@@ -13,8 +13,11 @@ A pattern component is a shape with a length ell (its edge count):
 
 A ForbiddenPattern is an r-uniform vertex-disjoint union of components.
 Components are kept in a canonical order (paths, then stars, then cycles,
-longer first) so equal unions compare equal.  realize() builds the unique
-minimum hypergraph of the pattern on consecutive integers.
+longer first) so equal unions compare equal.  A pattern owns its minimum
+hypergraph on consecutive integers (realization, also returned by
+realize()) and the numbering of that hypergraph's edges (edge_slots);
+each is built at most once per pattern object, and the detector only
+reads them.
 
 Pattern text grammar (parse_pattern / pattern_expr):
 
@@ -27,10 +30,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import BadParameters
-from .hypergraph import Hypergraph, disjoint_union, make_hypergraph
+from .hypergraph import Hypergraph, make_hypergraph
 
 __all__ = [
     "PatternComponent",
@@ -43,8 +47,6 @@ __all__ = [
     "parse_pattern",
     "pattern_expr",
     "realize",
-    "realize_component",
-    "construction_edges",
 ]
 
 _KIND_ORDER = {"path": 0, "star": 1, "cycle": 2}
@@ -70,10 +72,6 @@ class PatternComponent:
             return self.length * (r - 1)
         return self.length * (r - 1) + 1
 
-    @property
-    def edge_count(self) -> int:
-        return self.length
-
     def __str__(self) -> str:
         return f"{_KIND_LETTER[self.kind]}{self.length}"
 
@@ -90,6 +88,8 @@ class ForbiddenPattern:
     components: tuple[PatternComponent, ...]
 
     def __post_init__(self):
+        if not isinstance(self.r, int) or isinstance(self.r, bool):
+            raise BadParameters(f"uniformity must be an int, got {self.r!r}")
         if self.r < 2:
             raise BadParameters(f"uniformity must be >= 2, got {self.r}")
         if not self.components:
@@ -97,12 +97,8 @@ class ForbiddenPattern:
         object.__setattr__(self, "components", _canonical(self.components))
 
     @property
-    def num_components(self) -> int:
-        return len(self.components)
-
-    @property
     def num_edges(self) -> int:
-        return sum(c.edge_count for c in self.components)
+        return sum(c.length for c in self.components)
 
     @property
     def num_vertices(self) -> int:
@@ -117,6 +113,28 @@ class ForbiddenPattern:
         if self.is_single and self.components[0].kind == kind:
             return self.components[0].length
         return None
+
+    def _blocks(self) -> list[list[tuple[int, ...]]]:
+        """Construction edges of each component, shifted onto its own
+        block of consecutive vertices."""
+        blocks, offset = [], 0
+        for comp in self.components:
+            blocks.append([tuple(v + offset for v in e) for e in construction_edges(comp, self.r)])
+            offset += comp.vertex_count(self.r)
+        return blocks
+
+    @cached_property
+    def realization(self) -> Hypergraph:
+        """Minimum hypergraph of the pattern: components in canonical
+        order, each on the next block of consecutive vertices."""
+        return make_hypergraph(self.num_vertices, [e for b in self._blocks() for e in b], self.r)
+
+    @cached_property
+    def edge_slots(self) -> tuple[tuple[int, ...], ...]:
+        """edge_slots[k][i] is the index in realization.edges (the
+        lexicographic edge numbering) of construction edge i of component k."""
+        index_of = {e: j for j, e in enumerate(self.realization.edges)}
+        return tuple(tuple(index_of[e] for e in b) for b in self._blocks())
 
     def __str__(self) -> str:
         return pattern_expr(self)
@@ -167,14 +185,9 @@ def construction_edges(comp: PatternComponent, r: int) -> list[tuple[int, ...]]:
     return edges
 
 
-def realize_component(comp: PatternComponent, r: int) -> Hypergraph:
-    """Minimum hypergraph of one component on vertices 0..v-1."""
-    return make_hypergraph(comp.vertex_count(r), construction_edges(comp, r), r)
-
-
 def realize(pattern: ForbiddenPattern) -> Hypergraph:
-    """Minimum hypergraph of the pattern; components in canonical order."""
-    return disjoint_union([realize_component(c, pattern.r) for c in pattern.components])
+    """Minimum hypergraph of the pattern: its cached realization."""
+    return pattern.realization
 
 
 # at most nine digits keep int() inside its digit limit; a pattern stores

@@ -120,6 +120,26 @@ class TestBuild:
         assert code == EXIT_USAGE
         assert err == "error: lattice would have 1073741824 vertices (cap 200000)\n"
 
+    # each just past the cap, so that a missing check still ends in time
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (("design", "--n", "1101", "--r", "3"),
+             "error: design would have 201850 blocks (cap 200000)\n"),
+            (("thm45", "--r", "3", "--ell", "4", "--n", "200001", "--no-certify"),
+             "error: thm45 host would have 200001 vertices (cap 200000)\n"),
+            (("thm47", "--r", "3", "--ell", "4", "--k", "3", "--copies", "3572",
+              "--no-certify"),
+             "error: thm47 host would have 200035 vertices (cap 200000)\n"),
+        ],
+        ids=["design", "thm45", "thm47"],
+    )
+    def test_construction_past_the_size_cap_is_refused(self, capsys, tmp_path, argv, err):
+        out = tmp_path / "h.txt"
+        code, text, got = run(capsys, "build", *argv, "--out", str(out))
+        assert (code, text, got) == (EXIT_USAGE, "", err)
+        assert not out.exists()
+
     def test_cone_from_kernel_file(self, capsys, tmp_path, fano):
         kfile = tmp_path / "k.json"
         lt.write_file(fano, str(kfile), "json")
@@ -276,6 +296,39 @@ class TestBound:
         )
         assert code == EXIT_OK
         assert "60" in text
+        assert run(capsys, "bound", "--theorem", "star-turan", "--r", "3", "--ell", "4",
+                   "--n", "10", "--c", "0.5") == (code, text, "")
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (("star-turan", "--c", "1/0"), "zero denominator in '1/0'"),
+            (("removal", "--k", "1", "--ex", "1/0"), "zero denominator in '1/0'"),
+            (("star-turan", "--c", "1e5000"), "expected an integer, p/q or decimal"),
+            (("star-turan", "--c", "1e99999999"), "expected an integer, p/q or decimal"),
+        ],
+        ids=["c-zero-denominator", "ex-zero-denominator", "c-exponent", "c-huge-exponent"],
+    )
+    def test_bad_numbers_are_usage_errors(self, capsys, argv, err):
+        theorem, *flags = argv
+        code, text, got = run(capsys, "bound", "--theorem", theorem, "--r", "3", "--ell",
+                              "4", "--n", "10", *flags)
+        assert (code, text) == (EXIT_USAGE, "")
+        assert got.startswith("error: argument") and err in got
+
+    def test_value_too_long_to_print_is_a_usage_error(self, capsys):
+        code, text, err = run(capsys, "bound", "--theorem", "path-turan", "--r", "3",
+                              "--ell", "4", "--n", "9" * 4000)
+        assert (code, text, err) == (
+            EXIT_USAGE, "", "error: a report value is too long to print\n"
+        )
+
+    def test_value_float_is_null_out_of_float_range(self, capsys):
+        code, text, _ = run(capsys, "bound", "--theorem", "path-turan", "--r", "3",
+                            "--ell", "4", "--n", "9" * 200, "--report-format", "structured")
+        (obj,) = json.loads(text)
+        assert code == EXIT_OK
+        assert obj["value_float"] is None and len(obj["value"]) > 308
 
 
 class TestVerify:
@@ -290,6 +343,13 @@ class TestVerify:
         code, text, _ = run(capsys, "verify", "section2", "--in", str(hfile), "--ell", "4")
         assert code == EXIT_FAIL
         assert "contains the forbidden path" in text
+
+    def test_section2_refuses_a_mixed_host(self, capsys, tmp_path):
+        hfile = tmp_path / "mixed.txt"
+        hfile.write_text("n 9 r mixed\n0 1 2\n2 3 4\n4 5 6\n6 7 8\n")
+        code, text, err = run(capsys, "verify", "section2", "--in", str(hfile), "--ell", "4")
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err == f"error: verify section2 needs a uniform host; {hfile} is mixed\n"
 
     def test_section2_not_applicable_is_not_a_failure(self, capsys, fano_file):
         code, text, _ = run(capsys, "verify", "section2", "--in", fano_file, "--ell", "3")

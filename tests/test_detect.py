@@ -89,6 +89,10 @@ def test_embeddings_are_all_valid(fano):
         ("affine9", "3*P1@r3", (0, 8, 9), (0, 1, 5, 2, 6, 7, 3, 4, 8), 4),
         # a star of three edges that must avoid the vertices of another component
         ("sts13", "P1+S3@r3", (0, 11, 12, 13), (0, 1, 11, 2, 3, 8, 4, 5, 6, 10), 260),
+        # a cycle after another component: its closing edge takes the
+        # second slot of its block, not the last
+        ("sts13", "P1+C3@r3", (0, 11, 15, 12), (0, 1, 11, 3, 8, 2, 5, 4, 7), 936),
+        ("sts13", "S2+C3@r3", (0, 1, 15, 21, 16), (0, 1, 11, 2, 12, 7, 4, 3, 9, 10, 5), 312),
     ],
 )
 def test_first_embedding_and_count_are_pinned(
@@ -98,6 +102,22 @@ def test_first_embedding_and_count_are_pinned(
     embs = list(lt.iter_embeddings(host, lt.parse_pattern(expr)))
     assert (embs[0].edge_map, embs[0].vertex_map) == (edge_map, vertex_map)
     assert len(embs) == count
+
+
+def test_embeddings_read_the_realization_built_once(monkeypatch, affine9):
+    calls = []
+    make = lt.patterns.make_hypergraph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(lt.patterns, "make_hypergraph", counted)
+    pattern = lt.linear_path(3, 3)
+    embs = list(lt.iter_embeddings(affine9, pattern))
+    assert len(embs) == 216
+    assert all(lt.verify_embedding(affine9, emb) for emb in embs)
+    assert len(calls) == 1
 
 
 PATTERNS = [

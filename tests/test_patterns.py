@@ -21,6 +21,22 @@ def test_realizations_are_linear_and_uniform():
         assert h.r == lt.parse_pattern(expr).r
 
 
+def test_realization_is_built_once_per_pattern():
+    p = lt.parse_pattern("P2+S2+C3@r3")
+    assert lt.realize(p) is lt.realize(p) is p.realization
+    # construction edge i of component k sits at realization.edges[edge_slots[k][i]]
+    assert p.edge_slots == ((0, 1), (2, 3), (4, 6, 5))
+    assert [p.realization.edges[j] for j in p.edge_slots[2]] == [
+        (10, 11, 12), (12, 13, 14), (10, 14, 15)
+    ]
+
+
+@pytest.mark.parametrize("r", [None, "3", 3.0, True])
+def test_non_int_uniformity_is_rejected(r):
+    with pytest.raises(BadParameters, match="uniformity must be an int"):
+        lt.ForbiddenPattern(r, (lt.PatternComponent("path", 2),))
+
+
 def test_forest_realization_sizes():
     cases = {
         "P2+S2@r3": (10, 4),
