@@ -41,6 +41,7 @@ from .errors import (
     InterruptedSearch,
     InvariantViolation,
     LinturanError,
+    NoDesignAvailable,
     ProductTooLarge,
 )
 from .hgio import read_file, write_file
@@ -180,7 +181,10 @@ def _construct(args, command: str, kind: str, certify: bool):
         return thm45_construction(r, ell, n, certify=certify)
     if kind == "thm47":
         r, ell, k, copies = _need(args, command, "r", "ell", "k", "copies")
-        return thm47_construction(r, ell, k, copies, certify=certify)
+        try:
+            return thm47_construction(r, ell, k, copies, certify=certify)
+        except NoDesignAvailable as exc:  # only the k-point hub design can be missing
+            raise BadParameters(f"--k {k} leaves no hub design: {exc}") from None
     n, r, k, kernel = _need(args, command, "n", "r", "k", "kernel")
     kernel = read_file(kernel)
     pattern = parse_pattern(args.pattern, r) if args.pattern else None

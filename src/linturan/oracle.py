@@ -8,11 +8,23 @@ detect and is_linear before being returned, never trusted from search
 state.
 
 Both max_edges and the enumerators consume the same depth-first walk
-(_Searcher.walk); they differ only in the size bar below which a branch is
-cut and in the size at which it stops growing.  Budgets turn an over-long
-search into an explicit interrupted result (or InterruptedSearch for the
-enumerators, which have no partial answer worth returning).  Exploration
-is serial, so values never depend on scheduling.
+(_Searcher.walk); they differ in the size bar below which a branch is
+cut, in the size at which it stops growing, and in the root rule, which
+only max_edges takes.  Budgets turn an over-long search into an explicit
+interrupted result (or InterruptedSearch for the enumerators, which have
+no partial answer worth returning).  Exploration is serial, so values
+never depend on scheduling.
+
+The walk is forward-checked.  Each node tests every later candidate edge
+once and keeps the ones it admits in a live list; its children draw
+their candidates only from that list, since a host that contains the
+pattern keeps containing it as edges are added.  Three prunes ride on
+this, each with its soundness argument in walk's docstring: the live
+list bounds how many edges a subtree can still gain, linear hosts are
+also capped by pair capacity and vertex degrees (Schoenheim/Johnson),
+and max_edges fixes the first edge to {0, ..., r-1} (the root rule).
+Searches whose candidate edges would list more than DEFAULT_PRODUCT_CAP
+vertices are refused before anything is built.
 
 Admissibility is anchored.  The walk grows every host one admitted edge
 at a time from the empty host, so when it tries a new edge q, the host
@@ -36,9 +48,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .bounds import linear_path_upper
 from .detect import is_free, occurs_through
-from .errors import BadParameters, InterruptedSearch, InvariantViolation
+from .errors import BadParameters, InterruptedSearch, InvariantViolation, ProductTooLarge
 from .hgio import dump_json
-from .hypergraph import Hypergraph, is_linear, make_hypergraph
+from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, is_linear, make_hypergraph
 from .patterns import ForbiddenPattern, pattern_expr
 from .results import ResultRecord, ResultsStore
 
@@ -71,9 +83,11 @@ class SearchBudget:
 class SearchStats:
     """What a search did.  Every count is deterministic.
 
-    admits_calls counts admissibility checks of a candidate edge and
-    admits_rejects those that found the pattern; bound_cuts counts nodes
-    not expanded because the headroom bound could not reach the bar.
+    admits_calls counts admissibility checks of a candidate edge (none
+    runs while the host plus that edge is too small for the pattern) and
+    admits_rejects those that found the pattern; bound_cuts counts the
+    times a bound could not reach the bar: a node not expanded, or the
+    remaining children of a node dropped.
     """
 
     nodes: int = 0
@@ -99,6 +113,26 @@ class _Stop(Exception):
     """Internal unwind when a budget limit is reached."""
 
 
+def _check_search_size(n: int, r: int) -> None:
+    """Refuse a search whose candidate edges would list more than
+    DEFAULT_PRODUCT_CAP vertices in all, before anything is allocated.
+
+    C(n, r) is built up one factor at a time, C(n, 1), C(n, 2), ..., up to
+    C(n, min(r, n - r)); that run increases, so it stops at the first value
+    past the cap instead of computing a huge binomial.
+    """
+    count = 1
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)
+        if count * r > DEFAULT_PRODUCT_CAP:
+            break
+    if count * r > DEFAULT_PRODUCT_CAP:
+        raise ProductTooLarge(
+            f"search on n={n}, r={r} would have C({n}, {r}) candidate edges, "
+            f"more than {DEFAULT_PRODUCT_CAP} vertices in all (cap {DEFAULT_PRODUCT_CAP})"
+        )
+
+
 class _Searcher:
     def __init__(
         self,
@@ -118,20 +152,22 @@ class _Searcher:
             raise BadParameters(
                 f"pattern is {pattern.r}-uniform but the host order is {r}"
             )
+        _check_search_size(n, r)
         self.n = n
         self.r = r
         self.pattern = pattern
-        self.host = host
         self.budget = budget
         self.cands: list[tuple[int, ...]] = list(
             itertools.combinations(range(n), r)
         )
         self.sets: list[frozenset[int]] = [frozenset(e) for e in self.cands]
-        # bit a*n+b stands for the pair {a, b}, a < b; a general host
-        # shares pairs freely, so its masks are empty and never conflict
+        # bit a*n+b stands for the pair {a, b}, a < b.  A general host
+        # shares pairs freely, and two distinct 2-edges never share a
+        # pair, so their masks are empty and never conflict.
+        self.linear = host == "linear"
         self.pair_masks: list[int] = [
             sum(1 << (a * n + b) for a, b in itertools.combinations(e, 2))
-            if host == "linear"
+            if self.linear and r > 2
             else 0
             for e in self.cands
         ]
@@ -143,8 +179,10 @@ class _Searcher:
         # None when every host is (no pattern, or one wider than n)
         fits = pattern is not None and pattern.num_vertices <= n
         self.min_edges = pattern.num_edges if fits else None
+        # for room(): pair capacity and the Schoenheim/Johnson edge cap
         self.pairs_per_edge = r * (r - 1) // 2
         self.total_pairs = n * (n - 1) // 2
+        self.most_edges = n * ((n - 1) // (r - 1)) // r
         self.stats = SearchStats()
         self.start = time.monotonic()
 
@@ -179,62 +217,136 @@ class _Searcher:
             return is_free(self.graph(chosen), p)
         return not occurs_through(self.sets, self.incidence, chosen[-1], p.components[0])
 
-    def headroom(self, last: int, used_pairs: int) -> int:
-        """Optimistic count of further edges: later candidates compatible
-        with the current config, additionally capped by leftover pair
-        capacity when the host is linear."""
+    def live(self, chosen: list[int], tail: Sequence[int], used_pairs: int) -> list[int]:
+        """The candidates of tail that extend the host of chosen: the ones
+        whose pairs are unused and that admits() accepts, in tail's order.
+
+        Each is tested once here, with incidence listing chosen.  When the
+        host plus one edge is still too small for the pattern, admits could
+        only say True, so neither it nor the incidence push runs.
+        """
         masks = self.pair_masks
-        count = 0
-        for q in range(last + 1, len(masks)):
-            if not masks[q] & used_pairs:
-                count += 1
-        if self.host == "linear":
-            free_pairs = self.total_pairs - used_pairs.bit_count()
-            count = min(count, free_pairs // self.pairs_per_edge)
-        return count
+        fits = [q for q in tail if not masks[q] & used_pairs]
+        if self.min_edges is None or len(chosen) + 1 < self.min_edges:
+            return fits
+        stats, slots, admits = self.stats, self.slots, self.admits
+        admitted = []
+        for q in fits:
+            chosen.append(q)
+            for edges in slots[q]:
+                edges.append(q)
+            stats.admits_calls += 1
+            if admits(chosen):
+                admitted.append(q)
+            else:
+                stats.admits_rejects += 1
+            for edges in slots[q]:
+                edges.pop()
+            chosen.pop()
+        return admitted
+
+    def room(self, size: int, used_pairs: int) -> int:
+        """Most edges a host of size edges using used_pairs can gain.
+
+        Pair capacity: every new edge takes pairs_per_edge unused pairs.
+        Vertex degree (Schoenheim/Johnson): in a linear host a vertex v of
+        degree d meets (r-1)*d of the other n-1 vertices, so it lies in at
+        most floor((n-1)/(r-1)) - d more edges, and a new edge counts at r
+        vertices.  Summed over v and divided by r, that is most_edges -
+        size, with most_edges = floor(n * floor((n-1)/(r-1)) / r): the cap
+        needs no pass over the degrees.  A general host has neither cap,
+        only the candidates left.
+        """
+        if not self.linear:
+            return len(self.cands) - size
+        free_pairs = self.total_pairs - used_pairs.bit_count()
+        return min(free_pairs // self.pairs_per_edge, self.most_edges - size)
 
     def walk(
-        self, need: Callable[[], int], stop_at: Optional[int] = None
+        self,
+        need: Callable[[], int],
+        stop_at: Optional[int] = None,
+        first_edge_only: bool = False,
     ) -> Iterator[list[int]]:
         """Admitted edge lists, depth first in lexicographic order.
 
-        Each node ticks the budget once and is yielded (as the live list;
-        copy it to keep it) before its children are explored.  A node is
-        not expanded when it has stop_at edges, or when need() exceeds its
-        size and even the optimistic headroom cannot reach need() edges.
-        need is re-read at every node, so a consumer may raise the bar
-        between yields.
+        Each node ticks the budget once and is yielded (as the list of chosen
+        edges, which the walk goes on changing; copy it to keep it) before
+        its children are explored.  need is re-read before every node and
+        child is expanded, so a consumer may raise the bar between yields.
+        The walk is one loop over an explicit stack of open nodes.
+
+        Forward checking: a node's children are its live list L, the
+        candidates after its last edge that it admits (see live).  Child
+        i, which adds L[i], draws its own candidates only from L[i+1:].
+        Sound because containing the pattern is monotone in the edge set:
+        a candidate a node rejects stays rejected in its whole subtree.  So
+        the tree is the full tree of admitted hosts, and every admissibility
+        test runs once per (node, candidate) pair that is still open.
+
+        A node with size < need() is cut (not expanded) by three bounds,
+        each an upper limit on the edges any host in its subtree can add:
+        room() (pair capacity and vertex degrees, for linear hosts), |L|
+        (every added edge comes from L), and, for child i, |L| - i (its
+        edges come from L[i+1:]).  A cut subtree holds no host of need()
+        edges.  A node with stop_at edges is not expanded either.
+
+        first_edge_only, the root rule, keeps only the first child of the
+        root: hosts whose first edge is candidate 0, {0, ..., r-1}.  All
+        one-edge hosts are isomorphic, so the root admits either every
+        candidate or none, and its first child is candidate 0 when it has
+        one.  A vertex relabelling keeps a host free and linear, and every
+        nonempty host relabels to one that contains candidate 0, so every
+        size is still reached; a sorted edge list that starts with 0 is
+        lex-smaller than any that does not, so the lex-least host of each
+        size is among them too.  Only max_edges may use the rule: counting
+        labelled hosts needs the whole tree.  The empty root is still a
+        node, so a pattern that forbids every edge gives 0.
         """
         chosen: list[int] = []
-        stats = self.stats
-        masks = self.pair_masks
-
-        def visit(last: int, used_pairs: int) -> Iterator[list[int]]:
+        stats, masks, slots = self.stats, self.pair_masks, self.slots
+        tail: Sequence[int] = range(len(masks))
+        used = 0
+        # one frame per open node: [live list, next child, end of the
+        # children taken, pairs used]
+        stack: list[list] = []
+        while True:
             self.tick()
             yield chosen
             size = len(chosen)
-            if size == stop_at:
-                return
-            bar = need()
-            if bar > size and size + self.headroom(last, used_pairs) < bar:
-                stats.bound_cuts += 1
-                return
-            for q in range(last + 1, len(masks)):
-                if masks[q] & used_pairs:
-                    continue
-                chosen.append(q)
-                for edges in self.slots[q]:
-                    edges.append(q)
-                stats.admits_calls += 1
-                if self.admits(chosen):
-                    yield from visit(q, used_pairs | masks[q])
+            children: list[int] = []
+            if size != stop_at:
+                bar = need()
+                if bar > size and size + self.room(size, used) < bar:
+                    stats.bound_cuts += 1
                 else:
-                    stats.admits_rejects += 1
-                for edges in self.slots[q]:
+                    children = self.live(chosen, tail, used)
+                    if bar > size and size + len(children) < bar:
+                        stats.bound_cuts += 1
+                        children = []
+            end = min(len(children), 1) if first_edge_only and not size else len(children)
+            stack.append([children, 0, end, used])
+            # descend into the next child that can still reach the bar,
+            # closing exhausted nodes on the way up
+            while True:
+                frame = stack[-1]
+                children, i, end, used = frame
+                if i < end:
+                    if len(chosen) + len(children) - i >= need():
+                        break
+                    stats.bound_cuts += 1
+                stack.pop()
+                if not stack:
+                    return
+                for edges in slots[chosen.pop()]:
                     edges.pop()
-                chosen.pop()
-
-        return visit(-1, 0)
+            frame[1] = i + 1
+            q = children[i]
+            chosen.append(q)
+            for edges in slots[q]:
+                edges.append(q)
+            tail = children[i + 1:]
+            used |= masks[q]
 
 
 def max_edges(
@@ -258,7 +370,7 @@ def max_edges(
     best_edges: tuple[int, ...] = ()
     interrupted = False
     try:
-        for chosen in s.walk(lambda: best_value + 1):
+        for chosen in s.walk(lambda: best_value + 1, first_edge_only=True):
             if len(chosen) > best_value:
                 best_value = len(chosen)
                 best_edges = tuple(chosen)
@@ -375,7 +487,13 @@ def ex_table(
                         value=rec.value,
                         witness=witness,
                         status="exact",
-                        stats=SearchStats(nodes=rec.nodes, elapsed=rec.elapsed),
+                        stats=SearchStats(
+                            nodes=rec.nodes,
+                            elapsed=rec.elapsed,
+                            admits_calls=rec.admits_calls,
+                            admits_rejects=rec.admits_rejects,
+                            bound_cuts=rec.bound_cuts,
+                        ),
                     )
                 )
                 continue
@@ -392,6 +510,9 @@ def ex_table(
                     witness=json.loads(dump_json(result.witness)),
                     nodes=result.stats.nodes,
                     elapsed=result.stats.elapsed,
+                    admits_calls=result.stats.admits_calls,
+                    admits_rejects=result.stats.admits_rejects,
+                    bound_cuts=result.stats.bound_cuts,
                 )
             )
         out.append(result)

@@ -21,7 +21,11 @@ from .hypergraph import Hypergraph, make_hypergraph
 __all__ = ["ResultRecord", "ResultsStore"]
 
 _FIELDS = {"n": int, "r": int, "pattern": (str, type(None)), "host": str, "value": int,
-           "status": str, "witness": dict, "nodes": int, "elapsed": (int, float)}
+           "status": str, "witness": dict, "nodes": int, "elapsed": (int, float),
+           "admits_calls": int, "admits_rejects": int, "bound_cuts": int}
+# search counters that records written before the store kept them lack;
+# such a record reads them as 0
+_COUNTERS = ("admits_calls", "admits_rejects", "bound_cuts")
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,9 @@ class ResultRecord:
     witness: dict  # hypergraph JSON object
     nodes: int
     elapsed: float
+    admits_calls: int = 0
+    admits_rejects: int = 0
+    bound_cuts: int = 0
 
     @property
     def key(self) -> tuple:
@@ -54,13 +61,17 @@ class ResultRecord:
     def from_obj(cls, obj: Any) -> "ResultRecord":
         if not isinstance(obj, dict):
             raise FormatError(f"result record must be an object, got {obj!r}")
+        values = dict.fromkeys(_COUNTERS, 0)
         for name, kind in _FIELDS.items():
             if name not in obj:
+                if name in values:
+                    continue
                 raise FormatError(f"result record missing {name!r}")
             if isinstance(obj[name], bool) or not isinstance(obj[name], kind):
                 raise FormatError(f"result record {name} has the wrong type: {obj[name]!r}")
+            values[name] = obj[name]
         check_json_fields(obj["witness"], "result record witness")
-        return cls(**{name: obj[name] for name in _FIELDS})
+        return cls(**values)
 
 
 class ResultsStore:

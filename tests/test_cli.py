@@ -87,6 +87,15 @@ class TestBuild:
         assert "59 vertices, 141 edges (nominal 451/3)" in text
         assert "fallback block count" in text
 
+    @pytest.mark.parametrize("command", [("build", "thm47"),
+                                         ("verify", "construction", "--which", "thm47")])
+    def test_thm47_without_a_hub_design_is_a_usage_error(self, capsys, command):
+        code, text, err = run(capsys, *command, "--r", "3", "--ell", "4", "--k", "12",
+                              "--copies", "1")
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err == ("error: --k 12 leaves no hub design: "
+                       "no design for n=12, r=3: inadmissible\n")
+
     @pytest.mark.parametrize("argv, expected", [
         (("star", "--ell", "3", "--r", "3"), "n 7 r 3\n0 1 2\n0 3 4\n0 5 6\n"),
         (("cycle", "--ell", "5", "--r", "3"),
@@ -214,6 +223,17 @@ class TestTuran:
         assert code == EXIT_INTERRUPTED
         assert "lower bound" in err
         assert int(text) <= 7
+
+    def test_search_past_the_size_cap_is_refused(self, capsys):
+        # just past the cap (C(75, 3) * 3 = 202575 vertices), so that a
+        # missing check still ends in time
+        code, text, err = run(
+            capsys, "turan", "--n", "75", "--r", "3", "--pattern", "P3@r3",
+            "--linear", "--node-limit", "10",
+        )
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err == ("error: search on n=75, r=3 would have C(75, 3) candidate edges, "
+                       "more than 200000 vertices in all (cap 200000)\n")
 
     def test_results_file_resumes(self, capsys, tmp_path):
         rfile = tmp_path / "r.jsonl"

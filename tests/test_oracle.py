@@ -6,30 +6,50 @@ from hypothesis import given, settings, strategies as st
 
 import linturan as lt
 import naive_detect as nd
-from linturan.errors import BadParameters, InterruptedSearch, InvariantViolation
-from linturan.oracle import HOSTS, _Searcher
+from linturan.errors import BadParameters, InterruptedSearch, InvariantViolation, ProductTooLarge
+from linturan.oracle import HOSTS, _Searcher, _check_search_size
 
 P2 = lt.linear_path(2, 3)
 P3 = lt.linear_path(3, 3)
 P4 = lt.linear_path(4, 3)
 
 
-def brute_max(n, r, pattern_comps, host):
-    """Exhaust all edge subsets; freeness via the naive enumerator."""
+def brute_free(n, r, pattern_comps, host):
+    """Every pattern-free host, as its sorted edge list, by exhausting the
+    bitmasks over all candidate edges; freeness via the naive enumerator.
+
+    Masks run in increasing order, and a mask's host can only be free when
+    the host without its highest edge (a smaller mask) is free, so only
+    those hosts are handed to the naive enumerator, and only when the
+    pattern fits: a loose path or star of length l spans l*(r-1)+1
+    vertices, a loose cycle l*(r-1).
+    """
     pool = list(combinations(range(n), r))
-    best = 0
-    for mask in range(1 << len(pool)):
-        chosen = [pool[i] for i in range(len(pool)) if mask >> i & 1]
-        if len(chosen) <= best:
+    if pattern_comps is not None:
+        span = sum(length * (r - 1) + (kind != "cycle") for kind, length in pattern_comps)
+        if span > n:
+            pattern_comps = None  # no host on n vertices holds it
+    free = {0: []}
+    for mask in range(1, 1 << len(pool)):
+        top = mask.bit_length() - 1
+        rest = free.get(mask ^ (1 << top))
+        if rest is None:
             continue
-        if host == "linear" and any(
-            len(set(a) & set(b)) > 1 for a, b in combinations(chosen, 2)
+        chosen = rest + [pool[top]]
+        if host == "linear" and any(len(set(e) & set(pool[top])) > 1 for e in rest):
+            continue
+        if pattern_comps is None or not nd.has_forest(
+            lt.make_hypergraph(n, chosen, r), pattern_comps
         ):
-            continue
-        h = lt.make_hypergraph(n, chosen, r)
-        if pattern_comps is None or not nd.has_forest(h, pattern_comps):
-            best = len(chosen)
-    return best
+            free[mask] = chosen
+    return list(free.values())
+
+
+def brute_max(n, r, pattern_comps, host):
+    """The largest free host's size and the lex-least free host of that size."""
+    hosts = brute_free(n, r, pattern_comps, host)
+    best = max(len(h) for h in hosts)
+    return best, min(h for h in hosts if len(h) == best)
 
 
 def test_matching_numbers():
@@ -91,17 +111,55 @@ def test_witness_is_deterministic():
 def test_oracle_matches_exhaustive_search(expr, comps, host):
     pattern = lt.parse_pattern(expr)
     for n in (4, 5):
-        assert lt.max_edges(n, 3, pattern, host).value == brute_max(n, 3, comps, host)
+        res = lt.max_edges(n, 3, pattern, host)
+        assert (res.value, list(res.witness.edges)) == brute_max(n, 3, comps, host)
 
 
+# (r, largest n) with at most 15 candidate edges
+SMALL_ROWS = {2: 5, 3: 5, 4: 6}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_search_matches_bitmask_exhaustion(data):
+    # the bounds and the root rule may cut only what cannot matter: the
+    # value and the lex-least witness of max_edges, and the per-size host
+    # counts of enumerate_free (which must not inherit the root rule),
+    # equal a search that cuts nothing
+    r = data.draw(st.sampled_from(sorted(SMALL_ROWS)), label="r")
+    n = data.draw(st.integers(r, SMALL_ROWS[r]), label="n")
+    host = data.draw(st.sampled_from(HOSTS), label="host")
+    expr = data.draw(
+        st.sampled_from(["P1", "P2", "P3", "S2", "S3", "C3", "2*P1", "P1+S2", "2*P2"]),
+        label="pattern",
+    )
+    pattern = lt.parse_pattern(f"{expr}@r{r}")
+    comps = [(c.kind, c.length) for c in pattern.components]
+    hosts = brute_free(n, r, comps, host)
+    best = max(len(h) for h in hosts)
+    res = lt.max_edges(n, r, pattern, host)
+    assert res.exact
+    assert (res.value, list(res.witness.edges)) == (best, min(h for h in hosts if len(h) == best))
+    k = data.draw(st.integers(0, best + 1), label="edge_count")
+    assert lt.enumerate_free(n, r, pattern, host, edge_count=k) == sum(
+        1 for h in hosts if len(h) == k
+    )
+
+
+# the id leaves out the count, so that a re-pin keeps the test's name
 @pytest.mark.parametrize(
     "n,expr,host,nodes",
     [
-        (7, "P3@r3", "linear", 81),
-        (6, "C3@r3", "linear", 121),
-        (7, "P4@r3", "linear", 86),
-        (7, "S2@r3", "general", 1160),
-        (6, "P3@r3", "general", 211),
+        pytest.param(7, "P3@r3", "linear", 29, id="7-P3@r3-linear"),
+        pytest.param(6, "C3@r3", "linear", 11, id="6-C3@r3-linear"),
+        pytest.param(7, "P4@r3", "linear", 33, id="7-P4@r3-linear"),
+        pytest.param(7, "S2@r3", "general", 26, id="7-S2@r3-general"),
+        pytest.param(6, "P3@r3", "general", 21, id="6-P3@r3-general"),
+        # the benchmark's exact-grid rows
+        pytest.param(8, "P3@r3", "linear", 253, id="8-P3@r3-linear"),
+        pytest.param(8, "C3@r3", "linear", 597, id="8-C3@r3-linear"),
+        pytest.param(8, "P4@r3", "linear", 101, id="8-P4@r3-linear"),
+        pytest.param(9, "P3@r3", "linear", 1102, id="9-P3@r3-linear"),
     ],
 )
 def test_node_counts_are_pinned(n, expr, host, nodes):
@@ -115,8 +173,8 @@ def test_node_counts_are_pinned(n, expr, host, nodes):
 @pytest.mark.parametrize(
     "n,expr,host,counters",
     [
-        (7, "P3@r3", "linear", (85, 5, 74)),
-        (7, "S2@r3", "general", (11359, 10200, 204)),
+        (7, "P3@r3", "linear", (28, 5, 27)),
+        (7, "S2@r3", "general", (184, 115, 24)),
     ],
 )
 def test_search_counters_are_pinned(n, expr, host, counters):
@@ -214,6 +272,20 @@ def test_budget_validation():
         lt.SearchBudget(time_limit=float("nan"))
 
 
+@pytest.mark.parametrize("n,r", [(999_999_999, 3), (100_000, 99_999), (75, 3), (37, 4)])
+def test_oversized_search_is_refused(n, r):
+    # C(n, r) candidate edges of r vertices each, past DEFAULT_PRODUCT_CAP
+    # in all; the count stops once past the cap (test_cli runs a search
+    # just past it)
+    with pytest.raises(ProductTooLarge):
+        _check_search_size(n, r)
+
+
+def test_largest_search_under_the_cap_is_accepted():
+    _check_search_size(74, 3)  # C(74, 3) * 3 = 194472
+    _check_search_size(447, 2)
+
+
 def test_bad_host_and_pattern_mismatch():
     with pytest.raises(BadParameters):
         lt.max_edges(6, 3, P2, host="planar")
@@ -234,11 +306,15 @@ class TestExTable:
     def test_reuses_stored_exact_values(self, tmp_path):
         store = lt.ResultsStore(tmp_path / "t.jsonl")
         rows = [(6, 3, P2)]
-        lt.ex_table(rows, store=store)
+        (first,) = lt.ex_table(rows, store=store)
         # an impossible budget only works if the value comes from the store
         res = lt.ex_table(rows, store=store, budget=lt.SearchBudget(node_limit=1))
         assert res[0].status == "exact"
         assert res[0].value == 2
+        counters = ("nodes", "admits_calls", "admits_rejects", "bound_cuts")
+        assert [getattr(res[0].stats, k) for k in counters] == [
+            getattr(first.stats, k) for k in counters
+        ]
 
     def test_rejects_tampered_store(self, tmp_path):
         rec = {

@@ -19,6 +19,17 @@ def test_round_trip_and_key():
     assert r.witness_graph().edge_count == 2
 
 
+def test_search_counters_round_trip_and_default_to_zero():
+    r = ResultRecord(6, 3, "P2@r3", "linear", 2, "exact", record().witness, 3, 0.01, 10, 9, 1)
+    assert ResultRecord.from_obj(r.to_obj()) == r
+    # a record written before the store kept the counters
+    old = {k: v for k, v in r.to_obj().items()
+           if k not in ("admits_calls", "admits_rejects", "bound_cuts")}
+    again = ResultRecord.from_obj(old)
+    assert (again.admits_calls, again.admits_rejects, again.bound_cuts) == (0, 0, 0)
+    assert again.nodes == 3
+
+
 def test_from_obj_reports_missing_fields():
     with pytest.raises(FormatError) as exc:
         ResultRecord.from_obj({"n": 6})
@@ -139,7 +150,8 @@ def test_malformed_witness_is_rejected_on_read(tmp_path, witness):
 @pytest.mark.parametrize(
     "field,value",
     [("n", "4"), ("r", None), ("pattern", 3), ("host", None), ("value", True),
-     ("status", 1), ("nodes", 2.5), ("elapsed", "0.01")],
+     ("status", 1), ("nodes", 2.5), ("elapsed", "0.01"), ("admits_calls", 1.0),
+     ("admits_rejects", "3"), ("bound_cuts", False)],
 )
 def test_field_of_wrong_type_is_rejected_on_read(tmp_path, field, value):
     obj = dict(record().to_obj(), **{field: value})
