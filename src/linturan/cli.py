@@ -17,6 +17,7 @@ Semantic parameters are flags only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -706,10 +707,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built once per process: building the tree of
+    subparsers costs more than most commands.  Parsing leaves it as it
+    was, usage errors included, so every call may share it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         config = load_config(getattr(args, "config", None))
         return args.func(args, config)
     except InterruptedSearch as exc:

@@ -25,11 +25,15 @@ busiest vertices kills every remaining type the branch is abandoned.  A
 single-component pattern skips that first prune: its search is the
 presence check.
 
-occurs_through(sets, incidence, q, component) is the yes/no query for
-callers that keep their own edge state (the search oracle): does some
-occurrence of one path, star or cycle use edge q?  It reads the caller's
-edge sets and per-vertex incidence as they are, builds nothing and
-assembles no Embedding.
+occurs_through(sets, incidence, q, component, also=None) is the yes/no
+query for callers that keep their own edge state (the search oracle):
+does some occurrence of one path, star or cycle use edge q, and edge
+also as well when it is given?  The second anchor narrows the search: a
+star's centre is the vertex the two share, a path or cycle through two
+edges that meet is walked from their 2-edge chain, and one through two
+disjoint edges must reach the second in the steps it has left.  It reads
+the caller's edge sets and per-vertex incidence as they are, builds
+nothing and assembles no Embedding.
 """
 
 from __future__ import annotations
@@ -133,19 +137,33 @@ def _star_leaves(sets, through, used, left, banned=None):
     """The star step rule: ascending picks (lists) of `left` more edges
     from through, the edges at a centre c, that avoid banned and meet
     used, and each other, only in c.  Each edge of through holds c, so a
-    single shared vertex is c, and an edge inside used (r >= 2) never fits."""
+    single shared vertex is c, and an edge inside used (r >= 2) never fits.
+
+    One depth-first loop over a stack of indices into through.  A branch
+    with fewer edges of through left than picks still to make is closed:
+    it can yield nothing.
+    """
     if left == 0:
         yield []
         return
-    for i, e in enumerate(through):
-        es = sets[e]
-        if len(es & used) != 1 or banned and es & banned:
+    picks: list[int] = []  # indices into through of the edges picked so far
+    spans = [used]  # spans[j]: used and the first j picks
+    i = 0
+    while True:
+        if len(through) - i < left - len(picks):
+            if not picks:
+                return
+            i = picks.pop() + 1
+            spans.pop()
             continue
-        if left == 1:
-            yield [e]
-            continue
-        for rest in _star_leaves(sets, through[i + 1 :], used | es, left - 1, banned):
-            yield [e] + rest
+        es = sets[through[i]]
+        if len(es & spans[-1]) == 1 and not (banned and es & banned):
+            if len(picks) + 1 == left:
+                yield [through[j] for j in picks] + [through[i]]
+            else:
+                picks.append(i)
+                spans.append(spans[-1] | es)
+        i += 1
 
 
 class _Search:
@@ -352,45 +370,106 @@ def is_free(h: Hypergraph, pattern: ForbiddenPattern) -> bool:
     return contains(h, pattern) is None
 
 
-def occurs_through(sets, incidence, q: int, comp: PatternComponent) -> bool:
-    """Yes/no: does some occurrence of the component use edge q?
+def occurs_through(
+    sets, incidence, q: int, comp: PatternComponent, also: Optional[int] = None
+) -> bool:
+    """Yes/no: does some occurrence of the component use edge q, and edge
+    `also` as well when it is given?
 
     The host is given by edge state the caller keeps and updates in
     place: sets[i] is the vertex set of edge i, and incidence[v] lists the
-    host edges through vertex v, q among them.  Edges of any other order
-    must not be listed.  Nothing is built: no Hypergraph, no Embedding and
-    no whole-host pass.  Paths and cycles grow outward from q by the same
-    step rule as contains.  A star through q has its centre c in q and
-    ell edges at c: contains' star rule searches each c of degree ell or
-    more, and on a linear host its first pick succeeds.
+    host edges through vertex v, q and also among them.  Edges of any
+    other order must not be listed.  Nothing is built: no Hypergraph, no
+    Embedding and no whole-host pass.  Paths and cycles grow outward by
+    the same step rule as contains, stars by its star rule.  The answer is
+    exact for any two distinct edges; each rule below only drops branches
+    that hold no occurrence through both.
+
+    - One edge: q alone is an occurrence, and no single edge holds two.
+    - Shared pair: two edges of a loose path, cycle or star share at most
+      one vertex, so when q and also share two or more, no occurrence
+      holds both (only a general host has such a pair).
+    - Stars: a star through q has its centre c in q and ell edges at c:
+      the star rule searches each c in q of degree ell or more, and on a
+      linear host its first pick succeeds.  Two edges of a star meet only
+      in the centre, so with also, c is the single vertex q and also share
+      and ell-2 more edges at c avoid both.
+    - Paths and cycles, anchors meeting in one vertex: in a loose path or
+      cycle only consecutive edges meet, and in the vertex that joins
+      them, so the walk starts from the 2-edge chain q, also.
+    - Paths and cycles, disjoint anchors: the walk starts at q, and also
+      is its goal until a step takes it.  A later edge of a loose walk
+      meets the walk so far only in its entry vertex, at the tail, or (a
+      path's second arm, a cycle's closing edge) in a vertex of q, which
+      the goal misses.  So the goal meets the walk in the newest edge's
+      tail or nowhere: had it met an older tail, it would have been the
+      forced step there.  A goal that meets the walk is the forced next
+      step, one set test instead of a step enumeration, and fits only if
+      it meets it in one vertex.  A goal that meets nothing is two steps
+      away at least.  A cycle's closing edge holds a vertex of q, so it
+      is not the goal and comes after it.  A branch with fewer edges left
+      than the goal needs is cut.
     """
     eq = sets[q]
     ell = comp.length
+    if ell == 1:
+        return also is None
+    if also is None:
+        centres, used = eq, eq
+    else:
+        eb = sets[also]
+        centres, used = eq & eb, eq | eb
+        if len(centres) > 1:
+            return False
     if comp.kind == "star":
-        for c in eq:
+        picks = ell - 1 if also is None else ell - 2
+        for c in centres:
             if len(incidence[c]) >= ell:
-                for _ in _star_leaves(sets, incidence[c], eq, ell - 1):
+                for _ in _star_leaves(sets, incidence[c], used, picks):
                     return True
         return False
     closed = comp.kind == "cycle"
 
-    def walk(tail, used, left, rest):
-        # left: edges still to add; rest: the vertices of q the other end
-        # may use (a path's second arm, a cycle's closing edge), which the
-        # first step away from q fixes as q minus its entry vertex
+    def walk(tail, used, left, rest, goal):
+        # tail: the vertices the next step may enter by; left: edges still
+        # to add; rest: the vertices of the walk's other end (a path's
+        # second arm starts there, a cycle's closing edge holds one of
+        # them), None once the second arm has started; goal: also, while
+        # it is off the walk
+        if goal is not None:
+            # the goal meets the walk in tail or not at all, so it is the
+            # next step or two steps off, and a cycle closes after it
+            gs = sets[goal]
+            meet = gs & used
+            if left < (1 if meet else 2) + closed:
+                return False
+            if meet:
+                return len(meet) == 1 and walk(gs - meet, used | gs, left - 1, rest, None)
         if closed and left == 1:
             # meet is the entry vertex plus one more, which must be in rest
             return any(meet & rest for _, meet in _steps(sets, incidence, tail, used, 2))
         if left == 0:
             return True
-        # a path through q is two arms; walk the longer one first
-        if not closed and rest is not None and 2 * left <= ell - 1:
-            if walk(rest, used, left, None):
+        # a path's second arm may start once the first is at least as long
+        # (both orientations of a path through q are walked), or anywhere
+        # when the first edges are the fixed chain q, also
+        if not closed and rest is not None and left <= longest_second_arm:
+            if walk(rest, used, left, None, goal):
                 return True
         for e, meet in _steps(sets, incidence, tail, used, 1):
             es = sets[e]
-            if walk(es - meet, used | es, left - 1, eq - meet if left == ell - 1 else rest):
+            if walk(es - meet, used | es, left - 1, rest, goal):
                 return True
         return False
 
-    return walk(eq, eq, ell - 1, eq)
+    # the walk starts from a 2-edge chain, so ell-2 edges are left
+    if also is not None and centres:  # the chain q, also through their vertex
+        longest_second_arm = ell - 2
+        return walk(eq - centres, used, ell - 2, eb - centres, None)
+    # the chain q, e for each first step e: q minus its entry vertex is
+    # the other end
+    longest_second_arm = (ell - 1) // 2
+    return any(
+        walk(sets[e] - meet, eq | sets[e], ell - 2, eq - meet, also)
+        for e, meet in _steps(sets, incidence, eq, eq, 1)
+    )

@@ -32,9 +32,13 @@ without q is pattern-free.  Any occurrence of the pattern in the host
 with q must therefore use q, and the check asks only that: does an
 occurrence go through q?  (detect.occurs_through, on edge sets and a
 per-vertex incidence that the walk updates in place.)  Its answer equals
-a whole-host check without looking at the rest of the host.  Union
-patterns still take the whole-host check.  No value rests on the
-anchored answer alone: every witness is re-checked by the full detector.
+a whole-host check without looking at the rest of the host.  Below the
+root it has a second anchor: the node's own last edge q was admitted
+with the same parent host as every candidate q' it tests, so an
+occurrence with q' must use q too, and the check asks for one through
+both (see live).  Union patterns still take the whole-host check.  No
+value rests on the anchored answer alone: every witness is re-checked
+by the full detector.
 Vertex pairs are int bitmasks, so the linear-host tests allocate nothing.
 """
 
@@ -201,21 +205,28 @@ class _Searcher:
     def graph(self, chosen: Sequence[int]) -> Hypergraph:
         return make_hypergraph(self.n, [self.cands[i] for i in chosen], self.r)
 
-    def admits(self, chosen: list[int]) -> bool:
+    def admits(self, chosen: list[int], also: Optional[int] = None) -> bool:
         """True when the host of the chosen edges is pattern-free.
 
         Sound only for walk's hosts: chosen[:-1] was admitted before, so it
         is free, and every occurrence in the host must use the newest edge
         q = chosen[-1].  Asking whether one goes through q (incidence
-        already lists q) is then exact.  With fewer edges or vertices than
-        the pattern needs, no occurrence exists at all.
+        already lists q) is then exact.  also, when given, is an edge of
+        chosen[:-1] whose removal leaves a free host: chosen minus also is
+        free too, so every occurrence uses also as well, and the question
+        becomes whether one goes through both.  The caller must know that
+        (live does); it is not derived here, since a host grown in another
+        order need not have it.  With fewer edges or vertices than the
+        pattern needs, no occurrence exists at all.
         """
         p = self.pattern
         if self.min_edges is None or len(chosen) < self.min_edges:
             return True
         if not p.is_single:
             return is_free(self.graph(chosen), p)
-        return not occurs_through(self.sets, self.incidence, chosen[-1], p.components[0])
+        return not occurs_through(
+            self.sets, self.incidence, chosen[-1], p.components[0], also=also
+        )
 
     def live(self, chosen: list[int], tail: Sequence[int], used_pairs: int) -> list[int]:
         """The candidates of tail that extend the host of chosen: the ones
@@ -224,19 +235,26 @@ class _Searcher:
         Each is tested once here, with incidence listing chosen.  When the
         host plus one edge is still too small for the pattern, admits could
         only say True, so neither it nor the incidence push runs.
+
+        The second anchor: below the root, chosen is H plus its last edge
+        q, and tail comes from H's live list, so H+q' is free for every q'
+        of tail (admitted with H, or too small for the pattern), and so is
+        H+q.  Every occurrence in H+q+q' then uses both q' and q, and q is
+        passed to admits as also.
         """
         masks = self.pair_masks
         fits = [q for q in tail if not masks[q] & used_pairs]
         if self.min_edges is None or len(chosen) + 1 < self.min_edges:
             return fits
         stats, slots, admits = self.stats, self.slots, self.admits
+        also = chosen[-1] if chosen else None
         admitted = []
         for q in fits:
             chosen.append(q)
             for edges in slots[q]:
                 edges.append(q)
             stats.admits_calls += 1
-            if admits(chosen):
+            if admits(chosen, also):
                 admitted.append(q)
             else:
                 stats.admits_rejects += 1

@@ -81,15 +81,22 @@ class ResultsStore:
     line without its newline that does not parse was torn by a writer
     that stopped mid-line: loading drops it and reports its line number
     in `torn`, and the next add cuts it off before appending, so the new
-    record starts on a fresh line.  Any other invalid line rejects the
-    whole file with a FormatError naming it.
+    record starts on a fresh line.  It cuts only while the file still
+    ends with those bytes at that offset: once another writer has cut the
+    line and appended, the file ends elsewhere, and cutting at the old
+    offset would erase its records, so the new record just starts on a
+    fresh line.  Loading skips blank lines, such as the one left when an
+    add saw another writer's line half written and started a fresh line.
+    Any other invalid line rejects the whole file with a FormatError
+    naming it.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._records: list[ResultRecord] = []
         self.torn: Optional[int] = None  # line number of a dropped torn line
-        self._torn_at: Optional[int] = None  # its byte offset
+        # the torn line's byte offset and bytes, until the next add
+        self._torn_tail: Optional[tuple[int, bytes]] = None
         if not os.path.exists(path):
             return
         with open(path, "rb") as fh:
@@ -103,7 +110,7 @@ class ResultsStore:
                 obj = json.loads(raw)
             except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
                 if offset > len(data):  # final line, no newline
-                    self.torn, self._torn_at = lineno, start
+                    self.torn, self._torn_tail = lineno, (start, raw)
                     continue
                 raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
@@ -117,9 +124,12 @@ class ResultsStore:
     def add(self, record: ResultRecord) -> None:
         line = json.dumps(record.to_obj(), sort_keys=True) + "\n"
         with open(self.path, "ab+") as fh:
-            if self._torn_at is not None:
-                fh.truncate(self._torn_at)
-                self._torn_at = None
+            if self._torn_tail is not None:
+                at, torn = self._torn_tail
+                fh.seek(at)
+                if fh.read(len(torn) + 1) == torn:  # still the file's end
+                    fh.truncate(at)
+                self._torn_tail = None
             fh.seek(0, os.SEEK_END)
             if fh.tell():
                 fh.seek(-1, os.SEEK_END)

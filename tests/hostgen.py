@@ -5,8 +5,8 @@ from itertools import combinations
 import linturan as lt
 
 
-def random_host(rng, max_edges=8):
-    r = rng.choice((3, 4))
+def random_host(rng, max_edges=8, orders=(3, 4)):
+    r = rng.choice(orders)
     n = rng.randint(r + 1, 9)
     pool = list(combinations(range(n), r))
     want_linear = rng.random() < 0.5

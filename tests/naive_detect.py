@@ -65,6 +65,16 @@ def occurrences(h, kind, length):
     return found
 
 
+def occurrence_edge_sets(h, kind, length):
+    """The host edge index sets of all occurrences of the component."""
+    test = {"path": _is_loose_path, "star": _is_loose_star, "cycle": _is_loose_cycle}[kind]
+    found = set()
+    for subset in combinations(range(len(h.edges)), length):
+        if any(test([h.edges[i] for i in seq]) for seq in permutations(subset)):
+            found.add(frozenset(subset))
+    return found
+
+
 def has_path(h, ell):
     return bool(occurrences(h, "path", ell))
 

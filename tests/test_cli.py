@@ -582,3 +582,27 @@ def test_readme_commands_parse():
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_parser_is_built_once_and_survives_usage_errors(capsys, monkeypatch, fano_file):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    free = ("check", "free", "--in", fano_file, "--pattern", "P3@r3")
+    first = run(capsys, *free)
+    assert first[0] == EXIT_OK
+    # a usage error in a subparser, then one at the top level
+    code, _, err = run(capsys, "check", "free", "--in", fano_file, "--pattern")
+    assert code == EXIT_USAGE and "--pattern" in err
+    code, _, err = run(capsys, "turan", "--n", "x", "--r", "3")
+    assert code == EXIT_USAGE and "--n" in err
+    assert run(capsys, *free) == first
+    assert run(capsys, "turan", "--n", "7", "--r", "3", "--pattern", "P3@r3",
+               "--linear")[:2] == (EXIT_OK, "7\n")
+    assert len(built) == 1

@@ -171,3 +171,31 @@ def _agreement(host):
 def test_detector_matches_naive_enumeration(seed):
     rng = random.Random(7000 + seed)
     assert sum(_agreement(random_host(rng)) for _ in range(10)) > 0
+
+
+ANCHORED = [("path", 1), ("path", 2), ("path", 3), ("path", 4), ("star", 2),
+            ("star", 3), ("cycle", 3), ("cycle", 4)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_occurs_through_matches_naive_occurrences(seed):
+    # for every edge q, and every ordered pair (q, also), occurs_through
+    # must say whether an occurrence uses q (and also); no precondition on
+    # the host, general hosts hold pairs that share two or more vertices
+    rng = random.Random(9100 + seed)
+    for _ in range(6):
+        host = random_host(rng, orders=(2, 3, 4))
+        sets = [frozenset(e) for e in host.edges]
+        incidence = [[i for i, es in enumerate(sets) if v in es] for v in range(host.n)]
+        for kind, length in ANCHORED:
+            comp = lt.patterns.PatternComponent(kind, length)
+            occs = nd.occurrence_edge_sets(host, kind, length)
+            for q in range(len(sets)):
+                got = lt.detect.occurs_through(sets, incidence, q, comp)
+                assert got == any(q in occ for occ in occs), (kind, length, q, host.edges)
+                for also in range(len(sets)):
+                    if also == q:
+                        continue
+                    got = lt.detect.occurs_through(sets, incidence, q, comp, also=also)
+                    want = any({q, also} <= occ for occ in occs)
+                    assert got == want, (kind, length, q, also, host.edges)

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,7 +191,7 @@ def test_search_counters_are_pinned(n, expr, host, counters):
 def test_anchored_admits_matches_whole_host_check(data):
     # grow a host one admitted edge at a time, in any order, keeping the
     # searcher's incidence as walk does; every verdict must equal a
-    # whole-host is_free
+    # whole-host is_free, with one anchor and then with two
     r = data.draw(st.sampled_from((2, 3, 4)), label="r")
     n = data.draw(st.integers(r + 1, 9), label="n")
     host = data.draw(st.sampled_from(HOSTS), label="host")
@@ -215,6 +215,30 @@ def test_anchored_admits_matches_whole_host_check(data):
             used |= s.pair_masks[q]
         else:
             for edges in s.slots[q]:
+                edges.pop()
+            chosen.pop()
+    # the second anchor: cut the free host back to a drawn prefix H; with
+    # H+q and H+q2 also free, every occurrence in H+q+q2 uses q2 and q, as
+    # in walk's live lists
+    keep = data.draw(st.integers(0, len(chosen)), label="keep")
+    while len(chosen) > keep:
+        for edges in s.slots[chosen.pop()]:
+            edges.pop()
+    used = 0
+    for e in chosen:
+        used |= s.pair_masks[e]
+    fits = (q for q in order if q not in chosen and not s.pair_masks[q] & used)
+    free = list(islice((q for q in fits if lt.is_free(s.graph(chosen + [q]), pattern)), 8))
+    for q, q2 in permutations(free, 2):
+        if s.pair_masks[q] & s.pair_masks[q2]:
+            continue
+        for e in (q, q2):
+            chosen.append(e)
+            for edges in s.slots[e]:
+                edges.append(e)
+        assert s.admits(chosen, q) == lt.is_free(s.graph(chosen), pattern), s.graph(chosen).edges
+        for e in (q2, q):
+            for edges in s.slots[e]:
                 edges.pop()
             chosen.pop()
 
@@ -256,6 +280,27 @@ def test_budget_interrupts_max_edges():
     assert not res.exact
     assert res.value <= 7
     assert res.witness.edge_count == res.value
+
+
+@pytest.mark.parametrize("n,expr,exact", [(9, "P3@r3", 7), (8, "C3@r3", 4)])
+def test_interrupted_values_are_verified_lower_bounds(n, expr, exact):
+    # a node budget cuts the walk after a prefix of its nodes, so the value
+    # can only grow with the budget, never past the exact value, and each
+    # witness is a free linear host with that many edges
+    pattern = lt.parse_pattern(expr)
+    full = lt.max_edges(n, 3, pattern)
+    assert (full.status, full.value) == ("exact", exact)
+    values = []
+    for limit in [*range(1, 30), *range(30, full.stats.nodes, 67)]:
+        res = lt.max_edges(n, 3, pattern, budget=lt.SearchBudget(node_limit=limit))
+        assert res.status == "interrupted", limit
+        assert res.witness.edge_count == res.value
+        assert lt.is_linear(res.witness) and lt.is_free(res.witness, pattern)
+        values.append(res.value)
+    assert values == sorted(values)
+    assert values[0] == 0 and values[-1] <= exact
+    res = lt.max_edges(n, 3, pattern, budget=lt.SearchBudget(node_limit=full.stats.nodes))
+    assert (res.status, res.value, res.witness) == ("exact", exact, full.witness)
 
 
 def test_budget_raises_for_enumeration():

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 import linturan as lt
 from linturan.errors import FormatError
 from linturan.results import ResultRecord
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def record(value=2, status="exact", n=6, pattern="P2@r3", nodes=31):
@@ -76,6 +82,64 @@ def test_torn_final_line_is_dropped_and_cut_by_the_next_add(tmp_path):
     assert again.torn is None
     assert [rec.n for rec in again.entries()] == [6, 8]
     assert len(path.read_text().splitlines()) == 2
+
+
+def test_two_stores_over_one_torn_line_keep_every_record(tmp_path):
+    # both load the torn file; the second add must not cut at the offset
+    # it saw, which by then holds the first add's record
+    path = tmp_path / "s.jsonl"
+    lt.ResultsStore(path).add(record())
+    line = json.dumps(record(n=7).to_obj(), sort_keys=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line[:40])
+    a, b = lt.ResultsStore(path), lt.ResultsStore(path)
+    assert (a.torn, b.torn) == (2, 2)
+    b.add(record(n=8))
+    a.add(record(n=9))
+    again = lt.ResultsStore(path)
+    assert again.torn is None
+    assert [rec.n for rec in again.entries()] == [6, 8, 9]
+    assert len(path.read_text().splitlines()) == 3
+
+
+_APPENDER = """
+import sys, time
+import linturan as lt
+from linturan.results import ResultRecord
+path, writer, count, start = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+store = lt.ResultsStore(path)
+time.sleep(max(0.0, start - time.time()))
+for i in range(count):
+    n = 3 + 1000 * writer + i
+    store.add(ResultRecord(n, 3, None, "linear", 0, "exact", {"n": n, "r": 3, "edges": []}, 1, 0.0))
+"""
+
+
+def test_two_processes_append_to_one_store(tmp_path):
+    path = tmp_path / "s.jsonl"
+    count = 300
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [SRC, env.get("PYTHONPATH")] if p)
+    start = time.time() + 0.5  # both start appending together
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _APPENDER, str(path), str(w), str(count), str(start)], env=env
+        )
+        for w in (1, 2)
+    ]
+    try:
+        codes = [p.wait(timeout=60) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert codes == [0, 0]
+    store = lt.ResultsStore(path)
+    assert store.torn is None
+    want = {3 + 1000 * w + i for w in (1, 2) for i in range(count)}
+    assert {rec.n for rec in store.entries()} == want
+    # one line per record; a writer that saw the other's line half written
+    # starts on a fresh line, and the blank line that leaves is skipped
+    assert len([line for line in path.read_text().splitlines() if line]) == 2 * count
 
 
 def test_unterminated_valid_last_line_is_kept(tmp_path):
