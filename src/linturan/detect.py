@@ -17,13 +17,26 @@ Only host edges of exactly the pattern's order participate; a mixed host
 is searched through its order-r edges.  The host does not have to be
 linear.  Paths and cycles grow by one step rule (_steps), stars by one
 star rule (_star_leaves); contains and occurs_through share both.  Union
-patterns are embedded component by component with two sound prunes: each
-component type must exist individually, and when k components remain,
-deleting any k-1 vertices must leave at least one remaining type present
-(pigeonhole over vertex-disjoint copies), so if greedily deleting the k-1
-busiest vertices kills every remaining type the branch is abandoned.  A
-single-component pattern skips that first prune: its search is the
-presence check.
+patterns are embedded component by component.  Three sound prunes cut the
+search:
+
+- Each component type must exist individually.  A single-component
+  pattern skips this prune: its search is the presence check.
+- When k components remain, deleting any k-1 vertices must leave at least
+  one remaining type present (pigeonhole over vertex-disjoint copies), so
+  if greedily deleting the k-1 busiest vertices kills every remaining
+  type the branch is abandoned.
+- Component room: a loose path, star or cycle is connected, so each
+  occurrence lies inside one connected component of the order-r edges
+  that avoid the banned vertices, and a component with fewer vertices
+  than the pattern component holds none.  Start edges in such a component
+  are skipped.  The room is exact for no banned vertices and for the
+  k-1 deleted vertices of the second prune.  Under any other banned set
+  the room for no banned vertices is used, an upper bound, since removing
+  vertices only splits components.  The room is built on first use, once
+  the search has walked as many start edges as the pattern component has
+  vertices, so a query answered among them, or a small host, pays no
+  pass over the host.
 
 occurs_through(sets, incidence, q, component, also=None) is the yes/no
 query for callers that keep their own edge state (the search oracle):
@@ -39,6 +52,7 @@ nothing and assembles no Embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import MalformedEmbedding
@@ -181,6 +195,69 @@ class _Search:
         for pos, es in enumerate(self.sets):
             for v in es:
                 self.incidence.setdefault(v, []).append(pos)
+        # component rooms, built on first use: the one for no banned
+        # vertices, and the latest one for another banned set
+        self._free_room: Optional[list[int]] = None
+        self._last_room: Optional[tuple[frozenset[int], list[int]]] = None
+
+    # -- component rooms --------------------------------------------------
+
+    def _component_sizes(self, banned: frozenset[int]) -> list[int]:
+        """sizes[pos]: how many vertices the component of edge pos has in
+        the host of the order-r edges that avoid banned (0 when edge pos
+        meets banned).  One pass over the edges and their incidence."""
+        sets, incidence = self.sets, self.incidence
+        sizes = [0] * len(sets)
+        seen = [bool(es & banned) for es in sets] if banned else [False] * len(sets)
+        for p in range(len(sets)):
+            if seen[p]:
+                continue
+            seen[p] = True
+            members = [p]
+            verts: set[int] = set()
+            for e in members:  # members grows while it is read
+                for v in sets[e]:
+                    if v not in verts:
+                        verts.add(v)
+                        for f in incidence[v]:
+                            if not seen[f]:
+                                seen[f] = True
+                                members.append(f)
+            size = len(verts)
+            for e in members:
+                sizes[e] = size
+        return sizes
+
+    def _room(self, banned: frozenset[int], exact: bool) -> list[int]:
+        """Component sizes for start edges avoiding banned: exact for
+        banned when exact is set or banned is empty, else the sizes for no
+        banned vertices, an upper bound (removing vertices only splits
+        components)."""
+        if exact and banned:
+            if self._last_room is None or self._last_room[0] != banned:
+                self._last_room = (banned, self._component_sizes(banned))
+            return self._last_room[1]
+        if self._free_room is None:
+            self._free_room = self._component_sizes(frozenset())
+        return self._free_room
+
+    def _starts(self, need: int, banned: frozenset[int], exact: bool) -> Iterator[int]:
+        """Ascending positions of the edges that avoid banned and lie in a
+        component with at least need vertices (see _room).
+
+        The first need such edges are yielded before any room is built, so
+        a query that they answer, or a host with at most need of them,
+        pays no pass over the host.  The prune is sound from whichever
+        start edge it begins at.
+        """
+        positions = (p for p, es in enumerate(self.sets) if not es & banned)
+        yield from islice(positions, need)
+        room = None
+        for p in positions:
+            if room is None:
+                room = self._room(banned, exact)
+            if room[p] >= need:
+                yield p
 
     # -- single-component generators ------------------------------------
     # Each yields (positions in construction order, vertex list in the
@@ -188,12 +265,15 @@ class _Search:
     # vertices).  Positions are live positions, not host indices.
 
     def iter_component(
-        self, comp: PatternComponent, banned: frozenset[int]
+        self, comp: PatternComponent, banned: frozenset[int], exact: bool = False
     ) -> Iterator[tuple[list[int], list[int], frozenset[int]]]:
+        """Occurrences of comp avoiding banned; exact asks for the room of
+        banned itself, not its upper bound (see _room)."""
+        starts = self._starts(comp.vertex_count(self.pattern.r), banned, exact)
         if comp.kind == "star" and comp.length > 1:
-            yield from self._iter_stars(comp.length, banned)
+            yield from self._iter_stars(comp.length, banned, starts)
         else:  # a one-edge star is a one-edge path
-            yield from self._iter_chains(comp.length, banned, comp.kind == "cycle")
+            yield from self._iter_chains(comp.length, banned, comp.kind == "cycle", starts)
 
     def _chain_map(self, chain, conns, back):
         """Vertex list of a loose path (back None) or cycle (back is the
@@ -208,8 +288,9 @@ class _Search:
             vm += sorted(self.sets[pos] - {ends[i - 1], ends[i]})
         return vm
 
-    def _iter_chains(self, ell, banned, closed):
-        """Loose paths with ell edges or, when closed, loose cycles.
+    def _iter_chains(self, ell, banned, closed, starts):
+        """Loose paths with ell edges or, when closed, loose cycles, from
+        each start position of starts.
 
         The walk grows by _steps.  A cycle is walked as a path of ell-1
         edges from its minimum-index edge, so every later edge has a
@@ -241,14 +322,12 @@ class _Search:
                 (v,) = meet
                 yield from extend(chain + [q], used | sets[q], conns + [v])
 
-        for p0 in range(len(sets)):
-            e0 = sets[p0]
-            if e0 & banned:
-                continue
-            yield from extend([p0], set(e0), [])
+        for p0 in starts:
+            yield from extend([p0], set(sets[p0]), [])
 
-    def _iter_stars(self, ell, banned):
-        """Loose stars with ell >= 2 edges, in ascending position order.
+    def _iter_stars(self, ell, banned, starts):
+        """Loose stars with ell >= 2 edges whose lowest edge is a start
+        position of starts, in ascending position order.
 
         A star's lowest edge p0 holds its centre c, and c lies in ell
         edges, so a p0 none of whose vertices has degree ell is skipped.
@@ -257,8 +336,9 @@ class _Search:
         picked from c's incidence above the second edge.
         """
         sets, incidence = self.sets, self.incidence
-        for p0, e0 in enumerate(sets):
-            if e0 & banned or all(len(incidence[v]) < ell for v in e0):
+        for p0 in starts:
+            e0 = sets[p0]
+            if all(len(incidence[v]) < ell for v in e0):
                 continue
             for p1, (c,) in _steps(sets, incidence, e0, e0, 1, p0, banned):
                 at_c = incidence[c]
@@ -274,7 +354,7 @@ class _Search:
     # -- union search -----------------------------------------------------
 
     def component_present(self, comp: PatternComponent, banned: frozenset[int]) -> bool:
-        for _ in self.iter_component(comp, banned):
+        for _ in self.iter_component(comp, banned, exact=True):
             return True
         return False
 

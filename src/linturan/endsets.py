@@ -181,11 +181,17 @@ def build_frame(host: Hypergraph, emb: Embedding, ell: int) -> PathFrame:
     if not is_linear(host):
         raise HostNotLinear("frames are defined over linear hosts")
     length = emb.pattern.single("path")
-    r = emb.pattern.r
     if length is None or length != ell - 1:
         raise NotAPathEmbedding(
             f"expected an embedding of a loose path with {ell - 1} edges, got {emb.pattern}"
         )
+    return _frame(host, emb, ell)
+
+
+def _frame(host: Hypergraph, emb: Embedding, ell: int) -> PathFrame:
+    """build_frame once ell >= 3, a linear host and a pattern that is the
+    (ell-1)-edge path are known; the embedding itself is still verified."""
+    r = emb.pattern.r
     if not verify_embedding(host, emb):
         raise NotAPathEmbedding("embedding does not verify against the host")
     npath = (ell - 1) * (r - 1) + 1
@@ -436,7 +442,7 @@ def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
         checked += 1
         if not applicable:
             continue
-        report = _frame_report(build_frame(host, emb, ell))
+        report = _frame_report(_frame(host, emb, ell))
         if report.status == "fail":
             failures.append(report)
     if not applicable:

@@ -196,8 +196,12 @@ class _Searcher:
         if b.node_limit is not None and self.stats.nodes > b.node_limit:
             raise _Stop()
         if b.time_limit is not None and self.stats.nodes % 256 == 0:
-            if time.monotonic() - self.start > b.time_limit:
-                raise _Stop()
+            self.check_time()
+
+    def check_time(self) -> None:
+        limit = self.budget.time_limit
+        if limit is not None and time.monotonic() - self.start > limit:
+            raise _Stop()
 
     def finish(self) -> None:
         self.stats.elapsed = time.monotonic() - self.start
@@ -218,12 +222,18 @@ class _Searcher:
         (live does); it is not derived here, since a host grown in another
         order need not have it.  With fewer edges or vertices than the
         pattern needs, no occurrence exists at all.
+
+        A union pattern takes a whole-host check, milliseconds where tick's
+        clock reading every 256 nodes assumes microseconds, so the time
+        limit is checked after each one.
         """
         p = self.pattern
         if self.min_edges is None or len(chosen) < self.min_edges:
             return True
         if not p.is_single:
-            return is_free(self.graph(chosen), p)
+            free = is_free(self.graph(chosen), p)
+            self.check_time()
+            return free
         return not occurs_through(
             self.sets, self.incidence, chosen[-1], p.components[0], also=also
         )

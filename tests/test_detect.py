@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
 import linturan as lt
 import naive_detect as nd
-from hostgen import random_host
+from hostgen import piecewise_host, random_host
 
 
 def test_fano_path_facts(fano):
@@ -39,16 +40,22 @@ def test_witness_is_deterministic(fano):
     assert a == b
 
 
+def _counted(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_single_component_host_is_walked_once(monkeypatch):
     host = lt.realize(lt.linear_path(3, 3))
-    calls = []
-    walker = lt.detect._Search._iter_chains
-
-    def counted(self, *args):
-        calls.append(args)
-        return walker(self, *args)
-
-    monkeypatch.setattr(lt.detect._Search, "_iter_chains", counted)
+    calls = _counted(monkeypatch, lt.detect._Search, "_iter_chains")
     assert lt.contains(host, lt.linear_path(3, 3)) is not None
     assert len(calls) == 1
 
@@ -171,6 +178,66 @@ def _agreement(host):
 def test_detector_matches_naive_enumeration(seed):
     rng = random.Random(7000 + seed)
     assert sum(_agreement(random_host(rng)) for _ in range(10)) > 0
+
+
+def _unbounded_rooms(self, banned):
+    return [sys.maxsize] * len(self.sets)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_room_prune_keeps_every_answer(seed, monkeypatch):
+    # hosts of several components, most too small for the patterns: the
+    # pruned search agrees with the naive enumerator and lists the same
+    # embeddings, in the same order, as the search without the room prune
+    rng = random.Random(9500 + seed)
+    hosts = [piecewise_host(rng, r) for r in (3, 4) for _ in range(4)]
+    cases = [
+        (host, lt.parse_pattern(expr.format(r=host.r)), comps)
+        for host in hosts
+        for expr, comps in [(e, (c,)) for e, c in PATTERNS] + FORESTS
+    ]
+    for host, pat, comps in cases:
+        got = lt.contains(host, pat)
+        assert (got is not None) == nd.has_forest(host, comps), (str(pat), host.edges)
+    steps = _counted(monkeypatch, lt.detect, "_steps")
+    pruned = [list(lt.iter_embeddings(host, pat)) for host, pat, _ in cases]
+    pruned_steps = len(steps)
+    monkeypatch.setattr(lt.detect._Search, "_component_sizes", _unbounded_rooms)
+    for (host, pat, _), embs in zip(cases, pruned):
+        assert list(lt.iter_embeddings(host, pat)) == embs, (str(pat), host.edges)
+    # the prune fired: the unpruned lists take the same walks and more
+    assert pruned_steps < len(steps) - pruned_steps
+
+
+def test_thm45_certificate_walks_one_copy(monkeypatch):
+    # every design copy has fewer vertices than the path: start edges are
+    # walked in the first copy until the room is built, and every other
+    # copy is skipped by it
+    rep = lt.thm45_construction(3, 5, 1000, certify=False)
+    steps = _counted(monkeypatch, lt.detect, "_steps")
+    assert lt.is_free(rep.result, rep.certificates[0].pattern)
+    assert len(steps) <= 400  # 37 296 without the room prune
+
+
+def test_thm47_certificate_dies_at_the_hubs(monkeypatch):
+    # the forest has k+1 components, and the k busiest vertices, which the
+    # pigeonhole prune deletes, are the hubs: without them every component
+    # is one design copy, too small for every forest component
+    rep = lt.thm47_construction(3, 4, 3, 2, certify=False)
+    steps = _counted(monkeypatch, lt.detect, "_steps")
+    assert lt.is_free(rep.result, rep.certificates[0].pattern)
+    assert len(steps) <= 100  # 900 without the room prune
+
+
+def test_first_start_edge_answers_without_a_room(monkeypatch, fano):
+    host = lt.thm47_construction(3, 4, 7, 1, certify=False).result
+    builds = _counted(monkeypatch, lt.detect._Search, "_component_sizes")
+    emb = lt.contains(host, lt.linear_path(4, 3))
+    assert emb.edge_map[0] == 0
+    # seven start edges, as many as a 3-edge path has vertices: all are
+    # walked before a room would be built, so none is
+    assert lt.is_free(fano, lt.linear_path(3, 3))
+    assert builds == []
 
 
 ANCHORED = [("path", 1), ("path", 2), ("path", 3), ("path", 4), ("star", 2),

@@ -80,6 +80,21 @@ def test_sweep_checks_every_embedding(p3_plus_pendant):
     assert rep.failures == ()
 
 
+def test_sweep_checks_linearity_once(monkeypatch, p3_plus_pendant):
+    # the sweep checks the host once, then verifies each embedding alone
+    linear = []
+    verified = []
+    is_linear, verify = lt.endsets.is_linear, lt.endsets.verify_embedding
+    monkeypatch.setattr(lt.endsets, "is_linear", lambda h: linear.append(h) or is_linear(h))
+    monkeypatch.setattr(
+        lt.endsets, "verify_embedding", lambda h, e: verified.append(e) or verify(h, e)
+    )
+    rep = lt.verify_frame_sweep(p3_plus_pendant, 4, 3)
+    assert rep.embeddings_checked == 4
+    assert len(linear) == 1
+    assert len(verified) == 4
+
+
 def test_sweep_rejects_host_with_the_path():
     host = lt.realize(lt.linear_path(4, 3))
     with pytest.raises(HostContainsPath) as exc:

@@ -1,5 +1,6 @@
 import json
-from itertools import combinations, islice, permutations
+import types
+from itertools import combinations, count, islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,6 +302,20 @@ def test_interrupted_values_are_verified_lower_bounds(n, expr, exact):
     assert values[0] == 0 and values[-1] <= exact
     res = lt.max_edges(n, 3, pattern, budget=lt.SearchBudget(node_limit=full.stats.nodes))
     assert (res.status, res.value, res.witness) == ("exact", exact, full.witness)
+
+
+def test_time_budget_is_read_after_every_union_check(monkeypatch):
+    # a union pattern's check is a whole-host search, so the clock is read
+    # after each one: with a clock that gains a second per reading, the
+    # search stops at its fourth check, long before tick's 256th node
+    readings = count()
+    clock = types.SimpleNamespace(monotonic=lambda: float(next(readings)))
+    monkeypatch.setattr(lt.oracle, "time", clock)
+    budget = lt.SearchBudget(time_limit=3.5)
+    res = lt.max_edges(10, 3, lt.parse_pattern("2*P2@r3"), budget=budget)
+    assert res.status == "interrupted"
+    assert res.stats.admits_calls == 4
+    assert res.stats.nodes < 256
 
 
 def test_budget_raises_for_enumeration():
