@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import MalformedEmbedding
 from .hypergraph import Hypergraph
@@ -94,20 +94,22 @@ class Embedding:
 def verify_embedding(h: Hypergraph, emb: Embedding) -> bool:
     """Recheck an embedding against the host from first principles."""
     ideal = emb.pattern.realization
-    if len(emb.vertex_map) != ideal.n or len(emb.edge_map) != ideal.edge_count:
+    vertex_map, edge_map = emb.vertex_map, emb.edge_map
+    if len(vertex_map) != ideal.n or len(edge_map) != ideal.edge_count:
         return False
-    if len(set(emb.vertex_map)) != ideal.n:
+    if len(set(vertex_map)) != ideal.n:
         return False
-    if len(set(emb.edge_map)) != ideal.edge_count:
+    if len(set(edge_map)) != ideal.edge_count:
         return False
-    for v in emb.vertex_map:
-        if not 0 <= v < h.n:
+    n, m = h.n, len(h.edges)
+    for v in vertex_map:
+        if not 0 <= v < n:
             return False
-    for j, host_idx in enumerate(emb.edge_map):
-        if not 0 <= host_idx < h.edge_count:
+    edge_sets = h.edge_sets
+    for j, host_idx in enumerate(edge_map):
+        if not 0 <= host_idx < m:
             return False
-        image = {emb.vertex_map[p] for p in ideal.edges[j]}
-        if image != set(h.edges[host_idx]):
+        if {vertex_map[p] for p in ideal.edges[j]} != edge_sets[host_idx]:
             return False
     return True
 
@@ -181,20 +183,29 @@ def _star_leaves(sets, through, used, left, banned=None):
 
 
 class _Search:
-    """One containment query; holds the host's order-r view."""
+    """One containment query; holds the host's order-r view.
+
+    Live positions index only the order-r edges of the host.  On a host
+    of uniform order r those are all its edges, so the view is the host's
+    own edge_sets and incidence, read in place and never mutated, and a
+    host queried again reuses them.  A mixed host gets a filtered copy.
+    """
 
     def __init__(self, h: Hypergraph, pattern: ForbiddenPattern):
         self.h = h
         self.pattern = pattern
-        # live positions index only the order-r edges of the host
-        self.orig_index: list[int] = [
-            i for i, e in enumerate(h.edges) if len(e) == pattern.r
-        ]
-        self.sets: list[frozenset[int]] = [h.edge_sets[i] for i in self.orig_index]
-        self.incidence: dict[int, list[int]] = {}
-        for pos, es in enumerate(self.sets):
-            for v in es:
-                self.incidence.setdefault(v, []).append(pos)
+        if h.r == pattern.r:
+            self.orig_index: Sequence[int] = range(len(h.edges))
+            self.sets: Sequence[frozenset[int]] = h.edge_sets
+            self.incidence: Sequence[Sequence[int]] = h.incidence
+        else:
+            self.orig_index = [i for i, e in enumerate(h.edges) if len(e) == pattern.r]
+            self.sets = [h.edge_sets[i] for i in self.orig_index]
+            incidence: list[list[int]] = [[] for _ in range(h.n)]
+            for pos, es in enumerate(self.sets):
+                for v in es:
+                    incidence[v].append(pos)
+            self.incidence = incidence
         # component rooms, built on first use: the one for no banned
         # vertices, and the latest one for another banned set
         self._free_room: Optional[list[int]] = None

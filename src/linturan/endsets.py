@@ -26,7 +26,17 @@ Classification alone forces, in any linear host:
   |A_1 u B_1| <= 2(r-1)^2 (ell-3)    and A_1, B_1 are disjoint
   sum_k k|A_k(u)| <= (r-1)(ell-1)    per end
 
-so end_edge_sets raises InvariantViolation if any of them fails.
+so end_edge_sets raises InvariantViolation if any of them fails, and if
+two class edges through one end share a path vertex other than the end.
+
+The classes of an end u are a function of u, the path's vertex set and
+its interior alone: the class of an edge through u is read from its meet
+with the path and whether the meet holds an interior vertex.  A loose
+path and its reverse have the same vertex set and interior, with left
+and right ends swapped, so A_k(u) of one direction is B_k(u) of the
+other.  verify_frame_sweep therefore classifies the ends of each path
+once, for the first of its two directions, and reuses the classes for
+the second.
 
 verify_frame additionally runs the checks that are only guaranteed when
 the host has no loose path of ell edges (a precondition it verifies):
@@ -72,6 +82,9 @@ __all__ = [
     "verify_frame_sweep",
 ]
 
+# classes[u][k]: the host-edge indices of A_k(u) or B_k(u), by end vertex u
+_Classes = dict[int, dict[int, frozenset[int]]]
+
 
 @dataclass(frozen=True)
 class PathFrame:
@@ -84,10 +97,11 @@ class PathFrame:
     right_ends: frozenset[int]
     interior: frozenset[int]
     exterior: frozenset[int]
+    path_vertices: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def path_vertices(self) -> frozenset[int]:
-        return self.left_ends | self.interior | self.right_ends
+    def __post_init__(self):
+        pathv = self.left_ends | self.interior | self.right_ends
+        object.__setattr__(self, "path_vertices", pathv)
 
     def partition(self) -> VertexPartition:
         return VertexPartition(
@@ -107,26 +121,20 @@ class EndSets:
     # a[u][k] / b[w][k]: host-edge indices, keyed by end vertex and overlap k
     a: dict[int, dict[int, frozenset[int]]] = field(repr=False)
     b: dict[int, dict[int, frozenset[int]]] = field(repr=False)
+    # the unions of A_1(u) over the left ends and of B_1(w) over the right
+    a1_union: frozenset[int] = field(init=False, repr=False, compare=False)
+    b1_union: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, classes in (("a1_union", self.a), ("b1_union", self.b)):
+            union = frozenset().union(*(per_k[1] for per_k in classes.values()))
+            object.__setattr__(self, name, union)
 
     def a1(self, u: int) -> frozenset[int]:
         return self.a[u][1]
 
     def b1(self, w: int) -> frozenset[int]:
         return self.b[w][1]
-
-    @property
-    def a1_union(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for per_k in self.a.values():
-            out |= per_k[1]
-        return out
-
-    @property
-    def b1_union(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for per_k in self.b.values():
-            out |= per_k[1]
-        return out
 
 
 @dataclass(frozen=True)
@@ -203,55 +211,68 @@ def _frame(host: Hypergraph, emb: Embedding, ell: int) -> PathFrame:
     return PathFrame(host, emb, ell, r, v, left, right, interior, exterior)
 
 
-def _classify(frame: PathFrame, ends: frozenset[int]) -> dict[int, dict[int, frozenset[int]]]:
-    host, r = frame.host, frame.r
-    pathv = frame.path_vertices
-    out: dict[int, dict[int, frozenset[int]]] = {}
-    for u in sorted(ends):
-        per_k: dict[int, set[int]] = {k: set() for k in range(1, r)}
-        for idx in host.incidence[u]:
-            es = host.edge_sets[idx]
-            if len(es) != r:
-                continue
-            rest = (es & pathv) - {u}
-            k = len(rest)
-            if k == 1:
-                (wv,) = rest
-                if wv in frame.interior:
-                    per_k[1].add(idx)
-            elif 2 <= k <= r - 1:
-                per_k[k].add(idx)
-        out[u] = {k: frozenset(s) for k, s in per_k.items()}
-    return out
+def _classify(frame: PathFrame) -> _Classes:
+    """The classes of every end, left ends first, each side ascending, and
+    the per-end counting checks (tagged A at left ends, B at right ends).
 
-
-def end_edge_sets(frame: PathFrame) -> EndSets:
-    """Compute all A_k/B_k classes and assert the counting bounds."""
-    r, ell = frame.r, frame.ell
-    a = _classify(frame, frame.left_ends)
-    b = _classify(frame, frame.right_ends)
-    for tag, classes in (("A", a), ("B", b)):
-        for u, per_k in classes.items():
+    One pass over the edges through each end: an order-r edge whose meet
+    with the path is u and k more vertices goes to class k, except that
+    k = 1 needs the other vertex interior and k = 0 is no class.  covered
+    gathers the meets of the class edges, so it has 1 + sum k|A_k(u)|
+    vertices exactly when no path vertex besides u is in two of them.
+    """
+    host, r, ell = frame.host, frame.r, frame.ell
+    pathv, interior = frame.path_vertices, frame.interior
+    out: _Classes = {}
+    for tag, ends in (("A", frame.left_ends), ("B", frame.right_ends)):
+        for u in sorted(ends):
+            per_k: dict[int, list[int]] = {k: [] for k in range(1, r)}
+            covered = {u}
+            weighted = 0
+            for idx in host.incidence[u]:
+                es = host.edge_sets[idx]
+                if len(es) != r:
+                    continue
+                meet = es & pathv
+                k = len(meet) - 1
+                if k == 0 or (k == 1 and interior.isdisjoint(es)):
+                    continue
+                per_k[k].append(idx)
+                covered |= meet
+                weighted += k
             if len(per_k[1]) > (r - 1) * (ell - 3):
                 raise InvariantViolation(
                     f"|{tag}_1({u})| = {len(per_k[1])} exceeds (r-1)(ell-3)"
                 )
-            weighted = sum(k * len(s) for k, s in per_k.items())
             if weighted > (r - 1) * (ell - 1):
                 raise InvariantViolation(
                     f"sum k|{tag}_k({u})| = {weighted} exceeds (r-1)(ell-1)"
                 )
             # linearity gives each path vertex to at most one edge through u
-            seen: set[int] = set()
-            for s in per_k.values():
-                for idx in s:
-                    for wv in (frame.host.edge_sets[idx] & frame.path_vertices) - {u}:
-                        if wv in seen:
-                            raise InvariantViolation(
-                                f"path vertex {wv} in two {tag}-edges through {u}"
-                            )
-                        seen.add(wv)
-    es = EndSets(frame, a, b)
+            if len(covered) <= weighted:
+                wv = min(
+                    v for v in pathv - {u}
+                    if sum(v in host.edge_sets[i] for s in per_k.values() for i in s) > 1
+                )
+                raise InvariantViolation(f"path vertex {wv} in two {tag}-edges through {u}")
+            out[u] = {k: frozenset(s) for k, s in per_k.items()}
+    return out
+
+
+def end_edge_sets(frame: PathFrame) -> EndSets:
+    """Compute all A_k/B_k classes and assert the counting bounds."""
+    return _end_sets(frame, _classify(frame))
+
+
+def _end_sets(frame: PathFrame, classes: _Classes) -> EndSets:
+    """EndSets of the frame from the classes of its ends (see _classify),
+    with the checks on A_1 and B_1 together."""
+    r, ell = frame.r, frame.ell
+    es = EndSets(
+        frame,
+        {u: classes[u] for u in sorted(frame.left_ends)},
+        {w: classes[w] for w in sorted(frame.right_ends)},
+    )
     a1, b1 = es.a1_union, es.b1_union
     if a1 & b1:
         raise InvariantViolation(f"A_1 and B_1 overlap at edges {sorted(a1 & b1)}")
@@ -360,10 +381,9 @@ def _check_uncovered_ends(
 
 def _check_small_end_pair(frame: PathFrame, ends: EndSets, out: list[CheckOutcome]) -> int:
     r, ell = frame.r, frame.ell
-    best = min(
-        len(ends.a1(u)) + len(ends.b1(w))
-        for u in frame.left_ends
-        for w in frame.right_ends
+    # the pair sum is separable: its minimum pairs the two smallest classes
+    best = min(len(ends.a1(u)) for u in frame.left_ends) + min(
+        len(ends.b1(w)) for w in frame.right_ends
     )
     bound = 2 * (r - 2) * (ell - 3)
     out.append(
@@ -381,8 +401,11 @@ def _check_end_degrees(frame: PathFrame, ends: EndSets, out: list[CheckOutcome])
     bad: list[str] = []
     for tag, classes in (("A", ends.a), ("B", ends.b)):
         for u, per_k in sorted(classes.items()):
-            deg = sum(1 for idx in host.incidence[u] if len(host.edge_sets[idx]) == r)
-            cap = sum(len(s) for s in per_k.values()) + r - 1
+            if host.r == r:
+                deg = len(host.incidence[u])
+            else:
+                deg = sum(1 for idx in host.incidence[u] if len(host.edge_sets[idx]) == r)
+            cap = sum(map(len, per_k.values())) + r - 1
             if deg > cap:
                 bad.append(f"end {u}: degree {deg} > sum|{tag}_k| + r-1 = {cap}")
     out.append(
@@ -394,8 +417,7 @@ def _check_end_degrees(frame: PathFrame, ends: EndSets, out: list[CheckOutcome])
     )
 
 
-def _frame_report(frame: PathFrame) -> FrameReport:
-    ends = end_edge_sets(frame)
+def _frame_report(frame: PathFrame, ends: EndSets) -> FrameReport:
     pairs = traversing_pairs(frame, ends)
     outcomes: list[CheckOutcome] = []
     _check_blocked_overlap(frame, ends, outcomes)
@@ -425,11 +447,12 @@ def verify_frame(host: Hypergraph, emb: Embedding, ell: int) -> FrameReport:
     _require_path_free(host, ell, frame.r)
     if ell < 4 or frame.r < 3:
         return FrameReport("not-applicable", ell, frame.r, emb, ())
-    return _frame_report(frame)
+    return _frame_report(frame, end_edge_sets(frame))
 
 
 def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
-    """verify_frame over every directed embedding of the (ell-1)-edge path."""
+    """verify_frame over every directed embedding of the (ell-1)-edge path;
+    the two directions of a path share one classification of its ends."""
     if ell < 3:
         raise BadParameters(f"sweeps need ell >= 3, got {ell}")
     if not is_linear(host):
@@ -438,11 +461,19 @@ def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
     checked = 0
     failures: list[FrameReport] = []
     applicable = ell >= 4 and r >= 3
+    # classes of the paths met in one direction so far, keyed by vertex
+    # set and interior (see the module docstring); the reverse takes them
+    pending: dict[tuple[frozenset[int], frozenset[int]], _Classes] = {}
     for emb in iter_embeddings(host, linear_path(ell - 1, r)):
         checked += 1
         if not applicable:
             continue
-        report = _frame_report(_frame(host, emb, ell))
+        frame = _frame(host, emb, ell)
+        key = (frame.path_vertices, frame.interior)
+        classes = pending.pop(key, None)
+        if classes is None:
+            classes = pending[key] = _classify(frame)
+        report = _frame_report(frame, _end_sets(frame, classes))
         if report.status == "fail":
             failures.append(report)
     if not applicable:

@@ -112,7 +112,7 @@ class Hypergraph:
 
     @cached_property
     def edge_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(e) for e in self.edges)
+        return tuple(map(frozenset, self.edges))
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -121,7 +121,7 @@ class Hypergraph:
         for i, e in enumerate(self.edges):
             for v in e:
                 inc[v].append(i)
-        return tuple(tuple(ds) for ds in inc)
+        return tuple(map(tuple, inc))
 
     @property
     def edge_count(self) -> int:

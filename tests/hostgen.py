@@ -5,7 +5,7 @@ from itertools import combinations
 import linturan as lt
 
 
-def _random_edges(rng, n, r, m, linear):
+def random_edges(rng, n, r, m, linear):
     """Up to m random r-edges on n vertices; no two share a pair when
     linear is set."""
     pool = list(combinations(range(n), r))
@@ -28,16 +28,16 @@ def random_host(rng, max_edges=8, orders=(3, 4)):
     n = rng.randint(r + 1, 9)
     want_linear = rng.random() < 0.5
     m = rng.randint(0, max_edges)
-    return _random_edges(rng, n, r, m, want_linear)
+    return random_edges(rng, n, r, m, want_linear)
 
 
 def piecewise_host(rng, r):
     """A linear host on disjoint pieces: three to six small ones, most too
     small for a 2-edge pattern, and one larger one, in random order."""
     pieces = [
-        _random_edges(rng, rng.randint(r, 2 * r), r, rng.randint(1, 2), True)
+        random_edges(rng, rng.randint(r, 2 * r), r, rng.randint(1, 2), True)
         for _ in range(rng.randint(3, 6))
     ]
-    large = _random_edges(rng, rng.randint(2 * r + 1, 3 * r), r, rng.randint(3, 6), True)
+    large = random_edges(rng, rng.randint(2 * r + 1, 3 * r), r, rng.randint(3, 6), True)
     pieces.insert(rng.randrange(len(pieces) + 1), large)
     return lt.disjoint_union(pieces)

@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -178,6 +179,44 @@ def _agreement(host):
 def test_detector_matches_naive_enumeration(seed):
     rng = random.Random(7000 + seed)
     assert sum(_agreement(random_host(rng)) for _ in range(10)) > 0
+
+
+def _mixed_host(rng):
+    """A random order-3 host with a few order-2 edges added, as a mixed
+    host, and the uniform hosts of its order-2 and order-3 edges."""
+    h3 = random_host(rng, orders=(3,))
+    pairs = rng.sample(list(combinations(range(h3.n), 2)), rng.randint(1, 4))
+    mixed = lt.make_hypergraph(h3.n, list(h3.edges) + pairs)
+    h2 = lt.make_hypergraph(h3.n, pairs, 2)
+    return mixed, {2: h2, 3: h3}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mixed_host_is_searched_through_its_order_r_edges(seed):
+    # only a mixed host takes the detector's filtered view: it must give
+    # the answers and embeddings of the uniform host of its order-r edges,
+    # with edge indices mapped back, and agree with the naive enumerator
+    rng = random.Random(9700 + seed)
+    for _ in range(8):
+        mixed, uniform = _mixed_host(rng)
+        assert mixed.r is None
+        for r, host in uniform.items():
+            back = [mixed.edges.index(e) for e in host.edges]
+
+            def mapped(emb):
+                edge_map = tuple(back[i] for i in emb.edge_map)
+                return lt.Embedding(emb.pattern, edge_map, emb.vertex_map)
+
+            cases = [(e, (c,)) for e, c in PATTERNS] + FORESTS
+            for expr, comps in cases:
+                pat = lt.parse_pattern(expr.format(r=r))
+                got = lt.contains(mixed, pat)
+                want = lt.contains(host, pat)
+                assert got == (None if want is None else mapped(want)), (expr, mixed.edges)
+                assert (got is not None) == nd.has_forest(host, comps), (expr, mixed.edges)
+                embs = list(lt.iter_embeddings(mixed, pat))
+                assert embs == [mapped(e) for e in lt.iter_embeddings(host, pat)]
+                assert all(lt.verify_embedding(mixed, e) for e in embs)
 
 
 def _unbounded_rooms(self, banned):

@@ -1,10 +1,15 @@
+import random
+from itertools import islice
+
 import pytest
 
 import linturan as lt
+from hostgen import random_edges
 from linturan.errors import (
     BadParameters,
     HostContainsPath,
     HostNotLinear,
+    InvariantViolation,
     NotAPathEmbedding,
 )
 
@@ -93,6 +98,92 @@ def test_sweep_checks_linearity_once(monkeypatch, p3_plus_pendant):
     assert rep.embeddings_checked == 4
     assert len(linear) == 1
     assert len(verified) == 4
+
+
+def _swept(monkeypatch, host, ell, r):
+    """Every (frame, EndSets, FrameReport) the sweep makes on the host."""
+    seen = []
+    report = lt.endsets._frame_report
+
+    def recorded(frame, ends):
+        seen.append((frame, ends, report(frame, ends)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(lt.endsets, "_frame_report", recorded)
+    sweep = lt.verify_frame_sweep(host, ell, r)
+    monkeypatch.setattr(lt.endsets, "_frame_report", report)
+    assert sweep.embeddings_checked == len(seen)
+    return seen
+
+
+def _sweep_hosts():
+    """(host, ell): criterion-5 hosts holding the three-edge path (none on
+    six vertices or fewer does), and seeded random linear hosts that hold
+    the (ell-1)-edge path but not the ell-edge one, at r = 3 and 4."""
+    p3, p4 = lt.linear_path(3, 3), lt.linear_path(4, 3)
+    crit5 = (h for h in lt.iter_free(7, 3, p4, "linear") if not lt.is_free(h, p3))
+    yield from ((h, 4) for h in islice(crit5, 0, None, 8))
+    rng = random.Random(4400)
+    for r, n, ell in [(3, 9, 4), (3, 11, 5), (4, 12, 4), (4, 14, 5)]:
+        kept = 0
+        while kept < 6:
+            h = random_edges(rng, n, r, rng.randint(ell - 1, ell + 3), True)
+            if lt.is_free(h, lt.linear_path(ell - 1, r)) or not lt.is_free(
+                h, lt.linear_path(ell, r)
+            ):
+                continue
+            kept += 1
+            yield h, ell
+
+
+def test_sweep_shares_classes_between_directions(monkeypatch):
+    # the sweep classifies a path's ends for one direction and reuses them
+    # for the other; every frame's EndSets and report must equal those
+    # computed afresh for that frame alone
+    frames = 0
+    for host, ell in _sweep_hosts():
+        for frame, ends, report in _swept(monkeypatch, host, ell, host.r):
+            fresh = lt.end_edge_sets(frame)
+            assert ends == fresh, (host.edges, frame.emb)
+            assert ends.a1_union == fresh.a1_union and ends.b1_union == fresh.b1_union
+            assert report == lt.endsets._frame_report(frame, fresh), (host.edges, frame.emb)
+            assert report == lt.verify_frame(host, frame.emb, ell)
+            frames += 1
+    assert frames > 1000
+
+
+def test_sweep_classifies_each_path_once(monkeypatch, p3_plus_pendant):
+    # four directed embeddings of two undirected paths: one classification
+    # per path, not one per direction
+    classified = []
+    classify = lt.endsets._classify
+    monkeypatch.setattr(
+        lt.endsets, "_classify", lambda frame: classified.append(frame) or classify(frame)
+    )
+    rep = lt.verify_frame_sweep(p3_plus_pendant, 4, 3)
+    assert rep.embeddings_checked == 4
+    assert len(classified) == 2
+    # the paths (0,1,2) (2,3,4) (4,5,6) and (4,5,6) (2,3,4) (1,3,7)
+    assert {c.path_vertices for c in classified} == {frozenset(range(7)), frozenset(range(1, 8))}
+
+
+def test_two_class_edges_sharing_a_path_vertex_raise():
+    # (0,1,2) and (1,2,7) share the pair {1, 2}: both are class edges of
+    # left end 1 (A_2 and A_1), and path vertex 2 lies in both.  build_frame
+    # rejects the non-linear host, so the frame is built by hand.
+    host = lt.make_hypergraph(8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (1, 2, 7)], 3)
+    emb = identity_embedding(host, P3)
+    v = (-1,) + emb.vertex_map
+    frame = lt.PathFrame(
+        host, emb, 4, 3, v,
+        left_ends=frozenset({0, 1}),
+        right_ends=frozenset({5, 6}),
+        interior=frozenset({2, 3, 4}),
+        exterior=frozenset({7}),
+    )
+    assert frame.path_vertices == frozenset(range(7))
+    with pytest.raises(InvariantViolation, match="path vertex 2 in two A-edges through 1"):
+        lt.end_edge_sets(frame)
 
 
 def test_sweep_rejects_host_with_the_path():
