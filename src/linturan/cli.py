@@ -22,7 +22,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -52,7 +52,7 @@ from .hypergraph import (
     integer_lattice,
     linearity_violation,
 )
-from .oracle import SearchBudget, ex_table, max_edges
+from .oracle import SearchBudget, ex_table, max_edges, path_cap
 from .patterns import parse_pattern, realize
 from .results import ResultsStore
 
@@ -314,10 +314,8 @@ def _cmd_turan(args, config: Config) -> int:
                     "host": host,
                     "value": result.value,
                     "status": result.status,
-                    "nodes": result.stats.nodes,
-                    "admits_calls": result.stats.admits_calls,
-                    "admits_rejects": result.stats.admits_rejects,
-                    "bound_cuts": result.stats.bound_cuts,
+                    # every search counter; elapsed is a time, not a count
+                    **{k: v for k, v in asdict(result.stats).items() if k != "elapsed"},
                 },
                 sort_keys=True,
             )
@@ -554,15 +552,11 @@ def _cmd_report(args, config: Config) -> int:
     for rec in store.entries():
         if rec.status != "exact":
             continue  # only exact results are worth collating
-        bound_txt = ""
         try:
-            if rec.pattern and rec.host == "linear":
-                pat = parse_pattern(rec.pattern)
-                single = pat.single("path")
-                if single is not None and single >= 2:
-                    bound_txt = str(bounds_mod.linear_path_upper(rec.r, single, rec.n).value)
-        except LinturanError:
-            bound_txt = ""
+            pattern = parse_pattern(rec.pattern) if rec.pattern else None
+            cap = path_cap(rec.n, rec.r, pattern, rec.host)
+        except LinturanError:  # malformed stored pattern text or sizes
+            cap = None
         rows.append(
             {
                 "n": rec.n,
@@ -570,7 +564,7 @@ def _cmd_report(args, config: Config) -> int:
                 "pattern": rec.pattern or "-",
                 "host": rec.host,
                 "value": rec.value,
-                "bound": bound_txt or "-",
+                "bound": "-" if cap is None else str(cap.value),
             }
         )
     if structured:

@@ -193,15 +193,16 @@ def build_frame(host: Hypergraph, emb: Embedding, ell: int) -> PathFrame:
         raise NotAPathEmbedding(
             f"expected an embedding of a loose path with {ell - 1} edges, got {emb.pattern}"
         )
+    if not verify_embedding(host, emb):
+        raise NotAPathEmbedding("embedding does not verify against the host")
     return _frame(host, emb, ell)
 
 
 def _frame(host: Hypergraph, emb: Embedding, ell: int) -> PathFrame:
-    """build_frame once ell >= 3, a linear host and a pattern that is the
-    (ell-1)-edge path are known; the embedding itself is still verified."""
+    """build_frame once ell >= 3, a linear host and a verified embedding
+    of the (ell-1)-edge path are known; the sweep's embeddings come from
+    iter_embeddings, which has verified each against the host."""
     r = emb.pattern.r
-    if not verify_embedding(host, emb):
-        raise NotAPathEmbedding("embedding does not verify against the host")
     npath = (ell - 1) * (r - 1) + 1
     v = (-1,) + tuple(emb.vertex_map)  # v[j] = host vertex for 1-based j
     left = frozenset(v[j] for j in range(1, r))

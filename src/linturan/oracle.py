@@ -50,19 +50,20 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .bounds import linear_path_upper
+from .bounds import BoundReport, linear_path_upper
 from .detect import is_free, occurs_through
 from .errors import BadParameters, InterruptedSearch, InvariantViolation, ProductTooLarge
 from .hgio import dump_json
 from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, is_linear, make_hypergraph
 from .patterns import ForbiddenPattern, pattern_expr
-from .results import ResultRecord, ResultsStore
+from .results import ResultRecord, ResultsStore, SearchStats
 
 __all__ = [
     "SearchBudget",
     "SearchStats",
     "OracleResult",
     "max_edges",
+    "path_cap",
     "iter_free",
     "enumerate_free",
     "ex_table",
@@ -81,24 +82,6 @@ class SearchBudget:
             raise BadParameters(f"node limit must be positive, got {self.node_limit}")
         if self.time_limit is not None and not self.time_limit > 0:  # NaN too
             raise BadParameters(f"time limit must be positive, got {self.time_limit}")
-
-
-@dataclass
-class SearchStats:
-    """What a search did.  Every count is deterministic.
-
-    admits_calls counts admissibility checks of a candidate edge (none
-    runs while the host plus that edge is too small for the pattern) and
-    admits_rejects those that found the pattern; bound_cuts counts the
-    times a bound could not reach the bar: a node not expanded, or the
-    remaining children of a node dropped.
-    """
-
-    nodes: int = 0
-    elapsed: float = 0.0
-    admits_calls: int = 0
-    admits_rejects: int = 0
-    bound_cuts: int = 0
 
 
 @dataclass(frozen=True)
@@ -377,6 +360,21 @@ class _Searcher:
             used |= masks[q]
 
 
+def path_cap(
+    n: int, r: int, pattern: Optional[ForbiddenPattern], host: str
+) -> Optional[BoundReport]:
+    """linear_path_upper for a linear host, a single loose path of two or
+    more edges and r >= 3; None for every other instance.
+
+    The cap holds for every n, so an exact max_edges value may never
+    exceed it; a value that does is a searcher bug.
+    """
+    ell = pattern.single("path") if pattern is not None else None
+    if host != "linear" or ell is None or ell < 2 or r < 3:
+        return None
+    return linear_path_upper(r, ell, n)
+
+
 def max_edges(
     n: int,
     r: int,
@@ -408,22 +406,9 @@ def max_edges(
 
     witness = s.graph(best_edges)
     _verify_witness(witness, pattern, host, best_value)
-    if (
-        not interrupted
-        and host == "linear"
-        and pattern is not None
-        and pattern.is_single
-        and pattern.components[0].kind == "path"
-        and pattern.components[0].length >= 2
-        and r >= 3
-    ):
-        # these path caps hold for every n, so the exact value may never
-        # exceed them; a violation is a searcher bug
-        cap = linear_path_upper(r, pattern.components[0].length, n)
-        if best_value > cap.value:
-            raise InvariantViolation(
-                f"search value {best_value} exceeds the proven cap {cap.value}"
-            )
+    cap = None if interrupted else path_cap(n, r, pattern, host)
+    if cap is not None and best_value > cap.value:
+        raise InvariantViolation(f"search value {best_value} exceeds the proven cap {cap.value}")
     return OracleResult(
         value=best_value,
         witness=witness,
@@ -510,38 +495,13 @@ def ex_table(
             if rec is not None and rec.status == "exact":
                 witness = rec.witness_graph()
                 _verify_witness(witness, pattern, host, rec.value)
-                out.append(
-                    OracleResult(
-                        value=rec.value,
-                        witness=witness,
-                        status="exact",
-                        stats=SearchStats(
-                            nodes=rec.nodes,
-                            elapsed=rec.elapsed,
-                            admits_calls=rec.admits_calls,
-                            admits_rejects=rec.admits_rejects,
-                            bound_cuts=rec.bound_cuts,
-                        ),
-                    )
-                )
+                out.append(OracleResult(rec.value, witness, "exact", rec.stats))
                 continue
         result = max_edges(n, r, pattern, host, budget)
         if store is not None:
+            witness = json.loads(dump_json(result.witness))
             store.add(
-                ResultRecord(
-                    n=n,
-                    r=r,
-                    pattern=expr,
-                    host=host,
-                    value=result.value,
-                    status=result.status,
-                    witness=json.loads(dump_json(result.witness)),
-                    nodes=result.stats.nodes,
-                    elapsed=result.stats.elapsed,
-                    admits_calls=result.stats.admits_calls,
-                    admits_rejects=result.stats.admits_rejects,
-                    bound_cuts=result.stats.bound_cuts,
-                )
+                ResultRecord(n, r, expr, host, result.value, result.status, witness, result.stats)
             )
         out.append(result)
     return out

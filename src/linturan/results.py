@@ -11,21 +11,49 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterator, Optional
 
 from .errors import FormatError
 from .hgio import check_json_fields
 from .hypergraph import Hypergraph, make_hypergraph
 
-__all__ = ["ResultRecord", "ResultsStore"]
+__all__ = ["ResultRecord", "ResultsStore", "SearchStats"]
 
+
+@dataclass
+class SearchStats:
+    """What a search did.  Every count is deterministic.
+
+    admits_calls counts admissibility checks of a candidate edge (none
+    runs while the host plus that edge is too small for the pattern) and
+    admits_rejects those that found the pattern; bound_cuts counts the
+    times a bound could not reach the bar: a node not expanded, or the
+    remaining children of a node dropped.
+
+    These fields are the one list of a search's counters: the results
+    store keeps every one with each record, and `turan --report-format
+    structured` prints every one but elapsed, which is a time.  Every
+    record holds nodes and elapsed; one written before a later counter
+    existed lacks it and reads it as 0, so a new counter goes last.
+    """
+
+    nodes: int = 0
+    elapsed: float = 0.0
+    admits_calls: int = 0
+    admits_rejects: int = 0
+    bound_cuts: int = 0
+
+
+# JSON types of a record's own fields, then of its search counters, in
+# the order they are checked; a float counter may be stored as an integer
 _FIELDS = {"n": int, "r": int, "pattern": (str, type(None)), "host": str, "value": int,
-           "status": str, "witness": dict, "nodes": int, "elapsed": (int, float),
-           "admits_calls": int, "admits_rejects": int, "bound_cuts": int}
-# search counters that records written before the store kept them lack;
-# such a record reads them as 0
-_COUNTERS = ("admits_calls", "admits_rejects", "bound_cuts")
+           "status": str, "witness": dict}
+_STATS = {f.name: (int, float) if isinstance(f.default, float) else type(f.default)
+          for f in fields(SearchStats)}
+# every record holds the first two counters, nodes and elapsed; one written
+# before the store kept a later counter lacks it
+_LATER = tuple(_STATS)[2:]
 
 
 @dataclass(frozen=True)
@@ -37,11 +65,7 @@ class ResultRecord:
     value: int
     status: str  # "exact" | "interrupted"
     witness: dict  # hypergraph JSON object
-    nodes: int
-    elapsed: float
-    admits_calls: int = 0
-    admits_rejects: int = 0
-    bound_cuts: int = 0
+    stats: SearchStats
 
     @property
     def key(self) -> tuple:
@@ -55,23 +79,24 @@ class ResultRecord:
         )
 
     def to_obj(self) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in _FIELDS}
+        return {**{name: getattr(self, name) for name in _FIELDS}, **asdict(self.stats)}
 
     @classmethod
     def from_obj(cls, obj: Any) -> "ResultRecord":
         if not isinstance(obj, dict):
             raise FormatError(f"result record must be an object, got {obj!r}")
-        values = dict.fromkeys(_COUNTERS, 0)
-        for name, kind in _FIELDS.items():
+        values = {}
+        for name, kind in (*_FIELDS.items(), *_STATS.items()):
             if name not in obj:
-                if name in values:
-                    continue
+                if name in _LATER:
+                    continue  # read as its default
                 raise FormatError(f"result record missing {name!r}")
             if isinstance(obj[name], bool) or not isinstance(obj[name], kind):
                 raise FormatError(f"result record {name} has the wrong type: {obj[name]!r}")
             values[name] = obj[name]
         check_json_fields(obj["witness"], "result record witness")
-        return cls(**values)
+        stats = SearchStats(**{name: values.pop(name) for name in _STATS if name in values})
+        return cls(**values, stats=stats)
 
 
 class ResultsStore:

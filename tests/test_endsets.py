@@ -86,18 +86,26 @@ def test_sweep_checks_every_embedding(p3_plus_pendant):
 
 
 def test_sweep_checks_linearity_once(monkeypatch, p3_plus_pendant):
-    # the sweep checks the host once, then verifies each embedding alone
+    # the sweep checks the host once, and each embedding is verified
+    # exactly once, by the detector or by the sweep
     linear = []
     verified = []
-    is_linear, verify = lt.endsets.is_linear, lt.endsets.verify_embedding
+    swept = []
+    is_linear, verify = lt.endsets.is_linear, lt.detect.verify_embedding
+    embeddings = lt.endsets.iter_embeddings
     monkeypatch.setattr(lt.endsets, "is_linear", lambda h: linear.append(h) or is_linear(h))
+    for module in (lt.detect, lt.endsets):
+        monkeypatch.setattr(
+            module, "verify_embedding", lambda h, e: verified.append(e) or verify(h, e)
+        )
     monkeypatch.setattr(
-        lt.endsets, "verify_embedding", lambda h, e: verified.append(e) or verify(h, e)
+        lt.endsets, "iter_embeddings", lambda h, p: (swept.append(e) or e for e in embeddings(h, p))
     )
     rep = lt.verify_frame_sweep(p3_plus_pendant, 4, 3)
     assert rep.embeddings_checked == 4
     assert len(linear) == 1
     assert len(verified) == 4
+    assert sorted(map(id, verified)) == sorted(map(id, swept))
 
 
 def _swept(monkeypatch, host, ell, r):

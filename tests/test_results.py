@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,14 +9,14 @@ import pytest
 
 import linturan as lt
 from linturan.errors import FormatError
-from linturan.results import ResultRecord
+from linturan.results import ResultRecord, SearchStats
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def record(value=2, status="exact", n=6, pattern="P2@r3", nodes=31):
     witness = {"n": n, "r": 3, "edges": [[0, 1, 2], [0, 3, 4]][: value or 0]}
-    return ResultRecord(n, 3, pattern, "linear", value, status, witness, nodes, 0.01)
+    return ResultRecord(n, 3, pattern, "linear", value, status, witness, SearchStats(nodes, 0.01))
 
 
 def test_round_trip_and_key():
@@ -26,14 +27,19 @@ def test_round_trip_and_key():
 
 
 def test_search_counters_round_trip_and_default_to_zero():
-    r = ResultRecord(6, 3, "P2@r3", "linear", 2, "exact", record().witness, 3, 0.01, 10, 9, 1)
+    stats = SearchStats(*range(3, 3 + len(dataclasses.fields(SearchStats))))
+    r = ResultRecord(6, 3, "P2@r3", "linear", 2, "exact", record().witness, stats)
     assert ResultRecord.from_obj(r.to_obj()) == r
-    # a record written before the store kept the counters
-    old = {k: v for k, v in r.to_obj().items()
-           if k not in ("admits_calls", "admits_rejects", "bound_cuts")}
-    again = ResultRecord.from_obj(old)
-    assert (again.admits_calls, again.admits_rejects, again.bound_cuts) == (0, 0, 0)
-    assert again.nodes == 3
+    for field in dataclasses.fields(SearchStats):
+        old = r.to_obj()
+        del old[field.name]
+        if field.name in ("nodes", "elapsed"):  # every record has carried these
+            with pytest.raises(FormatError, match="missing"):
+                ResultRecord.from_obj(old)
+            continue
+        # a record written before the store kept this counter
+        again = ResultRecord.from_obj(old)
+        assert again.stats == dataclasses.replace(stats, **{field.name: field.default})
 
 
 def test_from_obj_reports_missing_fields():
@@ -105,13 +111,14 @@ def test_two_stores_over_one_torn_line_keep_every_record(tmp_path):
 _APPENDER = """
 import sys, time
 import linturan as lt
-from linturan.results import ResultRecord
+from linturan.results import ResultRecord, SearchStats
 path, writer, count, start = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
 store = lt.ResultsStore(path)
 time.sleep(max(0.0, start - time.time()))
 for i in range(count):
     n = 3 + 1000 * writer + i
-    store.add(ResultRecord(n, 3, None, "linear", 0, "exact", {"n": n, "r": 3, "edges": []}, 1, 0.0))
+    witness = {"n": n, "r": 3, "edges": []}
+    store.add(ResultRecord(n, 3, None, "linear", 0, "exact", witness, SearchStats(1, 0.0)))
 """
 
 
@@ -174,7 +181,7 @@ def test_latest_interrupted_wins_without_exact(tmp_path):
     store = lt.ResultsStore(tmp_path / "s.jsonl")
     store.add(record(value=1, status="interrupted", nodes=5))
     store.add(record(value=2, status="interrupted", nodes=9))
-    assert store.best(6, 3, "P2@r3", "linear").nodes == 9
+    assert store.best(6, 3, "P2@r3", "linear").stats.nodes == 9
 
 
 def test_entries_resolve_per_key_in_order(tmp_path):
