@@ -15,8 +15,9 @@ scratch, so witnesses are independently auditable.
 
 Only host edges of exactly the pattern's order participate; a mixed host
 is searched through its order-r edges.  The host does not have to be
-linear.  Paths and cycles grow by one step rule (_steps), stars by one
-star rule (_star_leaves); contains and occurs_through share both.  Union
+linear.  Paths and cycles grow by one step rule (_steps) in one walker
+(_walks), stars by one star rule (_star_leaves); contains and
+occurs_through share all three.  Union
 patterns are embedded component by component.  Three sound prunes cut the
 search:
 
@@ -147,6 +148,67 @@ def _steps(sets, incidence, tail, used, meets, floor=-1, banned=None):
         meet = eq & used
         if len(meet) == meets:
             yield q, meet
+
+
+def _walks(sets, incidence, chain, conns, tail, used, left, rest, closed, arm,
+           goal=None, floor=-1, banned=None):
+    """The loose-walk search: yields (chain, conns, back, used) for each
+    way to grow the walk chain by `left` more edges by _steps, above
+    position floor and avoiding banned.
+
+    conns[i] is the vertex chain[i] and chain[i+1] share; tail is the last
+    edge minus its entry vertex, used the walk's vertices, and rest the
+    first edge minus the second edge's entry vertex (None for a one-edge
+    chain: its first step sets it).  back is None for a path, and for a
+    cycle the vertex its closing edge shares with chain[0].
+
+    - Cycle closing: a cycle's last edge meets the walk in its entry
+      vertex and in one vertex of rest (the tail misses the first edge).
+    - Second arm: once at most arm edges are left, a path may also grow
+      them from rest, its other end, and then grows no third (arm 0).  A
+      cycle never does: its closing edge needs rest.
+    - Goal: an edge disjoint from chain[0] that each yielded walk holds,
+      taken without the floor and banned tests.  A later edge meets the
+      walk only in its entry vertex, at the tail, or in a vertex of the
+      first edge (second arm, closing edge), which the goal misses.  So
+      the goal meets the walk in the tail or nowhere: had it met an older
+      tail, it would have been the forced step there.  A goal that meets
+      the walk is the forced next step, one set test instead of a step
+      enumeration, and fits only if it meets it in one vertex; one that
+      meets nothing is two steps away at least.  A cycle's closing edge
+      holds a vertex of the first edge, so it comes after the goal.  A
+      branch with fewer edges left than the goal needs is cut.
+    """
+    if goal is not None:
+        gs = sets[goal]
+        meet = gs & used
+        if left < (1 if meet else 2) + closed:
+            return
+        if meet:
+            if len(meet) == 1:
+                yield from _walks(sets, incidence, chain + [goal], conns + list(meet), gs - meet,
+                                  used | gs, left - 1, rest, closed, arm, None, floor, banned)
+            return
+    if closed and left == 1:
+        for q, meet in _steps(sets, incidence, tail, used, 2, floor, banned):
+            back = meet & rest
+            if back:
+                (va,) = meet - back
+                (vb,) = back
+                yield chain + [q], conns + [va], vb, used | sets[q]
+        return
+    if left == 0:
+        yield chain, conns, None, used
+        return
+    if left <= arm and not closed:
+        yield from _walks(sets, incidence, chain, conns, rest, used, left, rest, closed, 0,
+                          goal, floor, banned)
+    for q, meet in _steps(sets, incidence, tail, used, 1, floor, banned):
+        es = sets[q]
+        (v,) = meet
+        yield from _walks(sets, incidence, chain + [q], conns + [v], es - meet, used | es,
+                          left - 1, tail - meet if rest is None else rest, closed, arm,
+                          goal, floor, banned)
 
 
 def _star_leaves(sets, through, used, left, banned=None):
@@ -300,41 +362,17 @@ class _Search:
         return vm
 
     def _iter_chains(self, ell, banned, closed, starts):
-        """Loose paths with ell edges or, when closed, loose cycles, from
-        each start position of starts.
-
-        The walk grows by _steps.  A cycle is walked as a path of ell-1
-        edges from its minimum-index edge, so every later edge has a
-        larger position, and is closed by an edge q that meets the walk
-        in its entry vertex and in one free vertex of the first edge.
-        """
-        sets = self.sets
-        incidence = self.incidence
-
-        def extend(chain, used, conns):
-            if len(chain) == ell:
-                yield chain, self._chain_map(chain, conns, None), frozenset(used)
-                return
-            tail = sets[chain[-1]] - {conns[-1] if conns else None}
-            if closed and len(chain) == ell - 1:
-                start = sets[chain[0]] - {conns[0]}
-                for q, meet in _steps(sets, incidence, tail, used, 2, chain[0], banned):
-                    back = meet & start
-                    if len(back) != 1:
-                        continue
-                    (va,) = meet - back
-                    (vb,) = back
-                    cycle = chain + [q]
-                    vmap = self._chain_map(cycle, conns + [va], vb)
-                    yield cycle, vmap, frozenset(used | sets[q])
-                return
-            floor = chain[0] if closed else -1
-            for q, meet in _steps(sets, incidence, tail, used, 1, floor, banned):
-                (v,) = meet
-                yield from extend(chain + [q], used | sets[q], conns + [v])
-
+        """Loose paths with ell edges or, when closed, loose cycles, walked
+        by _walks from each start position of starts.  A cycle is walked
+        from its minimum-index edge, so every later edge has a larger
+        position."""
+        sets, incidence = self.sets, self.incidence
         for p0 in starts:
-            yield from extend([p0], set(sets[p0]), [])
+            e0 = sets[p0]
+            walks = _walks(sets, incidence, [p0], [], e0, e0, ell - 1, None, closed, 0,
+                           floor=p0 if closed else -1, banned=banned)
+            for chain, conns, back, used in walks:
+                yield chain, self._chain_map(chain, conns, back), used
 
     def _iter_stars(self, ell, banned, starts):
         """Loose stars with ell >= 2 edges whose lowest edge is a start
@@ -471,10 +509,10 @@ def occurs_through(
     place: sets[i] is the vertex set of edge i, and incidence[v] lists the
     host edges through vertex v, q and also among them.  Edges of any
     other order must not be listed.  Nothing is built: no Hypergraph, no
-    Embedding and no whole-host pass.  Paths and cycles grow outward by
-    the same step rule as contains, stars by its star rule.  The answer is
-    exact for any two distinct edges; each rule below only drops branches
-    that hold no occurrence through both.
+    Embedding and no whole-host pass.  Paths and cycles are walked by
+    _walks, stars searched by _star_leaves.  The answer is exact for any
+    two distinct edges; each rule below only drops branches that hold no
+    occurrence through both.
 
     - One edge: q alone is an occurrence, and no single edge holds two.
     - Shared pair: two edges of a loose path, cycle or star share at most
@@ -487,19 +525,11 @@ def occurs_through(
       and ell-2 more edges at c avoid both.
     - Paths and cycles, anchors meeting in one vertex: in a loose path or
       cycle only consecutive edges meet, and in the vertex that joins
-      them, so the walk starts from the 2-edge chain q, also.
-    - Paths and cycles, disjoint anchors: the walk starts at q, and also
-      is its goal until a step takes it.  A later edge of a loose walk
-      meets the walk so far only in its entry vertex, at the tail, or (a
-      path's second arm, a cycle's closing edge) in a vertex of q, which
-      the goal misses.  So the goal meets the walk in the newest edge's
-      tail or nowhere: had it met an older tail, it would have been the
-      forced step there.  A goal that meets the walk is the forced next
-      step, one set test instead of a step enumeration, and fits only if
-      it meets it in one vertex.  A goal that meets nothing is two steps
-      away at least.  A cycle's closing edge holds a vertex of q, so it
-      is not the goal and comes after it.  A branch with fewer edges left
-      than the goal needs is cut.
+      them, so the walk starts from the 2-edge chain also, q, and a path
+      may grow its second arm from also at once.
+    - Paths and cycles, disjoint anchors: the walk starts at q with also
+      as its goal.  A path is walked in both directions from q, so its
+      second arm is at most as long as its first.
     """
     eq = sets[q]
     ell = comp.length
@@ -520,47 +550,10 @@ def occurs_through(
                     return True
         return False
     closed = comp.kind == "cycle"
-
-    def walk(tail, used, left, rest, goal):
-        # tail: the vertices the next step may enter by; left: edges still
-        # to add; rest: the vertices of the walk's other end (a path's
-        # second arm starts there, a cycle's closing edge holds one of
-        # them), None once the second arm has started; goal: also, while
-        # it is off the walk
-        if goal is not None:
-            # the goal meets the walk in tail or not at all, so it is the
-            # next step or two steps off, and a cycle closes after it
-            gs = sets[goal]
-            meet = gs & used
-            if left < (1 if meet else 2) + closed:
-                return False
-            if meet:
-                return len(meet) == 1 and walk(gs - meet, used | gs, left - 1, rest, None)
-        if closed and left == 1:
-            # meet is the entry vertex plus one more, which must be in rest
-            return any(meet & rest for _, meet in _steps(sets, incidence, tail, used, 2))
-        if left == 0:
-            return True
-        # a path's second arm may start once the first is at least as long
-        # (both orientations of a path through q are walked), or anywhere
-        # when the first edges are the fixed chain q, also
-        if not closed and rest is not None and left <= longest_second_arm:
-            if walk(rest, used, left, None, goal):
-                return True
-        for e, meet in _steps(sets, incidence, tail, used, 1):
-            es = sets[e]
-            if walk(es - meet, used | es, left - 1, rest, goal):
-                return True
-        return False
-
-    # the walk starts from a 2-edge chain, so ell-2 edges are left
-    if also is not None and centres:  # the chain q, also through their vertex
-        longest_second_arm = ell - 2
-        return walk(eq - centres, used, ell - 2, eb - centres, None)
-    # the chain q, e for each first step e: q minus its entry vertex is
-    # the other end
-    longest_second_arm = (ell - 1) // 2
-    return any(
-        walk(sets[e] - meet, eq | sets[e], ell - 2, eq - meet, also)
-        for e, meet in _steps(sets, incidence, eq, eq, 1)
-    )
+    if also is not None and centres:
+        walks = _walks(sets, incidence, [also, q], list(centres), eq - centres, used, ell - 2,
+                       eb - centres, closed, ell - 2)
+    else:
+        walks = _walks(sets, incidence, [q], [], eq, eq, ell - 1, None, closed, (ell - 1) // 2,
+                       also)
+    return next(walks, None) is not None

@@ -10,6 +10,10 @@ are blank or start with ``#`` are skipped.
 JSON: an object with keys ``n`` (int), ``r`` (int or null for mixed),
 ``edges`` (list of ascending int lists) and optionally ``labels`` (list of
 ``{"kind": str, "index": int|null}`` parallel to edges).
+
+Both refuse a vertex count above DEFAULT_PRODUCT_CAP, the largest host
+the package builds: reading a host allocates per declared vertex, so a
+short file could otherwise ask for any amount of memory.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 from typing import Any, Optional, TextIO, Union
 
 from .errors import FormatError
-from .hypergraph import EdgeLabel, Hypergraph, make_hypergraph
+from .hypergraph import DEFAULT_PRODUCT_CAP, EdgeLabel, Hypergraph, make_hypergraph
 
 __all__ = [
     "dump_text",
@@ -38,6 +42,11 @@ def dump_text(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_vertex_count(n: int, what: str) -> None:
+    if n > DEFAULT_PRODUCT_CAP:
+        raise FormatError(f"{what} vertex count {n} exceeds the cap {DEFAULT_PRODUCT_CAP}")
+
+
 def load_text(text: str) -> Hypergraph:
     header: Optional[tuple[int, Optional[int]]] = None
     edges: list[tuple[int, ...]] = []
@@ -53,6 +62,7 @@ def load_text(text: str) -> Hypergraph:
                 n = int(parts[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+            _check_vertex_count(n, f"line {lineno}:")
             if parts[3] == "mixed":
                 r: Optional[int] = None
             else:
@@ -104,8 +114,9 @@ def dump_json(h: Hypergraph, indent: Optional[int] = None) -> str:
 
 
 def check_json_fields(obj: Any, what: str = "hypergraph") -> None:
-    """Raise FormatError unless obj is a JSON object with an integer n, an
-    integer or null r and a list of integer lists as edges (bools are not)."""
+    """Raise FormatError unless obj is a JSON object with an integer n no
+    larger than DEFAULT_PRODUCT_CAP, an integer or null r and a list of
+    integer lists as edges (bools are not)."""
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a JSON object, got {obj!r}")
     for key in ("n", "edges"):
@@ -113,6 +124,7 @@ def check_json_fields(obj: Any, what: str = "hypergraph") -> None:
             raise FormatError(f"{what} is missing key {key!r}")
     if type(obj["n"]) is not int:
         raise FormatError(f"{what} vertex count must be an integer, got {obj['n']!r}")
+    _check_vertex_count(obj["n"], what)
     if obj.get("r") is not None and type(obj["r"]) is not int:
         raise FormatError(f"{what} order must be an integer or null, got {obj['r']!r}")
     edges = obj["edges"]

@@ -405,7 +405,7 @@ def max_edges(
     s.finish()
 
     witness = s.graph(best_edges)
-    _verify_witness(witness, pattern, host, best_value)
+    _verify_witness(witness, n, r, pattern, host, best_value)
     cap = None if interrupted else path_cap(n, r, pattern, host)
     if cap is not None and best_value > cap.value:
         raise InvariantViolation(f"search value {best_value} exceeds the proven cap {cap.value}")
@@ -418,8 +418,17 @@ def max_edges(
 
 
 def _verify_witness(
-    witness: Hypergraph, pattern: Optional[ForbiddenPattern], host: str, value: int
+    witness: Hypergraph,
+    n: int,
+    r: int,
+    pattern: Optional[ForbiddenPattern],
+    host: str,
+    value: int,
 ) -> None:
+    if witness.n != n or witness.r != r:
+        raise InvariantViolation(
+            f"witness has {witness.n} vertices and order {witness.r}, not the row's n={n}, r={r}"
+        )
     if witness.edge_count != value:
         raise InvariantViolation(
             f"witness has {witness.edge_count} edges, claimed {value}"
@@ -494,7 +503,7 @@ def ex_table(
             rec = store.best(n, r, expr, host)
             if rec is not None and rec.status == "exact":
                 witness = rec.witness_graph()
-                _verify_witness(witness, pattern, host, rec.value)
+                _verify_witness(witness, n, r, pattern, host, rec.value)
                 out.append(OracleResult(rec.value, witness, "exact", rec.stats))
                 continue
         result = max_edges(n, r, pattern, host, budget)

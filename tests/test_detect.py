@@ -279,8 +279,8 @@ def test_first_start_edge_answers_without_a_room(monkeypatch, fano):
     assert builds == []
 
 
-ANCHORED = [("path", 1), ("path", 2), ("path", 3), ("path", 4), ("star", 2),
-            ("star", 3), ("cycle", 3), ("cycle", 4)]
+ANCHORED = [("path", 1), ("path", 2), ("path", 3), ("path", 4), ("path", 5), ("star", 2),
+            ("star", 3), ("cycle", 3), ("cycle", 4), ("cycle", 5)]
 
 
 @pytest.mark.parametrize("seed", range(8))

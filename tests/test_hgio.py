@@ -77,3 +77,21 @@ def test_file_autodetect(tmp_path, fano):
     lt.write_file(lat, str(j), "json")
     assert lt.read_file(str(t)) == fano
     assert lt.read_file(str(j)) == lat
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_vertex_count_cap(fmt):
+    # a host is allocated per declared vertex, so a count above the cap is
+    # refused before anything is built; the cap itself is read
+    cap = lt.hypergraph.DEFAULT_PRODUCT_CAP
+    load = load_text if fmt == "text" else load_json
+
+    def blob(n):
+        if fmt == "text":
+            return f"n {n} r 3\n0 1 2\n3 4 5\n"
+        return f'{{"n": {n}, "r": 3, "edges": [[0, 1, 2], [3, 4, 5]]}}'
+
+    assert load(blob(cap)).n == cap
+    for n in (cap + 1, 10**9):
+        with pytest.raises(FormatError, match="exceeds the cap"):
+            load(blob(n))

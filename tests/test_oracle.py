@@ -14,6 +14,8 @@ from linturan.oracle import HOSTS, SearchStats, _Searcher, _check_search_size
 P2 = lt.linear_path(2, 3)
 P3 = lt.linear_path(3, 3)
 P4 = lt.linear_path(4, 3)
+FANO = [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]]
+TWO_FANOS = FANO + [[v + 7 for v in e] for e in FANO]
 
 
 def brute_free(n, r, pattern_comps, host):
@@ -377,19 +379,32 @@ class TestExTable:
             getattr(first.stats, k) for k in counters
         ]
 
-    def test_rejects_tampered_store(self, tmp_path):
+    @pytest.mark.parametrize(
+        "n, pattern, value, witness",
+        [
+            # two edges claimed as three
+            (6, P2, 3, {"n": 6, "r": 3, "edges": [[0, 1, 2], [3, 4, 5]]}),
+            # two Fano planes: linear and P3-free, but on 14 vertices, and
+            # above the path cap 8 of the row
+            (8, P3, 14, {"n": 14, "r": 3, "edges": TWO_FANOS}),
+            # four 2-edges hold no P2@r3, but are not of the row's order
+            (6, P2, 4, {"n": 6, "r": 2, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}),
+        ],
+        ids=["value", "n", "r"],
+    )
+    def test_rejects_tampered_store(self, tmp_path, n, pattern, value, witness):
         rec = {
-            "n": 6,
+            "n": n,
             "r": 3,
-            "pattern": "P2@r3",
+            "pattern": lt.pattern_expr(pattern),
             "host": "linear",
-            "value": 3,
+            "value": value,
             "status": "exact",
-            "witness": {"n": 6, "r": 3, "edges": [[0, 1, 2], [3, 4, 5]]},
+            "witness": witness,
             "nodes": 5,
             "elapsed": 0.0,
         }
         path = tmp_path / "bogus.jsonl"
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(InvariantViolation):
-            lt.ex_table([(6, 3, P2)], store=lt.ResultsStore(path))
+            lt.ex_table([(n, 3, pattern)], store=lt.ResultsStore(path))
