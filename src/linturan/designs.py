@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BadParameters, InvariantViolation, NoDesignAvailable, ProductTooLarge
-from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, make_hypergraph
+from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, linearity_violation, make_hypergraph
 
 __all__ = [
     "Design",
@@ -81,16 +81,13 @@ def block_count(n: int, r: int) -> Fraction:
 
 
 def verify_design(h: Hypergraph) -> bool:
-    """True iff every point pair is covered by exactly one edge."""
+    """True iff every point pair is covered by exactly one edge: the host
+    is linear, so its edges cover edge_count * C(r, 2) distinct pairs, and
+    those are all C(n, 2)."""
     if h.r is None:
         raise BadParameters("verify_design needs a uniform hypergraph")
-    seen: set[tuple[int, int]] = set()
-    for e in h.edges:
-        for p in itertools.combinations(e, 2):
-            if p in seen:
-                return False
-            seen.add(p)
-    return len(seen) == h.n * (h.n - 1) // 2
+    pairs = h.edge_count * (h.r * (h.r - 1) // 2)
+    return pairs == h.n * (h.n - 1) // 2 and linearity_violation(h) is None
 
 
 @dataclass(frozen=True)

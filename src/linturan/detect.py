@@ -39,15 +39,17 @@ search:
   vertices, so a query answered among them, or a small host, pays no
   pass over the host.
 
-occurs_through(sets, incidence, q, component, also=None) is the yes/no
-query for callers that keep their own edge state (the search oracle):
-does some occurrence of one path, star or cycle use edge q, and edge
-also as well when it is given?  The second anchor narrows the search: a
-star's centre is the vertex the two share, a path or cycle through two
-edges that meet is walked from their 2-edge chain, and one through two
-disjoint edges must reach the second in the steps it has left.  It reads
-the caller's edge sets and per-vertex incidence as they are, builds
-nothing and assembles no Embedding.
+occurs_through(sets, incidence, q, pattern, also=None, edges=None) is
+the yes/no query for callers that keep their own edge state (the search
+oracle): does some occurrence of the pattern use edge q, and edge also
+as well when it is given (one component only)?  The second anchor
+narrows the search: a star's centre is the vertex the two share, a path
+or cycle through two edges that meet is walked from their 2-edge chain,
+and one through two disjoint edges must reach the second in the steps it
+has left.  A union places the component through q by the same walkers
+and the rest by the union search of contains, on the caller's edges.  It
+reads the caller's edge sets and per-vertex incidence as they are and
+assembles no Embedding.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .errors import MalformedEmbedding
+from .errors import BadParameters, MalformedEmbedding
 from .hypergraph import Hypergraph
 from .patterns import ForbiddenPattern, PatternComponent
 
@@ -245,29 +247,22 @@ def _star_leaves(sets, through, used, left, banned=None):
 
 
 class _Search:
-    """One containment query; holds the host's order-r view.
+    """One containment query on edge state the caller owns.
 
-    Live positions index only the order-r edges of the host.  On a host
-    of uniform order r those are all its edges, so the view is the host's
-    own edge_sets and incidence, read in place and never mutated, and a
-    host queried again reuses them.  A mixed host gets a filtered copy.
+    sets[p] is the vertex set of position p and incidence[v] lists the
+    positions through vertex v (n vertices); edges lists the positions
+    that make up the host, so sets may hold more.  Only order-r edges
+    may be listed.  Everything is read in place and never mutated.
+    Occurrences come in canonical order when edges and the incidence
+    lists ascend; in any other order none is missed.
     """
 
-    def __init__(self, h: Hypergraph, pattern: ForbiddenPattern):
-        self.h = h
+    def __init__(self, pattern: ForbiddenPattern, n: int, sets, incidence, edges):
         self.pattern = pattern
-        if h.r == pattern.r:
-            self.orig_index: Sequence[int] = range(len(h.edges))
-            self.sets: Sequence[frozenset[int]] = h.edge_sets
-            self.incidence: Sequence[Sequence[int]] = h.incidence
-        else:
-            self.orig_index = [i for i, e in enumerate(h.edges) if len(e) == pattern.r]
-            self.sets = [h.edge_sets[i] for i in self.orig_index]
-            incidence: list[list[int]] = [[] for _ in range(h.n)]
-            for pos, es in enumerate(self.sets):
-                for v in es:
-                    incidence[v].append(pos)
-            self.incidence = incidence
+        self.n = n
+        self.sets: Sequence[frozenset[int]] = sets
+        self.incidence: Sequence[Sequence[int]] = incidence
+        self.edges: Sequence[int] = edges
         # component rooms, built on first use: the one for no banned
         # vertices, and the latest one for another banned set
         self._free_room: Optional[list[int]] = None
@@ -278,11 +273,15 @@ class _Search:
     def _component_sizes(self, banned: frozenset[int]) -> list[int]:
         """sizes[pos]: how many vertices the component of edge pos has in
         the host of the order-r edges that avoid banned (0 when edge pos
-        meets banned).  One pass over the edges and their incidence."""
+        meets banned or is not a host edge).  One pass over the edges and
+        their incidence."""
         sets, incidence = self.sets, self.incidence
         sizes = [0] * len(sets)
-        seen = [bool(es & banned) for es in sets] if banned else [False] * len(sets)
-        for p in range(len(sets)):
+        seen = [False] * len(sets)
+        if banned:
+            for p in self.edges:
+                seen[p] = bool(sets[p] & banned)
+        for p in self.edges:
             if seen[p]:
                 continue
             seen[p] = True
@@ -323,7 +322,8 @@ class _Search:
         pays no pass over the host.  The prune is sound from whichever
         start edge it begins at.
         """
-        positions = (p for p, es in enumerate(self.sets) if not es & banned)
+        sets = self.sets
+        positions = (p for p in self.edges if not sets[p] & banned)
         yield from islice(positions, need)
         room = None
         for p in positions:
@@ -382,7 +382,11 @@ class _Search:
         edges, so a p0 none of whose vertices has degree ell is skipped.
         The second edge is a path step from p0, whose single meet is c;
         a c of degree below ell is skipped, and the other edges are
-        picked from c's incidence above the second edge.
+        picked from c's incidence after the second edge.  An incidence
+        list in another order than ascending misses no star: taking as
+        the second edge the star edge above p0 that comes first in c's
+        list leaves the others after it.  Such a star may then come more
+        than once, and out of position order.
         """
         sets, incidence = self.sets, self.incidence
         for p0 in starts:
@@ -409,7 +413,8 @@ class _Search:
 
     def _busiest_vertices(self, banned: frozenset[int], k: int) -> frozenset[int]:
         deg: dict[int, int] = {}
-        for es in self.sets:
+        for p in self.edges:
+            es = self.sets[p]
             if es & banned:
                 continue
             for v in es:
@@ -433,56 +438,41 @@ class _Search:
                 return False
         return True
 
-    def iter_all(self) -> Iterator[Embedding]:
-        """Every occurrence of the pattern, in canonical search order.
+    def iter_all(self) -> Iterator[list[tuple[list[int], list[int]]]]:
+        """Every occurrence of the pattern, in canonical search order, as
+        place yields it.
 
         Copies of identical components are listed once (assigned in order
         of their smallest host-edge index), not once per permutation.
         """
         comps = self.pattern.components
-        if self.pattern.num_vertices > self.h.n:
-            return
-        if self.pattern.num_edges > len(self.sets):
-            return
+        if self.pattern.num_vertices > self.n or self.pattern.num_edges > len(self.edges):
+            return iter([])
         if not self.pattern.is_single:  # one component: the DFS is the check
             for comp in set(comps):
                 if not self.component_present(comp, frozenset()):
-                    return
+                    return iter([])
+        return self.place(comps, 0, frozenset(), [])
 
-        chosen: list[tuple[list[int], list[int]]] = []
-
-        def dfs(idx: int, banned: frozenset[int]) -> Iterator[Embedding]:
-            if idx == len(comps):
-                yield self._assemble(chosen)
-                return
-            if self._prune_disjoint(comps, idx, banned):
-                return
-            floor = -1
-            if idx > 0 and comps[idx - 1] == comps[idx]:
-                floor = min(chosen[idx - 1][0])
-            for positions, vmap, used in self.iter_component(comps[idx], banned):
-                if min(positions) <= floor:
-                    continue
-                chosen.append((positions, vmap))
-                yield from dfs(idx + 1, banned | used)
-                chosen.pop()
-
-        yield from dfs(0, frozenset())
-
-    def _assemble(self, chosen) -> Embedding:
-        """Write each component's host edges into the pattern's edge slots;
-        the vertex lists, in component order, are the vertex map."""
-        edge_map = [0] * self.pattern.num_edges
-        for (positions, _), slots in zip(chosen, self.pattern.edge_slots):
-            for pos, j in zip(positions, slots):
-                edge_map[j] = self.orig_index[pos]
-        vertex_map = tuple(v for _, vmap in chosen for v in vmap)
-        return _require_valid(self.h, Embedding(self.pattern, tuple(edge_map), vertex_map))
-
-
-def contains(h: Hypergraph, pattern: ForbiddenPattern) -> Optional[Embedding]:
-    """Witness of the pattern inside the host, or None when free."""
-    return next(_Search(h, pattern).iter_all(), None)
+    def place(self, comps, idx, banned, chosen) -> Iterator[list[tuple[list[int], list[int]]]]:
+        """Ways to place comps[idx:] vertex-disjointly, avoiding banned,
+        after the (positions, vertex list) pairs of comps[:idx] in chosen.
+        Each completed placement is yielded as chosen, which the search
+        goes on changing; copy it to keep it."""
+        if idx == len(comps):
+            yield chosen
+            return
+        if self._prune_disjoint(comps, idx, banned):
+            return
+        floor = -1
+        if idx > 0 and comps[idx - 1] == comps[idx]:
+            floor = min(chosen[idx - 1][0])
+        for positions, vmap, used in self.iter_component(comps[idx], banned):
+            if min(positions) <= floor:
+                continue
+            chosen.append((positions, vmap))
+            yield from self.place(comps, idx + 1, banned | used, chosen)
+            chosen.pop()
 
 
 def iter_embeddings(h: Hypergraph, pattern: ForbiddenPattern) -> Iterator[Embedding]:
@@ -490,8 +480,38 @@ def iter_embeddings(h: Hypergraph, pattern: ForbiddenPattern) -> Iterator[Embedd
 
     Paths and cycles appear once per traversal direction; identical union
     components are not permuted among themselves.
+
+    The search runs on the host's order-r edges.  On a host of uniform
+    order r those are all its edges, so it reads the host's own edge_sets
+    and incidence, and a host queried again reuses them.  A mixed host
+    gets a filtered copy, whose positions orig_index maps back.
     """
-    return _Search(h, pattern).iter_all()
+    if h.r == pattern.r:
+        orig_index: Sequence[int] = range(len(h.edges))
+        sets: Sequence[frozenset[int]] = h.edge_sets
+        incidence: Sequence[Sequence[int]] = h.incidence
+    else:
+        orig_index = [i for i, e in enumerate(h.edges) if len(e) == pattern.r]
+        sets = [h.edge_sets[i] for i in orig_index]
+        incidence = [[] for _ in range(h.n)]
+        for pos, es in enumerate(sets):
+            for v in es:
+                incidence[v].append(pos)
+    search = _Search(pattern, h.n, sets, incidence, range(len(sets)))
+    for chosen in search.iter_all():
+        # each component's host edges go into the pattern's edge slots;
+        # the vertex lists, in component order, are the vertex map
+        edge_map = [0] * pattern.num_edges
+        for (positions, _), slots in zip(chosen, pattern.edge_slots):
+            for pos, j in zip(positions, slots):
+                edge_map[j] = orig_index[pos]
+        vertex_map = tuple(v for _, vmap in chosen for v in vmap)
+        yield _require_valid(h, Embedding(pattern, tuple(edge_map), vertex_map))
+
+
+def contains(h: Hypergraph, pattern: ForbiddenPattern) -> Optional[Embedding]:
+    """Witness of the pattern inside the host, or None when free."""
+    return next(iter_embeddings(h, pattern), None)
 
 
 def is_free(h: Hypergraph, pattern: ForbiddenPattern) -> bool:
@@ -500,19 +520,66 @@ def is_free(h: Hypergraph, pattern: ForbiddenPattern) -> bool:
 
 
 def occurs_through(
-    sets, incidence, q: int, comp: PatternComponent, also: Optional[int] = None
+    sets,
+    incidence,
+    q: int,
+    pattern: ForbiddenPattern,
+    also: Optional[int] = None,
+    edges: Optional[Sequence[int]] = None,
 ) -> bool:
-    """Yes/no: does some occurrence of the component use edge q, and edge
+    """Yes/no: does some occurrence of the pattern use edge q, and edge
     `also` as well when it is given?
 
     The host is given by edge state the caller keeps and updates in
-    place: sets[i] is the vertex set of edge i, and incidence[v] lists the
-    host edges through vertex v, q and also among them.  Edges of any
-    other order must not be listed.  Nothing is built: no Hypergraph, no
-    Embedding and no whole-host pass.  Paths and cycles are walked by
-    _walks, stars searched by _star_leaves.  The answer is exact for any
-    two distinct edges; each rule below only drops branches that hold no
-    occurrence through both.
+    place: sets[i] is the vertex set of edge i, incidence[v] lists the
+    host edges through vertex v, q and also among them, in any order, and
+    edges lists the host's edges (None: every position of sets).  Edges
+    of any other order must not be listed.  No Hypergraph and no
+    Embedding is built.
+
+    One component: _through searches its occurrences through q (and
+    also), with no whole-host pass; edges is not read.  The answer is
+    exact for any two distinct edges.
+
+    A union: its components are vertex-disjoint, so an occurrence that
+    uses q holds it in exactly one component copy, of some type C.  That
+    copy is an occurrence of C through q, and the other components form
+    an occurrence of the rest (the pattern minus one C) that avoids the
+    copy's vertices; conversely such a pair is an occurrence through q.
+    So for each distinct C and each vertex set U that _through yields,
+    the rest is placed by _Search.place with U banned, which brings the
+    pigeonhole and room prunes of a whole-host search; the rest may lie
+    anywhere in the host, so it starts from the edges listed.  also is
+    for one component only (q and also may lie in different components
+    of a union) and raises BadParameters with a union.
+    """
+    comps = pattern.components
+    if len(comps) == 1:
+        return next(_through(sets, incidence, q, comps[0], also), None) is not None
+    if also is not None:
+        raise BadParameters(f"a second anchor needs a one-component pattern, not {pattern}")
+    search = _Search(pattern, len(incidence), sets, incidence,
+                     range(len(sets)) if edges is None else edges)
+    for i, comp in enumerate(comps):
+        if i and comps[i - 1] == comp:
+            continue  # each distinct type once
+        rest = comps[:i] + comps[i + 1:]
+        tried: set[frozenset[int]] = set()  # a path comes once per direction
+        for *_, used in _through(sets, incidence, q, comp):
+            if used not in tried:
+                tried.add(used)
+                if next(search.place(rest, 0, used, []), None) is not None:
+                    return True
+    return False
+
+
+def _through(sets, incidence, q, comp: PatternComponent, also=None) -> Iterator[tuple]:
+    """The occurrences of one component that use edge q, and edge also as
+    well when it is given, as tuples whose last item is the occurrence's
+    vertex set (an occurrence may repeat).  Paths and cycles are the walks
+    of _walks, read as they come, stars are searched by _star_leaves.
+    Each rule below only drops branches that hold no occurrence through
+    both anchors.
 
     - One edge: q alone is an occurrence, and no single edge holds two.
     - Shared pair: two edges of a loose path, cycle or star share at most
@@ -534,26 +601,24 @@ def occurs_through(
     eq = sets[q]
     ell = comp.length
     if ell == 1:
-        return also is None
+        return iter([(eq,)] if also is None else [])
     if also is None:
         centres, used = eq, eq
     else:
         eb = sets[also]
         centres, used = eq & eb, eq | eb
         if len(centres) > 1:
-            return False
+            return iter([])
     if comp.kind == "star":
         picks = ell - 1 if also is None else ell - 2
-        for c in centres:
-            if len(incidence[c]) >= ell:
-                for _ in _star_leaves(sets, incidence[c], used, picks):
-                    return True
-        return False
+        return (
+            (used.union(*(sets[p] for p in pick)),)
+            for c in centres
+            if len(incidence[c]) >= ell
+            for pick in _star_leaves(sets, incidence[c], used, picks)
+        )
     closed = comp.kind == "cycle"
     if also is not None and centres:
-        walks = _walks(sets, incidence, [also, q], list(centres), eq - centres, used, ell - 2,
-                       eb - centres, closed, ell - 2)
-    else:
-        walks = _walks(sets, incidence, [q], [], eq, eq, ell - 1, None, closed, (ell - 1) // 2,
-                       also)
-    return next(walks, None) is not None
+        return _walks(sets, incidence, [also, q], list(centres), eq - centres, used, ell - 2,
+                      eb - centres, closed, ell - 2)
+    return _walks(sets, incidence, [q], [], eq, eq, ell - 1, None, closed, (ell - 1) // 2, also)

@@ -32,13 +32,15 @@ without q is pattern-free.  Any occurrence of the pattern in the host
 with q must therefore use q, and the check asks only that: does an
 occurrence go through q?  (detect.occurs_through, on edge sets and a
 per-vertex incidence that the walk updates in place.)  Its answer equals
-a whole-host check without looking at the rest of the host.  Below the
-root it has a second anchor: the node's own last edge q was admitted
+a whole-host check; for one component it reads only the walks out of q,
+and a union places its other components on the walk's own edges.  Below
+the root it has a second anchor: the node's own last edge q was admitted
 with the same parent host as every candidate q' it tests, so an
 occurrence with q' must use q too, and the check asks for one through
-both (see live).  Union patterns still take the whole-host check.  No
-value rests on the anchored answer alone: every witness is re-checked
-by the full detector.
+both (see live); a union pattern takes only the first anchor.  No value
+rests on the anchored answer alone: every witness is re-checked by the
+full detector.  A Hypergraph is built only for a witness and for
+iter_free's output.
 Vertex pairs are int bitmasks, so the linear-host tests allocate nothing.
 """
 
@@ -52,7 +54,13 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .bounds import BoundReport, linear_path_upper
 from .detect import is_free, occurs_through
-from .errors import BadParameters, InterruptedSearch, InvariantViolation, ProductTooLarge
+from .errors import (
+    BadParameters,
+    FormatError,
+    InterruptedSearch,
+    InvariantViolation,
+    ProductTooLarge,
+)
 from .hgio import dump_json
 from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, is_linear, make_hypergraph
 from .patterns import ForbiddenPattern, pattern_expr
@@ -178,12 +186,7 @@ class _Searcher:
         b = self.budget
         if b.node_limit is not None and self.stats.nodes > b.node_limit:
             raise _Stop()
-        if b.time_limit is not None and self.stats.nodes % 256 == 0:
-            self.check_time()
-
-    def check_time(self) -> None:
-        limit = self.budget.time_limit
-        if limit is not None and time.monotonic() - self.start > limit:
+        if b.time_limit is not None and time.monotonic() - self.start > b.time_limit:
             raise _Stop()
 
     def finish(self) -> None:
@@ -205,20 +208,13 @@ class _Searcher:
         (live does); it is not derived here, since a host grown in another
         order need not have it.  With fewer edges or vertices than the
         pattern needs, no occurrence exists at all.
-
-        A union pattern takes a whole-host check, milliseconds where tick's
-        clock reading every 256 nodes assumes microseconds, so the time
-        limit is checked after each one.
         """
-        p = self.pattern
-        if self.min_edges is None or len(chosen) < self.min_edges:
-            return True
-        if not p.is_single:
-            free = is_free(self.graph(chosen), p)
-            self.check_time()
-            return free
-        return not occurs_through(
-            self.sets, self.incidence, chosen[-1], p.components[0], also=also
+        return (
+            self.min_edges is None
+            or len(chosen) < self.min_edges
+            or not occurs_through(
+                self.sets, self.incidence, chosen[-1], self.pattern, also=also, edges=chosen
+            )
         )
 
     def live(self, chosen: list[int], tail: Sequence[int], used_pairs: int) -> list[int]:
@@ -233,14 +229,15 @@ class _Searcher:
         q, and tail comes from H's live list, so H+q' is free for every q'
         of tail (admitted with H, or too small for the pattern), and so is
         H+q.  Every occurrence in H+q+q' then uses both q' and q, and q is
-        passed to admits as also.
+        passed to admits as also, for a one-component pattern only: a
+        union's occurrence may hold q' and q in different components.
         """
         masks = self.pair_masks
         fits = [q for q in tail if not masks[q] & used_pairs]
         if self.min_edges is None or len(chosen) + 1 < self.min_edges:
             return fits
         stats, slots, admits = self.stats, self.slots, self.admits
-        also = chosen[-1] if chosen else None
+        also = chosen[-1] if chosen and self.pattern.is_single else None
         admitted = []
         for q in fits:
             chosen.append(q)
@@ -493,6 +490,8 @@ def ex_table(
 
     With a store, exact results already on file are reused (their
     witnesses re-verified, not trusted) and fresh results are appended.
+    A stored witness that fails re-verification raises FormatError: the
+    fault is in the store file.
     A row whose stored record is only interrupted is searched again from
     scratch.
     """
@@ -503,7 +502,13 @@ def ex_table(
             rec = store.best(n, r, expr, host)
             if rec is not None and rec.status == "exact":
                 witness = rec.witness_graph()
-                _verify_witness(witness, n, r, pattern, host, rec.value)
+                try:
+                    _verify_witness(witness, n, r, pattern, host, rec.value)
+                except InvariantViolation as exc:
+                    raise FormatError(
+                        f"{store.path}: stored record n={n}, r={r}, pattern {expr}, "
+                        f"host {host}: {exc}"
+                    ) from exc
                 out.append(OracleResult(rec.value, witness, "exact", rec.stats))
                 continue
         result = max_edges(n, r, pattern, host, budget)

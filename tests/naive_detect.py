@@ -65,14 +65,35 @@ def occurrences(h, kind, length):
     return found
 
 
-def occurrence_edge_sets(h, kind, length):
-    """The host edge index sets of all occurrences of the component."""
+def _occurrence_spans(h, kind, length):
+    """(host edge index set, vertex set) of every occurrence of the component."""
     test = {"path": _is_loose_path, "star": _is_loose_star, "cycle": _is_loose_cycle}[kind]
     found = set()
     for subset in combinations(range(len(h.edges)), length):
         if any(test([h.edges[i] for i in seq]) for seq in permutations(subset)):
-            found.add(frozenset(subset))
+            found.add((frozenset(subset), frozenset(v for i in subset for v in h.edges[i])))
     return found
+
+
+def occurrence_edge_sets(h, kind, length):
+    """The host edge index sets of all occurrences of the component."""
+    return {edges for edges, _ in _occurrence_spans(h, kind, length)}
+
+
+def union_occurrence_edge_sets(h, comps):
+    """The host edge index sets of all occurrences of a union; comps is a
+    sequence of ("path" | "star" | "cycle", length) pairs, and the
+    components' occurrences must be vertex-disjoint."""
+    partial = {(frozenset(), frozenset())}
+    for kind, length in comps:
+        spans = _occurrence_spans(h, kind, length)
+        partial = {
+            (edges | more, verts | span)
+            for edges, verts in partial
+            for more, span in spans
+            if not verts & span
+        }
+    return {edges for edges, _ in partial}
 
 
 def has_path(h, ell):

@@ -273,6 +273,21 @@ class TestTuran:
         assert code == EXIT_USAGE
         assert f"{rfile}:1:" in err and "edges" in err
 
+    def test_stored_witness_that_fails_verification_is_a_store_error(self, capsys, tmp_path):
+        # a well-formed record whose witness holds the pattern: the fault
+        # is in the file passed with --results, not an internal error
+        rfile = tmp_path / "r.jsonl"
+        args = ("turan", "--n", "6", "--r", "3", "--pattern", "P2@r3",
+                "--linear", "--results", str(rfile))
+        assert run(capsys, *args)[0] == EXIT_OK
+        rec = json.loads(rfile.read_text())
+        rec["value"], rec["witness"]["edges"] = 2, [[0, 1, 2], [2, 3, 4]]
+        rfile.write_text(json.dumps(rec) + "\n")
+        code, text, err = run(capsys, *args)
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {rfile}: stored record n=6, r=3, pattern P2@r3")
+        assert "internal" not in err
+
 
 class TestBound:
     def test_text_line(self, capsys):

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import linturan as lt
+from linturan.errors import BadParameters
 import naive_detect as nd
 from hostgen import piecewise_host, random_host
 
@@ -282,26 +283,78 @@ def test_first_start_edge_answers_without_a_room(monkeypatch, fano):
 ANCHORED = [("path", 1), ("path", 2), ("path", 3), ("path", 4), ("path", 5), ("star", 2),
             ("star", 3), ("cycle", 3), ("cycle", 4), ("cycle", 5)]
 
+# unions that fit random_host's at most 9 vertices at r = 2, and most at
+# r = 3; P1+S3 places a star of three edges as the rest
+ANCHORED_UNIONS = ["2*P1", "P1+S2", "2*P2", "P2+S2", "P1+C3", "P1+S3"]
+
+
+def _edge_state(host, rng=None):
+    """Edge sets and per-vertex incidence; with rng, each incidence list
+    is shuffled (the caller's order is any order)."""
+    sets = [frozenset(e) for e in host.edges]
+    incidence = [[i for i, es in enumerate(sets) if v in es] for v in range(host.n)]
+    if rng:
+        for edges in incidence:
+            rng.shuffle(edges)
+    return sets, incidence
+
 
 @pytest.mark.parametrize("seed", range(8))
 def test_occurs_through_matches_naive_occurrences(seed):
     # for every edge q, and every ordered pair (q, also), occurs_through
     # must say whether an occurrence uses q (and also); no precondition on
-    # the host, general hosts hold pairs that share two or more vertices
-    rng = random.Random(9100 + seed)
+    # the host, general hosts hold pairs that share two or more vertices,
+    # and incidence lists may come in any order
+    rng, shuffler = random.Random(9100 + seed), random.Random(seed)
     for _ in range(6):
         host = random_host(rng, orders=(2, 3, 4))
-        sets = [frozenset(e) for e in host.edges]
-        incidence = [[i for i, es in enumerate(sets) if v in es] for v in range(host.n)]
+        sets, incidence = _edge_state(host, shuffler)
         for kind, length in ANCHORED:
-            comp = lt.patterns.PatternComponent(kind, length)
+            pattern = lt.forest([lt.PatternComponent(kind, length)], host.r)
             occs = nd.occurrence_edge_sets(host, kind, length)
             for q in range(len(sets)):
-                got = lt.detect.occurs_through(sets, incidence, q, comp)
+                got = lt.detect.occurs_through(sets, incidence, q, pattern)
                 assert got == any(q in occ for occ in occs), (kind, length, q, host.edges)
                 for also in range(len(sets)):
                     if also == q:
                         continue
-                    got = lt.detect.occurs_through(sets, incidence, q, comp, also=also)
+                    got = lt.detect.occurs_through(sets, incidence, q, pattern, also=also)
                     want = any({q, also} <= occ for occ in occs)
                     assert got == want, (kind, length, q, also, host.edges)
+        # a union: one anchor
+        for expr in ANCHORED_UNIONS:
+            pattern = lt.parse_pattern(expr, host.r)
+            comps = [(c.kind, c.length) for c in pattern.components]
+            occs = nd.union_occurrence_edge_sets(host, comps)
+            for q in range(len(sets)):
+                want = any(q in occ for occ in occs)
+                got = lt.detect.occurs_through(sets, incidence, q, pattern)
+                assert got == want, (expr, q, host.edges)
+
+
+def test_occurs_through_reads_the_callers_state_as_given():
+    # the caller's sets may hold positions outside the host (the oracle
+    # keeps every candidate edge): a union's rest starts only from the
+    # listed edges, in the order given
+    host = lt.make_hypergraph(10, [(0, 1, 2), (2, 3, 4), (5, 6, 7), (7, 8, 9)], 3)
+    sets, _ = _edge_state(host)
+    chosen = [2, 0, 1]  # (7, 8, 9) is not in the host
+    incidence = [[i for i in chosen if v in sets[i]] for v in range(host.n)]
+    two_p2 = lt.parse_pattern("2*P2@r3")
+    assert lt.detect.occurs_through(sets, incidence, 0, lt.parse_pattern("P2+P1@r3"), edges=chosen)
+    assert not lt.detect.occurs_through(sets, incidence, 0, two_p2, edges=chosen)
+    # listing every position walks from (7, 8, 9) into the host
+    assert lt.detect.occurs_through(sets, incidence, 0, two_p2)
+    # incidence in descending order misses no star: the rest, a star of
+    # three edges at vertex 0, is still found
+    sets = [frozenset(e) for e in [(0, 1), (0, 2), (0, 3), (4, 5)]]
+    incidence = [[2, 1, 0], [0], [1], [2], [3], [3]]
+    assert lt.detect.occurs_through(sets, incidence, 3, lt.parse_pattern("P1+S3@r2"))
+
+
+def test_second_anchor_is_for_one_component_only():
+    # q and also may lie in different components of a union
+    host = lt.make_hypergraph(6, [(0, 1, 2), (3, 4, 5)], 3)
+    sets, incidence = _edge_state(host)
+    with pytest.raises(BadParameters):
+        lt.detect.occurs_through(sets, incidence, 0, lt.parse_pattern("2*P1@r3"), also=1)

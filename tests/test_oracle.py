@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import types
 from itertools import combinations, count, islice, permutations
@@ -8,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import linturan as lt
 import naive_detect as nd
-from linturan.errors import BadParameters, InterruptedSearch, InvariantViolation, ProductTooLarge
+from linturan.errors import (
+    BadParameters,
+    FormatError,
+    InterruptedSearch,
+    InvariantViolation,
+    ProductTooLarge,
+)
 from linturan.oracle import HOSTS, SearchStats, _Searcher, _check_search_size
 
 P2 = lt.linear_path(2, 3)
@@ -164,6 +171,9 @@ def test_search_matches_bitmask_exhaustion(data):
         pytest.param(8, "C3@r3", "linear", 597, id="8-C3@r3-linear"),
         pytest.param(8, "P4@r3", "linear", 101, id="8-P4@r3-linear"),
         pytest.param(9, "P3@r3", "linear", 1102, id="9-P3@r3-linear"),
+        # unions, whose checks are anchored too
+        pytest.param(10, "2*P2@r3", "linear", 382, id="10-2*P2@r3-linear"),
+        pytest.param(10, "P2+S2@r3", "linear", 382, id="10-P2+S2@r3-linear"),
     ],
 )
 def test_node_counts_are_pinned(n, expr, host, nodes):
@@ -179,6 +189,8 @@ def test_node_counts_are_pinned(n, expr, host, nodes):
     [
         (7, "P3@r3", "linear", (28, 5, 27)),
         (7, "S2@r3", "general", (184, 115, 24)),
+        (10, "2*P2@r3", "linear", (355, 11, 379)),
+        (10, "P2+S2@r3", "linear", (355, 11, 379)),
     ],
 )
 def test_search_counters_are_pinned(n, expr, host, counters):
@@ -195,12 +207,14 @@ def test_search_counters_are_pinned(n, expr, host, counters):
 def test_anchored_admits_matches_whole_host_check(data):
     # grow a host one admitted edge at a time, in any order, keeping the
     # searcher's incidence as walk does; every verdict must equal a
-    # whole-host is_free, with one anchor and then with two
+    # whole-host is_free, with one anchor and then, for one component,
+    # with two
     r = data.draw(st.sampled_from((2, 3, 4)), label="r")
     n = data.draw(st.integers(r + 1, 9), label="n")
     host = data.draw(st.sampled_from(HOSTS), label="host")
     expr = data.draw(
-        st.sampled_from(["P1", "P2", "P3", "P4", "S1", "S2", "S3", "C3", "C4"]),
+        st.sampled_from(["P1", "P2", "P3", "P4", "S1", "S2", "S3", "C3", "C4",
+                         "2*P1", "P1+S2", "2*P2", "P2+S2", "P1+C3"]),
         label="pattern",
     )
     pattern = lt.parse_pattern(f"{expr}@r{r}")
@@ -223,7 +237,7 @@ def test_anchored_admits_matches_whole_host_check(data):
             chosen.pop()
     # the second anchor: cut the free host back to a drawn prefix H; with
     # H+q and H+q2 also free, every occurrence in H+q+q2 uses q2 and q, as
-    # in walk's live lists
+    # in walk's live lists (a union is asked about q2 alone)
     keep = data.draw(st.integers(0, len(chosen)), label="keep")
     while len(chosen) > keep:
         for edges in s.slots[chosen.pop()]:
@@ -240,7 +254,8 @@ def test_anchored_admits_matches_whole_host_check(data):
             chosen.append(e)
             for edges in s.slots[e]:
                 edges.append(e)
-        assert s.admits(chosen, q) == lt.is_free(s.graph(chosen), pattern), s.graph(chosen).edges
+        also = q if pattern.is_single else None
+        assert s.admits(chosen, also) == lt.is_free(s.graph(chosen), pattern), s.graph(chosen).edges
         for e in (q2, q):
             for edges in s.slots[e]:
                 edges.pop()
@@ -307,18 +322,85 @@ def test_interrupted_values_are_verified_lower_bounds(n, expr, exact):
     assert (res.status, res.value, res.witness) == ("exact", exact, full.witness)
 
 
-def test_time_budget_is_read_after_every_union_check(monkeypatch):
-    # a union pattern's check is a whole-host search, so the clock is read
-    # after each one: with a clock that gains a second per reading, the
-    # search stops at its fourth check, long before tick's 256th node
+def test_time_budget_is_read_at_every_node(monkeypatch):
+    # the start is reading 0 and node k reads k: with a clock that gains a
+    # second per reading, the search stops at its fourth node
     readings = count()
     clock = types.SimpleNamespace(monotonic=lambda: float(next(readings)))
     monkeypatch.setattr(lt.oracle, "time", clock)
     budget = lt.SearchBudget(time_limit=3.5)
     res = lt.max_edges(10, 3, lt.parse_pattern("2*P2@r3"), budget=budget)
     assert res.status == "interrupted"
-    assert res.stats.admits_calls == 4
-    assert res.stats.nodes < 256
+    assert res.stats.nodes == 4
+
+
+def test_union_search_builds_only_the_witness(monkeypatch):
+    # every check runs on the searcher's own edge state: the one host
+    # built is the witness
+    built = []
+    make = lt.oracle.make_hypergraph
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(lt.oracle, "make_hypergraph", counted)
+    res = lt.max_edges(10, 3, lt.parse_pattern("P2+S2@r3"))
+    assert (res.status, res.value, res.stats.admits_calls) == ("exact", 13, 355)
+    assert len(built) == 1
+
+
+def _digest(witness):
+    return hashlib.sha256(json.dumps([list(e) for e in witness.edges]).encode()).hexdigest()[:12]
+
+
+# (n, r, pattern, host, node limit): (value, status, nodes, admits_calls,
+# admits_rejects, bound_cuts) and a digest of the witness's edge list,
+# as the search gave them when a union took a whole-host check
+UNION_ROWS = [
+    (7, 3, "2*P1", "linear", 100, (7, "exact", 25, 48, 7, 23), "b510de7e3234"),
+    (8, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 587, 177, 95), "b510de7e3234"),
+    (8, 3, "P1+S2", "linear", 100, (8, "exact", 84, 80, 11, 81), "2dbde94f8eb7"),
+    (9, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 697, 293, 96), "b510de7e3234"),
+    (9, 3, "P1+S2", "linear", 100, (12, "interrupted", 101, 165, 20, 97), "dcdcf6cd425c"),
+    (9, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 198, 22, 94), "dcdcf6cd425c"),
+    (10, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 795, 415, 95), "b510de7e3234"),
+    (10, 3, "P1+S2", "linear", 100, (12, "interrupted", 101, 1002, 300, 93), "dcdcf6cd425c"),
+    (10, 3, "2*P2", "linear", 100, (13, "interrupted", 101, 355, 11, 92), "e16f59768666"),
+    (10, 3, "P2+S2", "linear", 100, (13, "interrupted", 101, 355, 11, 92), "e16f59768666"),
+    (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 597, 125, 90), "dcdcf6cd425c"),
+    (6, 3, "2*P1", "general", 100, (10, "interrupted", 101, 545, 99, 96), "05bd1b448ddd"),
+    (7, 3, "2*P1", "general", 100, (15, "interrupted", 101, 989, 183, 92), "0ae9c0acebb4"),
+    (8, 3, "2*P1", "general", 100, (21, "interrupted", 101, 1431, 228, 92), "159bf9c948c4"),
+    (8, 3, "P1+S2", "general", 100, (28, "interrupted", 101, 1392, 277, 82), "84ebd2d3b303"),
+    (9, 3, "2*P1", "general", 100, (28, "interrupted", 101, 1958, 284, 88), "5e848b790af8"),
+    (9, 3, "P1+S2", "general", 100, (28, "interrupted", 101, 1849, 368, 79), "5e848b790af8"),
+    (9, 3, "P1+C3", "general", 40, (39, "interrupted", 41, 2087, 35, 0), "1b0d4d709ad1"),
+    (10, 3, "2*P1", "general", 100, (36, "interrupted", 101, 2586, 340, 85), "540b738511c8"),
+    (10, 3, "P1+S2", "general", 100, (36, "interrupted", 101, 2635, 287, 76), "540b738511c8"),
+    (10, 3, "2*P2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
+    (10, 3, "P2+S2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
+    (8, 4, "2*P1", "linear", 100, (2, "exact", 17, 17, 1, 16), "3929c590e9bf"),
+    (9, 4, "2*P1", "linear", 100, (3, "interrupted", 101, 147, 5, 97), "238abed65f6f"),
+    (10, 4, "2*P1", "linear", 100, (5, "interrupted", 101, 270, 18, 96), "95d59a87ef69"),
+    (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1540, 99, 68), "da0a21ca2dfa"),
+    (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3431, 125, 53), "92f25cca91e3"),
+    (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6603, 142, 34), "97eb85d7e757"),
+]
+
+
+@pytest.mark.parametrize(
+    "n,r,expr,host,limit,outcome,witness",
+    [pytest.param(*row, id=f"{row[0]}-{row[2]}@r{row[1]}-{row[3]}") for row in UNION_ROWS],
+)
+def test_union_rows_are_pinned(n, r, expr, host, limit, outcome, witness):
+    # anchored union checks give the whole-host verdicts: every verdict,
+    # so every counter, the value and the lex-least witness are unchanged
+    res = lt.max_edges(n, r, lt.parse_pattern(f"{expr}@r{r}"), host,
+                       lt.SearchBudget(node_limit=limit))
+    s = res.stats
+    got = (res.value, res.status, s.nodes, s.admits_calls, s.admits_rejects, s.bound_cuts)
+    assert (got, _digest(res.witness)) == (outcome, witness)
 
 
 def test_budget_raises_for_enumeration():
@@ -406,5 +488,7 @@ class TestExTable:
         }
         path = tmp_path / "bogus.jsonl"
         path.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(InvariantViolation):
+        # the fault is in the store file, not in the program
+        with pytest.raises(FormatError, match="bogus.jsonl") as info:
             lt.ex_table([(n, 3, pattern)], store=lt.ResultsStore(path))
+        assert isinstance(info.value.__cause__, InvariantViolation)
