@@ -22,11 +22,9 @@ from .detect import contains
 from .errors import BadParameters, InvariantViolation, NoDesignAvailable, ProductTooLarge
 from .hypergraph import (
     DEFAULT_PRODUCT_CAP,
-    PLAIN,
     Hypergraph,
     cartesian_product,
     connected_components,
-    inserted,
     integer_lattice,
     is_linear,
     make_hypergraph,
@@ -236,20 +234,19 @@ def thm47_construction(
     product = cartesian_product(design.graph, lattice)
     block_n = product.n
 
+    # The thin edges are the lattice's, of order r-1.  One along axis i is
+    # {a} x {base + t*w : t < r-1} with w = (r-1)^(k-1-i), the axis weight,
+    # so the step between its two smallest vertices is w and names i.
+    axis_of_step = {(r - 1) ** (k - 1 - i): i for i in range(k)}
     edges = list(hub_core.edges)
-    labels = [PLAIN] * len(edges)
     for c in range(copies):
         off = k + c * block_n
-        for j, e in enumerate(product.edges):
+        for e in product.edges:
             shifted = tuple(v + off for v in e)
-            label = product.labels[j]
-            if label.kind == "axis":
-                edges.append(tuple(sorted(shifted + (label.index,))))
-                labels.append(inserted(label.index))
-            else:
-                edges.append(shifted)
-                labels.append(PLAIN)
-    result = make_hypergraph(n, edges, r=r, labels=labels)
+            if len(e) == r - 1:
+                shifted += (axis_of_step[e[1] - e[0]],)
+            edges.append(shifted)
+    result = make_hypergraph(n, edges, r=r)
     if not is_linear(result):
         raise InvariantViolation("hub insertion broke linearity")
 

@@ -288,14 +288,9 @@ def build_design(
     )
 
 
-def require_design(
-    n: int,
-    r: int,
-    prime_cap: int = DEFAULT_PRIME_CAP,
-    search_cap: Optional[int] = None,
-) -> Design:
+def require_design(n: int, r: int) -> Design:
     """build_design, raising NoDesignAvailable on an absent outcome."""
-    out = build_design(n, r, prime_cap, search_cap)
+    out = build_design(n, r)
     if out.design is None:
         raise NoDesignAvailable(f"no design for n={n}, r={r}: {out.reason}")
     return out.design

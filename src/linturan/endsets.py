@@ -65,7 +65,7 @@ from .errors import (
     InvariantViolation,
     NotAPathEmbedding,
 )
-from .hypergraph import Hypergraph, VertexPartition, is_linear
+from .hypergraph import Hypergraph, is_linear
 from .patterns import linear_path
 
 __all__ = [
@@ -102,17 +102,6 @@ class PathFrame:
     def __post_init__(self):
         pathv = self.left_ends | self.interior | self.right_ends
         object.__setattr__(self, "path_vertices", pathv)
-
-    def partition(self) -> VertexPartition:
-        return VertexPartition(
-            self.host.n,
-            {
-                "left-ends": self.left_ends,
-                "interior": self.interior,
-                "right-ends": self.right_ends,
-                "exterior": self.exterior,
-            },
-        )
 
 
 @dataclass(frozen=True)

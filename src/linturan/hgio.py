@@ -1,15 +1,16 @@
 """Reading and writing hypergraphs.
 
 Two interchange formats, both lossless for vertex count, uniformity, and
-edges (JSON also carries labels):
+edges:
 
 Text: first non-comment line is a header ``n <count> r <order|mixed>``,
 then one edge per line as ascending space-separated vertices.  Lines that
 are blank or start with ``#`` are skipped.
 
-JSON: an object with keys ``n`` (int), ``r`` (int or null for mixed),
-``edges`` (list of ascending int lists) and optionally ``labels`` (list of
-``{"kind": str, "index": int|null}`` parallel to edges).
+JSON: an object with keys ``n`` (int), ``r`` (int or null for mixed) and
+``edges`` (list of ascending int lists); other keys are ignored.  The
+same object is a results-store witness: ``graph_to_obj`` and
+``graph_from_obj`` are the one encoder and decoder of both.
 
 Both refuse a vertex count above DEFAULT_PRODUCT_CAP, the largest host
 the package builds: reading a host allocates per declared vertex, so a
@@ -21,12 +22,14 @@ from __future__ import annotations
 import json
 from typing import Any, Optional, TextIO, Union
 
-from .errors import FormatError
-from .hypergraph import DEFAULT_PRODUCT_CAP, EdgeLabel, Hypergraph, make_hypergraph
+from .errors import FormatError, LinturanError
+from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, make_hypergraph
 
 __all__ = [
     "dump_text",
     "load_text",
+    "graph_to_obj",
+    "graph_from_obj",
     "dump_json",
     "load_json",
     "check_json_fields",
@@ -87,30 +90,13 @@ def load_text(text: str) -> Hypergraph:
         raise FormatError(f"invalid hypergraph: {exc}") from exc
 
 
-def _label_to_obj(lab: EdgeLabel) -> dict[str, Any]:
-    return {"kind": lab.kind, "index": lab.index}
-
-
-def _label_from_obj(obj: Any) -> EdgeLabel:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise FormatError(f"bad label object {obj!r}")
-    kind, index = obj["kind"], obj.get("index")
-    if not isinstance(kind, str) or not (index is None or type(index) is int):
-        raise FormatError(
-            f"label kind must be a string and index an integer or null, got {obj!r}"
-        )
-    return EdgeLabel(kind, index)
+def graph_to_obj(h: Hypergraph) -> dict[str, Any]:
+    """The JSON object of a host file or a results-store witness."""
+    return {"n": h.n, "r": h.r, "edges": [list(e) for e in h.edges]}
 
 
 def dump_json(h: Hypergraph, indent: Optional[int] = None) -> str:
-    obj: dict[str, Any] = {
-        "n": h.n,
-        "r": h.r,
-        "edges": [list(e) for e in h.edges],
-    }
-    if h.labels is not None:
-        obj["labels"] = [_label_to_obj(lab) for lab in h.labels]
-    return json.dumps(obj, indent=indent)
+    return json.dumps(graph_to_obj(h), indent=indent)
 
 
 def check_json_fields(obj: Any, what: str = "hypergraph") -> None:
@@ -134,21 +120,22 @@ def check_json_fields(obj: Any, what: str = "hypergraph") -> None:
         raise FormatError(f"{what} edges must be a list of integer lists")
 
 
+def graph_from_obj(obj: Any, what: str = "hypergraph") -> Hypergraph:
+    """Build the hypergraph of a JSON object; FormatError when it is
+    malformed or names no valid hypergraph."""
+    check_json_fields(obj, what)
+    try:
+        return make_hypergraph(obj["n"], obj["edges"], obj.get("r"))
+    except LinturanError as exc:
+        raise FormatError(f"invalid {what}: {exc}") from exc
+
+
 def load_json(text: str) -> Hypergraph:
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long or too deep
         raise FormatError(f"invalid JSON: {exc}") from exc
-    check_json_fields(obj)
-    try:
-        labels = obj.get("labels")
-        if labels is not None:
-            labels = [_label_from_obj(o) for o in labels]
-        return make_hypergraph(obj["n"], [tuple(e) for e in obj["edges"]], obj.get("r"), labels)
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"invalid hypergraph: {exc}") from exc
+    return graph_from_obj(obj)
 
 
 def write_file(h: Hypergraph, f: Union[str, TextIO], fmt: str = "text") -> None:
@@ -166,22 +153,16 @@ def write_file(h: Hypergraph, f: Union[str, TextIO], fmt: str = "text") -> None:
         f.write(payload)
 
 
-def read_file(f: Union[str, TextIO], fmt: Optional[str] = None) -> Hypergraph:
-    """Read from a path or open handle.
-
-    fmt None autodetects: .json suffix or a leading '{' means JSON.
-    """
+def read_file(f: Union[str, TextIO]) -> Hypergraph:
+    """Read from a path or open handle: a .json suffix or a leading '{'
+    means JSON, anything else text."""
     if isinstance(f, str):
         with open(f, "r", encoding="utf-8") as fh:
             text = fh.read()
-        if fmt is None:
-            fmt = "json" if f.endswith(".json") else None
+        if f.endswith(".json"):
+            return load_json(text)
     else:
         text = f.read()
-    if fmt is None:
-        fmt = "json" if text.lstrip().startswith("{") else "text"
-    if fmt == "json":
+    if text.lstrip().startswith("{"):
         return load_json(text)
-    if fmt == "text":
-        return load_text(text)
-    raise FormatError(f"unknown format {fmt!r}")
+    return load_text(text)

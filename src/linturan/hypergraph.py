@@ -9,11 +9,6 @@ the edge list lexicographically, so equal hypergraphs compare equal.
 A hypergraph is *linear* when any two edges share at most one vertex.
 Linearity is a property, not an invariant: non-linear hypergraphs are
 first-class values and operations that require linearity check it.
-
-Edges may carry provenance labels (which factor of a product they came
-from, which lattice axis, whether a vertex was inserted into them).  A
-labelled hypergraph has exactly one label per edge, permuted together with
-the edges during normalisation.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadParameters,
@@ -33,11 +28,6 @@ from .errors import (
 )
 
 __all__ = [
-    "EdgeLabel",
-    "PLAIN",
-    "left_factor",
-    "lattice_axis",
-    "inserted",
     "Hypergraph",
     "make_hypergraph",
     "is_linear",
@@ -48,7 +38,6 @@ __all__ = [
     "cartesian_product",
     "integer_lattice",
     "edges_between",
-    "VertexPartition",
     "connected_components",
     "DEFAULT_PRODUCT_CAP",
 ]
@@ -60,55 +49,17 @@ DEFAULT_PRODUCT_CAP = 200_000
 
 
 @dataclass(frozen=True)
-class EdgeLabel:
-    """Provenance of one edge.
-
-    kind is one of:
-      "plain"       no provenance (index is None)
-      "left-factor" edge e x {u} of a product; index = u, the right-factor copy
-      "axis"        lattice edge along coordinate axis `index`
-      "inserted"    edge that received inserted vertex number `index`
-    """
-
-    kind: str
-    index: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in ("plain", "left-factor", "axis", "inserted"):
-            raise BadParameters(f"unknown edge label kind {self.kind!r}")
-        if (self.index is None) != (self.kind == "plain"):
-            raise BadParameters(f"label kind {self.kind!r} used with index={self.index!r}")
-
-
-PLAIN = EdgeLabel("plain")
-
-
-def left_factor(copy: int) -> EdgeLabel:
-    return EdgeLabel("left-factor", copy)
-
-
-def lattice_axis(axis: int) -> EdgeLabel:
-    return EdgeLabel("axis", axis)
-
-
-def inserted(color: int) -> EdgeLabel:
-    return EdgeLabel("inserted", color)
-
-
-@dataclass(frozen=True)
 class Hypergraph:
     """Immutable hypergraph.  Build instances through make_hypergraph.
 
     n       number of vertices (vertices are 0..n-1; isolated vertices count)
     edges   lexicographically sorted tuple of ascending vertex tuples
     r       uniform order, or None for a mixed hypergraph
-    labels  optional per-edge provenance, parallel to edges
     """
 
     n: int
     edges: tuple[tuple[int, ...], ...]
     r: Optional[int] = None
-    labels: Optional[tuple[EdgeLabel, ...]] = None
 
     @cached_property
     def edge_sets(self) -> tuple[frozenset[int], ...]:
@@ -147,12 +98,11 @@ def make_hypergraph(
     n: int,
     edges: Iterable[Sequence[int]],
     r: Optional[int] = None,
-    labels: Optional[Sequence[EdgeLabel]] = None,
 ) -> Hypergraph:
     """Validate, normalise, and freeze a hypergraph.
 
     Edges may arrive in any internal order; they are sorted ascending and the
-    edge list is sorted lexicographically (labels are permuted alongside).
+    edge list is sorted lexicographically.
     Uniformity is explicit: r=None builds a mixed hypergraph even if all
     edges happen to share an order.
 
@@ -163,13 +113,8 @@ def make_hypergraph(
         raise BadParameters(f"vertex count must be nonnegative, got {n}")
     if r is not None and r < 1:
         raise BadParameters(f"uniform order must be positive, got {r}")
-    raw = [tuple(e) for e in edges]
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != len(raw):
-            raise BadParameters(f"{len(labels)} labels for {len(raw)} edges")
     norm: list[tuple[int, ...]] = []
-    for e in raw:
+    for e in map(tuple, edges):
         for v in e:
             if not 0 <= v < n:
                 raise OutOfRangeVertex(f"vertex {v} in edge {e} not in range(0, {n})")
@@ -185,15 +130,7 @@ def make_hypergraph(
             if t in seen:
                 raise DuplicateEdge(f"edge {t} appears more than once")
             seen.add(t)
-    if labels is None:
-        return Hypergraph(n, tuple(sorted(norm)), r)
-    order = sorted(range(len(norm)), key=lambda i: norm[i])
-    return Hypergraph(
-        n,
-        tuple(norm[i] for i in order),
-        r,
-        tuple(labels[i] for i in order),
-    )
+    return Hypergraph(n, tuple(sorted(norm)), r)
 
 
 def linearity_violation(h: Hypergraph) -> Optional[tuple[int, int]]:
@@ -221,23 +158,17 @@ def disjoint_union(hs: Sequence[Hypergraph]) -> Hypergraph:
 
     The i-th input occupies vertices offset..offset+n_i-1.  Uniformity is
     preserved when shared by all inputs, otherwise the result is mixed.
-    Labels are kept when any input is labelled (unlabelled edges become plain).
     """
     if not hs:
         raise BadParameters("disjoint_union needs at least one hypergraph")
     rs = {h.r for h in hs}
     r = rs.pop() if len(rs) == 1 else None
-    want_labels = any(h.labels is not None for h in hs)
     n = 0
     edges: list[tuple[int, ...]] = []
-    labels: list[EdgeLabel] = []
     for h in hs:
-        for i, e in enumerate(h.edges):
-            edges.append(tuple(v + n for v in e))
-            if want_labels:
-                labels.append(h.labels[i] if h.labels is not None else PLAIN)
+        edges.extend(tuple(v + n for v in e) for e in h.edges)
         n += h.n
-    return make_hypergraph(n, edges, r, labels if want_labels else None)
+    return make_hypergraph(n, edges, r)
 
 
 def k_copies(h: Hypergraph, k: int) -> Hypergraph:
@@ -255,14 +186,8 @@ def remove_vertices(h: Hypergraph, drop: Iterable[int]) -> Hypergraph:
             raise OutOfRangeVertex(f"vertex {v} not in range(0, {h.n})")
     keep = [v for v in range(h.n) if v not in dropset]
     newindex = {v: i for i, v in enumerate(keep)}
-    edges = []
-    labels = [] if h.labels is not None else None
-    for i, e in enumerate(h.edges):
-        if dropset.isdisjoint(e):
-            edges.append(tuple(newindex[v] for v in e))
-            if labels is not None:
-                labels.append(h.labels[i])
-    return make_hypergraph(len(keep), edges, h.r, labels)
+    edges = [tuple(newindex[v] for v in e) for e in h.edges if dropset.isdisjoint(e)]
+    return make_hypergraph(len(keep), edges, h.r)
 
 
 def _product_uniformity(h: Hypergraph, g: Hypergraph) -> Optional[int]:
@@ -278,60 +203,49 @@ def _product_uniformity(h: Hypergraph, g: Hypergraph) -> Optional[int]:
     return None
 
 
-def cartesian_product(
-    h: Hypergraph, g: Hypergraph, max_vertices: int = DEFAULT_PRODUCT_CAP
-) -> Hypergraph:
+def cartesian_product(h: Hypergraph, g: Hypergraph) -> Hypergraph:
     """Cartesian product: vertex (a, u) is encoded as a*|V(g)| + u.
 
-    Edges are e x {u} for e in E(h) (labelled left-factor with copy index u)
-    and {a} x f for f in E(g) (carrying over g's label, plain if none).
-    The edge count is |E(h)|*|V(g)| + |E(g)|*|V(h)|, and the product of
-    linear factors is linear.
+    Edges are e x {u} for e in E(h) and {a} x f for f in E(g).  The edge
+    count is |E(h)|*|V(g)| + |E(g)|*|V(h)|, and the product of linear
+    factors is linear.
 
-    Both factors must be uniform; raises ProductTooLarge past max_vertices.
+    Both factors must be uniform; raises ProductTooLarge past
+    DEFAULT_PRODUCT_CAP vertices.
     """
     if h.r is None or g.r is None:
         raise BadParameters("cartesian_product requires uniform factors")
     n = h.n * g.n
-    if n > max_vertices:
-        raise ProductTooLarge(f"product would have {n} vertices (cap {max_vertices})")
-    edges: list[tuple[int, ...]] = []
-    labels: list[EdgeLabel] = []
-    for u in range(g.n):
-        for e in h.edges:
-            edges.append(tuple(a * g.n + u for a in e))
-            labels.append(left_factor(u))
-    for a in range(h.n):
-        for j, f in enumerate(g.edges):
-            edges.append(tuple(a * g.n + u for u in f))
-            labels.append(g.labels[j] if g.labels is not None else PLAIN)
-    return make_hypergraph(n, edges, _product_uniformity(h, g), labels)
+    if n > DEFAULT_PRODUCT_CAP:
+        raise ProductTooLarge(f"product would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
+    edges = [tuple(a * g.n + u for a in e) for u in range(g.n) for e in h.edges]
+    edges.extend(tuple(a * g.n + u for u in f) for a in range(h.n) for f in g.edges)
+    return make_hypergraph(n, edges, _product_uniformity(h, g))
 
 
-def integer_lattice(r: int, d: int, max_vertices: int = DEFAULT_PRODUCT_CAP) -> Hypergraph:
+def integer_lattice(r: int, d: int) -> Hypergraph:
     """The d-dimensional integer lattice on {0..r-1}^d.
 
     Vertices are the r^d coordinate tuples, encoded big-endian row-major
     (tuple t maps to sum of t[i]*r^(d-1-i)).  For each axis there are
     r^(d-1) edges of order r, one per fixing of the other coordinates;
     each axis class is a perfect matching, every vertex has degree d,
-    and the whole lattice is linear.
+    and the whole lattice is linear.  Raises ProductTooLarge past
+    DEFAULT_PRODUCT_CAP vertices.
     """
     if r < 2 or d < 1:
         raise BadParameters(f"lattice needs r >= 2 and d >= 1, got r={r}, d={d}")
     n = r**d
-    if n > max_vertices:
-        raise ProductTooLarge(f"lattice would have {n} vertices (cap {max_vertices})")
+    if n > DEFAULT_PRODUCT_CAP:
+        raise ProductTooLarge(f"lattice would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
     weights = [r ** (d - 1 - i) for i in range(d)]
     edges: list[tuple[int, ...]] = []
-    labels: list[EdgeLabel] = []
     for axis in range(d):
         others = [i for i in range(d) if i != axis]
         for rest in itertools.product(range(r), repeat=d - 1):
             base = sum(rest[j] * weights[others[j]] for j in range(d - 1))
             edges.append(tuple(base + t * weights[axis] for t in range(r)))
-            labels.append(lattice_axis(axis))
-    return make_hypergraph(n, edges, r, labels)
+    return make_hypergraph(n, edges, r)
 
 
 def edges_between(h: Hypergraph, part: Iterable[int]) -> tuple[int, int, int]:
@@ -350,35 +264,6 @@ def edges_between(h: Hypergraph, part: Iterable[int]) -> tuple[int, int, int]:
         else:
             cross += 1
     return (cross, inside, outside)
-
-
-class VertexPartition:
-    """Named, pairwise disjoint vertex classes over a vertex range.
-
-    The classes need not cover all of 0..n-1.  Mainly a carrier for
-    reporting (e.g. a path frame's end/interior/exterior split).
-    """
-
-    def __init__(self, n: int, parts: Mapping[str, Iterable[int]]):
-        self.n = n
-        self.parts: dict[str, frozenset[int]] = {}
-        used: set[int] = set()
-        for name, vs in parts.items():
-            fs = frozenset(vs)
-            for v in fs:
-                if not 0 <= v < n:
-                    raise OutOfRangeVertex(f"vertex {v} not in range(0, {n})")
-            if used & fs:
-                raise BadParameters(f"partition class {name!r} overlaps another class")
-            used |= fs
-            self.parts[name] = fs
-
-    def __getitem__(self, name: str) -> frozenset[int]:
-        return self.parts[name]
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={sorted(v)}" for k, v in self.parts.items())
-        return f"VertexPartition(n={self.n}, {inner})"
 
 
 def connected_components(h: Hypergraph) -> list[frozenset[int]]:

@@ -47,7 +47,6 @@ Vertex pairs are int bitmasks, so the linear-host tests allocate nothing.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -61,7 +60,7 @@ from .errors import (
     InvariantViolation,
     ProductTooLarge,
 )
-from .hgio import dump_json
+from .hgio import graph_to_obj
 from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, is_linear, make_hypergraph
 from .patterns import ForbiddenPattern, pattern_expr
 from .results import ResultRecord, ResultsStore, SearchStats
@@ -389,7 +388,8 @@ def max_edges(
     budget = budget or SearchBudget()
     s = _Searcher(n, r, pattern, host, budget)
 
-    best_value = -1
+    # the empty host, always free and linear, is the first incumbent
+    best_value = 0
     best_edges: tuple[int, ...] = ()
     interrupted = False
     try:
@@ -490,8 +490,8 @@ def ex_table(
 
     With a store, exact results already on file are reused (their
     witnesses re-verified, not trusted) and fresh results are appended.
-    A stored witness that fails re-verification raises FormatError: the
-    fault is in the store file.
+    A stored witness that cannot be built or fails re-verification
+    raises FormatError: the fault is in the store file.
     A row whose stored record is only interrupted is searched again from
     scratch.
     """
@@ -501,10 +501,10 @@ def ex_table(
         if store is not None:
             rec = store.best(n, r, expr, host)
             if rec is not None and rec.status == "exact":
-                witness = rec.witness_graph()
                 try:
+                    witness = rec.witness_graph()
                     _verify_witness(witness, n, r, pattern, host, rec.value)
-                except InvariantViolation as exc:
+                except (FormatError, InvariantViolation) as exc:
                     raise FormatError(
                         f"{store.path}: stored record n={n}, r={r}, pattern {expr}, "
                         f"host {host}: {exc}"
@@ -513,7 +513,7 @@ def ex_table(
                 continue
         result = max_edges(n, r, pattern, host, budget)
         if store is not None:
-            witness = json.loads(dump_json(result.witness))
+            witness = graph_to_obj(result.witness)
             store.add(
                 ResultRecord(n, r, expr, host, result.value, result.status, witness, result.stats)
             )

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterator, Optional
 
 from .errors import FormatError
-from .hgio import check_json_fields
-from .hypergraph import Hypergraph, make_hypergraph
+from .hgio import check_json_fields, graph_from_obj
+from .hypergraph import Hypergraph
 
 __all__ = ["ResultRecord", "ResultsStore", "SearchStats"]
 
@@ -49,6 +49,8 @@ class SearchStats:
 # the order they are checked; a float counter may be stored as an integer
 _FIELDS = {"n": int, "r": int, "pattern": (str, type(None)), "host": str, "value": int,
            "status": str, "witness": dict}
+# the values host and status may take
+_CHOICES = {"host": ("linear", "general"), "status": ("exact", "interrupted")}
 _STATS = {f.name: (int, float) if isinstance(f.default, float) else type(f.default)
           for f in fields(SearchStats)}
 # every record holds the first two counters, nodes and elapsed; one written
@@ -64,7 +66,7 @@ class ResultRecord:
     host: str  # "linear" | "general"
     value: int
     status: str  # "exact" | "interrupted"
-    witness: dict  # hypergraph JSON object
+    witness: dict  # hgio.graph_to_obj of the witness
     stats: SearchStats
 
     @property
@@ -72,11 +74,8 @@ class ResultRecord:
         return (self.n, self.r, self.pattern, self.host)
 
     def witness_graph(self) -> Hypergraph:
-        return make_hypergraph(
-            self.witness["n"],
-            [tuple(e) for e in self.witness["edges"]],
-            self.witness.get("r"),
-        )
+        """The witness host; FormatError when it names no valid one."""
+        return graph_from_obj(self.witness, "result record witness")
 
     def to_obj(self) -> dict[str, Any]:
         return {**{name: getattr(self, name) for name in _FIELDS}, **asdict(self.stats)}
@@ -93,6 +92,10 @@ class ResultRecord:
                 raise FormatError(f"result record missing {name!r}")
             if isinstance(obj[name], bool) or not isinstance(obj[name], kind):
                 raise FormatError(f"result record {name} has the wrong type: {obj[name]!r}")
+            if name in _CHOICES and obj[name] not in _CHOICES[name]:
+                raise FormatError(
+                    f"result record {name} must be one of {_CHOICES[name]}, got {obj[name]!r}"
+                )
             values[name] = obj[name]
         check_json_fields(obj["witness"], "result record witness")
         stats = SearchStats(**{name: values.pop(name) for name in _STATS if name in values})

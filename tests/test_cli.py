@@ -2,6 +2,8 @@ import dataclasses
 import json
 import re
 import shlex
+import types
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -286,6 +288,38 @@ class TestTuran:
         code, text, err = run(capsys, *args)
         assert (code, text) == (EXIT_USAGE, "")
         assert err.startswith(f"error: {rfile}: stored record n=6, r=3, pattern P2@r3")
+        assert "internal" not in err
+
+
+    @pytest.mark.parametrize(
+        "edges, fault",
+        [([[0, 1, 2], [2, 1, 0]], "appears more than once"), ([[0, 1, 6]], "not in range")],
+        ids=["duplicate-edge", "out-of-range"],
+    )
+    def test_stored_witness_that_cannot_be_built_is_a_store_error(
+        self, capsys, tmp_path, edges, fault
+    ):
+        rfile = tmp_path / "r.jsonl"
+        args = ("turan", "--n", "6", "--r", "3", "--pattern", "P2@r3",
+                "--linear", "--results", str(rfile))
+        assert run(capsys, *args)[0] == EXIT_OK
+        rec = json.loads(rfile.read_text())
+        rec["witness"]["edges"] = edges
+        rfile.write_text(json.dumps(rec) + "\n")
+        code, text, err = run(capsys, *args)
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {rfile}: stored record n=6, r=3, pattern P2@r3")
+        assert fault in err and "internal" not in err
+
+    def test_time_budget_spent_before_the_root_is_interrupted(self, capsys, monkeypatch):
+        # a clock that gains a second per reading: the root's reading is
+        # already over the budget
+        readings = count()
+        clock = types.SimpleNamespace(monotonic=lambda: float(next(readings)))
+        monkeypatch.setattr(lt.oracle, "time", clock)
+        code, text, err = run(capsys, "turan", "--n", "8", "--r", "3", "--pattern",
+                              "P3@r3", "--linear", "--time-limit", "0.5")
+        assert (code, text) == (EXIT_INTERRUPTED, "0\n")
         assert "internal" not in err
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 from math import comb
 
@@ -99,6 +100,18 @@ class TestInsertedProduct:
         rep = lt.thm47_construction(3, 4, 1, 1)
         assert rep.linear
         assert lt.is_free(rep.result, lt.parse_pattern("P4+S4@r3"))
+
+    def test_hosts_are_pinned(self):
+        # hub i goes into the thin edges along lattice axis i: another
+        # assignment is still linear and free, but a different host
+        digest = hashlib.sha256()
+        for args in [(3, 4, 3, 1), (3, 4, 3, 2), (3, 4, 7, 1), (3, 5, 7, 1), (4, 4, 4, 1)]:
+            digest.update(repr(lt.thm47_construction(*args, certify=False).result.edges).encode())
+        for base, dim in [(3, 2), (4, 3)]:
+            digest.update(repr(lt.integer_lattice(base, dim).edges).encode())
+        fano = lt.require_design(7, 3).graph
+        digest.update(repr(lt.cartesian_product(fano, lt.integer_lattice(3, 2)).edges).encode())
+        assert digest.hexdigest()[:16] == "0e0babcfea6abc02"
 
 
 class TestCone:

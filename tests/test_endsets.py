@@ -233,9 +233,3 @@ def test_small_ell_reports_not_applicable(fano):
         lt.verify_frame_sweep(fano, 2, 3)
 
 
-def test_partition_blocks(p3_plus_pendant):
-    emb = identity_embedding(p3_plus_pendant, P3)
-    frame = lt.build_frame(p3_plus_pendant, emb, 4)
-    part = frame.partition()
-    assert part["exterior"] == frozenset({7})
-    assert part["interior"] == frozenset({2, 3, 4})

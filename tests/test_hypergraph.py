@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -94,11 +95,23 @@ def test_integer_lattice_shapes():
 
 
 def test_product_size_guard():
-    big = lt.make_hypergraph(1000, [], r=3)
-    with pytest.raises(ProductTooLarge):
-        lt.cartesian_product(big, big, max_vertices=100)
-    with pytest.raises(ProductTooLarge):
-        lt.integer_lattice(100, 3, max_vertices=100)
+    # at most DEFAULT_PRODUCT_CAP vertices; a larger host is refused before
+    # anything is allocated, so the refusals take under a byte per capped vertex
+    cap = lt.hypergraph.DEFAULT_PRODUCT_CAP
+    left = lt.make_hypergraph(cap // 500, [], r=3)
+    assert lt.cartesian_product(left, lt.make_hypergraph(500, [], r=3)).n == cap
+    big = lt.make_hypergraph(10**5, [], r=3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProductTooLarge):
+            lt.cartesian_product(left, lt.make_hypergraph(501, [], r=3))
+        with pytest.raises(ProductTooLarge):
+            lt.cartesian_product(big, big)
+        with pytest.raises(ProductTooLarge):
+            lt.integer_lattice(100, 3)
+        assert tracemalloc.get_traced_memory()[1] < cap
+    finally:
+        tracemalloc.stop()
     from linturan.errors import BadParameters
 
     with pytest.raises(BadParameters):

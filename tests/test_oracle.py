@@ -11,9 +11,11 @@ import linturan as lt
 import naive_detect as nd
 from linturan.errors import (
     BadParameters,
+    DuplicateEdge,
     FormatError,
     InterruptedSearch,
     InvariantViolation,
+    OutOfRangeVertex,
     ProductTooLarge,
 )
 from linturan.oracle import HOSTS, SearchStats, _Searcher, _check_search_size
@@ -334,6 +336,19 @@ def test_time_budget_is_read_at_every_node(monkeypatch):
     assert res.stats.nodes == 4
 
 
+def test_time_budget_spent_before_the_root_gives_the_empty_host(monkeypatch):
+    # the root's own reading already exceeds the budget: no node is
+    # searched, and the empty host, free and linear, is the incumbent
+    readings = count()
+    clock = types.SimpleNamespace(monotonic=lambda: float(next(readings)))
+    monkeypatch.setattr(lt.oracle, "time", clock)
+    res = lt.max_edges(8, 3, P3, budget=lt.SearchBudget(time_limit=0.5))
+    assert (res.status, res.value, res.witness) == (
+        "interrupted", 0, lt.make_hypergraph(8, [], r=3)
+    )
+    assert res.stats.nodes == 1
+
+
 def test_union_search_builds_only_the_witness(monkeypatch):
     # every check runs on the searcher's own edge state: the one host
     # built is the witness
@@ -462,19 +477,23 @@ class TestExTable:
         ]
 
     @pytest.mark.parametrize(
-        "n, pattern, value, witness",
+        "n, pattern, value, witness, cause",
         [
             # two edges claimed as three
-            (6, P2, 3, {"n": 6, "r": 3, "edges": [[0, 1, 2], [3, 4, 5]]}),
+            (6, P2, 3, {"n": 6, "r": 3, "edges": [[0, 1, 2], [3, 4, 5]]}, InvariantViolation),
             # two Fano planes: linear and P3-free, but on 14 vertices, and
             # above the path cap 8 of the row
-            (8, P3, 14, {"n": 14, "r": 3, "edges": TWO_FANOS}),
+            (8, P3, 14, {"n": 14, "r": 3, "edges": TWO_FANOS}, InvariantViolation),
             # four 2-edges hold no P2@r3, but are not of the row's order
-            (6, P2, 4, {"n": 6, "r": 2, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}),
+            (6, P2, 4, {"n": 6, "r": 2, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+             InvariantViolation),
+            # witnesses that are no hypergraph at all
+            (6, P2, 2, {"n": 6, "r": 3, "edges": [[0, 1, 2], [2, 1, 0]]}, DuplicateEdge),
+            (6, P2, 1, {"n": 6, "r": 3, "edges": [[0, 1, 6]]}, OutOfRangeVertex),
         ],
-        ids=["value", "n", "r"],
+        ids=["value", "n", "r", "duplicate-edge", "out-of-range"],
     )
-    def test_rejects_tampered_store(self, tmp_path, n, pattern, value, witness):
+    def test_rejects_tampered_store(self, tmp_path, n, pattern, value, witness, cause):
         rec = {
             "n": n,
             "r": 3,
@@ -491,4 +510,7 @@ class TestExTable:
         # the fault is in the store file, not in the program
         with pytest.raises(FormatError, match="bogus.jsonl") as info:
             lt.ex_table([(n, 3, pattern)], store=lt.ResultsStore(path))
-        assert isinstance(info.value.__cause__, InvariantViolation)
+        root = info.value
+        while root.__cause__ is not None:
+            root = root.__cause__
+        assert isinstance(root, cause)

@@ -222,7 +222,9 @@ def test_malformed_witness_is_rejected_on_read(tmp_path, witness):
     "field,value",
     [("n", "4"), ("r", None), ("pattern", 3), ("host", None), ("value", True),
      ("status", 1), ("nodes", 2.5), ("elapsed", "0.01"), ("admits_calls", 1.0),
-     ("admits_rejects", "3"), ("bound_cuts", False)],
+     ("admits_rejects", "3"), ("bound_cuts", False),
+     # right type, but a value outside the field's choices
+     ("host", "Linear"), ("status", "Exact")],
 )
 def test_field_of_wrong_type_is_rejected_on_read(tmp_path, field, value):
     obj = dict(record().to_obj(), **{field: value})
