@@ -546,12 +546,12 @@ def occurs_through(
     copy is an occurrence of C through q, and the other components form
     an occurrence of the rest (the pattern minus one C) that avoids the
     copy's vertices; conversely such a pair is an occurrence through q.
-    So for each distinct C and each vertex set U that _through yields,
-    the rest is placed by _Search.place with U banned, which brings the
-    pigeonhole and room prunes of a whole-host search; the rest may lie
-    anywhere in the host, so it starts from the edges listed.  also is
-    for one component only (q and also may lie in different components
-    of a union) and raises BadParameters with a union.
+    So for each distinct C and each vertex set U that _spans_through
+    yields, the rest is placed by _Search.place with U banned, which
+    brings the pigeonhole and room prunes of a whole-host search; the rest
+    may lie anywhere in the host, so it starts from the edges listed.
+    also is for one component only (q and also may lie in different
+    components of a union) and raises BadParameters with a union.
     """
     comps = pattern.components
     if len(comps) == 1:
@@ -565,7 +565,7 @@ def occurs_through(
             continue  # each distinct type once
         rest = comps[:i] + comps[i + 1:]
         tried: set[frozenset[int]] = set()  # a path comes once per direction
-        for *_, used in _through(sets, incidence, q, comp):
+        for used in _spans_through(sets, incidence, q, comp):
             if used not in tried:
                 tried.add(used)
                 if next(search.place(rest, 0, used, []), None) is not None:
@@ -573,11 +573,24 @@ def occurs_through(
     return False
 
 
-def _through(sets, incidence, q, comp: PatternComponent, also=None) -> Iterator[tuple]:
+def _spans_through(sets, incidence, q, comp: PatternComponent) -> Iterator[frozenset[int]]:
+    """The vertex set of each occurrence of one component through q, as
+    _through yields them: a walk carries its own, a star or single edge is
+    q and the edges it lists."""
+    occurrences = _through(sets, incidence, q, comp)
+    if comp.kind == "star" or comp.length == 1:
+        eq = sets[q]
+        return (eq.union(*(sets[p] for p in pick)) for pick in occurrences)
+    return (walk[-1] for walk in occurrences)
+
+
+def _through(sets, incidence, q, comp: PatternComponent, also=None) -> Iterator:
     """The occurrences of one component that use edge q, and edge also as
-    well when it is given, as tuples whose last item is the occurrence's
-    vertex set (an occurrence may repeat).  Paths and cycles are the walks
-    of _walks, read as they come, stars are searched by _star_leaves.
+    well when it is given (an occurrence may repeat).  Paths and cycles
+    are the walks of _walks, (chain, conns, back, used), read as they
+    come; a star or a single edge is the list of its edges besides q and
+    also, and stars are searched by _star_leaves.  Only _spans_through
+    builds vertex sets, for the union search that reads them.
     Each rule below only drops branches that hold no occurrence through
     both anchors.
 
@@ -601,7 +614,7 @@ def _through(sets, incidence, q, comp: PatternComponent, also=None) -> Iterator[
     eq = sets[q]
     ell = comp.length
     if ell == 1:
-        return iter([(eq,)] if also is None else [])
+        return iter([[]] if also is None else [])
     if also is None:
         centres, used = eq, eq
     else:
@@ -612,7 +625,7 @@ def _through(sets, incidence, q, comp: PatternComponent, also=None) -> Iterator[
     if comp.kind == "star":
         picks = ell - 1 if also is None else ell - 2
         return (
-            (used.union(*(sets[p] for p in pick)),)
+            pick
             for c in centres
             if len(incidence[c]) >= ell
             for pick in _star_leaves(sets, incidence[c], used, picks)

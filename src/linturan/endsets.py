@@ -34,9 +34,12 @@ its interior alone: the class of an edge through u is read from its meet
 with the path and whether the meet holds an interior vertex.  A loose
 path and its reverse have the same vertex set and interior, with left
 and right ends swapped, so A_k(u) of one direction is B_k(u) of the
-other.  verify_frame_sweep therefore classifies the ends of each path
-once, for the first of its two directions, and reuses the classes for
-the second.
+other.  In a loose path consecutive edges meet and no others do, so its
+edge set fixes the edge order up to reversal: only the path and its
+reverse have that edge set, and it determines the vertex set and the
+interior.  verify_frame_sweep therefore classifies the ends of each path
+once, keyed by its edge set, for the first of its two directions, and
+reuses the classes for the second.
 
 verify_frame additionally runs the checks that are only guaranteed when
 the host has no loose path of ell edges (a precondition it verifies):
@@ -50,6 +53,13 @@ A failure of (a)-(d) on a conforming host would be a genuine
 counterexample to the underlying claims, so it is reported with concrete
 edges rather than raised.  The checks apply for ell >= 4 and r >= 3;
 outside that range reports carry status "not-applicable".
+
+The checks form one battery (_battery) over plain data of a directed
+path: its vertex tuple and the classes of its ends.  It returns each
+check's faults and the numbers the details quote; _frame_report turns
+that into a FrameReport.  verify_frame does so for its one frame, and
+verify_frame_sweep only for an embedding whose battery found a fault, so
+a passing embedding of the sweep builds no PathFrame, EndSets or report.
 """
 
 from __future__ import annotations
@@ -96,7 +106,6 @@ class PathFrame:
     left_ends: frozenset[int]
     right_ends: frozenset[int]
     interior: frozenset[int]
-    exterior: frozenset[int]
     path_vertices: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,17 +116,10 @@ class PathFrame:
 @dataclass(frozen=True)
 class EndSets:
     frame: PathFrame
-    # a[u][k] / b[w][k]: host-edge indices, keyed by end vertex and overlap k
-    a: dict[int, dict[int, frozenset[int]]] = field(repr=False)
-    b: dict[int, dict[int, frozenset[int]]] = field(repr=False)
-    # the unions of A_1(u) over the left ends and of B_1(w) over the right
-    a1_union: frozenset[int] = field(init=False, repr=False, compare=False)
-    b1_union: frozenset[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name, classes in (("a1_union", self.a), ("b1_union", self.b)):
-            union = frozenset().union(*(per_k[1] for per_k in classes.values()))
-            object.__setattr__(self, name, union)
+    # a[u][k] / b[w][k]: host-edge indices, keyed by end vertex (ascending)
+    # and overlap k
+    a: _Classes = field(repr=False)
+    b: _Classes = field(repr=False)
 
     def a1(self, u: int) -> frozenset[int]:
         return self.a[u][1]
@@ -184,26 +186,25 @@ def build_frame(host: Hypergraph, emb: Embedding, ell: int) -> PathFrame:
         )
     if not verify_embedding(host, emb):
         raise NotAPathEmbedding("embedding does not verify against the host")
-    return _frame(host, emb, ell)
-
-
-def _frame(host: Hypergraph, emb: Embedding, ell: int) -> PathFrame:
-    """build_frame once ell >= 3, a linear host and a verified embedding
-    of the (ell-1)-edge path are known; the sweep's embeddings come from
-    iter_embeddings, which has verified each against the host."""
     r = emb.pattern.r
-    npath = (ell - 1) * (r - 1) + 1
-    v = (-1,) + tuple(emb.vertex_map)  # v[j] = host vertex for 1-based j
-    left = frozenset(v[j] for j in range(1, r))
-    right = frozenset(v[j] for j in range((ell - 2) * (r - 1) + 2, npath + 1))
-    interior = frozenset(v[1:]) - left - right
-    exterior = frozenset(range(host.n)) - frozenset(v[1:])
-    return PathFrame(host, emb, ell, r, v, left, right, interior, exterior)
+    v = (-1,) + emb.vertex_map  # v[j] = host vertex for 1-based j
+    left, right, interior = _split(v, r)
+    return PathFrame(host, emb, ell, r, v, frozenset(left), frozenset(right), interior)
 
 
-def _classify(frame: PathFrame) -> _Classes:
-    """The classes of every end, left ends first, each side ascending, and
-    the per-end counting checks (tagged A at left ends, B at right ends).
+def _split(v: tuple[int, ...], r: int) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]:
+    """The left ends and right ends (each ascending) and the interior of
+    the path whose vertex v_j is v[j]."""
+    m = len(v) - r + 1  # v[m:] are the right ends
+    return tuple(sorted(v[1:r])), tuple(sorted(v[m:])), frozenset(v[r:m])
+
+
+def _classify(
+    host: Hypergraph, r: int, ell: int, left, right, interior
+) -> tuple[_Classes, _Classes]:
+    """The classes of the left ends (A) and of the right ends (B), each in
+    the order given, and the counting checks: per end (tagged A or B) and
+    on A_1 and B_1 together, which are symmetric in the two sides.
 
     One pass over the edges through each end: an order-r edge whose meet
     with the path is u and k more vertices goes to class k, except that
@@ -211,25 +212,25 @@ def _classify(frame: PathFrame) -> _Classes:
     gathers the meets of the class edges, so it has 1 + sum k|A_k(u)|
     vertices exactly when no path vertex besides u is in two of them.
     """
-    host, r, ell = frame.host, frame.r, frame.ell
-    pathv, interior = frame.path_vertices, frame.interior
-    out: _Classes = {}
-    for tag, ends in (("A", frame.left_ends), ("B", frame.right_ends)):
-        for u in sorted(ends):
-            per_k: dict[int, list[int]] = {k: [] for k in range(1, r)}
+    edge_sets, incidence = host.edge_sets, host.incidence
+    pathv = interior.union(left, right)
+    sides: list[_Classes] = []
+    for tag, ends in (("A", left), ("B", right)):
+        side: _Classes = {}
+        for u in ends:
+            per_k: list[list[int]] = [[] for _ in range(r)]  # per_k[0] stays empty
             covered = {u}
             weighted = 0
-            for idx in host.incidence[u]:
-                es = host.edge_sets[idx]
+            for idx in incidence[u]:
+                es = edge_sets[idx]
                 if len(es) != r:
                     continue
                 meet = es & pathv
                 k = len(meet) - 1
-                if k == 0 or (k == 1 and interior.isdisjoint(es)):
-                    continue
-                per_k[k].append(idx)
-                covered |= meet
-                weighted += k
+                if k > 1 or (k == 1 and not interior.isdisjoint(meet)):
+                    per_k[k].append(idx)
+                    covered |= meet
+                    weighted += k
             if len(per_k[1]) > (r - 1) * (ell - 3):
                 raise InvariantViolation(
                     f"|{tag}_1({u})| = {len(per_k[1])} exceeds (r-1)(ell-3)"
@@ -242,181 +243,156 @@ def _classify(frame: PathFrame) -> _Classes:
             if len(covered) <= weighted:
                 wv = min(
                     v for v in pathv - {u}
-                    if sum(v in host.edge_sets[i] for s in per_k.values() for i in s) > 1
+                    if sum(v in edge_sets[i] for s in per_k for i in s) > 1
                 )
                 raise InvariantViolation(f"path vertex {wv} in two {tag}-edges through {u}")
-            out[u] = {k: frozenset(s) for k, s in per_k.items()}
-    return out
-
-
-def end_edge_sets(frame: PathFrame) -> EndSets:
-    """Compute all A_k/B_k classes and assert the counting bounds."""
-    return _end_sets(frame, _classify(frame))
-
-
-def _end_sets(frame: PathFrame, classes: _Classes) -> EndSets:
-    """EndSets of the frame from the classes of its ends (see _classify),
-    with the checks on A_1 and B_1 together."""
-    r, ell = frame.r, frame.ell
-    es = EndSets(
-        frame,
-        {u: classes[u] for u in sorted(frame.left_ends)},
-        {w: classes[w] for w in sorted(frame.right_ends)},
-    )
-    a1, b1 = es.a1_union, es.b1_union
+            side[u] = {k: frozenset(per_k[k]) for k in range(1, r)}
+        sides.append(side)
+    a, b = sides
+    a1, b1 = ({f for per_k in side.values() for f in per_k[1]} for side in sides)
     if a1 & b1:
         raise InvariantViolation(f"A_1 and B_1 overlap at edges {sorted(a1 & b1)}")
     if len(a1 | b1) > 2 * (r - 1) ** 2 * (ell - 3):
         raise InvariantViolation("|A_1 u B_1| exceeds 2(r-1)^2(ell-3)")
-    return es
+    return a, b
+
+
+def end_edge_sets(frame: PathFrame) -> EndSets:
+    """Compute all A_k/B_k classes and assert the counting bounds."""
+    a, b = _classify(frame.host, frame.r, frame.ell, sorted(frame.left_ends),
+                     sorted(frame.right_ends), frame.interior)
+    return EndSets(frame, a, b)
 
 
 def traversing_pairs(frame: PathFrame, ends: EndSets) -> list[TraversingPair]:
     """All (f1, f2, i) with v_{i(r-1)+1} in f1 in A_1, v_{i(r-1)} in f2 in B_1."""
-    host, r, ell = frame.host, frame.r, frame.ell
-    pairs: list[TraversingPair] = []
+    pairs = _pairs(frame.host, frame.r, frame.ell, frame.v, ends.a, ends.b)
+    return [TraversingPair(*p) for p in pairs]
+
+
+def _pairs(host: Hypergraph, r: int, ell: int, v, a: _Classes, b: _Classes) -> list[tuple]:
+    """The traversing pairs of the directed path v with end classes a and
+    b, as (f1, f2, i, u, w), ordered by i, u, f1, w, f2."""
+    sets = host.edge_sets
+    out: list[tuple] = []
     for i in range(2, ell - 1):
-        hi = frame.v[i * (r - 1) + 1]
-        lo = frame.v[i * (r - 1)]
-        for u in sorted(ends.a):
-            for f1 in sorted(ends.a1(u)):
-                if hi not in host.edge_sets[f1]:
-                    continue
-                for w in sorted(ends.b):
-                    for f2 in sorted(ends.b1(w)):
-                        if lo in host.edge_sets[f2]:
-                            pairs.append(TraversingPair(f1, f2, i, u, w))
-    return pairs
+        hi, lo = v[i * (r - 1) + 1], v[i * (r - 1)]
+        f1s = [(u, f) for u, per_k in a.items() for f in sorted(per_k[1]) if hi in sets[f]]
+        if f1s:
+            f2s = [(w, f) for w, per_k in b.items() for f in sorted(per_k[1]) if lo in sets[f]]
+            out += [(f1, f2, i, u, w) for u, f1 in f1s for w, f2 in f2s]
+    return out
 
 
-def _pair_in_some(host: Hypergraph, edge_ids: frozenset[int], x: int, y: int) -> bool:
-    return any({x, y} <= host.edge_sets[idx] for idx in edge_ids)
-
-
-def _check_blocked_overlap(frame: PathFrame, ends: EndSets, out: list[CheckOutcome]):
-    host, r, ell = frame.host, frame.r, frame.ell
-    a1, b1 = ends.a1_union, ends.b1_union
-    bad: list[str] = []
+def _blocked_overlaps(host: Hypergraph, r: int, ell: int, v, a: _Classes, b: _Classes) -> list:
+    """(j, v_j, least A_1 edge, least B_1 edge through v_j) for each blocked
+    vertex v_j, one of path edges 2..ell-2 other than their joints, that
+    lies in both an A_1 and a B_1 edge."""
+    sets = host.edge_sets
+    bad = []
     for i in range(2, ell - 1):
         for j in range((i - 1) * (r - 1) + 2, i * (r - 1) + 1):
-            vj = frame.v[j]
-            in_a = [f for f in sorted(a1) if vj in host.edge_sets[f]]
-            in_b = [f for f in sorted(b1) if vj in host.edge_sets[f]]
-            if in_a and in_b:
-                bad.append(f"v_{j}={vj} lies in A_1 edge {in_a[0]} and B_1 edge {in_b[0]}")
-    out.append(
-        CheckOutcome(
-            "no-shared-blocked-vertex",
-            not bad,
-            "; ".join(bad) if bad else "no vertex of the blocked ranges meets both A_1 and B_1",
-        )
-    )
+            vj = v[j]
+            in_a = [f for per_k in a.values() for f in per_k[1] if vj in sets[f]]
+            in_b = [f for per_k in b.values() for f in per_k[1] if vj in sets[f]] if in_a else ()
+            if in_b:
+                bad.append((j, vj, min(in_a), min(in_b)))
+    return bad
 
 
-def _check_disjoint_traversal(
-    frame: PathFrame, pairs: list[TraversingPair], out: list[CheckOutcome]
-):
-    host = frame.host
-    bad = [
-        f"edges {p.f1} and {p.f2} traverse at i={p.i} but are disjoint"
-        for p in pairs
-        if not (host.edge_sets[p.f1] & host.edge_sets[p.f2])
-    ]
-    out.append(
-        CheckOutcome(
-            "no-disjoint-traversing-pair",
-            not bad,
-            "; ".join(bad) if bad else f"{len(pairs)} traversing pair(s), all intersecting",
-        )
-    )
+def _disjoint_pairs(host: Hypergraph, pairs: list[tuple]) -> list:
+    """(f1, f2, i) for each traversing pair whose edges are disjoint."""
+    sets = host.edge_sets
+    return [(f1, f2, i) for f1, f2, i, _, _ in pairs if not sets[f1] & sets[f2]]
 
 
-def _check_uncovered_ends(
-    frame: PathFrame, ends: EndSets, pairs: list[TraversingPair], out: list[CheckOutcome]
-):
-    host, r = frame.host, frame.r
-    a1, b1 = ends.a1_union, ends.b1_union
-    bad: list[str] = []
-    for p in pairs:
-        hi = frame.v[p.i * (r - 1) + 1]
-        lo = frame.v[p.i * (r - 1)]
-        if not any(
-            u != p.u and not _pair_in_some(host, a1, u, hi)
-            for u in frame.left_ends
-        ):
-            bad.append(f"pair at i={p.i}: every other left end pairs with v_(i(r-1)+1) in A_1")
-        if not any(
-            w != p.w and not _pair_in_some(host, b1, w, lo)
-            for w in frame.right_ends
-        ):
-            bad.append(f"pair at i={p.i}: every other right end pairs with v_(i(r-1)) in B_1")
-        if r >= 4:
-            lows = [
-                frame.v[t]
-                for t in range((p.i - 1) * (r - 1) + 2, (p.i - 1) * (r - 1) + r - 1)
-            ]
-            if not any(
-                all(not _pair_in_some(host, b1, w, vt) for vt in lows)
-                for w in frame.right_ends
-            ):
-                bad.append(f"pair at i={p.i}: no right end avoids all early blocked vertices in B_1")
-    out.append(
-        CheckOutcome(
-            "traversal-leaves-free-ends",
-            not bad,
-            "; ".join(bad) if bad else f"checked {len(pairs)} traversing pair(s)",
-        )
-    )
+def _uncovered_ends(host: Hypergraph, r: int, v, a: _Classes, b: _Classes, pairs) -> list:
+    """(i, reason) for each way a traversing pair at i leaves no free end.
+
+    A class-1 edge through an end x meets the path in x and one interior
+    vertex, so it holds no other end: {x, y} lies in some A_1 edge exactly
+    when it lies in one of A_1(x), and likewise for B_1.
+    """
+    sets = host.edge_sets
+
+    def apart(side: _Classes, x: int, y: int) -> bool:
+        return all(y not in sets[f] for f in side[x][1])
+
+    bad = []
+    for _, _, i, u, w in pairs:
+        hi, lo = v[i * (r - 1) + 1], v[i * (r - 1)]
+        if not any(x != u and apart(a, x, hi) for x in a):
+            bad.append((i, "every other left end pairs with v_(i(r-1)+1) in A_1"))
+        if not any(x != w and apart(b, x, lo) for x in b):
+            bad.append((i, "every other right end pairs with v_(i(r-1)) in B_1"))
+        lows = v[(i - 1) * (r - 1) + 2:(i - 1) * (r - 1) + r - 1]
+        if r >= 4 and not any(all(apart(b, x, y) for y in lows) for x in b):
+            bad.append((i, "no right end avoids all early blocked vertices in B_1"))
+    return bad
 
 
-def _check_small_end_pair(frame: PathFrame, ends: EndSets, out: list[CheckOutcome]) -> int:
-    r, ell = frame.r, frame.ell
-    # the pair sum is separable: its minimum pairs the two smallest classes
-    best = min(len(ends.a1(u)) for u in frame.left_ends) + min(
-        len(ends.b1(w)) for w in frame.right_ends
-    )
-    bound = 2 * (r - 2) * (ell - 3)
-    out.append(
-        CheckOutcome(
-            "small-end-pair",
-            best <= bound,
-            f"min |A_1(u)|+|B_1(w)| = {best}, bound {bound}",
-        )
-    )
-    return best
-
-
-def _check_end_degrees(frame: PathFrame, ends: EndSets, out: list[CheckOutcome]):
-    host, r = frame.host, frame.r
-    bad: list[str] = []
-    for tag, classes in (("A", ends.a), ("B", ends.b)):
-        for u, per_k in sorted(classes.items()):
-            if host.r == r:
-                deg = len(host.incidence[u])
-            else:
-                deg = sum(1 for idx in host.incidence[u] if len(host.edge_sets[idx]) == r)
+def _end_degrees(host: Hypergraph, r: int, a: _Classes, b: _Classes) -> list:
+    """(u, degree, tag, cap) for each end whose degree in the order-r edges
+    exceeds cap, its class count plus r-1."""
+    incidence, uniform = host.incidence, host.r == r
+    bad = []
+    for tag, side in (("A", a), ("B", b)):
+        for u, per_k in side.items():
+            inc = incidence[u]
+            deg = len(inc) if uniform else sum(len(host.edge_sets[i]) == r for i in inc)
             cap = sum(map(len, per_k.values())) + r - 1
             if deg > cap:
-                bad.append(f"end {u}: degree {deg} > sum|{tag}_k| + r-1 = {cap}")
-    out.append(
-        CheckOutcome(
-            "end-degree-bound",
-            not bad,
-            "; ".join(bad) if bad else "every end degree within its class budget",
-        )
+                bad.append((u, deg, tag, cap))
+    return bad
+
+
+# name, fault detail and passing detail of each check, in report order;
+# a fault fills the first, the numbers _battery quotes the second
+_CHECKS = (
+    ("no-shared-blocked-vertex", "v_{}={} lies in A_1 edge {} and B_1 edge {}",
+     "no vertex of the blocked ranges meets both A_1 and B_1"),
+    ("no-disjoint-traversing-pair", "edges {} and {} traverse at i={} but are disjoint",
+     "{} traversing pair(s), all intersecting"),
+    ("traversal-leaves-free-ends", "pair at i={}: {}", "checked {} traversing pair(s)"),
+    ("small-end-pair", "min |A_1(u)|+|B_1(w)| = {}, bound {}",
+     "min |A_1(u)|+|B_1(w)| = {}, bound {}"),
+    ("end-degree-bound", "end {}: degree {} > sum|{}_k| + r-1 = {}",
+     "every end degree within its class budget"),
+)
+
+
+def _battery(host: Hypergraph, r: int, ell: int, v, a: _Classes, b: _Classes):
+    """Checks (a)-(d) on the directed path whose vertex v_j is v[j], with
+    left-end classes a and right-end classes b: each check's faults (an
+    empty list when it passes) and the numbers its passing detail quotes
+    (see _CHECKS): the traversing pair count, and the least
+    |A_1(u)|+|B_1(w)| with its bound."""
+    pairs = _pairs(host, r, ell, v, a, b)
+    # the pair sum is separable: its minimum pairs the two smallest classes
+    best = min([len(per_k[1]) for per_k in a.values()]) + min(
+        [len(per_k[1]) for per_k in b.values()]
     )
+    bound = 2 * (r - 2) * (ell - 3)
+    faults = (
+        _blocked_overlaps(host, r, ell, v, a, b),
+        _disjoint_pairs(host, pairs),
+        _uncovered_ends(host, r, v, a, b, pairs),
+        [(best, bound)] if best > bound else [],
+        _end_degrees(host, r, a, b),
+    )
+    return faults, ((), (len(pairs),), (len(pairs),), (best, bound), ())
 
 
-def _frame_report(frame: PathFrame, ends: EndSets) -> FrameReport:
-    pairs = traversing_pairs(frame, ends)
-    outcomes: list[CheckOutcome] = []
-    _check_blocked_overlap(frame, ends, outcomes)
-    _check_disjoint_traversal(frame, pairs, outcomes)
-    _check_uncovered_ends(frame, ends, pairs, outcomes)
-    best = _check_small_end_pair(frame, ends, outcomes)
-    _check_end_degrees(frame, ends, outcomes)
-    status = "pass" if all(o.passed for o in outcomes) else "fail"
-    return FrameReport(status, frame.ell, frame.r, frame.emb, tuple(outcomes), best)
+def _frame_report(emb: Embedding, ell: int, r: int, faults, quoted) -> FrameReport:
+    """The FrameReport of one battery result (see _battery)."""
+    outcomes = tuple(
+        CheckOutcome(
+            name, not bad, "; ".join(fail.format(*f) for f in bad) if bad else ok.format(*args)
+        )
+        for (name, fail, ok), bad, args in zip(_CHECKS, faults, quoted)
+    )
+    best = quoted[3][0]  # small-end-pair's sum
+    return FrameReport("fail" if any(faults) else "pass", ell, r, emb, outcomes, best)
 
 
 def _require_path_free(host: Hypergraph, ell: int, r: int) -> None:
@@ -437,12 +413,14 @@ def verify_frame(host: Hypergraph, emb: Embedding, ell: int) -> FrameReport:
     _require_path_free(host, ell, frame.r)
     if ell < 4 or frame.r < 3:
         return FrameReport("not-applicable", ell, frame.r, emb, ())
-    return _frame_report(frame, end_edge_sets(frame))
+    ends = end_edge_sets(frame)
+    return _frame_report(emb, ell, frame.r, *_battery(host, frame.r, ell, frame.v, ends.a, ends.b))
 
 
 def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
     """verify_frame over every directed embedding of the (ell-1)-edge path;
-    the two directions of a path share one classification of its ends."""
+    the two directions of a path share one classification of its ends,
+    and only an embedding that fails gets a FrameReport."""
     if ell < 3:
         raise BadParameters(f"sweeps need ell >= 3, got {ell}")
     if not is_linear(host):
@@ -451,21 +429,23 @@ def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
     checked = 0
     failures: list[FrameReport] = []
     applicable = ell >= 4 and r >= 3
-    # classes of the paths met in one direction so far, keyed by vertex
-    # set and interior (see the module docstring); the reverse takes them
-    pending: dict[tuple[frozenset[int], frozenset[int]], _Classes] = {}
+    # the classes of the paths met in one direction so far, keyed by edge
+    # set (see the module docstring); the reverse takes them, sides swapped
+    pending: dict[frozenset[int], tuple[_Classes, _Classes]] = {}
     for emb in iter_embeddings(host, linear_path(ell - 1, r)):
         checked += 1
         if not applicable:
             continue
-        frame = _frame(host, emb, ell)
-        key = (frame.path_vertices, frame.interior)
-        classes = pending.pop(key, None)
-        if classes is None:
-            classes = pending[key] = _classify(frame)
-        report = _frame_report(frame, _end_sets(frame, classes))
-        if report.status == "fail":
-            failures.append(report)
+        v = (-1,) + emb.vertex_map
+        key = frozenset(emb.edge_map)
+        sides = pending.pop(key, None)
+        if sides is None:
+            a, b = pending[key] = _classify(host, r, ell, *_split(v, r))
+        else:
+            b, a = sides
+        faults, quoted = _battery(host, r, ell, v, a, b)
+        if any(faults):
+            failures.append(_frame_report(emb, ell, r, faults, quoted))
     if not applicable:
         status = "not-applicable"
     else:

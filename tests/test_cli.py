@@ -409,6 +409,24 @@ class TestVerify:
         assert code == EXIT_OK
         assert text.startswith("pass: 4 embeddings checked, 0 failures")
 
+    def test_section2_sweeps_an_r4_host(self, capsys, tmp_path):
+        # P5-free at r = 4, and two of its frames hold a traversing pair,
+        # so the r >= 4 branch of the uncovered-ends check runs
+        hfile = tmp_path / "r4.txt"
+        hfile.write_text(
+            "n 16 r 4\n0 1 2 6\n0 7 10 11\n1 4 14 15\n1 5 8 12\n"
+            "3 10 12 15\n4 6 11 12\n4 8 9 13\n"
+        )
+        h = lt.read_file(str(hfile))
+        assert lt.is_free(h, lt.linear_path(5, 4))
+        pairs = 0
+        for emb in lt.iter_embeddings(h, lt.linear_path(4, 4)):
+            frame = lt.build_frame(h, emb, 5)
+            pairs += len(lt.traversing_pairs(frame, lt.end_edge_sets(frame)))
+        assert pairs == 2
+        code, text, _ = run(capsys, "verify", "section2", "--in", str(hfile), "--ell", "5")
+        assert (code, text) == (EXIT_OK, "pass: 8 embeddings checked, 0 failures\n")
+
     def test_section2_path_present(self, capsys, tmp_path):
         hfile = tmp_path / "p4.txt"
         lt.write_file(lt.realize(lt.linear_path(4, 3)), str(hfile))

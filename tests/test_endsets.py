@@ -29,14 +29,15 @@ def test_frame_partition_of_bare_path():
     assert frame.left_ends == frozenset({0, 1})
     assert frame.interior == frozenset({2, 3, 4})
     assert frame.right_ends == frozenset({5, 6})
-    assert frame.exterior == frozenset()
+    assert frame.path_vertices == frozenset(range(7))
     assert frame.v[1:] == tuple(range(7))
 
 
 def test_pendant_edge_lands_in_a1(p3_plus_pendant):
     emb = identity_embedding(p3_plus_pendant, P3)
     frame = lt.build_frame(p3_plus_pendant, emb, 4)
-    assert frame.exterior == frozenset({7})
+    # vertex 7 is off the path
+    assert frame.path_vertices == frozenset(range(7))
     ends = lt.end_edge_sets(frame)
     # the added edge goes through left end 1 and interior vertex 3
     assert len(ends.a1(1)) == 1
@@ -108,22 +109,6 @@ def test_sweep_checks_linearity_once(monkeypatch, p3_plus_pendant):
     assert sorted(map(id, verified)) == sorted(map(id, swept))
 
 
-def _swept(monkeypatch, host, ell, r):
-    """Every (frame, EndSets, FrameReport) the sweep makes on the host."""
-    seen = []
-    report = lt.endsets._frame_report
-
-    def recorded(frame, ends):
-        seen.append((frame, ends, report(frame, ends)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(lt.endsets, "_frame_report", recorded)
-    sweep = lt.verify_frame_sweep(host, ell, r)
-    monkeypatch.setattr(lt.endsets, "_frame_report", report)
-    assert sweep.embeddings_checked == len(seen)
-    return seen
-
-
 def _sweep_hosts():
     """(host, ell): criterion-5 hosts holding the three-edge path (none on
     six vertices or fewer does), and seeded random linear hosts that hold
@@ -144,20 +129,45 @@ def _sweep_hosts():
             yield h, ell
 
 
-def test_sweep_shares_classes_between_directions(monkeypatch):
+def test_sweep_shares_classes_between_directions():
     # the sweep classifies a path's ends for one direction and reuses them
-    # for the other; every frame's EndSets and report must equal those
-    # computed afresh for that frame alone
+    # for the other, and builds a report only for a failing embedding; its
+    # verdict on every directed embedding must be verify_frame's, which
+    # builds the frame and its classes afresh
     frames = 0
     for host, ell in _sweep_hosts():
-        for frame, ends, report in _swept(monkeypatch, host, ell, host.r):
-            fresh = lt.end_edge_sets(frame)
-            assert ends == fresh, (host.edges, frame.emb)
-            assert ends.a1_union == fresh.a1_union and ends.b1_union == fresh.b1_union
-            assert report == lt.endsets._frame_report(frame, fresh), (host.edges, frame.emb)
-            assert report == lt.verify_frame(host, frame.emb, ell)
-            frames += 1
+        sweep = lt.verify_frame_sweep(host, ell, host.r)
+        failed = [rep.emb for rep in sweep.failures]
+        embs = list(lt.iter_embeddings(host, lt.linear_path(ell - 1, host.r)))
+        assert sweep.embeddings_checked == len(embs)
+        for emb in embs:
+            verdict = "fail" if emb in failed else "pass"
+            assert verdict == lt.verify_frame(host, emb, ell).status, (host.edges, emb)
+        assert sweep.status == ("fail" if failed else "pass")
+        frames += len(embs)
     assert frames > 1000
+
+
+def test_sweep_reports_every_failing_embedding(monkeypatch):
+    # no conforming host fails a check, so one check is made to fail on
+    # every embedding: the sweep must report each, in its own order, with
+    # the report verify_frame gives that embedding
+    monkeypatch.setattr(
+        lt.endsets, "_end_degrees", lambda host, r, a, b: [(u, -1, "A", -2) for u in a]
+    )
+    hosts = {}  # the first host of each order and path length
+    for host, ell in _sweep_hosts():
+        hosts.setdefault((host.r, ell), host)
+    assert sorted(hosts) == [(3, 4), (3, 5), (4, 4), (4, 5)]
+    for (_, ell), host in hosts.items():
+        sweep = lt.verify_frame_sweep(host, ell, host.r)
+        embs = lt.iter_embeddings(host, lt.linear_path(ell - 1, host.r))
+        reports = tuple(lt.verify_frame(host, emb, ell) for emb in embs)
+        assert sweep.status == "fail"
+        assert sweep.embeddings_checked == len(reports) > 0
+        assert sweep.failures == reports
+        assert all(rep.status == "fail" and rep.failures[0].name == "end-degree-bound"
+                   for rep in reports)
 
 
 def test_sweep_classifies_each_path_once(monkeypatch, p3_plus_pendant):
@@ -166,13 +176,14 @@ def test_sweep_classifies_each_path_once(monkeypatch, p3_plus_pendant):
     classified = []
     classify = lt.endsets._classify
     monkeypatch.setattr(
-        lt.endsets, "_classify", lambda frame: classified.append(frame) or classify(frame)
+        lt.endsets, "_classify", lambda *args: classified.append(args) or classify(*args)
     )
     rep = lt.verify_frame_sweep(p3_plus_pendant, 4, 3)
     assert rep.embeddings_checked == 4
     assert len(classified) == 2
     # the paths (0,1,2) (2,3,4) (4,5,6) and (4,5,6) (2,3,4) (1,3,7)
-    assert {c.path_vertices for c in classified} == {frozenset(range(7)), frozenset(range(1, 8))}
+    path_vertices = {interior.union(left, right) for *_, left, right, interior in classified}
+    assert path_vertices == {frozenset(range(7)), frozenset(range(1, 8))}
 
 
 def test_two_class_edges_sharing_a_path_vertex_raise():
@@ -187,7 +198,6 @@ def test_two_class_edges_sharing_a_path_vertex_raise():
         left_ends=frozenset({0, 1}),
         right_ends=frozenset({5, 6}),
         interior=frozenset({2, 3, 4}),
-        exterior=frozenset({7}),
     )
     assert frame.path_vertices == frozenset(range(7))
     with pytest.raises(InvariantViolation, match="path vertex 2 in two A-edges through 1"):
