@@ -4,13 +4,10 @@ hypergraphs avoiding loose paths, stars, cycles, and their disjoint unions.
 
 from .bounds import (
     BoundReport,
-    ConsistencyReport,
-    consistency_check,
     disjoint_paths_turan,
     forest_turan,
     inserted_product_lower,
     linear_path_upper,
-    lower_bounds,
     packing_lower,
     path_star_forest_upper,
     path_star_turan,
@@ -34,7 +31,6 @@ from .designs import (
     block_count,
     build_design,
     is_admissible,
-    replication,
     require_design,
     verify_design,
 )
@@ -46,14 +42,8 @@ from .detect import (
     verify_embedding,
 )
 from .endsets import (
-    EndSets,
     FrameReport,
-    PathFrame,
     SweepReport,
-    TraversingPair,
-    build_frame,
-    end_edge_sets,
-    traversing_pairs,
     verify_frame,
     verify_frame_sweep,
 )
@@ -80,10 +70,8 @@ from .hypergraph import (
     cartesian_product,
     connected_components,
     disjoint_union,
-    edges_between,
     integer_lattice,
     is_linear,
-    k_copies,
     linearity_violation,
     make_hypergraph,
     remove_vertices,
@@ -91,7 +79,6 @@ from .hypergraph import (
 from .oracle import (
     OracleResult,
     SearchBudget,
-    enumerate_free,
     ex_table,
     iter_free,
     max_edges,

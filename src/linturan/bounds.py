@@ -253,22 +253,6 @@ def inserted_product_lower(r: int, ell: int, k: int, n: int) -> BoundReport:
     )
 
 
-def lower_bounds(
-    r: int,
-    ell: int,
-    k: int,
-    n: int,
-    path_free_max: Optional[Rational] = None,
-) -> tuple[BoundReport, ...]:
-    """Construction-driven reports for one parameter point, in a fixed order:
-    packing floor, removal cap, inserted-product floor (the last only when
-    k >= 1)."""
-    reports = [packing_lower(r, ell, n), removal_upper(r, ell, k, n, path_free_max)]
-    if k >= 1:
-        reports.append(inserted_product_lower(r, ell, k, n))
-    return tuple(reports)
-
-
 # ---------------------------------------------------------------------------
 # unrestricted hosts
 
@@ -469,56 +453,6 @@ def turan_formulas(
     return tuple(reports)
 
 
-# ---------------------------------------------------------------------------
-# cross-checking
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    label: str
-    ok: bool
-    violations: tuple[str, ...]
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"{self.label}: consistent"
-        return f"{self.label}: " + "; ".join(self.violations)
-
-
-def _value_of(bound: Union[Rational, BoundReport]) -> Fraction:
-    if isinstance(bound, BoundReport):
-        return bound.value
-    return _frac(bound)
-
-
-def consistency_check(
-    label: str,
-    exact: Union[None, Rational, BoundReport] = None,
-    lower: Union[None, Rational, BoundReport] = None,
-    upper: Union[None, Rational, BoundReport] = None,
-) -> ConsistencyReport:
-    """Check lower <= exact <= upper for whichever values are supplied.
-
-    At least two of the three must be present.  Accepts plain numbers or
-    reports; reports contribute their value regardless of applicability,
-    since the point is to catch formula-level contradictions.
-    """
-    given = [x for x in (exact, lower, upper) if x is not None]
-    if len(given) < 2:
-        raise BadParameters("need at least two of exact, lower, upper")
-    violations = []
-    lo = _value_of(lower) if lower is not None else None
-    ex = _value_of(exact) if exact is not None else None
-    up = _value_of(upper) if upper is not None else None
-    if lo is not None and ex is not None and lo > ex:
-        violations.append(f"lower {lo} exceeds exact {ex}")
-    if ex is not None and up is not None and ex > up:
-        violations.append(f"exact {ex} exceeds upper {up}")
-    if lo is not None and up is not None and lo > up:
-        violations.append(f"lower {lo} exceeds upper {up}")
-    return ConsistencyReport(label, not violations, tuple(violations))
-
-
 __all__ = [
     "ASYMPTOTIC",
     "DESIGN_PREMISE",
@@ -526,19 +460,16 @@ __all__ = [
     "STAND_IN_STAR",
     "PATH_TERM_BOUNDED",
     "BoundReport",
-    "ConsistencyReport",
     "linear_path_upper",
     "star_forest_upper",
     "path_star_forest_upper",
     "packing_lower",
     "removal_upper",
     "inserted_product_lower",
-    "lower_bounds",
     "path_turan_exact",
     "disjoint_paths_turan",
     "star_turan_upper",
     "path_star_turan",
     "forest_turan",
     "turan_formulas",
-    "consistency_check",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "Design",
     "DesignOutcome",
     "is_admissible",
-    "replication",
     "block_count",
     "verify_design",
     "build_design",
@@ -66,12 +65,6 @@ def is_admissible(n: int, r: int) -> bool:
     """Divisibility test: both design counting fractions are integers."""
     _check_params(n, r)
     return (n - 1) % (r - 1) == 0 and n * (n - 1) % (r * (r - 1)) == 0
-
-
-def replication(n: int, r: int) -> Fraction:
-    """Blocks through one point, as an exact rational."""
-    _check_params(n, r)
-    return Fraction(n - 1, r - 1)
 
 
 def block_count(n: int, r: int) -> Fraction:

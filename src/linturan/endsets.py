@@ -26,8 +26,9 @@ Classification alone forces, in any linear host:
   |A_1 u B_1| <= 2(r-1)^2 (ell-3)    and A_1, B_1 are disjoint
   sum_k k|A_k(u)| <= (r-1)(ell-1)    per end
 
-so end_edge_sets raises InvariantViolation if any of them fails, and if
-two class edges through one end share a path vertex other than the end.
+so classifying the ends raises InvariantViolation if any of them fails,
+and if two class edges through one end share a path vertex other than
+the end.
 
 The classes of an end u are a function of u, the path's vertex set and
 its interior alone: the class of an edge through u is read from its meet
@@ -54,17 +55,18 @@ counterexample to the underlying claims, so it is reported with concrete
 edges rather than raised.  The checks apply for ell >= 4 and r >= 3;
 outside that range reports carry status "not-applicable".
 
-The checks form one battery (_battery) over plain data of a directed
-path: its vertex tuple and the classes of its ends.  It returns each
-check's faults and the numbers the details quote; _frame_report turns
-that into a FrameReport.  verify_frame does so for its one frame, and
-verify_frame_sweep only for an embedding whose battery found a fault, so
-a passing embedding of the sweep builds no PathFrame, EndSets or report.
+verify_frame and verify_frame_sweep share one data path over plain
+values of a directed path: _split reads its ends and interior off its
+vertex tuple, _classify gives the classes of its ends, and _battery runs
+(a)-(d), returning each check's faults and the numbers the details
+quote.  _frame_report turns that into a FrameReport: verify_frame does
+so for its one embedding, verify_frame_sweep only for an embedding whose
+battery found a fault.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .detect import Embedding, contains, iter_embeddings, verify_embedding
@@ -79,64 +81,15 @@ from .hypergraph import Hypergraph, is_linear
 from .patterns import linear_path
 
 __all__ = [
-    "PathFrame",
-    "EndSets",
-    "TraversingPair",
     "CheckOutcome",
     "FrameReport",
     "SweepReport",
-    "build_frame",
-    "end_edge_sets",
-    "traversing_pairs",
     "verify_frame",
     "verify_frame_sweep",
 ]
 
 # classes[u][k]: the host-edge indices of A_k(u) or B_k(u), by end vertex u
 _Classes = dict[int, dict[int, frozenset[int]]]
-
-
-@dataclass(frozen=True)
-class PathFrame:
-    host: Hypergraph
-    emb: Embedding
-    ell: int  # length of the forbidden path; the embedded path has ell-1 edges
-    r: int
-    v: tuple[int, ...]  # v[j] is the host vertex called v_j; v[0] is unused
-    left_ends: frozenset[int]
-    right_ends: frozenset[int]
-    interior: frozenset[int]
-    path_vertices: frozenset[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pathv = self.left_ends | self.interior | self.right_ends
-        object.__setattr__(self, "path_vertices", pathv)
-
-
-@dataclass(frozen=True)
-class EndSets:
-    frame: PathFrame
-    # a[u][k] / b[w][k]: host-edge indices, keyed by end vertex (ascending)
-    # and overlap k
-    a: _Classes = field(repr=False)
-    b: _Classes = field(repr=False)
-
-    def a1(self, u: int) -> frozenset[int]:
-        return self.a[u][1]
-
-    def b1(self, w: int) -> frozenset[int]:
-        return self.b[w][1]
-
-
-@dataclass(frozen=True)
-class TraversingPair:
-    """An A_1 edge through v_{i(r-1)+1} with a B_1 edge through v_{i(r-1)}."""
-
-    f1: int  # host edge index, in A_1(left end u)
-    f2: int  # host edge index, in B_1(right end w)
-    i: int  # 2 <= i <= ell-2
-    u: int  # host vertex of the left end owning f1
-    w: int  # host vertex of the right end owning f2
 
 
 @dataclass(frozen=True)
@@ -171,25 +124,6 @@ class SweepReport:
     @property
     def all_pass(self) -> bool:
         return self.status == "pass"
-
-
-def build_frame(host: Hypergraph, emb: Embedding, ell: int) -> PathFrame:
-    """Classify the host's vertices around an embedded path of ell-1 edges."""
-    if ell < 3:
-        raise BadParameters(f"frames need ell >= 3, got {ell}")
-    if not is_linear(host):
-        raise HostNotLinear("frames are defined over linear hosts")
-    length = emb.pattern.single("path")
-    if length is None or length != ell - 1:
-        raise NotAPathEmbedding(
-            f"expected an embedding of a loose path with {ell - 1} edges, got {emb.pattern}"
-        )
-    if not verify_embedding(host, emb):
-        raise NotAPathEmbedding("embedding does not verify against the host")
-    r = emb.pattern.r
-    v = (-1,) + emb.vertex_map  # v[j] = host vertex for 1-based j
-    left, right, interior = _split(v, r)
-    return PathFrame(host, emb, ell, r, v, frozenset(left), frozenset(right), interior)
 
 
 def _split(v: tuple[int, ...], r: int) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]:
@@ -255,19 +189,6 @@ def _classify(
     if len(a1 | b1) > 2 * (r - 1) ** 2 * (ell - 3):
         raise InvariantViolation("|A_1 u B_1| exceeds 2(r-1)^2(ell-3)")
     return a, b
-
-
-def end_edge_sets(frame: PathFrame) -> EndSets:
-    """Compute all A_k/B_k classes and assert the counting bounds."""
-    a, b = _classify(frame.host, frame.r, frame.ell, sorted(frame.left_ends),
-                     sorted(frame.right_ends), frame.interior)
-    return EndSets(frame, a, b)
-
-
-def traversing_pairs(frame: PathFrame, ends: EndSets) -> list[TraversingPair]:
-    """All (f1, f2, i) with v_{i(r-1)+1} in f1 in A_1, v_{i(r-1)} in f2 in B_1."""
-    pairs = _pairs(frame.host, frame.r, frame.ell, frame.v, ends.a, ends.b)
-    return [TraversingPair(*p) for p in pairs]
 
 
 def _pairs(host: Hypergraph, r: int, ell: int, v, a: _Classes, b: _Classes) -> list[tuple]:
@@ -395,6 +316,14 @@ def _frame_report(emb: Embedding, ell: int, r: int, faults, quoted) -> FrameRepo
     return FrameReport("fail" if any(faults) else "pass", ell, r, emb, outcomes, best)
 
 
+def _require_linear(host: Hypergraph, ell: int, what: str) -> None:
+    """What frames and sweeps both need: ell >= 3 and a linear host."""
+    if ell < 3:
+        raise BadParameters(f"{what} need ell >= 3, got {ell}")
+    if not is_linear(host):
+        raise HostNotLinear(f"{what} are defined over linear hosts")
+
+
 def _require_path_free(host: Hypergraph, ell: int, r: int) -> None:
     witness = contains(host, linear_path(ell, r))
     if witness is not None:
@@ -404,27 +333,35 @@ def _require_path_free(host: Hypergraph, ell: int, r: int) -> None:
 
 
 def verify_frame(host: Hypergraph, emb: Embedding, ell: int) -> FrameReport:
-    """Run the full check battery for one embedding.
+    """Run the full check battery for one embedding of the loose path
+    with ell-1 edges in a linear host.
 
-    Raises HostContainsPath when the host is not free of the length-ell
-    loose path (the regime in which the checks are guaranteed).
+    Raises BadParameters, HostNotLinear, NotAPathEmbedding and
+    HostContainsPath, checked in that order; the last when the host is
+    not free of the length-ell loose path (the regime in which the
+    checks are guaranteed).
     """
-    frame = build_frame(host, emb, ell)
-    _require_path_free(host, ell, frame.r)
-    if ell < 4 or frame.r < 3:
-        return FrameReport("not-applicable", ell, frame.r, emb, ())
-    ends = end_edge_sets(frame)
-    return _frame_report(emb, ell, frame.r, *_battery(host, frame.r, ell, frame.v, ends.a, ends.b))
+    _require_linear(host, ell, "frames")
+    if emb.pattern.single("path") != ell - 1:
+        raise NotAPathEmbedding(
+            f"expected an embedding of a loose path with {ell - 1} edges, got {emb.pattern}"
+        )
+    if not verify_embedding(host, emb):
+        raise NotAPathEmbedding("embedding does not verify against the host")
+    r = emb.pattern.r
+    _require_path_free(host, ell, r)
+    if ell < 4 or r < 3:
+        return FrameReport("not-applicable", ell, r, emb, ())
+    v = (-1,) + emb.vertex_map
+    a, b = _classify(host, r, ell, *_split(v, r))
+    return _frame_report(emb, ell, r, *_battery(host, r, ell, v, a, b))
 
 
 def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
     """verify_frame over every directed embedding of the (ell-1)-edge path;
     the two directions of a path share one classification of its ends,
     and only an embedding that fails gets a FrameReport."""
-    if ell < 3:
-        raise BadParameters(f"sweeps need ell >= 3, got {ell}")
-    if not is_linear(host):
-        raise HostNotLinear("sweeps are defined over linear hosts")
+    _require_linear(host, ell, "sweeps")
     _require_path_free(host, ell, r)
     checked = 0
     failures: list[FrameReport] = []

@@ -33,11 +33,9 @@ __all__ = [
     "is_linear",
     "linearity_violation",
     "disjoint_union",
-    "k_copies",
     "remove_vertices",
     "cartesian_product",
     "integer_lattice",
-    "edges_between",
     "connected_components",
     "DEFAULT_PRODUCT_CAP",
 ]
@@ -77,11 +75,6 @@ class Hypergraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise OutOfRangeVertex(f"vertex {v} not in range(0, {self.n})")
-        return len(self.incidence[v])
 
     def degrees(self) -> list[int]:
         return [len(ds) for ds in self.incidence]
@@ -171,13 +164,6 @@ def disjoint_union(hs: Sequence[Hypergraph]) -> Hypergraph:
     return make_hypergraph(n, edges, r)
 
 
-def k_copies(h: Hypergraph, k: int) -> Hypergraph:
-    """Disjoint union of k copies of h (k >= 1)."""
-    if k < 1:
-        raise BadParameters(f"copy count must be >= 1, got {k}")
-    return disjoint_union([h] * k)
-
-
 def remove_vertices(h: Hypergraph, drop: Iterable[int]) -> Hypergraph:
     """Delete vertices and every edge meeting them; reindex order-preserving."""
     dropset = frozenset(drop)
@@ -246,24 +232,6 @@ def integer_lattice(r: int, d: int) -> Hypergraph:
             base = sum(rest[j] * weights[others[j]] for j in range(d - 1))
             edges.append(tuple(base + t * weights[axis] for t in range(r)))
     return make_hypergraph(n, edges, r)
-
-
-def edges_between(h: Hypergraph, part: Iterable[int]) -> tuple[int, int, int]:
-    """Counts (crossing, inside the part, inside the complement)."""
-    u = frozenset(part)
-    for v in u:
-        if not 0 <= v < h.n:
-            raise OutOfRangeVertex(f"vertex {v} not in range(0, {h.n})")
-    cross = inside = outside = 0
-    for e in h.edge_sets:
-        k = len(e & u)
-        if k == 0:
-            outside += 1
-        elif k == len(e):
-            inside += 1
-        else:
-            cross += 1
-    return (cross, inside, outside)
 
 
 def connected_components(h: Hypergraph) -> list[frozenset[int]]:

@@ -72,7 +72,6 @@ __all__ = [
     "max_edges",
     "path_cap",
     "iter_free",
-    "enumerate_free",
     "ex_table",
 ]
 
@@ -466,18 +465,6 @@ def iter_free(
             f"enumeration exceeded its budget after {s.stats.nodes} nodes"
         ) from None
     s.finish()
-
-
-def enumerate_free(
-    n: int,
-    r: int,
-    pattern: Optional[ForbiddenPattern],
-    host: str = "linear",
-    edge_count: Optional[int] = None,
-    budget: Optional[SearchBudget] = None,
-) -> int:
-    """Count of pattern-free hosts; see iter_free for conventions."""
-    return sum(1 for _ in iter_free(n, r, pattern, host, edge_count, budget))
 
 
 def ex_table(

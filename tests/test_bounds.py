@@ -117,10 +117,6 @@ class TestLowerFamily:
         )
         assert lt.inserted_product_lower(r, ell, k, n).value == want
 
-    def test_lower_bounds_bundle(self):
-        reps = lt.lower_bounds(3, 4, 1, 101, path_free_max=600)
-        assert [x.rule for x in reps] == ["packing", "removal", "inserted-product"]
-
 
 class TestTuranFormulas:
     def test_single_path_spot_values(self):
@@ -223,16 +219,6 @@ def test_values_are_nonnegative_and_monotone_in_n(r, ell, n):
     rep = lt.linear_path_upper(r, ell, n)
     assert rep.value >= 0
     assert lt.linear_path_upper(r, ell, n + 1).value >= rep.value
-
-
-def test_consistency_check():
-    ok = lt.consistency_check("demo", exact=43, lower=40, upper=lt.linear_path_upper(3, 4, 10))
-    assert ok.ok and ok.violations == ()
-    bad = lt.consistency_check("demo", exact=43, upper=42)
-    assert not bad.ok
-    assert bad.violations == ("exact 43 exceeds upper 42",)
-    with pytest.raises(BadParameters):
-        lt.consistency_check("demo", exact=43)
 
 
 def test_report_rendering():

@@ -11,6 +11,7 @@ import pytest
 import linturan as lt
 from linturan import cli
 from linturan.cli import EXIT_FAIL, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, main
+from linturan.endsets import _classify, _pairs, _split
 from linturan.results import SearchStats
 
 
@@ -421,8 +422,9 @@ class TestVerify:
         assert lt.is_free(h, lt.linear_path(5, 4))
         pairs = 0
         for emb in lt.iter_embeddings(h, lt.linear_path(4, 4)):
-            frame = lt.build_frame(h, emb, 5)
-            pairs += len(lt.traversing_pairs(frame, lt.end_edge_sets(frame)))
+            v = (-1,) + emb.vertex_map
+            a, b = _classify(h, 4, 5, *_split(v, 4))
+            pairs += len(_pairs(h, 4, 5, v, a, b))
         assert pairs == 2
         code, text, _ = run(capsys, "verify", "section2", "--in", str(hfile), "--ell", "5")
         assert (code, text) == (EXIT_OK, "pass: 8 embeddings checked, 0 failures\n")

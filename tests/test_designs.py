@@ -39,8 +39,7 @@ def test_build_verify_and_count(n, r, strategy, blocks):
     assert lt.is_linear(g)
     # every pair covered exactly once, counted from scratch
     assert set(pair_coverage(g).values()) == {1}
-    rep = lt.replication(n, r)
-    assert g.degrees() == [rep] * n
+    assert g.degrees() == [(n - 1) // (r - 1)] * n
     assert lt.block_count(n, r) == blocks
 
 
@@ -69,7 +68,6 @@ def test_admissibility_is_the_divisibility_test():
 
 def test_counting_fractions():
     assert lt.block_count(9, 3) == Fraction(12)
-    assert lt.replication(9, 3) == Fraction(4)
     assert lt.block_count(8, 3) == Fraction(28, 3)  # non-integral: inadmissible
 
 

@@ -1,15 +1,18 @@
 import random
+from dataclasses import replace
 from itertools import islice
 
 import pytest
 
 import linturan as lt
 from hostgen import random_edges
+from linturan.endsets import _classify, _pairs, _split
 from linturan.errors import (
     BadParameters,
     HostContainsPath,
     HostNotLinear,
     InvariantViolation,
+    LinturanError,
     NotAPathEmbedding,
 )
 
@@ -25,25 +28,23 @@ def identity_embedding(host, pattern):
 
 def test_frame_partition_of_bare_path():
     host = lt.realize(P3)
-    frame = lt.build_frame(host, identity_embedding(host, P3), 4)
-    assert frame.left_ends == frozenset({0, 1})
-    assert frame.interior == frozenset({2, 3, 4})
-    assert frame.right_ends == frozenset({5, 6})
-    assert frame.path_vertices == frozenset(range(7))
-    assert frame.v[1:] == tuple(range(7))
+    emb = identity_embedding(host, P3)
+    assert emb.vertex_map == tuple(range(7))
+    left, right, interior = _split((-1,) + emb.vertex_map, 3)
+    assert (left, right, interior) == ((0, 1), (5, 6), frozenset({2, 3, 4}))
 
 
 def test_pendant_edge_lands_in_a1(p3_plus_pendant):
     emb = identity_embedding(p3_plus_pendant, P3)
-    frame = lt.build_frame(p3_plus_pendant, emb, 4)
+    left, right, interior = _split((-1,) + emb.vertex_map, 3)
     # vertex 7 is off the path
-    assert frame.path_vertices == frozenset(range(7))
-    ends = lt.end_edge_sets(frame)
+    assert interior.union(left, right) == frozenset(range(7))
+    a, b = _classify(p3_plus_pendant, 3, 4, left, right, interior)
     # the added edge goes through left end 1 and interior vertex 3
-    assert len(ends.a1(1)) == 1
-    assert ends.a1(0) == frozenset()
-    assert ends.b1(5) == frozenset()
-    assert ends.b1(6) == frozenset()
+    assert len(a[1][1]) == 1
+    assert a[0][1] == frozenset()
+    assert b[5][1] == frozenset()
+    assert b[6][1] == frozenset()
 
 
 def test_verify_frame_passes_on_pendant_host(p3_plus_pendant):
@@ -69,13 +70,11 @@ def test_traversing_pair_is_found_and_intersects():
     )
     assert lt.is_free(host, lt.linear_path(4, 3))
     emb = identity_embedding(host, P3)
-    frame = lt.build_frame(host, emb, 4)
-    ends = lt.end_edge_sets(frame)
-    pairs = lt.traversing_pairs(frame, ends)
-    assert len(pairs) == 1
-    p = pairs[0]
-    assert (p.i, p.u, p.w) == (2, 1, 5)
-    assert set(host.edges[p.f1]) & set(host.edges[p.f2])
+    v = (-1,) + emb.vertex_map
+    a, b = _classify(host, 3, 4, *_split(v, 3))
+    [(f1, f2, i, u, w)] = _pairs(host, 3, 4, v, a, b)
+    assert (i, u, w) == (2, 1, 5)
+    assert set(host.edges[f1]) & set(host.edges[f2])
     assert lt.verify_frame(host, emb, 4).status == "pass"
 
 
@@ -188,20 +187,11 @@ def test_sweep_classifies_each_path_once(monkeypatch, p3_plus_pendant):
 
 def test_two_class_edges_sharing_a_path_vertex_raise():
     # (0,1,2) and (1,2,7) share the pair {1, 2}: both are class edges of
-    # left end 1 (A_2 and A_1), and path vertex 2 lies in both.  build_frame
-    # rejects the non-linear host, so the frame is built by hand.
+    # left end 1 (A_2 and A_1), and path vertex 2 lies in both.  verify_frame
+    # rejects the non-linear host, so the ends are classified directly.
     host = lt.make_hypergraph(8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (1, 2, 7)], 3)
-    emb = identity_embedding(host, P3)
-    v = (-1,) + emb.vertex_map
-    frame = lt.PathFrame(
-        host, emb, 4, 3, v,
-        left_ends=frozenset({0, 1}),
-        right_ends=frozenset({5, 6}),
-        interior=frozenset({2, 3, 4}),
-    )
-    assert frame.path_vertices == frozenset(range(7))
     with pytest.raises(InvariantViolation, match="path vertex 2 in two A-edges through 1"):
-        lt.end_edge_sets(frame)
+        _classify(host, 3, 4, (0, 1), (5, 6), frozenset({2, 3, 4}))
 
 
 def test_sweep_rejects_host_with_the_path():
@@ -217,7 +207,7 @@ def test_nonlinear_host_rejected(p3_plus_pendant):
     )
     emb = identity_embedding(p3_plus_pendant, P3)
     with pytest.raises(HostNotLinear):
-        lt.build_frame(bad, emb, 4)
+        lt.verify_frame(bad, emb, 4)
     with pytest.raises(HostNotLinear):
         lt.verify_frame_sweep(bad, 4, 3)
 
@@ -225,10 +215,10 @@ def test_nonlinear_host_rejected(p3_plus_pendant):
 def test_wrong_embedding_kind_rejected(fano):
     star_emb = lt.contains(fano, lt.linear_star(2, 3))
     with pytest.raises(NotAPathEmbedding):
-        lt.build_frame(fano, star_emb, 4)
+        lt.verify_frame(fano, star_emb, 4)
     short_emb = lt.contains(fano, lt.linear_path(2, 3))
     with pytest.raises(NotAPathEmbedding):
-        lt.build_frame(fano, short_emb, 4)
+        lt.verify_frame(fano, short_emb, 4)
 
 
 def test_small_ell_reports_not_applicable(fano):
@@ -243,3 +233,78 @@ def test_small_ell_reports_not_applicable(fano):
         lt.verify_frame_sweep(fano, 2, 3)
 
 
+def test_verify_frame_exception_precedence():
+    # verify_frame checks ell, then linearity, then the embedding, and only
+    # then whether the host holds the ell-edge path; an input failing two
+    # checks raises the earlier one
+    p4 = lt.realize(lt.linear_path(4, 3))  # holds P4 and every shorter path
+    bad = lt.make_hypergraph(9, list(p4.edges) + [(1, 2, 3)], 3)  # not linear
+    p3_emb = lt.contains(p4, P3)
+    star_emb = lt.contains(p4, lt.linear_star(2, 3))
+    vm = list(p3_emb.vertex_map)
+    vm[0], vm[3] = vm[3], vm[0]  # moves a vertex between path edges
+    unverified = replace(p3_emb, vertex_map=tuple(vm))
+    cases = [
+        (p4, p3_emb, 2, BadParameters),
+        (bad, p3_emb, 2, BadParameters),
+        (bad, p3_emb, 4, HostNotLinear),
+        (bad, star_emb, 4, HostNotLinear),
+        (p4, star_emb, 4, NotAPathEmbedding),
+        (p4, p3_emb, 5, NotAPathEmbedding),  # a 3-edge path where 4 edges are wanted
+        (p4, unverified, 4, NotAPathEmbedding),
+        (p4, p3_emb, 4, HostContainsPath),
+    ]
+    for host, emb, ell, exc in cases:
+        with pytest.raises(LinturanError) as raised:
+            lt.verify_frame(host, emb, ell)
+        assert type(raised.value) is exc, (ell, emb, raised.value)
+
+
+def _passing_outcomes(pairs, bound):
+    return (
+        ("no-shared-blocked-vertex", True,
+         "no vertex of the blocked ranges meets both A_1 and B_1"),
+        ("no-disjoint-traversing-pair", True, f"{pairs} traversing pair(s), all intersecting"),
+        ("traversal-leaves-free-ends", True, f"checked {pairs} traversing pair(s)"),
+        ("small-end-pair", True, f"min |A_1(u)|+|B_1(w)| = 0, bound {bound}"),
+        ("end-degree-bound", True, "every end degree within its class budget"),
+    )
+
+
+# the two section2 hosts the CI sweeps, as (host, ell, small-end-pair
+# bound, {vertex map of each directed embedding: its traversing pairs})
+PINNED_FRAMES = {
+    "p3-pendant": (lt.make_hypergraph(8, [(0, 1, 2), (1, 3, 7), (2, 3, 4), (4, 5, 6)], 3), 4, 2, {
+        (0, 1, 2, 3, 4, 5, 6): 0,
+        (1, 7, 3, 2, 4, 5, 6): 0,
+        (5, 6, 4, 3, 2, 0, 1): 0,
+        (5, 6, 4, 2, 3, 1, 7): 0,
+    }),
+    "r4": (lt.make_hypergraph(16, [(0, 1, 2, 6), (0, 7, 10, 11), (1, 4, 14, 15), (1, 5, 8, 12),
+                                   (3, 10, 12, 15), (4, 6, 11, 12), (4, 8, 9, 13)], 4), 5, 8, {
+        (7, 10, 11, 0, 2, 6, 1, 14, 15, 4, 8, 9, 13): 0,
+        (7, 10, 11, 0, 2, 6, 1, 5, 12, 8, 4, 9, 13): 0,
+        (0, 7, 11, 10, 3, 12, 15, 1, 14, 4, 8, 9, 13): 0,
+        (0, 7, 11, 10, 3, 15, 12, 1, 5, 8, 4, 9, 13): 0,
+        (8, 9, 13, 4, 14, 15, 1, 2, 6, 0, 7, 10, 11): 1,
+        (8, 9, 13, 4, 1, 14, 15, 3, 12, 10, 0, 7, 11): 0,
+        (4, 9, 13, 8, 5, 12, 1, 2, 6, 0, 7, 10, 11): 1,
+        (4, 9, 13, 8, 1, 5, 12, 3, 15, 10, 0, 7, 11): 0,
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FRAMES))
+def test_frame_reports_are_pinned(name):
+    host, ell, bound, pinned = PINNED_FRAMES[name]
+    r = host.r
+    got = {}
+    for emb in lt.iter_embeddings(host, lt.linear_path(ell - 1, r)):
+        rep = lt.verify_frame(host, emb, ell)
+        assert (rep.ell, rep.r, rep.emb) == (ell, r, emb)
+        outcomes = tuple((o.name, o.passed, o.detail) for o in rep.outcomes)
+        got[emb.vertex_map] = (rep.status, outcomes, rep.min_end_sum)
+    assert got == {
+        vm: ("pass", _passing_outcomes(pairs, bound), 0)
+        for vm, pairs in pinned.items()
+    }

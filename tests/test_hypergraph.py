@@ -20,7 +20,6 @@ def test_edges_are_canonicalized():
     # uniformity is an assertion the caller opts into, never inferred
     assert h.r is None
     assert lt.make_hypergraph(4, [(2, 1, 0)], r=3).r == 3
-    assert h.degree(3) == 0
 
 
 def test_mixed_order_has_no_uniform_r():
@@ -72,17 +71,6 @@ def test_disjoint_union_and_copies():
     h = lt.make_hypergraph(4, [(0, 1, 2)])
     du = lt.disjoint_union([h, h])
     assert (du.n, du.edges) == (8, ((0, 1, 2), (4, 5, 6)))
-    kc = lt.k_copies(h, 3)
-    assert (kc.n, kc.edge_count) == (12, 3)
-
-
-def test_edges_between_counts():
-    h = lt.make_hypergraph(5, [(0, 1, 2), (0, 3, 4), (2, 3, 4)])
-    # (crossing, inside, outside)
-    assert lt.edges_between(h, [0, 1, 2]) == (2, 1, 0)
-    assert lt.edges_between(h, []) == (0, 0, 3)
-    with pytest.raises(OutOfRangeVertex):
-        lt.edges_between(h, [5])
 
 
 def test_integer_lattice_shapes():

@@ -137,7 +137,7 @@ SMALL_ROWS = {2: 5, 3: 5, 4: 6}
 def test_search_matches_bitmask_exhaustion(data):
     # the bounds and the root rule may cut only what cannot matter: the
     # value and the lex-least witness of max_edges, and the per-size host
-    # counts of enumerate_free (which must not inherit the root rule),
+    # counts of iter_free (which must not inherit the root rule),
     # equal a search that cuts nothing
     r = data.draw(st.sampled_from(sorted(SMALL_ROWS)), label="r")
     n = data.draw(st.integers(r, SMALL_ROWS[r]), label="n")
@@ -154,7 +154,7 @@ def test_search_matches_bitmask_exhaustion(data):
     assert res.exact
     assert (res.value, list(res.witness.edges)) == (best, min(h for h in hosts if len(h) == best))
     k = data.draw(st.integers(0, best + 1), label="edge_count")
-    assert lt.enumerate_free(n, r, pattern, host, edge_count=k) == sum(
+    assert sum(1 for _ in lt.iter_free(n, r, pattern, host, edge_count=k)) == sum(
         1 for h in hosts if len(h) == k
     )
 
@@ -280,10 +280,10 @@ def test_general_host_dominates_linear():
 
 
 def test_enumerate_free_counts():
-    assert lt.enumerate_free(3, 3, P2, edge_count=1) == 1
-    assert lt.enumerate_free(6, 3, P2, edge_count=2) == 10
-    assert lt.enumerate_free(7, 3, P3, edge_count=8) == 0
-    assert lt.enumerate_free(4, 3, None, "general") == 16
+    assert sum(1 for _ in lt.iter_free(3, 3, P2, edge_count=1)) == 1
+    assert sum(1 for _ in lt.iter_free(6, 3, P2, edge_count=2)) == 10
+    assert sum(1 for _ in lt.iter_free(7, 3, P3, edge_count=8)) == 0
+    assert sum(1 for _ in lt.iter_free(4, 3, None, "general")) == 16
 
 
 def test_iter_free_yields_only_free_hosts():
@@ -420,7 +420,7 @@ def test_union_rows_are_pinned(n, r, expr, host, limit, outcome, witness):
 
 def test_budget_raises_for_enumeration():
     with pytest.raises(InterruptedSearch):
-        lt.enumerate_free(7, 3, P3, budget=lt.SearchBudget(node_limit=5))
+        sum(1 for _ in lt.iter_free(7, 3, P3, budget=lt.SearchBudget(node_limit=5)))
 
 
 def test_budget_validation():
