@@ -319,22 +319,16 @@ def star_turan_upper(
 
 
 def path_star_turan(
-    r: int,
-    ell: int,
-    k: int,
-    n: int,
-    star_free_max: Optional[Rational] = None,
-    path_free_max: Optional[Rational] = None,
-    c: Rational = 1,
+    r: int, ell: int, k: int, n: int, c: Rational = 1
 ) -> tuple[BoundReport, BoundReport]:
     """Two-sided bounds for one loose path plus k disjoint stars, all length
     ell, over unrestricted hosts.
 
     Both sides share the shell term C(n,r) - C(n-k,r).  The upper side adds
-    the path-free extremal count on n - k vertices (computed when omitted);
-    the lower side adds the star-free extremal count, for which only an
-    upper estimate is available unless the caller supplies the true value,
-    so the default lower report is marked not applicable.
+    the path-free extremal count on n - k vertices; the lower side adds the
+    star-free extremal count, for which only the upper estimate of
+    :func:`star_turan_upper` is available, so the lower report is marked
+    not applicable.
     """
     _check_common(r, n)
     if r < 3 or ell < 4 or k < 0:
@@ -345,44 +339,27 @@ def path_star_turan(
         raise BadParameters(f"host size {n} smaller than star count {k}")
     shell = Fraction(_comb(n, r) - _comb(n - k, r))
     params = (("r", r), ("ell", ell), ("k", k), ("n", n))
-
-    up_caveats = [ASYMPTOTIC]
-    if path_free_max is None:
-        path_free_max = path_turan_exact(r, ell, n - k).value
     upper = BoundReport(
-        "path-star-turan", params, shell + _frac(path_free_max), "upper",
-        caveats=tuple(up_caveats),
+        "path-star-turan", params, shell + path_turan_exact(r, ell, n - k).value,
+        "upper", caveats=(ASYMPTOTIC,),
     )
-
-    lo_caveats = [ASYMPTOTIC]
-    lo_applicable = True
-    if star_free_max is None:
-        star_free_max = star_turan_upper(r, ell, n - k, c).value
-        lo_caveats.append(STAND_IN_STAR)
-        lo_applicable = False
     lower = BoundReport(
-        "path-star-turan", params, shell + _frac(star_free_max), "lower",
-        applicable=lo_applicable, caveats=tuple(lo_caveats),
+        "path-star-turan", params, shell + star_turan_upper(r, ell, n - k, c).value,
+        "lower", applicable=False, caveats=(ASYMPTOTIC, STAND_IN_STAR),
     )
     return lower, upper
 
 
 def forest_turan(
-    r: int,
-    ell: int,
-    k1: int,
-    k2: int,
-    n: int,
-    star_free_max: Optional[Rational] = None,
-    c: Rational = 1,
+    r: int, ell: int, k1: int, k2: int, n: int, c: Rational = 1
 ) -> tuple[BoundReport, BoundReport]:
     """Two-sided bounds for k1 disjoint paths plus k2 disjoint stars, all
     length ell, over unrestricted hosts.
 
     Upper: C(n,r) - C(n-k2,r) plus the k1-disjoint-paths extremal count on
     n - k2 vertices.  Lower: C(n,r) - C(n-k1-k2+1,r) plus the star-free
-    count on n - k1 - k2 + 1 vertices, with the same stand-in rule as
-    :func:`path_star_turan`.
+    count on n - k1 - k2 + 1 vertices, stood in for by its upper estimate
+    as in :func:`path_star_turan`.
     """
     _check_common(r, n)
     if r < 3 or ell < 4 or k1 < 2 or k2 < 0:
@@ -401,16 +378,10 @@ def forest_turan(
     )
 
     m = n - k1 - k2 + 1
-    lo_caveats = [ASYMPTOTIC]
-    lo_applicable = True
-    if star_free_max is None:
-        star_free_max = star_turan_upper(r, ell, m, c).value
-        lo_caveats.append(STAND_IN_STAR)
-        lo_applicable = False
-    lower_value = Fraction(_comb(n, r) - _comb(m, r)) + _frac(star_free_max)
+    lower_value = Fraction(_comb(n, r) - _comb(m, r)) + star_turan_upper(r, ell, m, c).value
     lower = BoundReport(
         "forest-turan", params, lower_value, "lower",
-        applicable=lo_applicable, caveats=tuple(lo_caveats),
+        applicable=False, caveats=(ASYMPTOTIC, STAND_IN_STAR),
     )
     return lower, upper
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import inserted_product_lower, packing_lower
-from .designs import Design, build_design, is_admissible, require_design
+from .designs import Design, build_design, require_design
 from .detect import contains
 from .errors import BadParameters, InvariantViolation, NoDesignAvailable, ProductTooLarge
 from .hypergraph import (
@@ -70,7 +70,7 @@ class ConstructionReport:
     def to_obj(self) -> dict:
         return {
             "name": self.name,
-            "params": {k: _obj(v) for k, v in self.params},
+            "params": dict(self.params),
             "vertices": self.result.n,
             "nominal": str(self.nominal),
             "nominal_float": float(self.nominal),
@@ -92,23 +92,30 @@ class ConstructionReport:
         return "\n".join(lines)
 
 
-def _obj(value: object) -> object:
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
-def _finish(name, params, result, nominal, certificates, caveats) -> ConstructionReport:
+def _finish(name, params, result, nominal, linear, certificates, caveats) -> ConstructionReport:
     return ConstructionReport(
         name=name,
         params=tuple(params),
         result=result,
         nominal=nominal,
         actual=result.edge_count,
-        linear=is_linear(result),
+        linear=linear,
         certificates=tuple(certificates),
         caveats=tuple(caveats),
     )
+
+
+def _certified(
+    result: Hypergraph, pattern: ForbiddenPattern, certify: bool, fault: str
+) -> list[FreenessCertificate]:
+    """The structural certificate of pattern, plus the detect one when
+    ``certify`` is set; a search that finds the pattern raises fault."""
+    certificates = [FreenessCertificate(pattern, "structural")]
+    if certify:
+        if contains(result, pattern) is not None:
+            raise InvariantViolation(fault)
+        certificates.append(FreenessCertificate(pattern, "detect"))
+    return certificates
 
 
 def fallback_block_count(r: int, ell: int, limit: Optional[int] = None) -> Design:
@@ -119,8 +126,6 @@ def fallback_block_count(r: int, ell: int, limit: Optional[int] = None) -> Desig
     if limit is not None:
         top = min(top, limit)
     for m in range(top, r - 1, -1):
-        if not is_admissible(m, r):
-            continue
         outcome = build_design(m, r)
         if outcome.ok:
             return outcome.design
@@ -161,18 +166,13 @@ def thm45_construction(r: int, ell: int, n: int, certify: bool = True) -> Constr
     if n % m != 0:
         caveats.append(f"{PADDING_NOTE}: {n % m}")
 
-    pattern = linear_path(ell, r)
-    certificates = [FreenessCertificate(pattern, "structural")]
-    if certify:
-        if contains(result, pattern) is not None:
-            raise InvariantViolation(
-                "design copies too small for the path, yet one was found"
-            )
-        certificates.append(FreenessCertificate(pattern, "detect"))
-
+    certificates = _certified(
+        result, linear_path(ell, r), certify,
+        "design copies too small for the path, yet one was found",
+    )
     nominal = packing_lower(r, ell, n).value
     params = [("r", r), ("ell", ell), ("n", n), ("m", m), ("copies", copies)]
-    return _finish("thm45", params, result, nominal, certificates, caveats)
+    return _finish("thm45", params, result, nominal, is_linear(result), certificates, caveats)
 
 
 def _hub_core(k: int, r: int) -> Hypergraph:
@@ -255,13 +255,9 @@ def thm47_construction(
     )
     blocks = copies * (r - 1) ** k
     _structural_forest_premises(result, k, ell, r, m, blocks)
-    certificates = [FreenessCertificate(pattern, "structural")]
-    if certify:
-        if contains(result, pattern) is not None:
-            raise InvariantViolation(
-                "hub-counting argument holds, yet the forest was found"
-            )
-        certificates.append(FreenessCertificate(pattern, "detect"))
+    certificates = _certified(
+        result, pattern, certify, "hub-counting argument holds, yet the forest was found"
+    )
 
     caveats = []
     if m != ell * (r - 1):
@@ -272,7 +268,8 @@ def thm47_construction(
     params = [
         ("r", r), ("ell", ell), ("k", k), ("copies", copies), ("m", m), ("n", n),
     ]
-    return _finish("thm47", params, result, nominal, certificates, caveats)
+    # linear: hub insertion was checked above
+    return _finish("thm47", params, result, nominal, True, certificates, caveats)
 
 
 def cone_construction(
@@ -330,7 +327,7 @@ def cone_construction(
 
     nominal = Fraction(expected)
     params = [("n", n), ("r", r), ("k", k), ("kernel_edges", kernel.edge_count)]
-    return _finish("cone", params, result, nominal, certificates, caveats)
+    return _finish("cone", params, result, nominal, linear, certificates, caveats)
 
 
 __all__ = [

@@ -22,9 +22,9 @@ build_design assembles one by the first applicable strategy:
               vertices and introducing new points in order (the first
               block is therefore 0..r-1)
 
-Inadmissible or out-of-reach parameters yield an absent outcome with the
-reason; every successful build is re-verified by pair counting before it
-is returned.
+Inadmissible or out-of-reach parameters, and a search that finds
+nothing, yield an absent outcome with the reason; every successful build
+is re-verified by pair counting before it is returned.
 """
 
 from __future__ import annotations
@@ -241,7 +241,6 @@ def build_design(
     Raises ProductTooLarge when an admissible design would have more than
     DEFAULT_PRODUCT_CAP blocks.
     """
-    _check_params(n, r)
     if not is_admissible(n, r):
         return DesignOutcome(None, "inadmissible")
     blocks = block_count(n, r)  # an integer, n and r being admissible
@@ -250,35 +249,35 @@ def build_design(
     if search_cap is None:
         search_cap = default_search_cap(r)
 
-    attempts: list[tuple[str, Optional[list[tuple[int, ...]]]]] = []
+    # r = 3 takes bose or skolem (every admissible n is 1 or 3 mod 6);
+    # otherwise at most one of the rest applies, the projective order
+    # (r-1)^2 + r never being the affine order r^2
     if n == r:
-        attempts.append(("single", [tuple(range(r))]))
+        strategy, edges = "single", [tuple(range(r))]
     elif r == 3 and n % 6 == 3:
-        attempts.append(("bose", _bose(n)))
+        strategy, edges = "bose", _bose(n)
     elif r == 3 and n % 6 == 1:
-        attempts.append(("skolem", _skolem(n)))
-    else:
-        q = r - 1
-        if n == q * q + q + 1 and _is_prime(q) and q <= prime_cap:
-            attempts.append(("projective", _projective_plane(q)))
-        q = r
-        if n == q * q and _is_prime(q) and q <= prime_cap:
-            attempts.append(("affine", _affine_plane(q)))
-        if not attempts and n <= search_cap:
-            attempts.append(("search", _search(n, r)))
-
-    for strategy, blocks in attempts:
-        if blocks is None:
-            continue
-        graph = make_hypergraph(n, blocks, r)
-        if not verify_design(graph):
-            raise InvariantViolation(
-                f"{strategy} builder produced a non-design for n={n}, r={r}"
+        strategy, edges = "skolem", _skolem(n)
+    elif n == (r - 1) ** 2 + r and _is_prime(r - 1) and r - 1 <= prime_cap:
+        strategy, edges = "projective", _projective_plane(r - 1)
+    elif n == r * r and _is_prime(r) and r <= prime_cap:
+        strategy, edges = "affine", _affine_plane(r)
+    elif n <= search_cap:
+        strategy, edges = "search", _search(n, r)
+        if edges is None:
+            return DesignOutcome(
+                None, f"search-exhausted: exhaustive search finds no design for n={n}, r={r}"
             )
-        return DesignOutcome(Design(n, r, graph, strategy))
-    return DesignOutcome(
-        None, f"not-attempted: no construction strategy covers n={n}, r={r}"
-    )
+    else:
+        return DesignOutcome(
+            None, f"not-attempted: no construction strategy covers n={n}, r={r}"
+        )
+    graph = make_hypergraph(n, edges, r)
+    if not verify_design(graph):
+        raise InvariantViolation(
+            f"{strategy} builder produced a non-design for n={n}, r={r}"
+        )
+    return DesignOutcome(Design(n, r, graph, strategy))
 
 
 def require_design(n: int, r: int) -> Design:

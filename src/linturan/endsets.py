@@ -140,11 +140,11 @@ def _classify(
     the order given, and the counting checks: per end (tagged A or B) and
     on A_1 and B_1 together, which are symmetric in the two sides.
 
-    One pass over the edges through each end: an order-r edge whose meet
-    with the path is u and k more vertices goes to class k, except that
-    k = 1 needs the other vertex interior and k = 0 is no class.  covered
-    gathers the meets of the class edges, so it has 1 + sum k|A_k(u)|
-    vertices exactly when no path vertex besides u is in two of them.
+    One pass over the edges through each end: an edge whose meet with the
+    path is u and k more vertices goes to class k, except that k = 1 needs
+    the other vertex interior and k = 0 is no class.  covered gathers the
+    meets of the class edges, so it has 1 + sum k|A_k(u)| vertices exactly
+    when no path vertex besides u is in two of them.
     """
     edge_sets, incidence = host.edge_sets, host.incidence
     pathv = interior.union(left, right)
@@ -156,10 +156,7 @@ def _classify(
             covered = {u}
             weighted = 0
             for idx in incidence[u]:
-                es = edge_sets[idx]
-                if len(es) != r:
-                    continue
-                meet = es & pathv
+                meet = edge_sets[idx] & pathv
                 k = len(meet) - 1
                 if k > 1 or (k == 1 and not interior.isdisjoint(meet)):
                     per_k[k].append(idx)
@@ -253,14 +250,13 @@ def _uncovered_ends(host: Hypergraph, r: int, v, a: _Classes, b: _Classes, pairs
 
 
 def _end_degrees(host: Hypergraph, r: int, a: _Classes, b: _Classes) -> list:
-    """(u, degree, tag, cap) for each end whose degree in the order-r edges
-    exceeds cap, its class count plus r-1."""
-    incidence, uniform = host.incidence, host.r == r
+    """(u, degree, tag, cap) for each end whose degree exceeds cap, its
+    class count plus r-1."""
+    incidence = host.incidence
     bad = []
     for tag, side in (("A", a), ("B", b)):
         for u, per_k in side.items():
-            inc = incidence[u]
-            deg = len(inc) if uniform else sum(len(host.edge_sets[i]) == r for i in inc)
+            deg = len(incidence[u])
             cap = sum(map(len, per_k.values())) + r - 1
             if deg > cap:
                 bad.append((u, deg, tag, cap))
@@ -316,10 +312,13 @@ def _frame_report(emb: Embedding, ell: int, r: int, faults, quoted) -> FrameRepo
     return FrameReport("fail" if any(faults) else "pass", ell, r, emb, outcomes, best)
 
 
-def _require_linear(host: Hypergraph, ell: int, what: str) -> None:
-    """What frames and sweeps both need: ell >= 3 and a linear host."""
+def _require_linear(host: Hypergraph, ell: int, r: int, what: str) -> None:
+    """What frames and sweeps both need: ell >= 3 and a linear host of
+    order r."""
     if ell < 3:
         raise BadParameters(f"{what} need ell >= 3, got {ell}")
+    if host.r != r:
+        raise BadParameters(f"{what} need a uniform host of order {r}, got {host!r}")
     if not is_linear(host):
         raise HostNotLinear(f"{what} are defined over linear hosts")
 
@@ -336,19 +335,19 @@ def verify_frame(host: Hypergraph, emb: Embedding, ell: int) -> FrameReport:
     """Run the full check battery for one embedding of the loose path
     with ell-1 edges in a linear host.
 
-    Raises BadParameters, HostNotLinear, NotAPathEmbedding and
-    HostContainsPath, checked in that order; the last when the host is
-    not free of the length-ell loose path (the regime in which the
-    checks are guaranteed).
+    Raises BadParameters (ell < 3, or a host whose order is not the
+    embedding's), HostNotLinear, NotAPathEmbedding and HostContainsPath,
+    checked in that order; the last when the host is not free of the
+    length-ell loose path (the regime in which the checks are guaranteed).
     """
-    _require_linear(host, ell, "frames")
+    r = emb.pattern.r
+    _require_linear(host, ell, r, "frames")
     if emb.pattern.single("path") != ell - 1:
         raise NotAPathEmbedding(
             f"expected an embedding of a loose path with {ell - 1} edges, got {emb.pattern}"
         )
     if not verify_embedding(host, emb):
         raise NotAPathEmbedding("embedding does not verify against the host")
-    r = emb.pattern.r
     _require_path_free(host, ell, r)
     if ell < 4 or r < 3:
         return FrameReport("not-applicable", ell, r, emb, ())
@@ -361,7 +360,7 @@ def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
     """verify_frame over every directed embedding of the (ell-1)-edge path;
     the two directions of a path share one classification of its ends,
     and only an embedding that fails gets a FrameReport."""
-    _require_linear(host, ell, "sweeps")
+    _require_linear(host, ell, r, "sweeps")
     _require_path_free(host, ell, r)
     checked = 0
     failures: list[FrameReport] = []

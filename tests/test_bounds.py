@@ -151,12 +151,6 @@ class TestTuranFormulas:
         assert STAND_IN_STAR in lo.caveats
         assert (hi.value, hi.side, hi.applicable) == (F(1160), "upper", True)
 
-    def test_path_star_lower_firms_up_with_supplied_term(self):
-        lo, _ = lt.path_star_turan(3, 4, 2, 30, star_free_max=336)
-        assert lo.applicable
-        assert STAND_IN_STAR not in lo.caveats
-        assert lo.value == F(1120)
-
     def test_forest_pair(self):
         lo, hi = lt.forest_turan(3, 4, 2, 1, 30)
         assert lo.value == F(1120)

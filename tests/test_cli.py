@@ -51,6 +51,20 @@ class TestBuild:
         assert code == EXIT_FAIL
         assert "inadmissible" in err
 
+    def test_design_search_through_config(self, capsys, tmp_path):
+        cfg = tmp_path / "search.json"
+        cfg.write_text('{"search_cap": 16}')
+        code, text, _ = run(capsys, "build", "design", "--n", "16", "--r", "4",
+                            "--config", str(cfg))
+        first, graph = text.split("\n", 1)
+        assert (code, first) == (EXIT_OK, "design on 16 points, block size 4, 20 blocks (search)")
+        assert lt.verify_design(lt.hgio.load_text(graph))
+        code, text, err = run(capsys, "build", "design", "--n", "16", "--r", "6",
+                              "--config", str(cfg))
+        assert (code, text) == (EXIT_FAIL, "")
+        assert err == ("no design: search-exhausted: exhaustive search finds no design "
+                       "for n=16, r=6\n")
+
     def test_path_build(self, capsys, tmp_path):
         out = tmp_path / "p.txt"
         code, _, _ = run(capsys, "build", "path", "--ell", "3", "--r", "3", "--out", str(out))
@@ -533,6 +547,37 @@ class TestReport:
         row = [l for l in text.splitlines() if "P2@r3" in l][0]
         assert "2" in row.split()
 
+
+    def test_interrupted_records_are_left_out(self, capsys, tmp_path):
+        rfile = tmp_path / "r.jsonl"
+        code, _, _ = run(capsys, "turan", "--n", "7", "--r", "3", "--pattern", "P3@r3",
+                         "--linear", "--node-limit", "5", "--results", str(rfile))
+        assert code == EXIT_INTERRUPTED
+        assert json.loads(rfile.read_text())["status"] == "interrupted"
+        code, text, _ = run(capsys, "report", "--results", str(rfile))
+        assert code == EXIT_OK
+        assert len(text.splitlines()) == 2  # header and rule only
+        code, text, _ = run(capsys, "report", "--results", str(rfile),
+                            "--report-format", "structured")
+        assert (code, json.loads(text)) == (EXIT_OK, [])
+
+    def test_structured_rows_match_the_table(self, capsys, tmp_path):
+        rfile = tmp_path / "r.jsonl"
+        for n, pattern in (("6", "P2@r3"), ("7", "P3@r3"), ("6", "S2@r3")):
+            run(capsys, "turan", "--n", n, "--r", "3", "--pattern", pattern,
+                "--linear", "--results", str(rfile))
+        code, text, _ = run(capsys, "report", "--results", str(rfile))
+        assert code == EXIT_OK
+        table = [line.split() for line in text.splitlines()[2:]]
+        code, text, _ = run(capsys, "report", "--results", str(rfile),
+                            "--report-format", "structured")
+        assert code == EXIT_OK
+        rows = json.loads(text)
+        assert len(rows) == 3
+        assert table == [
+            [str(row[key]) for key in ("n", "r", "pattern", "host", "value", "bound")]
+            for row in rows
+        ]
 
     def test_mistyped_stored_field_is_an_error(self, capsys, tmp_path):
         rfile = tmp_path / "r.jsonl"

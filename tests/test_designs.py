@@ -26,6 +26,9 @@ BUILDS = [
     (31, 6, "projective", 31),
     (4, 4, "single", 1),
     (3, 3, "single", 1),
+    (3, 2, "search", 3),  # at r = 2 the search gives K_n
+    (5, 2, "search", 10),
+    (6, 2, "search", 15),
 ]
 
 
@@ -58,6 +61,37 @@ def test_admissible_but_not_attempted():
     out = lt.build_design(21, 5)
     assert out.design is None
     assert out.reason == "not-attempted: no construction strategy covers n=21, r=5"
+
+
+SEARCHES = [
+    # (n, r, caps, blocks): the projective plane of order 3 past its
+    # prime cap, and the planes of orders 4 (affine, projective) that no
+    # algebraic strategy here builds
+    (13, 4, {"prime_cap": 2}, 13),
+    (16, 4, {"search_cap": 16}, 20),
+    (21, 5, {"search_cap": 21}, 21),
+]
+
+
+@pytest.mark.parametrize("n,r,caps,blocks", SEARCHES)
+def test_search_builds_verified_designs(n, r, caps, blocks):
+    d = lt.build_design(n, r, **caps).design
+    assert (d.strategy, d.num_blocks) == ("search", blocks)
+    assert lt.verify_design(d.graph)
+    assert set(pair_coverage(d.graph).values()) == {1}
+    assert d.graph.edges[0] == tuple(range(r))  # new points enter in order
+
+
+def test_exhausted_search_says_so():
+    # admissible, but its 8 blocks are fewer than its 16 points, which
+    # Fisher's inequality forbids: the search runs and finds nothing
+    assert lt.is_admissible(16, 6)
+    out = lt.build_design(16, 6, search_cap=16)
+    assert out.design is None
+    assert out.reason == "search-exhausted: exhaustive search finds no design for n=16, r=6"
+    assert lt.build_design(16, 6).reason == (
+        "not-attempted: no construction strategy covers n=16, r=6"
+    )
 
 
 def test_admissibility_is_the_divisibility_test():

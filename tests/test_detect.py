@@ -1,11 +1,13 @@
 import random
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 import linturan as lt
-from linturan.errors import BadParameters
+from linturan.detect import _require_valid
+from linturan.errors import BadParameters, MalformedEmbedding
 import naive_detect as nd
 from hostgen import piecewise_host, random_host
 
@@ -23,6 +25,31 @@ def test_fano_star_facts(fano):
     assert lt.verify_embedding(fano, emb)
     # replication number is 3, so no 4-edge star
     assert lt.is_free(fano, lt.linear_star(4, 3))
+
+
+@pytest.mark.parametrize("fault", [
+    "short vertex map", "long edge map", "repeated vertex", "repeated edge",
+    "vertex past n", "negative vertex", "edge past m", "negative edge",
+])
+def test_verify_embedding_rejects(fano, fault):
+    emb = lt.contains(fano, lt.linear_path(2, 3))  # 5 vertices, 2 edges
+    assert lt.verify_embedding(fano, emb)
+    vm, (e0, e1) = emb.vertex_map, emb.edge_map
+    spare = min(set(range(fano.edge_count)) - {e0, e1})
+    bad = {
+        "short vertex map": replace(emb, vertex_map=vm[:-1]),
+        "long edge map": replace(emb, edge_map=(e0, e1, spare)),
+        "repeated vertex": replace(emb, vertex_map=vm[:-1] + vm[:1]),
+        "repeated edge": replace(emb, edge_map=(e0, e0)),
+        "vertex past n": replace(emb, vertex_map=vm[:-1] + (fano.n,)),
+        "negative vertex": replace(emb, vertex_map=vm[:-1] + (-1,)),
+        "edge past m": replace(emb, edge_map=(e0, fano.edge_count)),
+        "negative edge": replace(emb, edge_map=(e0, -1)),
+    }[fault]
+    assert not lt.verify_embedding(fano, bad)
+    with pytest.raises(MalformedEmbedding, match="search produced an invalid embedding"):
+        _require_valid(fano, bad)
+    assert _require_valid(fano, emb) is emb
 
 
 def test_fano_has_no_two_disjoint_lines(fano):

@@ -212,6 +212,30 @@ def test_nonlinear_host_rejected(p3_plus_pendant):
         lt.verify_frame_sweep(bad, 4, 3)
 
 
+def test_host_of_another_order_rejected(p3_plus_pendant):
+    # a 3-uniform host has no 4-uniform path to sweep: refused, not a
+    # pass over no embeddings
+    with pytest.raises(BadParameters, match="sweeps need a uniform host of order 4"):
+        lt.verify_frame_sweep(p3_plus_pendant, 4, 4)
+    # verify_frame takes its order from the embedding
+    emb4 = lt.contains(lt.realize(lt.linear_path(3, 4)), lt.linear_path(3, 4))
+    with pytest.raises(BadParameters, match="frames need a uniform host of order 4"):
+        lt.verify_frame(p3_plus_pendant, emb4, 4)
+    # a mixed host is refused even when every edge has the order
+    mixed = lt.make_hypergraph(p3_plus_pendant.n, p3_plus_pendant.edges)
+    emb = identity_embedding(p3_plus_pendant, P3)
+    with pytest.raises(BadParameters, match="uniform host of order 3, got Hypergraph.*mixed"):
+        lt.verify_frame(mixed, emb, 4)
+    with pytest.raises(BadParameters, match="uniform host of order 3, got Hypergraph.*mixed"):
+        lt.verify_frame_sweep(mixed, 4, 3)
+    # the order is checked after ell and before linearity
+    bad = lt.make_hypergraph(8, list(p3_plus_pendant.edges) + [(1, 2, 3)])
+    with pytest.raises(BadParameters, match="ell >= 3"):
+        lt.verify_frame_sweep(bad, 2, 3)
+    with pytest.raises(BadParameters, match="uniform host of order 3, got Hypergraph.*mixed"):
+        lt.verify_frame(bad, emb, 4)
+
+
 def test_wrong_embedding_kind_rejected(fano):
     star_emb = lt.contains(fano, lt.linear_star(2, 3))
     with pytest.raises(NotAPathEmbedding):

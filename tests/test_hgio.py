@@ -84,6 +84,13 @@ def test_file_autodetect(tmp_path, fano):
     assert lt.read_file(str(j)) == lat
 
 
+def test_json_is_read_from_any_path_by_its_leading_brace(tmp_path):
+    lat = lt.integer_lattice(3, 2)
+    path = tmp_path / "lattice.txt"
+    path.write_text("\n  " + dump_json(lat))
+    assert lt.read_file(str(path)) == lat
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_vertex_count_cap(fmt):
     # a host is allocated per declared vertex, so a count above the cap is
