@@ -172,7 +172,9 @@ def thm45_construction(r: int, ell: int, n: int, certify: bool = True) -> Constr
     )
     nominal = packing_lower(r, ell, n).value
     params = [("r", r), ("ell", ell), ("n", n), ("m", m), ("copies", copies)]
-    return _finish("thm45", params, result, nominal, is_linear(result), certificates, caveats)
+    # build_design returns only designs that verify_design passed, and
+    # those are linear; vertex-disjoint copies of a linear host are linear
+    return _finish("thm45", params, result, nominal, True, certificates, caveats)
 
 
 def _hub_core(k: int, r: int) -> Hypergraph:

@@ -10,10 +10,15 @@ state.
 Both max_edges and the enumerators consume the same depth-first walk
 (_Searcher.walk); they differ in the size bar below which a branch is
 cut, in the size at which it stops growing, and in the root rule, which
-only max_edges takes.  Budgets turn an over-long search into an explicit
-interrupted result (or InterruptedSearch for the enumerators, which have
-no partial answer worth returning).  Exploration is serial, so values
-never depend on scheduling.
+only max_edges takes.  On a linear host with a one-component pattern,
+max_edges proves its value by the max-degree split (split_hosts): walks
+rooted at a fixed star at vertex 0 under a degree cap show that no host
+has one edge more, and a last walk recovers the lex-least witness; its
+soundness argument is in split_hosts' docstring.  Budgets turn an
+over-long search into an explicit interrupted result (or
+InterruptedSearch for the enumerators, which have no partial answer
+worth returning).  Exploration is serial, so values never depend on
+scheduling.
 
 The walk is forward-checked.  Each node tests every later candidate edge
 once and keeps the ones it admits in a live list; its children draw
@@ -215,7 +220,9 @@ class _Searcher:
             )
         )
 
-    def live(self, chosen: list[int], tail: Sequence[int], used_pairs: int) -> list[int]:
+    def live(
+        self, chosen: list[int], tail: Sequence[int], used_pairs: int, root: int = 0
+    ) -> list[int]:
         """The candidates of tail that extend the host of chosen: the ones
         whose pairs are unused and that admits() accepts, in tail's order.
 
@@ -223,19 +230,22 @@ class _Searcher:
         host plus one edge is still too small for the pattern, admits could
         only say True, so neither it nor the incidence push runs.
 
-        The second anchor: below the root, chosen is H plus its last edge
-        q, and tail comes from H's live list, so H+q' is free for every q'
-        of tail (admitted with H, or too small for the pattern), and so is
-        H+q.  Every occurrence in H+q+q' then uses both q' and q, and q is
-        passed to admits as also, for a one-component pattern only: a
-        union's occurrence may hold q' and q in different components.
+        The second anchor: below the root, which holds root edges, chosen
+        is H plus its last edge q, and tail comes from H's live list, so
+        H+q' is free for every q' of tail (admitted with H, or too small
+        for the pattern), and so is H+q.  Every occurrence in H+q+q' then
+        uses both q' and q, and q is passed to admits as also, for a
+        one-component pattern only: a union's occurrence may hold q' and q
+        in different components.  At the root itself tail was never
+        admitted with anything, so its candidates take the first anchor
+        only.
         """
         masks = self.pair_masks
         fits = [q for q in tail if not masks[q] & used_pairs]
         if self.min_edges is None or len(chosen) + 1 < self.min_edges:
             return fits
         stats, slots, admits = self.stats, self.slots, self.admits
-        also = chosen[-1] if chosen and self.pattern.is_single else None
+        also = chosen[-1] if len(chosen) > root and self.pattern.is_single else None
         admitted = []
         for q in fits:
             chosen.append(q)
@@ -268,11 +278,99 @@ class _Searcher:
         free_pairs = self.total_pairs - used_pairs.bit_count()
         return min(free_pairs // self.pairs_per_edge, self.most_edges - size)
 
+    def grow_star(self) -> list[int]:
+        """The longest free star s_0, s_1, ... at vertex 0, s_j = {0} and
+        the (r-1) vertices from 1 + (r-1)*j on, with at most
+        floor((n-1)/(r-1)) edges.  Each edge is checked by admits with the
+        star before it, which is free, so the first anchor is exact; a
+        star that holds the pattern stays non-free with more edges.
+        """
+        n, r, stats = self.n, self.r, self.stats
+        index = {e: i for i, e in enumerate(self.cands)}
+        star: list[int] = []
+        for edges in self.incidence:
+            edges.clear()
+        for j in range((n - 1) // (r - 1)):
+            q = index[(0, *range(1 + (r - 1) * j, 1 + (r - 1) * (j + 1)))]
+            star.append(q)
+            for edges in self.slots[q]:
+                edges.append(q)
+            if len(star) >= self.min_edges:
+                stats.admits_calls += 1
+                if not self.admits(star):
+                    stats.admits_rejects += 1
+                    star.pop()
+                    break
+        return star
+
+    def split_masks(self) -> tuple[list[int], list[int]]:
+        """The masks split_rules reads: each candidate's vertices as bits,
+        and for each vertex v the pair bits (see pair_masks) of every pair
+        {v, x}."""
+        n = self.n
+        vertex_masks = [sum(1 << v for v in e) for e in self.cands]
+        through = [
+            sum(1 << (min(v, x) * n + max(v, x)) for x in range(n) if x != v)
+            for v in range(n)
+        ]
+        return vertex_masks, through
+
+    def split_rules(
+        self, cap: int, vertex_masks: list[int], through: list[int]
+    ) -> tuple[Callable[[list[int], Sequence[int], int], list[int]], Callable[[list[int]], int]]:
+        """walk's live and live-list bound for a split walk under the
+        degree cap cap, rooted at the star of cap edges at vertex 0 (see
+        split_hosts), with vertex_masks and through from split_masks.
+
+        live: every pair through a vertex of degree cap counts as used,
+        so no candidate through it fits.  Vertex 0 has degree cap from the
+        root on, so no candidate through it is ever taken.  Degrees only
+        grow down the tree, so a candidate this drops stays dropped in the
+        whole subtree and forward checking holds.  The root's candidates
+        take the first anchor only: live's root is the star's cap edges.
+
+        The bound: a node with live list L can gain at most floor(sum over
+        v of min(|L_v|, floor((|N_L(v)|-1)/(r-1)), cap - deg v) / r)
+        edges, where L_v lists the live edges through v and N_L(v) the
+        vertices on them, v included.  The edges a host in the subtree
+        adds through v come from L_v, meet pairwise only in v (the host is
+        linear), so each takes r-1 vertices of N_L(v) other than v for
+        itself, and they lift v's degree to at most cap.  Each added edge
+        counts at r vertices.  At most |L|.
+        """
+        n, r, cands, incidence, live = self.n, self.r, self.cands, self.incidence, self.live
+        step = r - 1
+
+        def split_live(chosen: list[int], tail: Sequence[int], used_pairs: int) -> list[int]:
+            for v in range(n):
+                if len(incidence[v]) >= cap:
+                    used_pairs |= through[v]
+            return live(chosen, tail, used_pairs, cap)
+
+        def split_gain(children: list[int]) -> int:
+            count = [0] * n
+            near = [0] * n
+            for q in children:
+                mask = vertex_masks[q]
+                for v in cands[q]:
+                    count[v] += 1
+                    near[v] |= mask
+            total = 0
+            for v in range(n):
+                if count[v]:
+                    total += min(count[v], (near[v].bit_count() - 1) // step,
+                                 cap - len(incidence[v]))
+            return total // r
+
+        return split_live, split_gain
+
     def walk(
         self,
         need: Callable[[], int],
         stop_at: Optional[int] = None,
         first_edge_only: bool = False,
+        root: Sequence[int] = (),
+        rules: Optional[tuple[Callable, Callable]] = None,
     ) -> Iterator[list[int]]:
         """Admitted edge lists, depth first in lexicographic order.
 
@@ -308,11 +406,25 @@ class _Searcher:
         size is among them too.  Only max_edges may use the rule: counting
         labelled hosts needs the whole tree.  The empty root is still a
         node, so a pattern that forbids every edge gives 0.
+
+        root and rules serve the split (see split_hosts): the walk's root
+        is the host of root's edges instead of the empty host, its
+        candidates are every edge, and rules, a pair (live, bound) from
+        split_rules, take the place of live and len.  The walk starts by
+        resetting the incidence, so a walk left unfinished does not
+        disturb the next.
         """
-        chosen: list[int] = []
         stats, masks, slots = self.stats, self.pair_masks, self.slots
-        tail: Sequence[int] = range(len(masks))
+        chosen: list[int] = list(root)
+        for edges in self.incidence:
+            edges.clear()
         used = 0
+        for q in chosen:
+            for edges in slots[q]:
+                edges.append(q)
+            used |= masks[q]
+        tail: Sequence[int] = range(len(masks))
+        live, gain = rules or (self.live, len)
         # one frame per open node: [live list, next child, end of the
         # children taken, pairs used]
         stack: list[list] = []
@@ -326,8 +438,8 @@ class _Searcher:
                 if bar > size and size + self.room(size, used) < bar:
                     stats.bound_cuts += 1
                 else:
-                    children = self.live(chosen, tail, used)
-                    if bar > size and size + len(children) < bar:
+                    children = live(chosen, tail, used)
+                    if bar > size and size + gain(children) < bar:
                         stats.bound_cuts += 1
                         children = []
             end = min(len(children), 1) if first_edge_only and not size else len(children)
@@ -353,6 +465,75 @@ class _Searcher:
                 edges.append(q)
             tail = children[i + 1:]
             used |= masks[q]
+
+    def split_host(
+        self, m: int, star: list[int], vertex_masks: list[int], through: list[int]
+    ) -> Optional[tuple[int, ...]]:
+        """A free linear host with m edges, found by the split walks for D
+        from min(len(star), m) down to ceil(rm/n), or None when none
+        exists; star is the longest free star and the masks come from
+        split_masks (see split_hosts).  Any order of D is sound, and a
+        refutation runs every D; the largest first finds an existing host soonest on the
+        rows measured (n=14 P3: 279 nodes, against 48 922 from the
+        smallest up)."""
+        for d in range(min(len(star), m), -(-self.r * m // self.n) - 1, -1):
+            rules = self.split_rules(d, vertex_masks, through)
+            for chosen in self.walk(lambda: m, m, root=star[:d], rules=rules):
+                if len(chosen) == m:
+                    return tuple(sorted(chosen))
+        return None
+
+    def split_hosts(self) -> Iterator[tuple[int, ...]]:
+        """max_edges by the max-degree split, for a linear host (r >= 3)
+        and a one-component pattern that fits on n vertices: each better
+        free host found, as its edge list, and last the lex-least host of
+        the maximum size.  Three phases, each ticking the one budget.
+
+        1. Lower bound: the walk's first descent under the root rule, its
+           path of first children down to a leaf, with L edges.
+        2. Existence: for m = L+1, L+2, ..., search for a free linear host
+           with m edges; the value is m-1 for the first m without one.
+           For each D from floor((n-1)/(r-1)) down to ceil(rm/n) (at most
+           the longest free star and m), a walk rooted at the star's first
+           D edges, under split_rules(D), searches the
+           hosts that hold the star s_0..s_{D-1} at vertex 0 and no other
+           edge through 0, with every degree at most D.
+        3. Witness: the walk with the bar and the stop fixed at the value,
+           under the root rule; its first host is the lex-least (walk's
+           root-rule argument).  When the value is L, phase 1's leaf is
+           that host already: the first host of its size in the walk's
+           order.
+
+        Why phase 2 is sound: take a free linear host with m edges and a
+        vertex of maximum degree D.  The degrees sum to rm, so D >= rm/n,
+        and a vertex meets at most (n-1)/(r-1) edges of a linear host.  Its
+        D edges meet pairwise only in that vertex, so a vertex relabelling
+        takes it to 0 and its edges to s_0..s_{D-1}; relabelling keeps the
+        host free, linear and of size m, and every degree stays at most D.
+        That host holds the free star s_0..s_{D-1}, so its D is tried, and
+        it is a host of that walk.  Conversely every host a split walk
+        finds is a free linear host with m edges.  A host with more than m
+        edges has one with m (drop edges), so the first m without one
+        bounds every size.
+        """
+        best: tuple[int, ...] = ()
+        for chosen in self.walk(lambda: len(best) + 1, first_edge_only=True):
+            if chosen and len(chosen) <= len(best):
+                break  # back from the leaf
+            best = tuple(chosen)
+            yield best
+        lower = len(best)
+        star = self.grow_star()
+        vertex_masks, through = self.split_masks()
+        while (found := self.split_host(len(best) + 1, star, vertex_masks, through)) is not None:
+            best = found
+            yield best
+        if len(best) > lower:
+            value = len(best)
+            for chosen in self.walk(lambda: value, value, first_edge_only=True):
+                if len(chosen) == value:
+                    yield tuple(chosen)
+                    break
 
 
 def path_cap(
@@ -383,24 +564,35 @@ def max_edges(
     linear hosts).  The witness is the lexicographically least extremal
     edge set, because the search explores candidates in ascending order
     and only strict improvements replace the incumbent.
+
+    A linear host (r >= 3) with a one-component pattern that fits on n
+    vertices takes the max-degree split (_Searcher.split_hosts, stats.proof
+    "degree-split"); every other search is the walk alone.  A budget cut
+    returns the best host found so far, re-verified, as interrupted.
     """
     budget = budget or SearchBudget()
     s = _Searcher(n, r, pattern, host, budget)
+    split = s.linear and r > 2 and s.min_edges is not None and pattern.is_single
+    if split:
+        s.stats.proof = "degree-split"
 
     # the empty host, always free and linear, is the first incumbent
-    best_value = 0
-    best_edges: tuple[int, ...] = ()
+    best: tuple[int, ...] = ()
     interrupted = False
     try:
-        for chosen in s.walk(lambda: best_value + 1, first_edge_only=True):
-            if len(chosen) > best_value:
-                best_value = len(chosen)
-                best_edges = tuple(chosen)
+        if split:
+            for best in s.split_hosts():
+                pass  # each host is better than the last, or the witness
+        else:
+            for chosen in s.walk(lambda: len(best) + 1, first_edge_only=True):
+                if len(chosen) > len(best):
+                    best = tuple(chosen)
     except _Stop:
         interrupted = True
     s.finish()
 
-    witness = s.graph(best_edges)
+    best_value = len(best)
+    witness = s.graph(best)
     _verify_witness(witness, n, r, pattern, host, best_value)
     cap = None if interrupted else path_cap(n, r, pattern, host)
     if cap is not None and best_value > cap.value:

@@ -29,13 +29,15 @@ class SearchStats:
     runs while the host plus that edge is too small for the pattern) and
     admits_rejects those that found the pattern; bound_cuts counts the
     times a bound could not reach the bar: a node not expanded, or the
-    remaining children of a node dropped.
+    remaining children of a node dropped.  proof names the method:
+    "walk", or "degree-split" for max_edges' max-degree split.
 
     These fields are the one list of a search's counters: the results
     store keeps every one with each record, and `turan --report-format
     structured` prints every one but elapsed, which is a time.  Every
-    record holds nodes and elapsed; one written before a later counter
-    existed lacks it and reads it as 0, so a new counter goes last.
+    record holds nodes and elapsed; one written before a later field
+    existed lacks it and reads its default (0, or "walk" for proof), so
+    a new field goes last.
     """
 
     nodes: int = 0
@@ -43,14 +45,16 @@ class SearchStats:
     admits_calls: int = 0
     admits_rejects: int = 0
     bound_cuts: int = 0
+    proof: str = "walk"
 
 
 # JSON types of a record's own fields, then of its search counters, in
 # the order they are checked; a float counter may be stored as an integer
 _FIELDS = {"n": int, "r": int, "pattern": (str, type(None)), "host": str, "value": int,
            "status": str, "witness": dict}
-# the values host and status may take
-_CHOICES = {"host": ("linear", "general"), "status": ("exact", "interrupted")}
+# the values host, status and proof may take
+_CHOICES = {"host": ("linear", "general"), "status": ("exact", "interrupted"),
+            "proof": ("walk", "degree-split")}
 _STATS = {f.name: (int, float) if isinstance(f.default, float) else type(f.default)
           for f in fields(SearchStats)}
 # every record holds the first two counters, nodes and elapsed; one written

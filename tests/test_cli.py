@@ -224,6 +224,18 @@ class TestTuran:
         assert [obj[k] for k in counters] == [getattr(stats, k) for k in counters]
         assert "elapsed" not in obj
 
+    @pytest.mark.parametrize(
+        "flags,proof",
+        [(("--pattern", "P3@r3", "--linear"), "degree-split"),
+         (("--pattern", "S2@r3"), "walk"),
+         (("--pattern", "2*P1@r3", "--linear"), "walk"),
+         (("--linear",), "walk")],
+    )
+    def test_structured_output_names_the_proof(self, capsys, flags, proof):
+        code, text, _ = run(capsys, "turan", "--n", "7", "--r", "3", *flags,
+                            "--report-format", "structured")
+        assert (code, json.loads(text)["proof"]) == (EXIT_OK, proof)
+
     def test_witness_out(self, capsys, tmp_path):
         wfile = tmp_path / "w.json"
         code, _, _ = run(

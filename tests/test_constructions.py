@@ -56,6 +56,16 @@ class TestDesignCopies:
         assert (rep.actual, rep.nominal) == (2, F(7))
         assert dict(rep.params)["m"] == 3
 
+    @pytest.mark.parametrize("r,ell,n", [(3, 4, 14), (3, 4, 9), (3, 4, 6), (3, 5, 400), (4, 5, 60)])
+    def test_linear_verdict_comes_from_the_design(self, monkeypatch, r, ell, n):
+        # the host is disjoint copies of a design that build_design has
+        # verified, so the report says linear without a pass over the host
+        calls = []
+        monkeypatch.setattr(lt.constructions, "is_linear", calls.append)
+        rep = lt.thm45_construction(r, ell, n, certify=False)
+        assert calls == []
+        assert rep.linear and lt.is_linear(rep.result)
+
     def test_certify_flag_controls_detect_pass(self):
         rep = lt.thm45_construction(3, 4, 7, certify=False)
         assert [c.method for c in rep.certificates] == ["structural"]

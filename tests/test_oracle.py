@@ -29,33 +29,35 @@ TWO_FANOS = FANO + [[v + 7 for v in e] for e in FANO]
 
 def brute_free(n, r, pattern_comps, host):
     """Every pattern-free host, as its sorted edge list, by exhausting the
-    bitmasks over all candidate edges; freeness via the naive enumerator.
+    subsets (bitmasks) of all candidate edges; freeness via the naive
+    enumerator.
 
-    Masks run in increasing order, and a mask's host can only be free when
-    the host without its highest edge (a smaller mask) is free, so only
-    those hosts are handed to the naive enumerator, and only when the
-    pattern fits: a loose path or star of length l spans l*(r-1)+1
-    vertices, a loose cycle l*(r-1).
+    A subset's host can only be free when the host without its highest
+    edge is free, so each free host is grown by every higher candidate
+    edge, and only those hosts are handed to the naive enumerator, and
+    only when the pattern fits: a loose path or star of length l spans
+    l*(r-1)+1 vertices, a loose cycle l*(r-1).  Each subset is reached
+    once, from the subset without its highest edge.
     """
     pool = list(combinations(range(n), r))
     if pattern_comps is not None:
         span = sum(length * (r - 1) + (kind != "cycle") for kind, length in pattern_comps)
         if span > n:
             pattern_comps = None  # no host on n vertices holds it
-    free = {0: []}
-    for mask in range(1, 1 << len(pool)):
-        top = mask.bit_length() - 1
-        rest = free.get(mask ^ (1 << top))
-        if rest is None:
-            continue
-        chosen = rest + [pool[top]]
-        if host == "linear" and any(len(set(e) & set(pool[top])) > 1 for e in rest):
-            continue
-        if pattern_comps is None or not nd.has_forest(
-            lt.make_hypergraph(n, chosen, r), pattern_comps
-        ):
-            free[mask] = chosen
-    return list(free.values())
+    free = []
+    stack = [([], 0)]  # a free host and the first candidate it may take
+    while stack:
+        rest, start = stack.pop()
+        free.append(rest)
+        for top in range(start, len(pool)):
+            if host == "linear" and any(len(set(e) & set(pool[top])) > 1 for e in rest):
+                continue
+            chosen = rest + [pool[top]]
+            if pattern_comps is None or not nd.has_forest(
+                lt.make_hypergraph(n, chosen, r), pattern_comps
+            ):
+                stack.append((chosen, top + 1))
+    return free
 
 
 def brute_max(n, r, pattern_comps, host):
@@ -128,20 +130,29 @@ def test_oracle_matches_exhaustive_search(expr, comps, host):
         assert (res.value, list(res.witness.edges)) == brute_max(n, 3, comps, host)
 
 
-# (r, largest n) with at most 15 candidate edges
+# (r, largest n) with at most 15 candidate edges; linear hosts, which
+# are far fewer, go further, so that the max-degree split meets stars of
+# two and three edges
 SMALL_ROWS = {2: 5, 3: 5, 4: 6}
+LINEAR_ROWS = {2: 5, 3: 7, 4: 8}
+
+
+def takes_split(n, r, pattern, host):
+    """Whether max_edges proves this row by the max-degree split."""
+    return host == "linear" and r > 2 and pattern.is_single and pattern.num_vertices <= n
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_search_matches_bitmask_exhaustion(data):
-    # the bounds and the root rule may cut only what cannot matter: the
-    # value and the lex-least witness of max_edges, and the per-size host
-    # counts of iter_free (which must not inherit the root rule),
-    # equal a search that cuts nothing
+    # the bounds, the root rule and the max-degree split may cut only
+    # what cannot matter: the value and the lex-least witness of
+    # max_edges, and the per-size host counts of iter_free (which must
+    # not inherit the root rule), equal a search that cuts nothing
     r = data.draw(st.sampled_from(sorted(SMALL_ROWS)), label="r")
-    n = data.draw(st.integers(r, SMALL_ROWS[r]), label="n")
     host = data.draw(st.sampled_from(HOSTS), label="host")
+    top = (LINEAR_ROWS if host == "linear" else SMALL_ROWS)[r]
+    n = data.draw(st.integers(r, top), label="n")
     expr = data.draw(
         st.sampled_from(["P1", "P2", "P3", "S2", "S3", "C3", "2*P1", "P1+S2", "2*P2"]),
         label="pattern",
@@ -152,6 +163,7 @@ def test_search_matches_bitmask_exhaustion(data):
     best = max(len(h) for h in hosts)
     res = lt.max_edges(n, r, pattern, host)
     assert res.exact
+    assert res.stats.proof == ("degree-split" if takes_split(n, r, pattern, host) else "walk")
     assert (res.value, list(res.witness.edges)) == (best, min(h for h in hosts if len(h) == best))
     k = data.draw(st.integers(0, best + 1), label="edge_count")
     assert sum(1 for _ in lt.iter_free(n, r, pattern, host, edge_count=k)) == sum(
@@ -163,16 +175,18 @@ def test_search_matches_bitmask_exhaustion(data):
 @pytest.mark.parametrize(
     "n,expr,host,nodes",
     [
-        pytest.param(7, "P3@r3", "linear", 29, id="7-P3@r3-linear"),
-        pytest.param(6, "C3@r3", "linear", 11, id="6-C3@r3-linear"),
+        pytest.param(7, "P3@r3", "linear", 9, id="7-P3@r3-linear"),
+        pytest.param(6, "C3@r3", "linear", 5, id="6-C3@r3-linear"),
         pytest.param(7, "P4@r3", "linear", 33, id="7-P4@r3-linear"),
         pytest.param(7, "S2@r3", "general", 26, id="7-S2@r3-general"),
         pytest.param(6, "P3@r3", "general", 21, id="6-P3@r3-general"),
-        # the benchmark's exact-grid rows
-        pytest.param(8, "P3@r3", "linear", 253, id="8-P3@r3-linear"),
-        pytest.param(8, "C3@r3", "linear", 597, id="8-C3@r3-linear"),
+        # the benchmark's exact-grid rows; the linear ones whose pattern
+        # fits take the max-degree split (P4 has 9 vertices, so P4 on 7
+        # and 8 vertices is the walk's unconstrained search)
+        pytest.param(8, "P3@r3", "linear", 10, id="8-P3@r3-linear"),
+        pytest.param(8, "C3@r3", "linear", 48, id="8-C3@r3-linear"),
         pytest.param(8, "P4@r3", "linear", 101, id="8-P4@r3-linear"),
-        pytest.param(9, "P3@r3", "linear", 1102, id="9-P3@r3-linear"),
+        pytest.param(9, "P3@r3", "linear", 32, id="9-P3@r3-linear"),
         # unions, whose checks are anchored too
         pytest.param(10, "2*P2@r3", "linear", 382, id="10-2*P2@r3-linear"),
         pytest.param(10, "P2+S2@r3", "linear", 382, id="10-P2+S2@r3-linear"),
@@ -189,7 +203,7 @@ def test_node_counts_are_pinned(n, expr, host, nodes):
 @pytest.mark.parametrize(
     "n,expr,host,counters",
     [
-        (7, "P3@r3", "linear", (28, 5, 27)),
+        (7, "P3@r3", "linear", (29, 5, 3)),
         (7, "S2@r3", "general", (184, 115, 24)),
         (10, "2*P2@r3", "linear", (355, 11, 379)),
         (10, "P2+S2@r3", "linear", (355, 11, 379)),
@@ -202,6 +216,109 @@ def test_search_counters_are_pinned(n, expr, host, counters):
     assert (again.nodes, again.admits_calls, again.admits_rejects, again.bound_cuts) == (
         stats.nodes, *counters
     )
+
+
+def walk_max(n, r, pattern):
+    """max_edges on a linear host as the walk alone computes it: the value
+    and the witness's edge list."""
+    s = _Searcher(n, r, pattern, "linear", lt.SearchBudget())
+    best = ()
+    for chosen in s.walk(lambda: len(best) + 1, first_edge_only=True):
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+    return len(best), list(s.graph(best).edges)
+
+
+SPLIT_PATTERNS = ("P2", "P3", "P4", "S2", "S3", "C3", "C4")
+# split rows whose walk alone takes more than 25 000 nodes: (value, walk
+# nodes, digest of the witness's edge list) from the walk run to the end
+WALK_LONG_RUNS = {
+    (3, 10, "S3"): (6, 360_769, "c3db6b41e310"),
+    (3, 10, "C3"): (6, 108_015, "99b481de2f22"),
+    (3, 9, "C4"): (8, 79_113, "f5a435b6b583"),
+    (3, 10, "C4"): (8, 2_045_464, "f5a435b6b583"),
+    (3, 10, "P4"): (12, 590_921, "dcdcf6cd425c"),
+}
+SPLIT_ROWS = [
+    (r, n, expr)
+    for r in (3, 4)
+    for n in range(r, 11)
+    for expr in SPLIT_PATTERNS
+    if takes_split(n, r, lt.parse_pattern(f"{expr}@r{r}"), "linear")
+]
+
+
+@pytest.mark.parametrize("r,n,expr", [row for row in SPLIT_ROWS if row not in WALK_LONG_RUNS])
+def test_split_matches_the_walk(r, n, expr):
+    # the max-degree split and the walk alone give the same value and
+    # the same lex-least witness
+    pattern = lt.parse_pattern(f"{expr}@r{r}")
+    res = lt.max_edges(n, r, pattern)
+    assert (res.status, res.stats.proof) == ("exact", "degree-split")
+    assert (res.value, list(res.witness.edges)) == walk_max(n, r, pattern)
+
+
+@pytest.mark.parametrize("row", sorted(WALK_LONG_RUNS), ids=lambda row: "{1}-{2}@r{0}".format(*row))
+def test_split_matches_the_walks_long_runs(row):
+    r, n, expr = row
+    value, _, witness = WALK_LONG_RUNS[row]
+    res = lt.max_edges(n, r, lt.parse_pattern(f"{expr}@r{r}"))
+    assert (res.status, res.stats.proof) == ("exact", "degree-split")
+    assert (res.value, _digest(res.witness)) == (value, witness)
+
+
+@pytest.mark.parametrize(
+    "r,n,expr",
+    [(3, 10, expr) for expr in ("P3", "P4", "S3", "C3", "C4")]
+    + [(4, 10, expr) for expr in ("P3", "S3", "C3")],
+)
+def test_split_root_admits_by_the_first_anchor(r, n, expr):
+    # the split's root is the free star of D edges at vertex 0; its live
+    # candidates are exactly the edges that keep the host linear, every
+    # degree at most D, and the pattern out, by a whole-host check.  Its
+    # last star edge was never admitted with the other candidates, so a
+    # second anchor at the root would miss an occurrence through a
+    # candidate and only the other star edges (a C3 on s_0, s_1 and q)
+    pattern = lt.parse_pattern(f"{expr}@r{r}")
+    s = _Searcher(n, r, pattern, "linear", lt.SearchBudget())
+    star = s.grow_star()
+    assert star
+    masks = s.split_masks()
+    for d in range(1, len(star) + 1):
+        rules = s.split_rules(d, *masks)
+        root = list(next(s.walk(lambda: 0, root=star[:d], rules=rules)))
+        used = 0
+        for q in root:
+            used |= s.pair_masks[q]
+        expected = [
+            q for q in range(len(s.cands))
+            if not s.pair_masks[q] & used
+            and all(sum(v in s.sets[e] for e in root) < d for v in s.cands[q])
+            and lt.is_free(s.graph(root + [q]), pattern)
+        ]
+        assert rules[0](root, range(len(s.cands)), used) == expected, d
+
+
+def test_split_budget_cuts_return_verified_hosts():
+    # n=10 P3: the first descent stops at a star of 4 edges, the existence
+    # checks find hosts of 5 to 8 edges and refute 9, and the witness pass
+    # recovers the lex-least host of 8.  A node limit short of the full
+    # count cuts one of the three phases and returns the best host found
+    # so far, re-verified, so the values never fall as the limit grows;
+    # the last limit cuts the witness pass and keeps a host of 8 edges
+    full = lt.max_edges(10, 3, P3)
+    assert (full.status, full.value, full.stats.proof) == ("exact", 8, "degree-split")
+    values = []
+    for limit in range(1, full.stats.nodes):
+        res = lt.max_edges(10, 3, P3, budget=lt.SearchBudget(node_limit=limit))
+        assert (res.status, res.stats.nodes) == ("interrupted", limit + 1)
+        assert res.witness.edge_count == res.value
+        assert lt.is_linear(res.witness) and lt.is_free(res.witness, P3)
+        values.append(res.value)
+    assert values == sorted(values)
+    assert (values[0], values[-1]) == (0, 8)
+    res = lt.max_edges(10, 3, P3, budget=lt.SearchBudget(node_limit=full.stats.nodes))
+    assert (res.status, res.value, res.witness) == ("exact", 8, full.witness)
 
 
 @settings(max_examples=150, deadline=None)

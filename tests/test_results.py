@@ -27,7 +27,9 @@ def test_round_trip_and_key():
 
 
 def test_search_counters_round_trip_and_default_to_zero():
-    stats = SearchStats(*range(3, 3 + len(dataclasses.fields(SearchStats))))
+    # every field but proof, the method's name, is a count
+    counters = len(dataclasses.fields(SearchStats)) - 1
+    stats = SearchStats(*range(3, 3 + counters), proof="degree-split")
     r = ResultRecord(6, 3, "P2@r3", "linear", 2, "exact", record().witness, stats)
     assert ResultRecord.from_obj(r.to_obj()) == r
     for field in dataclasses.fields(SearchStats):
@@ -40,6 +42,25 @@ def test_search_counters_round_trip_and_default_to_zero():
         # a record written before the store kept this counter
         again = ResultRecord.from_obj(old)
         assert again.stats == dataclasses.replace(stats, **{field.name: field.default})
+
+
+def test_old_record_reads_its_proof_as_walk(tmp_path):
+    # a line written before the store named the method, or kept the
+    # later counters, is served as the walk's, and written back unchanged
+    # but for the fields it lacked
+    line = {"n": 8, "r": 3, "pattern": "P3@r3", "host": "linear", "value": 7,
+            "status": "exact", "nodes": 253, "elapsed": 0.02,
+            "witness": {"n": 8, "r": 3, "edges": [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5],
+                                                  [1, 4, 6], [2, 3, 6], [2, 4, 5]]}}
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    store = lt.ResultsStore(path)
+    (rec,) = store.entries()
+    assert rec.stats == SearchStats(253, 0.02, proof="walk")
+    (res,) = lt.ex_table([(8, 3, lt.parse_pattern("P3@r3"))], store=store)
+    assert (res.status, res.value, res.stats.proof, res.stats.nodes) == ("exact", 7, "walk", 253)
+    assert rec.to_obj() == {**line, "admits_calls": 0, "admits_rejects": 0, "bound_cuts": 0,
+                            "proof": "walk"}
 
 
 def test_from_obj_reports_missing_fields():
@@ -223,8 +244,9 @@ def test_malformed_witness_is_rejected_on_read(tmp_path, witness):
     [("n", "4"), ("r", None), ("pattern", 3), ("host", None), ("value", True),
      ("status", 1), ("nodes", 2.5), ("elapsed", "0.01"), ("admits_calls", 1.0),
      ("admits_rejects", "3"), ("bound_cuts", False),
+     ("proof", 1),
      # right type, but a value outside the field's choices
-     ("host", "Linear"), ("status", "Exact")],
+     ("host", "Linear"), ("status", "Exact"), ("proof", "split")],
 )
 def test_field_of_wrong_type_is_rejected_on_read(tmp_path, field, value):
     obj = dict(record().to_obj(), **{field: value})
