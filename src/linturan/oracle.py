@@ -27,7 +27,8 @@ pattern keeps containing it as edges are added.  Three prunes ride on
 this, each with its soundness argument in walk's docstring: the live
 list bounds how many edges a subtree can still gain, linear hosts are
 also capped by pair capacity and vertex degrees (Schoenheim/Johnson),
-and max_edges fixes the first edge to {0, ..., r-1} (the root rule).
+and max_edges fixes the first edge to {0, ..., r-1}, and a split walk its
+first edge after the star up to the star's symmetries (the root rule).
 Searches whose candidate edges would list more than DEFAULT_PRODUCT_CAP
 vertices are refused before anything is built.
 
@@ -109,6 +110,12 @@ class OracleResult:
 
 class _Stop(Exception):
     """Internal unwind when a budget limit is reached."""
+
+
+def _one_orbit(q: int) -> int:
+    """walk's root rule on the empty root: one orbit, since all one-edge
+    hosts are isomorphic."""
+    return 0
 
 
 def _check_search_size(n: int, r: int) -> None:
@@ -221,7 +228,12 @@ class _Searcher:
         )
 
     def live(
-        self, chosen: list[int], tail: Sequence[int], used_pairs: int, root: int = 0
+        self,
+        chosen: list[int],
+        tail: Sequence[int],
+        used_pairs: int,
+        orbit: Optional[Callable[[int], int]] = None,
+        root: int = 0,
     ) -> list[int]:
         """The candidates of tail that extend the host of chosen: the ones
         whose pairs are unused and that admits() accepts, in tail's order.
@@ -229,6 +241,14 @@ class _Searcher:
         Each is tested once here, with incidence listing chosen.  When the
         host plus one edge is still too small for the pattern, admits could
         only say True, so neither it nor the incidence push runs.
+
+        orbit, given at a walk's root only (see walk), keys the candidates
+        so that two with one key lie in one orbit of the stabiliser of the
+        host of chosen and of the walk's side conditions.  Such a
+        relabelling takes the host plus one of them to the host plus the
+        other, and freeness does not depend on labels, so the first
+        candidate of each key that fits is tested and its verdict serves
+        the rest of its key.
 
         The second anchor: below the root, which holds root edges, chosen
         is H plus its last edge q, and tail comes from H's live list, so
@@ -246,20 +266,27 @@ class _Searcher:
             return fits
         stats, slots, admits = self.stats, self.slots, self.admits
         also = chosen[-1] if len(chosen) > root and self.pattern.is_single else None
-        admitted = []
-        for q in fits:
+
+        def test(q: int) -> bool:
             chosen.append(q)
             for edges in slots[q]:
                 edges.append(q)
             stats.admits_calls += 1
-            if admits(chosen, also):
-                admitted.append(q)
-            else:
+            free = admits(chosen, also)
+            if not free:
                 stats.admits_rejects += 1
             for edges in slots[q]:
                 edges.pop()
             chosen.pop()
-        return admitted
+            return free
+
+        if orbit is None:
+            return [q for q in fits if test(q)]
+        firsts: dict[int, int] = {}
+        for q in fits:
+            firsts.setdefault(orbit(q), q)
+        verdicts = {key: test(q) for key, q in firsts.items()}
+        return [q for q in fits if verdicts[orbit(q)]]
 
     def room(self, size: int, used_pairs: int) -> int:
         """Most edges a host of size edges using used_pairs can gain.
@@ -317,10 +344,11 @@ class _Searcher:
 
     def split_rules(
         self, cap: int, vertex_masks: list[int], through: list[int]
-    ) -> tuple[Callable[[list[int], Sequence[int], int], list[int]], Callable[[list[int]], int]]:
-        """walk's live and live-list bound for a split walk under the
-        degree cap cap, rooted at the star of cap edges at vertex 0 (see
-        split_hosts), with vertex_masks and through from split_masks.
+    ) -> tuple[Callable[..., list[int]], Callable[[list[int]], int], Callable[[int], int]]:
+        """walk's live, live-list bound and root orbit for a split walk
+        under the degree cap cap, rooted at the star of cap edges at vertex
+        0 (see split_hosts), with vertex_masks and through from
+        split_masks.
 
         live: every pair through a vertex of degree cap counts as used,
         so no candidate through it fits.  Vertex 0 has degree cap from the
@@ -328,6 +356,9 @@ class _Searcher:
         grow down the tree, so a candidate this drops stays dropped in the
         whole subtree and forward checking holds.  The root's candidates
         take the first anchor only: live's root is the star's cap edges.
+
+        The orbit: a candidate's number of petal vertices, the vertices 1
+        to (r-1)*cap of the star's edges other than 0 (see split_hosts).
 
         The bound: a node with live list L can gain at most floor(sum over
         v of min(|L_v|, floor((|N_L(v)|-1)/(r-1)), cap - deg v) / r)
@@ -340,12 +371,21 @@ class _Searcher:
         """
         n, r, cands, incidence, live = self.n, self.r, self.cands, self.incidence, self.live
         step = r - 1
+        petals = (1 << (step * cap + 1)) - 2
 
-        def split_live(chosen: list[int], tail: Sequence[int], used_pairs: int) -> list[int]:
+        def split_live(
+            chosen: list[int],
+            tail: Sequence[int],
+            used_pairs: int,
+            orbit: Optional[Callable[[int], int]] = None,
+        ) -> list[int]:
             for v in range(n):
                 if len(incidence[v]) >= cap:
                     used_pairs |= through[v]
-            return live(chosen, tail, used_pairs, cap)
+            return live(chosen, tail, used_pairs, orbit, cap)
+
+        def split_orbit(q: int) -> int:
+            return (vertex_masks[q] & petals).bit_count()
 
         def split_gain(children: list[int]) -> int:
             count = [0] * n
@@ -362,13 +402,13 @@ class _Searcher:
                                  cap - len(incidence[v]))
             return total // r
 
-        return split_live, split_gain
+        return split_live, split_gain, split_orbit
 
     def walk(
         self,
         need: Callable[[], int],
         stop_at: Optional[int] = None,
-        first_edge_only: bool = False,
+        orbit: Optional[Callable[[int], int]] = None,
         root: Sequence[int] = (),
         rules: Optional[tuple[Callable, Callable]] = None,
     ) -> Iterator[list[int]]:
@@ -395,17 +435,25 @@ class _Searcher:
         edges come from L[i+1:]).  A cut subtree holds no host of need()
         edges.  A node with stop_at edges is not expanded either.
 
-        first_edge_only, the root rule, keeps only the first child of the
-        root: hosts whose first edge is candidate 0, {0, ..., r-1}.  All
-        one-edge hosts are isomorphic, so the root admits either every
-        candidate or none, and its first child is candidate 0 when it has
-        one.  A vertex relabelling keeps a host free and linear, and every
-        nonempty host relabels to one that contains candidate 0, so every
-        size is still reached; a sorted edge list that starts with 0 is
-        lex-smaller than any that does not, so the lex-least host of each
-        size is among them too.  Only max_edges may use the rule: counting
-        labelled hosts needs the whole tree.  The empty root is still a
-        node, so a pattern that forbids every edge gives 0.
+        orbit, the root rule, keys the root's candidates so that two with
+        one key lie in one orbit of the stabiliser of the root host (and
+        of rules' side conditions).  live takes one verdict per key, and
+        only the first child of each key is expanded; each expanded child
+        i still draws from all of L[i+1:], so a skipped child stays
+        available as a later edge.  What the rule keeps is argued where it
+        is used: split_hosts for the split's root, and here for the plain
+        walk, whose root is the empty host and whose one key, _one_orbit,
+        keeps only the first child: hosts whose first edge is candidate 0,
+        {0, ..., r-1}.  All one-edge hosts are isomorphic, so the root
+        admits either every candidate or none, and its first child is
+        candidate 0 when it has one.  A vertex relabelling keeps a host
+        free and linear, and every nonempty host relabels to one that
+        contains candidate 0, so every size is still reached; a sorted edge
+        list that starts with 0 is lex-smaller than any that does not, so
+        the lex-least host of each size is among them too.  Only max_edges
+        may use the rule: counting labelled hosts needs the whole tree.
+        The empty root is still a node, so a pattern that forbids every
+        edge gives 0.
 
         root and rules serve the split (see split_hosts): the walk's root
         is the host of root's edges instead of the empty host, its
@@ -425,8 +473,8 @@ class _Searcher:
             used |= masks[q]
         tail: Sequence[int] = range(len(masks))
         live, gain = rules or (self.live, len)
-        # one frame per open node: [live list, next child, end of the
-        # children taken, pairs used]
+        # one frame per open node: [live list, indices of the children
+        # taken, next of those, pairs used]
         stack: list[list] = []
         while True:
             self.tick()
@@ -438,18 +486,26 @@ class _Searcher:
                 if bar > size and size + self.room(size, used) < bar:
                     stats.bound_cuts += 1
                 else:
-                    children = live(chosen, tail, used)
+                    children = live(chosen, tail, used, orbit)
                     if bar > size and size + gain(children) < bar:
                         stats.bound_cuts += 1
                         children = []
-            end = min(len(children), 1) if first_edge_only and not size else len(children)
-            stack.append([children, 0, end, used])
+            if orbit is None:
+                taken: Sequence[int] = range(len(children))
+            else:
+                firsts: dict[int, int] = {}
+                for i, q in enumerate(children):
+                    firsts.setdefault(orbit(q), i)
+                taken = list(firsts.values())
+                orbit = None  # the root's children only
+            stack.append([children, taken, 0, used])
             # descend into the next child that can still reach the bar,
             # closing exhausted nodes on the way up
             while True:
                 frame = stack[-1]
-                children, i, end, used = frame
-                if i < end:
+                children, taken, k, used = frame
+                if k < len(taken):
+                    i = taken[k]
                     if len(chosen) + len(children) - i >= need():
                         break
                     stats.bound_cuts += 1
@@ -458,7 +514,7 @@ class _Searcher:
                     return
                 for edges in slots[chosen.pop()]:
                     edges.pop()
-            frame[1] = i + 1
+            frame[2] = k + 1
             q = children[i]
             chosen.append(q)
             for edges in slots[q]:
@@ -477,8 +533,8 @@ class _Searcher:
         rows measured (n=14 P3: 279 nodes, against 48 922 from the
         smallest up)."""
         for d in range(min(len(star), m), -(-self.r * m // self.n) - 1, -1):
-            rules = self.split_rules(d, vertex_masks, through)
-            for chosen in self.walk(lambda: m, m, root=star[:d], rules=rules):
+            live, gain, orbit = self.split_rules(d, vertex_masks, through)
+            for chosen in self.walk(lambda: m, m, orbit, star[:d], (live, gain)):
                 if len(chosen) == m:
                     return tuple(sorted(chosen))
         return None
@@ -497,7 +553,9 @@ class _Searcher:
            the longest free star and m), a walk rooted at the star's first
            D edges, under split_rules(D), searches the
            hosts that hold the star s_0..s_{D-1} at vertex 0 and no other
-           edge through 0, with every degree at most D.
+           edge through 0, with every degree at most D.  At its root it
+           tests one candidate per orbit and expands one child per orbit
+           (the orbit rules below).
         3. Witness: the walk with the bar and the stop fixed at the value,
            under the root rule; its first host is the lex-least (walk's
            root-rule argument).  When the value is L, phase 1's leaf is
@@ -515,9 +573,37 @@ class _Searcher:
         finds is a free linear host with m edges.  A host with more than m
         edges has one with m (drop edges), so the first m without one
         bounds every size.
+
+        The orbit rules at the split's root.  Let F be the hosts a split
+        walk for D searches, and G the vertex relabellings that fix 0 and
+        permute the petals {1 + (r-1)j, ..., (r-1)(j+1)} as blocks, the
+        vertices inside each petal, and the n-1-(r-1)D untouched vertices
+        above the petals.  G maps the star to itself, so it keeps the used
+        pairs, every degree and every condition of F: it maps F onto F.  A
+        root candidate that fits avoids 0, whose degree is D already, and
+        meets each petal in at most one vertex, since two would be a pair
+        of a star edge.  So two fitting candidates with the same number k
+        of petal vertices are one orbit of G: a relabelling in G takes the
+        k petals of one to those of the other, its petal vertices to the
+        other's, and its r-k untouched vertices to the other's.  There are
+        at most r+1 orbits, keyed by k (split_rules' orbit).
+        (a) One admissibility check per orbit: a relabelling in G takes the
+            star plus one candidate to the star plus the other, so both are
+            free or neither, and the root's live list is the same list.
+        (b) One subtree per orbit: take a host H of F, and e its least edge
+            outside the star, a root child.  If e is not the first root
+            child c of its orbit, then c < e and some g in G takes e to c;
+            g(H) is in F and holds c, so its least edge outside the star is
+            at most c, less than e.  The least edge can fall only finitely
+            often, so some host of F has as its least edge outside the star
+            the first child of its orbit, and that child's subtree, which
+            draws from every later root child, holds it.  So the walk finds
+            a host of F whenever F has one.  Phase 2 needs only that; which
+            host it finds may change, and phase 3 recovers the lex-least
+            one with the plain walk.
         """
         best: tuple[int, ...] = ()
-        for chosen in self.walk(lambda: len(best) + 1, first_edge_only=True):
+        for chosen in self.walk(lambda: len(best) + 1, orbit=_one_orbit):
             if chosen and len(chosen) <= len(best):
                 break  # back from the leaf
             best = tuple(chosen)
@@ -530,7 +616,7 @@ class _Searcher:
             yield best
         if len(best) > lower:
             value = len(best)
-            for chosen in self.walk(lambda: value, value, first_edge_only=True):
+            for chosen in self.walk(lambda: value, value, orbit=_one_orbit):
                 if len(chosen) == value:
                     yield tuple(chosen)
                     break
@@ -584,7 +670,7 @@ def max_edges(
             for best in s.split_hosts():
                 pass  # each host is better than the last, or the witness
         else:
-            for chosen in s.walk(lambda: len(best) + 1, first_edge_only=True):
+            for chosen in s.walk(lambda: len(best) + 1, orbit=_one_orbit):
                 if len(chosen) > len(best):
                     best = tuple(chosen)
     except _Stop:

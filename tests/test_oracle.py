@@ -18,7 +18,7 @@ from linturan.errors import (
     OutOfRangeVertex,
     ProductTooLarge,
 )
-from linturan.oracle import HOSTS, SearchStats, _Searcher, _check_search_size
+from linturan.oracle import HOSTS, SearchStats, _Searcher, _check_search_size, _one_orbit
 
 P2 = lt.linear_path(2, 3)
 P3 = lt.linear_path(3, 3)
@@ -184,7 +184,7 @@ def test_search_matches_bitmask_exhaustion(data):
         # fits take the max-degree split (P4 has 9 vertices, so P4 on 7
         # and 8 vertices is the walk's unconstrained search)
         pytest.param(8, "P3@r3", "linear", 10, id="8-P3@r3-linear"),
-        pytest.param(8, "C3@r3", "linear", 48, id="8-C3@r3-linear"),
+        pytest.param(8, "C3@r3", "linear", 23, id="8-C3@r3-linear"),
         pytest.param(8, "P4@r3", "linear", 101, id="8-P4@r3-linear"),
         pytest.param(9, "P3@r3", "linear", 32, id="9-P3@r3-linear"),
         # unions, whose checks are anchored too
@@ -223,7 +223,7 @@ def walk_max(n, r, pattern):
     and the witness's edge list."""
     s = _Searcher(n, r, pattern, "linear", lt.SearchBudget())
     best = ()
-    for chosen in s.walk(lambda: len(best) + 1, first_edge_only=True):
+    for chosen in s.walk(lambda: len(best) + 1, orbit=_one_orbit):
         if len(chosen) > len(best):
             best = tuple(chosen)
     return len(best), list(s.graph(best).edges)
@@ -267,36 +267,101 @@ def test_split_matches_the_walks_long_runs(row):
     assert (res.value, _digest(res.witness)) == (value, witness)
 
 
-@pytest.mark.parametrize(
-    "r,n,expr",
-    [(3, 10, expr) for expr in ("P3", "P4", "S3", "C3", "C4")]
-    + [(4, 10, expr) for expr in ("P3", "S3", "C3")],
-)
-def test_split_root_admits_by_the_first_anchor(r, n, expr):
-    # the split's root is the free star of D edges at vertex 0; its live
-    # candidates are exactly the edges that keep the host linear, every
-    # degree at most D, and the pattern out, by a whole-host check.  Its
-    # last star edge was never admitted with the other candidates, so a
-    # second anchor at the root would miss an occurrence through a
-    # candidate and only the other star edges (a C3 on s_0, s_1 and q)
-    pattern = lt.parse_pattern(f"{expr}@r{r}")
-    s = _Searcher(n, r, pattern, "linear", lt.SearchBudget())
+def split_roots(r, n, expr):
+    """For each D of the split on this row: the searcher, its rules for D,
+    the root (the star of D edges at vertex 0) and the root's used pairs,
+    with the incidence listing the root."""
+    s = _Searcher(n, r, lt.parse_pattern(f"{expr}@r{r}"), "linear", lt.SearchBudget())
     star = s.grow_star()
     assert star
     masks = s.split_masks()
     for d in range(1, len(star) + 1):
         rules = s.split_rules(d, *masks)
-        root = list(next(s.walk(lambda: 0, root=star[:d], rules=rules)))
+        root = list(next(s.walk(lambda: 0, root=star[:d], rules=rules[:2])))
         used = 0
         for q in root:
             used |= s.pair_masks[q]
+        yield s, rules, root, used
+
+
+@pytest.mark.parametrize(
+    "r,n,expr",
+    [(3, n, expr) for n in (8, 9, 10) for expr in ("P3", "P4", "S3", "C3", "C4")
+     if lt.parse_pattern(f"{expr}@r3").num_vertices <= n]
+    + [(4, n, expr) for n in (10, 11) for expr in ("P3", "S3", "C3")],
+)
+def test_split_root_admits_by_the_first_anchor(r, n, expr):
+    # the split's root is the free star of D edges at vertex 0; its live
+    # candidates are exactly the edges that keep the host linear, every
+    # degree at most D, and the pattern out, by a whole-host check, both
+    # when each candidate is checked and when each orbit of the star's
+    # stabiliser takes one verdict.  Its last star edge was never admitted
+    # with the other candidates, so a second anchor at the root would
+    # miss an occurrence through a candidate and only the other star edges
+    # (a C3 on s_0, s_1 and q)
+    pattern = lt.parse_pattern(f"{expr}@r{r}")
+    for s, (live, _, orbit), root, used in split_roots(r, n, expr):
+        d = len(root)
         expected = [
             q for q in range(len(s.cands))
             if not s.pair_masks[q] & used
             and all(sum(v in s.sets[e] for e in root) < d for v in s.cands[q])
             and lt.is_free(s.graph(root + [q]), pattern)
         ]
-        assert rules[0](root, range(len(s.cands)), used) == expected, d
+        assert live(root, range(len(s.cands)), used) == expected, d
+        calls = s.stats.admits_calls
+        assert live(root, range(len(s.cands)), used, orbit) == expected, d
+        assert s.stats.admits_calls - calls <= r + 1
+
+
+def stabiliser_orbits(s, d, cands):
+    """cands, a list closed under the relabellings that fix 0 and permute
+    the petals of the star of d edges at 0 (blocks of r-1 vertices from 1
+    on), the vertices inside each petal and the vertices above the
+    petals, split into its orbits, each in cands' order: the classes of
+    the closure under swaps of adjacent petals and of adjacent vertices
+    inside a petal or above the petals, which generate those
+    relabellings."""
+    n, step = s.n, s.r - 1
+    petals = [list(range(1 + step * j, 1 + step * (j + 1))) for j in range(d)]
+    swaps = [dict(zip(a + b, b + a)) for a, b in zip(petals, petals[1:])]
+    for block in [*petals, list(range(1 + step * d, n))]:
+        swaps += [{x: y, y: x} for x, y in zip(block, block[1:])]
+    index = {s.cands[q]: q for q in cands}
+    orbit = {q: q for q in cands}
+    for q in cands:  # merge the class of each image into q's
+        for swap in swaps:
+            image = index[tuple(sorted(swap.get(v, v) for v in s.cands[q]))]
+            old, new = orbit[image], orbit[q]
+            for x in cands:
+                if orbit[x] == old:
+                    orbit[x] = new
+    classes: dict[int, list[int]] = {}
+    for q in cands:
+        classes.setdefault(orbit[q], []).append(q)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize(
+    "r,n,expr", [(3, 10, "C3"), (3, 10, "C4"), (3, 11, "P4"), (4, 11, "C3"), (4, 11, "P3")]
+)
+def test_split_root_expands_one_child_per_orbit(r, n, expr):
+    # the split walk's root expands exactly the first live candidate of
+    # each orbit of the star's stabiliser, orbits found here by closing
+    # under the group's generators, not by split_rules' key
+    sizes = []
+    for s, (live, gain, orbit), root, used in split_roots(r, n, expr):
+        d = len(root)
+        children = live(root, range(len(s.cands)), used)
+        orbits = stabiliser_orbits(s, d, children)
+        expanded = [
+            chosen[-1]
+            for chosen in s.walk(lambda: 0, d + 1, orbit, root, (live, gain))
+            if len(chosen) == d + 1
+        ]
+        assert expanded == sorted((o[0] for o in orbits), key=children.index), d
+        sizes.append(len(orbits))
+    assert max(sizes) >= 2
 
 
 def test_split_budget_cuts_return_verified_hosts():
@@ -429,7 +494,10 @@ def test_interrupted_values_are_verified_lower_bounds(n, expr, exact):
     full = lt.max_edges(n, 3, pattern)
     assert (full.status, full.value) == ("exact", exact)
     values = []
-    for limit in [*range(1, 30), *range(30, full.stats.nodes, 67)]:
+    # every limit up to 30 nodes, then every 67th, all short of the full
+    # count, so that each one cuts the search
+    dense = min(30, full.stats.nodes)
+    for limit in [*range(1, dense), *range(dense, full.stats.nodes, 67)]:
         res = lt.max_edges(n, 3, pattern, budget=lt.SearchBudget(node_limit=limit))
         assert res.status == "interrupted", limit
         assert res.witness.edge_count == res.value
