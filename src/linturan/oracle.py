@@ -24,11 +24,12 @@ The walk is forward-checked.  Each node tests every later candidate edge
 once and keeps the ones it admits in a live list; its children draw
 their candidates only from that list, since a host that contains the
 pattern keeps containing it as edges are added.  Three prunes ride on
-this, each with its soundness argument in walk's docstring: the live
-list bounds how many edges a subtree can still gain, linear hosts are
-also capped by pair capacity and vertex degrees (Schoenheim/Johnson),
-and max_edges fixes the first edge to {0, ..., r-1}, and a split walk its
-first edge after the star up to the star's symmetries (the root rule).
+this, each argued in walk's or gain's docstring: the live list bounds
+how many edges a subtree can still gain (vertex by vertex on a linear
+host, under a degree cap), a walk ends once its bar passes the host's
+edge cap, and max_edges fixes the first edge to {0, ..., r-1}, and a
+split walk its first edge after the star up to the star's symmetries
+(the root rule).
 Searches whose candidate edges would list more than DEFAULT_PRODUCT_CAP
 vertices are refused before anything is built.
 
@@ -166,16 +167,25 @@ class _Searcher:
             itertools.combinations(range(n), r)
         )
         self.sets: list[frozenset[int]] = [frozenset(e) for e in self.cands]
-        # bit a*n+b stands for the pair {a, b}, a < b.  A general host
-        # shares pairs freely, and two distinct 2-edges never share a
-        # pair, so their masks are empty and never conflict.
+        # bit a*n+b stands for the pair {a, b}, a < b, through[v] holds
+        # every pair {v, x} and vertex_masks[q] the vertices of q.  A
+        # general host shares pairs freely, and two distinct 2-edges never
+        # share a pair, so their pair masks are empty and never conflict.
         self.linear = host == "linear"
-        self.pair_masks: list[int] = [
-            sum(1 << (a * n + b) for a, b in itertools.combinations(e, 2))
-            if self.linear and r > 2
-            else 0
-            for e in self.cands
-        ]
+        self.pair_masks: list[int] = [0] * len(self.cands)
+        self.vertex_masks: list[int] = []
+        self.through: list[int] = []
+        if self.linear and r > 2:
+            self.through = [0] * n
+            for a, b in itertools.combinations(range(n), 2):
+                bit = 1 << (a * n + b)
+                self.through[a] |= bit
+                self.through[b] |= bit
+            self.pair_masks = [
+                sum(1 << (a * n + b) for a, b in itertools.combinations(e, 2))
+                for e in self.cands
+            ]
+            self.vertex_masks = [sum(1 << v for v in e) for e in self.cands]
         # incidence[v]: the chosen edges through v, kept by walk;
         # slots[q]: the incidence lists of q's vertices
         self.incidence: list[list[int]] = [[] for _ in range(n)]
@@ -184,10 +194,8 @@ class _Searcher:
         # None when every host is (no pattern, or one wider than n)
         fits = pattern is not None and pattern.num_vertices <= n
         self.min_edges = pattern.num_edges if fits else None
-        # for room(): pair capacity and the Schoenheim/Johnson edge cap
-        self.pairs_per_edge = r * (r - 1) // 2
-        self.total_pairs = n * (n - 1) // 2
-        self.most_edges = n * ((n - 1) // (r - 1)) // r
+        self.degree_cap = (n - 1) // (r - 1)
+        self.edge_cap = n * self.degree_cap // r if self.linear else len(self.cands)
         self.stats = SearchStats()
         self.start = time.monotonic()
 
@@ -288,22 +296,38 @@ class _Searcher:
         verdicts = {key: test(q) for key, q in firsts.items()}
         return [q for q in fits if verdicts[orbit(q)]]
 
-    def room(self, size: int, used_pairs: int) -> int:
-        """Most edges a host of size edges using used_pairs can gain.
+    def gain(self, children: list[int], cap: int) -> int:
+        """Most edges a host in the subtree of a node with live list
+        children = L can add under walk's degree cap cap.
 
-        Pair capacity: every new edge takes pairs_per_edge unused pairs.
-        Vertex degree (Schoenheim/Johnson): in a linear host a vertex v of
-        degree d meets (r-1)*d of the other n-1 vertices, so it lies in at
-        most floor((n-1)/(r-1)) - d more edges, and a new edge counts at r
-        vertices.  Summed over v and divided by r, that is most_edges -
-        size, with most_edges = floor(n * floor((n-1)/(r-1)) / r): the cap
-        needs no pass over the degrees.  A general host has neither cap,
-        only the candidates left.
+        Every added edge comes from L: on a general host (or r = 2) the
+        bound is |L|.  On a linear one it is floor(sum over v of
+        min(|L_v|, floor((|N_L(v)|-1)/(r-1)), cap - deg v) / r), with L_v
+        the edges of L through v and N_L(v) their vertices, v included:
+        the edges added through v come from L_v, each takes r-1 vertices
+        of N_L(v) other than v (they meet only in v), they lift v's degree
+        to at most cap, and each counts at r vertices.  The |L_v| sum to
+        r|L|, so the bound is at most |L|; for fewer than two live edges it
+        is |L|, returned at once.  No pair-capacity term is needed: N_L(v)
+        minus v lies among the x with {v, x} free, so for F free pairs the
+        bound is at most floor(2F/(r-1) / r) = floor(F / C(r, 2)).
         """
-        if not self.linear:
-            return len(self.cands) - size
-        free_pairs = self.total_pairs - used_pairs.bit_count()
-        return min(free_pairs // self.pairs_per_edge, self.most_edges - size)
+        if not self.through or len(children) < 2:
+            return len(children)
+        n, cands, vertex_masks = self.n, self.cands, self.vertex_masks
+        count = [0] * n
+        near = [0] * n
+        for q in children:
+            mask = vertex_masks[q]
+            for v in cands[q]:
+                count[v] += 1
+                near[v] |= mask
+        step = self.r - 1
+        total = 0
+        for c, mask, edges in zip(count, near, self.incidence):
+            if c:
+                total += min(c, (mask.bit_count() - 1) // step, cap - len(edges))
+        return total // self.r
 
     def grow_star(self) -> list[int]:
         """The longest free star s_0, s_1, ... at vertex 0, s_j = {0} and
@@ -312,12 +336,12 @@ class _Searcher:
         star before it, which is free, so the first anchor is exact; a
         star that holds the pattern stays non-free with more edges.
         """
-        n, r, stats = self.n, self.r, self.stats
+        r, stats = self.r, self.stats
         index = {e: i for i, e in enumerate(self.cands)}
         star: list[int] = []
         for edges in self.incidence:
             edges.clear()
-        for j in range((n - 1) // (r - 1)):
+        for j in range(self.degree_cap):
             q = index[(0, *range(1 + (r - 1) * j, 1 + (r - 1) * (j + 1)))]
             star.append(q)
             for edges in self.slots[q]:
@@ -330,95 +354,22 @@ class _Searcher:
                     break
         return star
 
-    def split_masks(self) -> tuple[list[int], list[int]]:
-        """The masks split_rules reads: each candidate's vertices as bits,
-        and for each vertex v the pair bits (see pair_masks) of every pair
-        {v, x}."""
-        n = self.n
-        vertex_masks = [sum(1 << v for v in e) for e in self.cands]
-        through = [
-            sum(1 << (min(v, x) * n + max(v, x)) for x in range(n) if x != v)
-            for v in range(n)
-        ]
-        return vertex_masks, through
-
-    def split_rules(
-        self, cap: int, vertex_masks: list[int], through: list[int]
-    ) -> tuple[Callable[..., list[int]], Callable[[list[int]], int], Callable[[int], int]]:
-        """walk's live, live-list bound and root orbit for a split walk
-        under the degree cap cap, rooted at the star of cap edges at vertex
-        0 (see split_hosts), with vertex_masks and through from
-        split_masks.
-
-        live: every pair through a vertex of degree cap counts as used,
-        so no candidate through it fits.  Vertex 0 has degree cap from the
-        root on, so no candidate through it is ever taken.  Degrees only
-        grow down the tree, so a candidate this drops stays dropped in the
-        whole subtree and forward checking holds.  The root's candidates
-        take the first anchor only: live's root is the star's cap edges.
-
-        The orbit: a candidate's number of petal vertices, the vertices 1
-        to (r-1)*cap of the star's edges other than 0 (see split_hosts).
-
-        The bound: a node with live list L can gain at most floor(sum over
-        v of min(|L_v|, floor((|N_L(v)|-1)/(r-1)), cap - deg v) / r)
-        edges, where L_v lists the live edges through v and N_L(v) the
-        vertices on them, v included.  The edges a host in the subtree
-        adds through v come from L_v, meet pairwise only in v (the host is
-        linear), so each takes r-1 vertices of N_L(v) other than v for
-        itself, and they lift v's degree to at most cap.  Each added edge
-        counts at r vertices.  At most |L|.
-        """
-        n, r, cands, incidence, live = self.n, self.r, self.cands, self.incidence, self.live
-        step = r - 1
-        petals = (1 << (step * cap + 1)) - 2
-
-        def split_live(
-            chosen: list[int],
-            tail: Sequence[int],
-            used_pairs: int,
-            orbit: Optional[Callable[[int], int]] = None,
-        ) -> list[int]:
-            for v in range(n):
-                if len(incidence[v]) >= cap:
-                    used_pairs |= through[v]
-            return live(chosen, tail, used_pairs, orbit, cap)
-
-        def split_orbit(q: int) -> int:
-            return (vertex_masks[q] & petals).bit_count()
-
-        def split_gain(children: list[int]) -> int:
-            count = [0] * n
-            near = [0] * n
-            for q in children:
-                mask = vertex_masks[q]
-                for v in cands[q]:
-                    count[v] += 1
-                    near[v] |= mask
-            total = 0
-            for v in range(n):
-                if count[v]:
-                    total += min(count[v], (near[v].bit_count() - 1) // step,
-                                 cap - len(incidence[v]))
-            return total // r
-
-        return split_live, split_gain, split_orbit
-
     def walk(
         self,
         need: Callable[[], int],
         stop_at: Optional[int] = None,
         orbit: Optional[Callable[[int], int]] = None,
         root: Sequence[int] = (),
-        rules: Optional[tuple[Callable, Callable]] = None,
+        cap: Optional[int] = None,
     ) -> Iterator[list[int]]:
         """Admitted edge lists, depth first in lexicographic order.
 
         Each node ticks the budget once and is yielded (as the list of chosen
         edges, which the walk goes on changing; copy it to keep it) before
         its children are explored.  need is re-read before every node and
-        child is expanded, so a consumer may raise the bar between yields.
-        The walk is one loop over an explicit stack of open nodes.
+        child is expanded, so a consumer may raise the bar between yields;
+        it never lowers it.  The walk is one loop over an explicit stack of
+        open nodes.
 
         Forward checking: a node's children are its live list L, the
         candidates after its last edge that it admits (see live).  Child
@@ -428,51 +379,64 @@ class _Searcher:
         the tree is the full tree of admitted hosts, and every admissibility
         test runs once per (node, candidate) pair that is still open.
 
-        A node with size < need() is cut (not expanded) by three bounds,
-        each an upper limit on the edges any host in its subtree can add:
-        room() (pair capacity and vertex degrees, for linear hosts), |L|
-        (every added edge comes from L), and, for child i, |L| - i (its
-        edges come from L[i+1:]).  A cut subtree holds no host of need()
-        edges.  A node with stop_at edges is not expanded either.
+        The degree cap: on a linear host (r >= 3) an edge that lifts a
+        vertex v to cap edges marks every pair {v, x} (through[v]) used
+        from its node down, so no candidate through v fits; degrees only
+        grow down the tree, so forward checking holds.  Omitted, cap is
+        degree_cap = floor((n-1)/(r-1)), which linearity imposes anyway: a
+        vertex's edges meet only in it, each taking r-1 other vertices.
+
+        A node with size < need() is cut (not expanded) when gain(L), the
+        most edges a host in its subtree can add, cannot lift it to need(),
+        and child i is not entered when |L| - i cannot (its edges come from
+        L[i+1:]).  A cut subtree holds no host of need() edges, and a node
+        with stop_at edges is not expanded either.  The walk ends once
+        need() exceeds edge_cap, the most edges of any host: C(n, r), or on
+        a linear host floor(n * degree_cap / r), as its degrees sum to r
+        times its size (Schoenheim; Johnson); the bar never falls.
 
         orbit, the root rule, keys the root's candidates so that two with
-        one key lie in one orbit of the stabiliser of the root host (and
-        of rules' side conditions).  live takes one verdict per key, and
-        only the first child of each key is expanded; each expanded child
-        i still draws from all of L[i+1:], so a skipped child stays
-        available as a later edge.  What the rule keeps is argued where it
-        is used: split_hosts for the split's root, and here for the plain
-        walk, whose root is the empty host and whose one key, _one_orbit,
-        keeps only the first child: hosts whose first edge is candidate 0,
-        {0, ..., r-1}.  All one-edge hosts are isomorphic, so the root
-        admits either every candidate or none, and its first child is
-        candidate 0 when it has one.  A vertex relabelling keeps a host
-        free and linear, and every nonempty host relabels to one that
-        contains candidate 0, so every size is still reached; a sorted edge
-        list that starts with 0 is lex-smaller than any that does not, so
-        the lex-least host of each size is among them too.  Only max_edges
-        may use the rule: counting labelled hosts needs the whole tree.
-        The empty root is still a node, so a pattern that forbids every
-        edge gives 0.
-
-        root and rules serve the split (see split_hosts): the walk's root
-        is the host of root's edges instead of the empty host, its
-        candidates are every edge, and rules, a pair (live, bound) from
-        split_rules, take the place of live and len.  The walk starts by
-        resetting the incidence, so a walk left unfinished does not
-        disturb the next.
+        one key lie in one orbit of the stabiliser of the root host and the
+        cap.  live takes one verdict per key, and only the first child of
+        each key is expanded; each still draws from all of L[i+1:], so a
+        skipped child stays available as a later edge.  split_hosts argues
+        the rule for the split's root, the host of root's edges (its
+        candidates are every edge).  The plain walk's root is the empty
+        host, and its one key, _one_orbit, keeps the hosts whose first edge
+        is candidate 0, {0, ..., r-1}: all one-edge hosts are isomorphic,
+        so the root admits every candidate or none.  A vertex relabelling
+        keeps a host free and linear, and every nonempty host relabels to
+        one that holds candidate 0, so every size is still reached; a
+        sorted edge list that starts with 0 is lex-smaller than any that
+        does not, so the lex-least host of each size is among them too.
+        Only max_edges may use the rule: counting labelled hosts needs the
+        whole tree.  The empty root is still a node, so a pattern that
+        forbids every edge gives 0.  The walk starts by resetting the
+        incidence, so a walk left unfinished does not disturb the next.
         """
-        stats, masks, slots = self.stats, self.pair_masks, self.slots
-        chosen: list[int] = list(root)
-        for edges in self.incidence:
-            edges.clear()
-        used = 0
-        for q in chosen:
+        stats, masks, slots, cands = self.stats, self.pair_masks, self.slots, self.cands
+        incidence, through = self.incidence, self.through
+        if cap is None:
+            cap = self.degree_cap
+        chosen: list[int] = []
+
+        def push(q: int, used: int) -> int:  # the pairs used below q
+            chosen.append(q)
             for edges in slots[q]:
                 edges.append(q)
             used |= masks[q]
+            if through:
+                for v in cands[q]:
+                    if len(incidence[v]) == cap:
+                        used |= through[v]
+            return used
+
+        for edges in incidence:
+            edges.clear()
+        used = 0
+        for q in root:
+            used = push(q, used)
         tail: Sequence[int] = range(len(masks))
-        live, gain = rules or (self.live, len)
         # one frame per open node: [live list, indices of the children
         # taken, next of those, pairs used]
         stack: list[list] = []
@@ -480,16 +444,15 @@ class _Searcher:
             self.tick()
             yield chosen
             size = len(chosen)
+            bar = need()
+            if bar > self.edge_cap:
+                return
             children: list[int] = []
             if size != stop_at:
-                bar = need()
-                if bar > size and size + self.room(size, used) < bar:
+                children = self.live(chosen, tail, used, orbit, len(root))
+                if bar > size and size + self.gain(children, cap) < bar:
                     stats.bound_cuts += 1
-                else:
-                    children = live(chosen, tail, used, orbit)
-                    if bar > size and size + gain(children) < bar:
-                        stats.bound_cuts += 1
-                        children = []
+                    children = []
             if orbit is None:
                 taken: Sequence[int] = range(len(children))
             else:
@@ -515,26 +478,25 @@ class _Searcher:
                 for edges in slots[chosen.pop()]:
                     edges.pop()
             frame[2] = k + 1
-            q = children[i]
-            chosen.append(q)
-            for edges in slots[q]:
-                edges.append(q)
             tail = children[i + 1:]
-            used |= masks[q]
+            used = push(children[i], used)
 
-    def split_host(
-        self, m: int, star: list[int], vertex_masks: list[int], through: list[int]
-    ) -> Optional[tuple[int, ...]]:
+    def split_host(self, m: int, star: list[int]) -> Optional[tuple[int, ...]]:
         """A free linear host with m edges, found by the split walks for D
         from min(len(star), m) down to ceil(rm/n), or None when none
-        exists; star is the longest free star and the masks come from
-        split_masks (see split_hosts).  Any order of D is sound, and a
-        refutation runs every D; the largest first finds an existing host soonest on the
-        rows measured (n=14 P3: 279 nodes, against 48 922 from the
-        smallest up)."""
+        exists; star is the longest free star (see split_hosts).  A walk's
+        root orbit is a candidate's number of petal vertices, 1 to (r-1)D.
+        Any order of D is sound, and a refutation runs every D; the largest
+        first finds an existing host soonest on the rows measured (n=14
+        P3: 279 nodes, against 48 922 from the smallest up)."""
+        vertex_masks = self.vertex_masks
         for d in range(min(len(star), m), -(-self.r * m // self.n) - 1, -1):
-            live, gain, orbit = self.split_rules(d, vertex_masks, through)
-            for chosen in self.walk(lambda: m, m, orbit, star[:d], (live, gain)):
+            petals = (1 << ((self.r - 1) * d + 1)) - 2
+
+            def orbit(q: int, petals: int = petals) -> int:
+                return (vertex_masks[q] & petals).bit_count()
+
+            for chosen in self.walk(lambda: m, m, orbit, star[:d], d):
                 if len(chosen) == m:
                     return tuple(sorted(chosen))
         return None
@@ -547,15 +509,14 @@ class _Searcher:
 
         1. Lower bound: the walk's first descent under the root rule, its
            path of first children down to a leaf, with L edges.
-        2. Existence: for m = L+1, L+2, ..., search for a free linear host
-           with m edges; the value is m-1 for the first m without one.
-           For each D from floor((n-1)/(r-1)) down to ceil(rm/n) (at most
-           the longest free star and m), a walk rooted at the star's first
-           D edges, under split_rules(D), searches the
-           hosts that hold the star s_0..s_{D-1} at vertex 0 and no other
-           edge through 0, with every degree at most D.  At its root it
-           tests one candidate per orbit and expands one child per orbit
-           (the orbit rules below).
+        2. Existence: for m = L+1, L+2, ..., search for a free linear host with
+           m edges; the value is m-1 for the first m without one.  For each D
+           from floor((n-1)/(r-1)) down to ceil(rm/n) (at most the longest free
+           star and m), a walk rooted at the star's first D edges under the
+           degree cap D searches the hosts that hold the star s_0..s_{D-1} at
+           vertex 0 and no other edge through 0, with every degree at most D.
+           At its root it tests one candidate per orbit and expands one child
+           per orbit (the orbit rules below).
         3. Witness: the walk with the bar and the stop fixed at the value,
            under the root rule; its first host is the lex-least (walk's
            root-rule argument).  When the value is L, phase 1's leaf is
@@ -586,7 +547,7 @@ class _Searcher:
         of petal vertices are one orbit of G: a relabelling in G takes the
         k petals of one to those of the other, its petal vertices to the
         other's, and its r-k untouched vertices to the other's.  There are
-        at most r+1 orbits, keyed by k (split_rules' orbit).
+        at most r+1 orbits, keyed by k (split_host's key).
         (a) One admissibility check per orbit: a relabelling in G takes the
             star plus one candidate to the star plus the other, so both are
             free or neither, and the root's live list is the same list.
@@ -610,8 +571,7 @@ class _Searcher:
             yield best
         lower = len(best)
         star = self.grow_star()
-        vertex_masks, through = self.split_masks()
-        while (found := self.split_host(len(best) + 1, star, vertex_masks, through)) is not None:
+        while (found := self.split_host(len(best) + 1, star)) is not None:
             best = found
             yield best
         if len(best) > lower:

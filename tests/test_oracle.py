@@ -175,9 +175,9 @@ def test_search_matches_bitmask_exhaustion(data):
 @pytest.mark.parametrize(
     "n,expr,host,nodes",
     [
-        pytest.param(7, "P3@r3", "linear", 9, id="7-P3@r3-linear"),
+        pytest.param(7, "P3@r3", "linear", 8, id="7-P3@r3-linear"),
         pytest.param(6, "C3@r3", "linear", 5, id="6-C3@r3-linear"),
-        pytest.param(7, "P4@r3", "linear", 33, id="7-P4@r3-linear"),
+        pytest.param(7, "P4@r3", "linear", 8, id="7-P4@r3-linear"),
         pytest.param(7, "S2@r3", "general", 26, id="7-S2@r3-general"),
         pytest.param(6, "P3@r3", "general", 21, id="6-P3@r3-general"),
         # the benchmark's exact-grid rows; the linear ones whose pattern
@@ -185,11 +185,11 @@ def test_search_matches_bitmask_exhaustion(data):
         # and 8 vertices is the walk's unconstrained search)
         pytest.param(8, "P3@r3", "linear", 10, id="8-P3@r3-linear"),
         pytest.param(8, "C3@r3", "linear", 23, id="8-C3@r3-linear"),
-        pytest.param(8, "P4@r3", "linear", 101, id="8-P4@r3-linear"),
+        pytest.param(8, "P4@r3", "linear", 22, id="8-P4@r3-linear"),
         pytest.param(9, "P3@r3", "linear", 32, id="9-P3@r3-linear"),
         # unions, whose checks are anchored too
-        pytest.param(10, "2*P2@r3", "linear", 382, id="10-2*P2@r3-linear"),
-        pytest.param(10, "P2+S2@r3", "linear", 382, id="10-P2+S2@r3-linear"),
+        pytest.param(10, "2*P2@r3", "linear", 32, id="10-2*P2@r3-linear"),
+        pytest.param(10, "P2+S2@r3", "linear", 32, id="10-P2+S2@r3-linear"),
     ],
 )
 def test_node_counts_are_pinned(n, expr, host, nodes):
@@ -203,10 +203,10 @@ def test_node_counts_are_pinned(n, expr, host, nodes):
 @pytest.mark.parametrize(
     "n,expr,host,counters",
     [
-        (7, "P3@r3", "linear", (29, 5, 3)),
+        (7, "P3@r3", "linear", (29, 5, 0)),
         (7, "S2@r3", "general", (184, 115, 24)),
-        (10, "2*P2@r3", "linear", (355, 11, 379)),
-        (10, "P2+S2@r3", "linear", (355, 11, 379)),
+        (10, "2*P2@r3", "linear", (324, 11, 17)),
+        (10, "P2+S2@r3", "linear", (324, 11, 17)),
     ],
 )
 def test_search_counters_are_pinned(n, expr, host, counters):
@@ -268,20 +268,43 @@ def test_split_matches_the_walks_long_runs(row):
 
 
 def split_roots(r, n, expr):
-    """For each D of the split on this row: the searcher, its rules for D,
-    the root (the star of D edges at vertex 0) and the root's used pairs,
-    with the incidence listing the root."""
+    """For each D of the split on this row: the searcher, the root orbit
+    key that split_host gives walk for D, and the root (the star of D
+    edges at vertex 0)."""
     s = _Searcher(n, r, lt.parse_pattern(f"{expr}@r{r}"), "linear", lt.SearchBudget())
     star = s.grow_star()
     assert star
-    masks = s.split_masks()
+    keys = {}
+
+    def recording(need, stop_at=None, orbit=None, root=(), cap=None):
+        keys[cap] = orbit
+        return iter(())
+
+    s.walk = recording
     for d in range(1, len(star) + 1):
-        rules = s.split_rules(d, *masks)
-        root = list(next(s.walk(lambda: 0, root=star[:d], rules=rules[:2])))
-        used = 0
-        for q in root:
-            used |= s.pair_masks[q]
-        yield s, rules, root, used
+        s.split_host(d, star)  # its first walk is the one for D = d
+    del s.walk
+    for d in range(1, len(star) + 1):
+        yield s, keys[d], star[:d]
+
+
+def root_live(s, root, orbit=None):
+    """The root's live list in the walk rooted at root under the degree
+    cap len(root), with orbit as its root rule, as walk computes it, and
+    the admits calls that took."""
+    lists = []
+    live = s.live
+
+    def recording(*args):
+        lists.append(live(*args))
+        return lists[-1]
+
+    s.live = recording
+    calls = s.stats.admits_calls
+    for _ in s.walk(lambda: 0, len(root) + 1, orbit, root, len(root)):
+        pass
+    del s.live
+    return lists[0], s.stats.admits_calls - calls
 
 
 @pytest.mark.parametrize(
@@ -300,18 +323,21 @@ def test_split_root_admits_by_the_first_anchor(r, n, expr):
     # miss an occurrence through a candidate and only the other star edges
     # (a C3 on s_0, s_1 and q)
     pattern = lt.parse_pattern(f"{expr}@r{r}")
-    for s, (live, _, orbit), root, used in split_roots(r, n, expr):
+    for s, orbit, root in split_roots(r, n, expr):
         d = len(root)
+        used = 0
+        for q in root:
+            used |= s.pair_masks[q]
         expected = [
             q for q in range(len(s.cands))
             if not s.pair_masks[q] & used
             and all(sum(v in s.sets[e] for e in root) < d for v in s.cands[q])
             and lt.is_free(s.graph(root + [q]), pattern)
         ]
-        assert live(root, range(len(s.cands)), used) == expected, d
-        calls = s.stats.admits_calls
-        assert live(root, range(len(s.cands)), used, orbit) == expected, d
-        assert s.stats.admits_calls - calls <= r + 1
+        assert root_live(s, root)[0] == expected, d
+        children, calls = root_live(s, root, orbit)
+        assert children == expected, d
+        assert calls <= r + 1
 
 
 def stabiliser_orbits(s, d, cands):
@@ -348,20 +374,76 @@ def stabiliser_orbits(s, d, cands):
 def test_split_root_expands_one_child_per_orbit(r, n, expr):
     # the split walk's root expands exactly the first live candidate of
     # each orbit of the star's stabiliser, orbits found here by closing
-    # under the group's generators, not by split_rules' key
+    # under the group's generators, not by split_host's key
     sizes = []
-    for s, (live, gain, orbit), root, used in split_roots(r, n, expr):
+    for s, orbit, root in split_roots(r, n, expr):
         d = len(root)
-        children = live(root, range(len(s.cands)), used)
+        children = root_live(s, root)[0]
         orbits = stabiliser_orbits(s, d, children)
         expanded = [
             chosen[-1]
-            for chosen in s.walk(lambda: 0, d + 1, orbit, root, (live, gain))
+            for chosen in s.walk(lambda: 0, d + 1, orbit, root, d)
             if len(chosen) == d + 1
         ]
         assert expanded == sorted((o[0] for o in orbits), key=children.index), d
         sizes.append(len(orbits))
     assert max(sizes) >= 2
+
+
+def subtree_gains(s, root=(), orbit=None, cap=None):
+    """For every node of the walk rooted at root under the degree cap cap
+    (walk's default when None): [size, |L|, gain(L), size of the largest
+    host in the node's subtree].  The walk runs with the bar at 0, so it
+    consults no bound and its tree is every host it can reach; the
+    largest host of each subtree is gathered over that tree, in preorder,
+    by a stack of the open nodes."""
+    rows = []
+    live = s.live
+
+    def recording(chosen, *args):
+        children = live(chosen, *args)
+        rows.append([len(chosen), len(children),
+                     s.gain(children, s.degree_cap if cap is None else cap), len(chosen)])
+        return children
+
+    s.live = recording
+    for _ in s.walk(lambda: 0, None, orbit, root, cap):
+        pass
+    del s.live
+    stack = []
+    for row in rows + [[-1, 0, 0, 0]]:  # the sentinel closes every node
+        while stack and stack[-1][0] >= row[0]:
+            done = stack.pop()
+            if stack:
+                stack[-1][3] = max(stack[-1][3], done[3])
+        stack.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("r,top", [(3, 8), (4, 9)])
+@pytest.mark.parametrize("expr", ["P2", "P3", "S2", "C3", None])
+def test_gain_bounds_every_subtree(r, top, expr):
+    # at every node of the plain walk and of every walk rooted at a free
+    # star of D edges at vertex 0 under the degree cap D, gain(L) is at
+    # most |L|, and size + gain(L) is at least the largest free host that
+    # adding edges of L reaches
+    checked = 0
+    for n in range(r, top + 1):
+        pattern = lt.parse_pattern(f"{expr}@r{r}") if expr else None
+        s = _Searcher(n, r, pattern, "linear", lt.SearchBudget())
+        index = {e: q for q, e in enumerate(s.cands)}
+        star = [index[(0, *range(1 + (r - 1) * j, r + (r - 1) * j))]
+                for j in range(s.degree_cap)]
+        walks = [((), _one_orbit, None)] + [
+            (star[:d], None, d) for d in range(1, len(star) + 1)
+            if pattern is None or lt.is_free(s.graph(star[:d]), pattern)
+        ]
+        for root, orbit, cap in walks:
+            for size, live, gain, largest in subtree_gains(s, root, orbit, cap):
+                assert gain <= live, (n, root, size)
+                assert size + gain >= largest, (n, root, size)
+                checked += 1
+    assert checked > 20
 
 
 def test_split_budget_cuts_return_verified_hosts():
@@ -546,7 +628,7 @@ def test_union_search_builds_only_the_witness(monkeypatch):
 
     monkeypatch.setattr(lt.oracle, "make_hypergraph", counted)
     res = lt.max_edges(10, 3, lt.parse_pattern("P2+S2@r3"))
-    assert (res.status, res.value, res.stats.admits_calls) == ("exact", 13, 355)
+    assert (res.status, res.value, res.stats.admits_calls) == ("exact", 13, 324)
     assert len(built) == 1
 
 
@@ -555,20 +637,21 @@ def _digest(witness):
 
 
 # (n, r, pattern, host, node limit): (value, status, nodes, admits_calls,
-# admits_rejects, bound_cuts) and a digest of the witness's edge list,
-# as the search gave them when a union took a whole-host check
+# admits_rejects, bound_cuts) and a digest of the witness's edge list;
+# the values and digests are the ones the search gave when a union took a
+# whole-host check, and the counters move only when the walk's tree does
 UNION_ROWS = [
-    (7, 3, "2*P1", "linear", 100, (7, "exact", 25, 48, 7, 23), "b510de7e3234"),
-    (8, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 587, 177, 95), "b510de7e3234"),
-    (8, 3, "P1+S2", "linear", 100, (8, "exact", 84, 80, 11, 81), "2dbde94f8eb7"),
-    (9, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 697, 293, 96), "b510de7e3234"),
-    (9, 3, "P1+S2", "linear", 100, (12, "interrupted", 101, 165, 20, 97), "dcdcf6cd425c"),
-    (9, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 198, 22, 94), "dcdcf6cd425c"),
-    (10, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 795, 415, 95), "b510de7e3234"),
-    (10, 3, "P1+S2", "linear", 100, (12, "interrupted", 101, 1002, 300, 93), "dcdcf6cd425c"),
-    (10, 3, "2*P2", "linear", 100, (13, "interrupted", 101, 355, 11, 92), "e16f59768666"),
-    (10, 3, "P2+S2", "linear", 100, (13, "interrupted", 101, 355, 11, 92), "e16f59768666"),
-    (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 597, 125, 90), "dcdcf6cd425c"),
+    (7, 3, "2*P1", "linear", 100, (7, "exact", 8, 48, 7, 0), "b510de7e3234"),
+    (8, 3, "2*P1", "linear", 100, (7, "exact", 73, 665, 200, 71), "b510de7e3234"),
+    (8, 3, "P1+S2", "linear", 100, (8, "exact", 14, 80, 11, 4), "2dbde94f8eb7"),
+    (9, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 783, 338, 95), "b510de7e3234"),
+    (9, 3, "P1+S2", "linear", 100, (12, "exact", 13, 165, 20, 0), "dcdcf6cd425c"),
+    (9, 3, "P1+C3", "linear", 100, (12, "exact", 28, 196, 22, 14), "dcdcf6cd425c"),
+    (10, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 869, 443, 96), "b510de7e3234"),
+    (10, 3, "P1+S2", "linear", 100, (12, "interrupted", 101, 2046, 756, 95), "dcdcf6cd425c"),
+    (10, 3, "2*P2", "linear", 100, (13, "exact", 32, 324, 11, 17), "e16f59768666"),
+    (10, 3, "P2+S2", "linear", 100, (13, "exact", 32, 324, 11, 17), "e16f59768666"),
+    (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 833, 212, 90), "dcdcf6cd425c"),
     (6, 3, "2*P1", "general", 100, (10, "interrupted", 101, 545, 99, 96), "05bd1b448ddd"),
     (7, 3, "2*P1", "general", 100, (15, "interrupted", 101, 989, 183, 92), "0ae9c0acebb4"),
     (8, 3, "2*P1", "general", 100, (21, "interrupted", 101, 1431, 228, 92), "159bf9c948c4"),
@@ -582,7 +665,7 @@ UNION_ROWS = [
     (10, 3, "P2+S2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
     (8, 4, "2*P1", "linear", 100, (2, "exact", 17, 17, 1, 16), "3929c590e9bf"),
     (9, 4, "2*P1", "linear", 100, (3, "interrupted", 101, 147, 5, 97), "238abed65f6f"),
-    (10, 4, "2*P1", "linear", 100, (5, "interrupted", 101, 270, 18, 96), "95d59a87ef69"),
+    (10, 4, "2*P1", "linear", 100, (5, "interrupted", 101, 627, 27, 96), "95d59a87ef69"),
     (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1540, 99, 68), "da0a21ca2dfa"),
     (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3431, 125, 53), "92f25cca91e3"),
     (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6603, 142, 34), "97eb85d7e757"),
