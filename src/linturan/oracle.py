@@ -10,15 +10,14 @@ state.
 Both max_edges and the enumerators consume the same depth-first walk
 (_Searcher.walk); they differ in the size bar below which a branch is
 cut, in the size at which it stops growing, and in the root rule, which
-only max_edges takes.  On a linear host with a one-component pattern,
-max_edges proves its value by the max-degree split (split_hosts): walks
-rooted at a fixed star at vertex 0 under a degree cap show that no host
-has one edge more, and a last walk recovers the lex-least witness; its
-soundness argument is in split_hosts' docstring.  Budgets turn an
-over-long search into an explicit interrupted result (or
-InterruptedSearch for the enumerators, which have no partial answer
-worth returning).  Exploration is serial, so values never depend on
-scheduling.
+only max_edges takes.  On a linear host (r >= 3) max_edges proves its
+value by the max-degree split (split_hosts): walks rooted at a fixed star
+at vertex 0 under a degree cap show that no host has one edge more, and
+a last walk recovers the lex-least witness; its soundness argument is in
+split_hosts' docstring.  Budgets turn an over-long search into an
+explicit interrupted result (or InterruptedSearch for the enumerators,
+which have no partial answer worth returning).  Exploration is serial,
+so values never depend on scheduling.
 
 The walk is forward-checked.  Each node tests every later candidate edge
 once and keeps the ones it admits in a live list; its children draw
@@ -55,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -167,13 +167,12 @@ class _Searcher:
             itertools.combinations(range(n), r)
         )
         self.sets: list[frozenset[int]] = [frozenset(e) for e in self.cands]
-        # bit a*n+b stands for the pair {a, b}, a < b, through[v] holds
-        # every pair {v, x} and vertex_masks[q] the vertices of q.  A
-        # general host shares pairs freely, and two distinct 2-edges never
-        # share a pair, so their pair masks are empty and never conflict.
+        # bit a*n+b stands for the pair {a, b}, a < b, and through[v] holds
+        # every pair {v, x}.  A general host shares pairs freely, and two
+        # distinct 2-edges never share a pair, so their pair masks are
+        # empty and never conflict.
         self.linear = host == "linear"
         self.pair_masks: list[int] = [0] * len(self.cands)
-        self.vertex_masks: list[int] = []
         self.through: list[int] = []
         if self.linear and r > 2:
             self.through = [0] * n
@@ -185,11 +184,8 @@ class _Searcher:
                 sum(1 << (a * n + b) for a, b in itertools.combinations(e, 2))
                 for e in self.cands
             ]
-            self.vertex_masks = [sum(1 << v for v in e) for e in self.cands]
-        # incidence[v]: the chosen edges through v, kept by walk;
-        # slots[q]: the incidence lists of q's vertices
+        # incidence[v]: the chosen edges through v, kept by walk
         self.incidence: list[list[int]] = [[] for _ in range(n)]
-        self.slots = [[self.incidence[v] for v in e] for e in self.cands]
         # a host with fewer edges than the pattern is free; min_edges is
         # None when every host is (no pattern, or one wider than n)
         fits = pattern is not None and pattern.num_vertices <= n
@@ -272,19 +268,19 @@ class _Searcher:
         fits = [q for q in tail if not masks[q] & used_pairs]
         if self.min_edges is None or len(chosen) + 1 < self.min_edges:
             return fits
-        stats, slots, admits = self.stats, self.slots, self.admits
+        stats, cands, incidence, admits = self.stats, self.cands, self.incidence, self.admits
         also = chosen[-1] if len(chosen) > root and self.pattern.is_single else None
 
         def test(q: int) -> bool:
             chosen.append(q)
-            for edges in slots[q]:
-                edges.append(q)
+            for v in cands[q]:
+                incidence[v].append(q)
             stats.admits_calls += 1
             free = admits(chosen, also)
             if not free:
                 stats.admits_rejects += 1
-            for edges in slots[q]:
-                edges.pop()
+            for v in cands[q]:
+                incidence[v].pop()
             chosen.pop()
             return free
 
@@ -300,33 +296,33 @@ class _Searcher:
         """Most edges a host in the subtree of a node with live list
         children = L can add under walk's degree cap cap.
 
-        Every added edge comes from L: on a general host (or r = 2) the
-        bound is |L|.  On a linear one it is floor(sum over v of
-        min(|L_v|, floor((|N_L(v)|-1)/(r-1)), cap - deg v) / r), with L_v
-        the edges of L through v and N_L(v) their vertices, v included:
-        the edges added through v come from L_v, each takes r-1 vertices
-        of N_L(v) other than v (they meet only in v), they lift v's degree
-        to at most cap, and each counts at r vertices.  The |L_v| sum to
-        r|L|, so the bound is at most |L|; for fewer than two live edges it
-        is |L|, returned at once.  No pair-capacity term is needed: N_L(v)
-        minus v lies among the x with {v, x} free, so for F free pairs the
-        bound is at most floor(2F/(r-1) / r) = floor(F / C(r, 2)).
+        Every added edge comes from L: on a general host (or r = 2) the bound
+        is |L|.  On a linear one it is floor(sum over v of
+        min(floor((|N_L(v)|-1)/(r-1)), cap - deg v) / r), with N_L(v) the
+        vertices of the edges L_v of L through v, v included, so |N_L(v)|-1
+        counts the pairs {v, x} their masks cover (near[v] & through[v]): the
+        edges added through v meet only in v, each takes r-1 of those x, they
+        lift v's degree to at most cap, and each counts at r vertices.  A
+        term |L_v| would be dominated, as L_v covers at most (r-1)|L_v|
+        pairs {v, x}; so each term is at most |L_v|, the |L_v| sum to r|L|,
+        and the bound is at most |L|.  For fewer than two live edges it is |L|,
+        returned at once.  No pair-capacity term is needed: N_L(v) minus v
+        lies among the x with {v, x} free, so F free pairs cap the bound at
+        floor(F / C(r, 2)).
         """
         if not self.through or len(children) < 2:
             return len(children)
-        n, cands, vertex_masks = self.n, self.cands, self.vertex_masks
-        count = [0] * n
-        near = [0] * n
+        cands, masks = self.cands, self.pair_masks
+        near = [0] * self.n
         for q in children:
-            mask = vertex_masks[q]
+            mask = masks[q]
             for v in cands[q]:
-                count[v] += 1
                 near[v] |= mask
         step = self.r - 1
         total = 0
-        for c, mask, edges in zip(count, near, self.incidence):
-            if c:
-                total += min(c, (mask.bit_count() - 1) // step, cap - len(edges))
+        for mask, pairs, edges in zip(near, self.through, self.incidence):
+            if mask:
+                total += min((mask & pairs).bit_count() // step, cap - len(edges))
         return total // self.r
 
     def grow_star(self) -> list[int]:
@@ -334,19 +330,19 @@ class _Searcher:
         the (r-1) vertices from 1 + (r-1)*j on, with at most
         floor((n-1)/(r-1)) edges.  Each edge is checked by admits with the
         star before it, which is free, so the first anchor is exact; a
-        star that holds the pattern stays non-free with more edges.
+        star that holds the pattern stays non-free with more edges.  With
+        min_edges None every star is free, and nothing is checked.
         """
-        r, stats = self.r, self.stats
-        index = {e: i for i, e in enumerate(self.cands)}
+        r, stats, cands, incidence = self.r, self.stats, self.cands, self.incidence
         star: list[int] = []
-        for edges in self.incidence:
+        for edges in incidence:
             edges.clear()
         for j in range(self.degree_cap):
-            q = index[(0, *range(1 + (r - 1) * j, 1 + (r - 1) * (j + 1)))]
+            q = cands.index((0, *range(1 + (r - 1) * j, 1 + (r - 1) * (j + 1))))
             star.append(q)
-            for edges in self.slots[q]:
-                edges.append(q)
-            if len(star) >= self.min_edges:
+            for v in cands[q]:
+                incidence[v].append(q)
+            if self.min_edges is not None and len(star) >= self.min_edges:
                 stats.admits_calls += 1
                 if not self.admits(star):
                     stats.admits_rejects += 1
@@ -414,7 +410,7 @@ class _Searcher:
         forbids every edge gives 0.  The walk starts by resetting the
         incidence, so a walk left unfinished does not disturb the next.
         """
-        stats, masks, slots, cands = self.stats, self.pair_masks, self.slots, self.cands
+        stats, masks, cands = self.stats, self.pair_masks, self.cands
         incidence, through = self.incidence, self.through
         if cap is None:
             cap = self.degree_cap
@@ -422,8 +418,8 @@ class _Searcher:
 
         def push(q: int, used: int) -> int:  # the pairs used below q
             chosen.append(q)
-            for edges in slots[q]:
-                edges.append(q)
+            for v in cands[q]:
+                incidence[v].append(q)
             used |= masks[q]
             if through:
                 for v in cands[q]:
@@ -475,8 +471,8 @@ class _Searcher:
                 stack.pop()
                 if not stack:
                     return
-                for edges in slots[chosen.pop()]:
-                    edges.pop()
+                for v in cands[chosen.pop()]:
+                    incidence[v].pop()
             frame[2] = k + 1
             tail = children[i + 1:]
             used = push(children[i], used)
@@ -485,16 +481,15 @@ class _Searcher:
         """A free linear host with m edges, found by the split walks for D
         from min(len(star), m) down to ceil(rm/n), or None when none
         exists; star is the longest free star (see split_hosts).  A walk's
-        root orbit is a candidate's number of petal vertices, 1 to (r-1)D.
-        Any order of D is sound, and a refutation runs every D; the largest
-        first finds an existing host soonest on the rows measured (n=14
-        P3: 279 nodes, against 48 922 from the smallest up)."""
-        vertex_masks = self.vertex_masks
+        root orbit is a candidate's number of petal vertices: a fitting
+        one avoids 0, so those are its vertices up to (r-1)D.  Any order
+        of D is sound, and a refutation runs every D; the largest first
+        finds an existing host soonest on the rows measured (n=14 P3: 279
+        nodes, against 48 922 from the smallest up)."""
+        cands = self.cands
         for d in range(min(len(star), m), -(-self.r * m // self.n) - 1, -1):
-            petals = (1 << ((self.r - 1) * d + 1)) - 2
-
-            def orbit(q: int, petals: int = petals) -> int:
-                return (vertex_masks[q] & petals).bit_count()
+            def orbit(q: int, top: int = (self.r - 1) * d) -> int:
+                return bisect_right(cands[q], top)
 
             for chosen in self.walk(lambda: m, m, orbit, star[:d], d):
                 if len(chosen) == m:
@@ -502,10 +497,10 @@ class _Searcher:
         return None
 
     def split_hosts(self) -> Iterator[tuple[int, ...]]:
-        """max_edges by the max-degree split, for a linear host (r >= 3)
-        and a one-component pattern that fits on n vertices: each better
-        free host found, as its edge list, and last the lex-least host of
-        the maximum size.  Three phases, each ticking the one budget.
+        """max_edges by the max-degree split, for a linear host (r >= 3):
+        each better free host found, as its edge list, and last the
+        lex-least host of the maximum size.  Three phases, each ticking the
+        one budget.
 
         1. Lower bound: the walk's first descent under the root rule, its
            path of first children down to a leaf, with L edges.
@@ -562,6 +557,9 @@ class _Searcher:
             a host of F whenever F has one.  Phase 2 needs only that; which
             host it finds may change, and phase 3 recovers the lex-least
             one with the plain walk.
+        Phase 2's argument and both rules use only that freeness survives
+        a vertex relabelling and the removal of edges, so they hold for
+        every pattern: a union, one wider than n, or none.
         """
         best: tuple[int, ...] = ()
         for chosen in self.walk(lambda: len(best) + 1, orbit=_one_orbit):
@@ -611,14 +609,15 @@ def max_edges(
     edge set, because the search explores candidates in ascending order
     and only strict improvements replace the incumbent.
 
-    A linear host (r >= 3) with a one-component pattern that fits on n
-    vertices takes the max-degree split (_Searcher.split_hosts, stats.proof
-    "degree-split"); every other search is the walk alone.  A budget cut
+    A linear host with r >= 3 takes the max-degree split
+    (_Searcher.split_hosts, stats.proof "degree-split").  A general host,
+    or r = 2, has no pair masks to enforce the split's degree cap
+    (through is empty), so its search is the walk alone.  A budget cut
     returns the best host found so far, re-verified, as interrupted.
     """
     budget = budget or SearchBudget()
     s = _Searcher(n, r, pattern, host, budget)
-    split = s.linear and r > 2 and s.min_edges is not None and pattern.is_single
+    split = s.linear and r > 2
     if split:
         s.stats.proof = "degree-split"
 

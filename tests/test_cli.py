@@ -226,14 +226,14 @@ class TestTuran:
 
     @pytest.mark.parametrize(
         "flags,proof",
-        [(("--pattern", "P3@r3", "--linear"), "degree-split"),
-         (("--pattern", "S2@r3"), "walk"),
-         (("--pattern", "2*P1@r3", "--linear"), "walk"),
-         (("--linear",), "walk")],
+        [(("--r", "3", "--pattern", "P3@r3", "--linear"), "degree-split"),
+         (("--r", "3", "--pattern", "S2@r3"), "walk"),
+         (("--r", "3", "--pattern", "2*P1@r3", "--linear"), "degree-split"),
+         (("--r", "3", "--linear"), "degree-split"),
+         (("--r", "2", "--linear"), "walk")],
     )
     def test_structured_output_names_the_proof(self, capsys, flags, proof):
-        code, text, _ = run(capsys, "turan", "--n", "7", "--r", "3", *flags,
-                            "--report-format", "structured")
+        code, text, _ = run(capsys, "turan", "--n", "7", *flags, "--report-format", "structured")
         assert (code, json.loads(text)["proof"]) == (EXIT_OK, proof)
 
     def test_witness_out(self, capsys, tmp_path):

@@ -139,7 +139,7 @@ LINEAR_ROWS = {2: 5, 3: 7, 4: 8}
 
 def takes_split(n, r, pattern, host):
     """Whether max_edges proves this row by the max-degree split."""
-    return host == "linear" and r > 2 and pattern.is_single and pattern.num_vertices <= n
+    return host == "linear" and r > 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,16 +180,16 @@ def test_search_matches_bitmask_exhaustion(data):
         pytest.param(7, "P4@r3", "linear", 8, id="7-P4@r3-linear"),
         pytest.param(7, "S2@r3", "general", 26, id="7-S2@r3-general"),
         pytest.param(6, "P3@r3", "general", 21, id="6-P3@r3-general"),
-        # the benchmark's exact-grid rows; the linear ones whose pattern
-        # fits take the max-degree split (P4 has 9 vertices, so P4 on 7
-        # and 8 vertices is the walk's unconstrained search)
+        # the benchmark's exact-grid rows; the linear ones take the
+        # max-degree split (P4 has 9 vertices, so P4 on 7 and 8 vertices
+        # is the split's unconstrained search)
         pytest.param(8, "P3@r3", "linear", 10, id="8-P3@r3-linear"),
         pytest.param(8, "C3@r3", "linear", 23, id="8-C3@r3-linear"),
-        pytest.param(8, "P4@r3", "linear", 22, id="8-P4@r3-linear"),
+        pytest.param(8, "P4@r3", "linear", 32, id="8-P4@r3-linear"),
         pytest.param(9, "P3@r3", "linear", 32, id="9-P3@r3-linear"),
         # unions, whose checks are anchored too
-        pytest.param(10, "2*P2@r3", "linear", 32, id="10-2*P2@r3-linear"),
-        pytest.param(10, "P2+S2@r3", "linear", 32, id="10-P2+S2@r3-linear"),
+        pytest.param(10, "2*P2@r3", "linear", 70, id="10-2*P2@r3-linear"),
+        pytest.param(10, "P2+S2@r3", "linear", 70, id="10-P2+S2@r3-linear"),
     ],
 )
 def test_node_counts_are_pinned(n, expr, host, nodes):
@@ -205,8 +205,8 @@ def test_node_counts_are_pinned(n, expr, host, nodes):
     [
         (7, "P3@r3", "linear", (29, 5, 0)),
         (7, "S2@r3", "general", (184, 115, 24)),
-        (10, "2*P2@r3", "linear", (324, 11, 17)),
-        (10, "P2+S2@r3", "linear", (324, 11, 17)),
+        (10, "2*P2@r3", "linear", (772, 27, 34)),
+        (10, "P2+S2@r3", "linear", (772, 27, 34)),
     ],
 )
 def test_search_counters_are_pinned(n, expr, host, counters):
@@ -229,7 +229,15 @@ def walk_max(n, r, pattern):
     return len(best), list(s.graph(best).edges)
 
 
+def pattern_at(r, expr):
+    """The pattern expr at order r, or None for no pattern."""
+    return lt.parse_pattern(f"{expr}@r{r}") if expr else None
+
+
 SPLIT_PATTERNS = ("P2", "P3", "P4", "S2", "S3", "C3", "C4")
+# no pattern and unions, split like the rest; their walk runs are short
+# on these rows, so no row of theirs needs a pinned digest
+SPLIT_UNIONS = (None, "2*P1", "P1+S2", "2*P2", "P2+S2", "P1+C3")
 # split rows whose walk alone takes more than 25 000 nodes: (value, walk
 # nodes, digest of the witness's edge list) from the walk run to the end
 WALK_LONG_RUNS = {
@@ -240,11 +248,12 @@ WALK_LONG_RUNS = {
     (3, 10, "P4"): (12, 590_921, "dcdcf6cd425c"),
 }
 SPLIT_ROWS = [
+    (r, n, expr) for r in (3, 4) for n in range(r, 11) for expr in SPLIT_PATTERNS
+] + [
     (r, n, expr)
-    for r in (3, 4)
-    for n in range(r, 11)
-    for expr in SPLIT_PATTERNS
-    if takes_split(n, r, lt.parse_pattern(f"{expr}@r{r}"), "linear")
+    for r, top in ((3, 9), (4, 10))
+    for n in range(r, top + 1)
+    for expr in SPLIT_UNIONS
 ]
 
 
@@ -252,7 +261,7 @@ SPLIT_ROWS = [
 def test_split_matches_the_walk(r, n, expr):
     # the max-degree split and the walk alone give the same value and
     # the same lex-least witness
-    pattern = lt.parse_pattern(f"{expr}@r{r}")
+    pattern = pattern_at(r, expr)
     res = lt.max_edges(n, r, pattern)
     assert (res.status, res.stats.proof) == ("exact", "degree-split")
     assert (res.value, list(res.witness.edges)) == walk_max(n, r, pattern)
@@ -475,6 +484,15 @@ def test_anchored_admits_matches_whole_host_check(data):
     # searcher's incidence as walk does; every verdict must equal a
     # whole-host is_free, with one anchor and then, for one component,
     # with two
+    def push(q):
+        chosen.append(q)
+        for v in s.cands[q]:
+            s.incidence[v].append(q)
+
+    def pop():
+        for v in s.cands[chosen.pop()]:
+            s.incidence[v].pop()
+
     r = data.draw(st.sampled_from((2, 3, 4)), label="r")
     n = data.draw(st.integers(r + 1, 9), label="n")
     host = data.draw(st.sampled_from(HOSTS), label="host")
@@ -490,24 +508,19 @@ def test_anchored_admits_matches_whole_host_check(data):
     for q in order[:30]:
         if s.pair_masks[q] & used:
             continue
-        chosen.append(q)
-        for edges in s.slots[q]:
-            edges.append(q)
+        push(q)
         admitted = s.admits(chosen)
         assert admitted == lt.is_free(s.graph(chosen), pattern), s.graph(chosen).edges
         if admitted:
             used |= s.pair_masks[q]
         else:
-            for edges in s.slots[q]:
-                edges.pop()
-            chosen.pop()
+            pop()
     # the second anchor: cut the free host back to a drawn prefix H; with
     # H+q and H+q2 also free, every occurrence in H+q+q2 uses q2 and q, as
     # in walk's live lists (a union is asked about q2 alone)
     keep = data.draw(st.integers(0, len(chosen)), label="keep")
     while len(chosen) > keep:
-        for edges in s.slots[chosen.pop()]:
-            edges.pop()
+        pop()
     used = 0
     for e in chosen:
         used |= s.pair_masks[e]
@@ -516,16 +529,12 @@ def test_anchored_admits_matches_whole_host_check(data):
     for q, q2 in permutations(free, 2):
         if s.pair_masks[q] & s.pair_masks[q2]:
             continue
-        for e in (q, q2):
-            chosen.append(e)
-            for edges in s.slots[e]:
-                edges.append(e)
+        push(q)
+        push(q2)
         also = q if pattern.is_single else None
         assert s.admits(chosen, also) == lt.is_free(s.graph(chosen), pattern), s.graph(chosen).edges
-        for e in (q2, q):
-            for edges in s.slots[e]:
-                edges.pop()
-            chosen.pop()
+        pop()
+        pop()
 
 
 def test_pattern_wider_than_host_searches_like_no_pattern():
@@ -628,7 +637,7 @@ def test_union_search_builds_only_the_witness(monkeypatch):
 
     monkeypatch.setattr(lt.oracle, "make_hypergraph", counted)
     res = lt.max_edges(10, 3, lt.parse_pattern("P2+S2@r3"))
-    assert (res.status, res.value, res.stats.admits_calls) == ("exact", 13, 324)
+    assert (res.status, res.value, res.stats.admits_calls) == ("exact", 13, 772)
     assert len(built) == 1
 
 
@@ -641,17 +650,17 @@ def _digest(witness):
 # the values and digests are the ones the search gave when a union took a
 # whole-host check, and the counters move only when the walk's tree does
 UNION_ROWS = [
-    (7, 3, "2*P1", "linear", 100, (7, "exact", 8, 48, 7, 0), "b510de7e3234"),
-    (8, 3, "2*P1", "linear", 100, (7, "exact", 73, 665, 200, 71), "b510de7e3234"),
-    (8, 3, "P1+S2", "linear", 100, (8, "exact", 14, 80, 11, 4), "2dbde94f8eb7"),
-    (9, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 783, 338, 95), "b510de7e3234"),
-    (9, 3, "P1+S2", "linear", 100, (12, "exact", 13, 165, 20, 0), "dcdcf6cd425c"),
-    (9, 3, "P1+C3", "linear", 100, (12, "exact", 28, 196, 22, 14), "dcdcf6cd425c"),
-    (10, 3, "2*P1", "linear", 100, (7, "interrupted", 101, 869, 443, 96), "b510de7e3234"),
-    (10, 3, "P1+S2", "linear", 100, (12, "interrupted", 101, 2046, 756, 95), "dcdcf6cd425c"),
-    (10, 3, "2*P2", "linear", 100, (13, "exact", 32, 324, 11, 17), "e16f59768666"),
-    (10, 3, "P2+S2", "linear", 100, (13, "exact", 32, 324, 11, 17), "e16f59768666"),
-    (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 833, 212, 90), "dcdcf6cd425c"),
+    (7, 3, "2*P1", "linear", 100, (7, "exact", 8, 50, 7, 0), "b510de7e3234"),
+    (8, 3, "2*P1", "linear", 100, (7, "exact", 10, 84, 22, 4), "b510de7e3234"),
+    (8, 3, "P1+S2", "linear", 100, (8, "exact", 28, 178, 24, 5), "2dbde94f8eb7"),
+    (9, 3, "2*P1", "linear", 100, (7, "exact", 32, 291, 112, 7), "b510de7e3234"),
+    (9, 3, "P1+S2", "linear", 100, (12, "exact", 13, 167, 20, 0), "dcdcf6cd425c"),
+    (9, 3, "P1+C3", "linear", 100, (12, "exact", 62, 483, 46, 23), "dcdcf6cd425c"),
+    (10, 3, "2*P1", "linear", 100, (7, "exact", 34, 425, 190, 9), "b510de7e3234"),
+    (10, 3, "P1+S2", "linear", 100, (12, "exact", 15, 233, 47, 7), "dcdcf6cd425c"),
+    (10, 3, "2*P2", "linear", 100, (13, "exact", 70, 772, 27, 34), "e16f59768666"),
+    (10, 3, "P2+S2", "linear", 100, (13, "exact", 70, 772, 27, 34), "e16f59768666"),
+    (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 947, 212, 76), "dcdcf6cd425c"),
     (6, 3, "2*P1", "general", 100, (10, "interrupted", 101, 545, 99, 96), "05bd1b448ddd"),
     (7, 3, "2*P1", "general", 100, (15, "interrupted", 101, 989, 183, 92), "0ae9c0acebb4"),
     (8, 3, "2*P1", "general", 100, (21, "interrupted", 101, 1431, 228, 92), "159bf9c948c4"),
@@ -663,9 +672,9 @@ UNION_ROWS = [
     (10, 3, "P1+S2", "general", 100, (36, "interrupted", 101, 2635, 287, 76), "540b738511c8"),
     (10, 3, "2*P2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
     (10, 3, "P2+S2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
-    (8, 4, "2*P1", "linear", 100, (2, "exact", 17, 17, 1, 16), "3929c590e9bf"),
-    (9, 4, "2*P1", "linear", 100, (3, "interrupted", 101, 147, 5, 97), "238abed65f6f"),
-    (10, 4, "2*P1", "linear", 100, (5, "interrupted", 101, 627, 27, 96), "95d59a87ef69"),
+    (8, 4, "2*P1", "linear", 100, (2, "exact", 5, 18, 1, 2), "3929c590e9bf"),
+    (9, 4, "2*P1", "linear", 100, (3, "exact", 7, 56, 5, 2), "238abed65f6f"),
+    (10, 4, "2*P1", "linear", 100, (5, "exact", 22, 284, 38, 5), "95d59a87ef69"),
     (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1540, 99, 68), "da0a21ca2dfa"),
     (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3431, 125, 53), "92f25cca91e3"),
     (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6603, 142, 34), "97eb85d7e757"),
