@@ -10,14 +10,14 @@ state.
 Both max_edges and the enumerators consume the same depth-first walk
 (_Searcher.walk); they differ in the size bar below which a branch is
 cut, in the size at which it stops growing, and in the root rule, which
-only max_edges takes.  On a linear host (r >= 3) max_edges proves its
-value by the max-degree split (split_hosts): walks rooted at a fixed star
-at vertex 0 under a degree cap show that no host has one edge more, and
-a last walk recovers the lex-least witness; its soundness argument is in
-split_hosts' docstring.  Budgets turn an over-long search into an
-explicit interrupted result (or InterruptedSearch for the enumerators,
-which have no partial answer worth returning).  Exploration is serial,
-so values never depend on scheduling.
+only max_edges takes.  On a linear host, and every 2-uniform host is
+one, max_edges proves its value by the max-degree split (split_hosts):
+walks rooted at a fixed star at vertex 0 under a degree cap show that no
+host has one edge more, and a last walk recovers the lex-least witness;
+its soundness argument is in split_hosts' docstring.  Budgets turn an
+over-long search into an explicit interrupted result (or InterruptedSearch
+for the enumerators, which have no partial answer worth returning).
+Exploration is serial, so values never depend on scheduling.
 
 The walk is forward-checked.  Each node tests every later candidate edge
 once and keeps the ones it admits in a live list; its children draw
@@ -168,13 +168,12 @@ class _Searcher:
         )
         self.sets: list[frozenset[int]] = [frozenset(e) for e in self.cands]
         # bit a*n+b stands for the pair {a, b}, a < b, and through[v] holds
-        # every pair {v, x}.  A general host shares pairs freely, and two
-        # distinct 2-edges never share a pair, so their pair masks are
-        # empty and never conflict.
-        self.linear = host == "linear"
+        # every pair {v, x}.  A general host's masks stay empty; two 2-edges
+        # never share a pair, so every 2-uniform host is linear.
+        self.linear = host == "linear" or r == 2
         self.pair_masks: list[int] = [0] * len(self.cands)
         self.through: list[int] = []
-        if self.linear and r > 2:
+        if self.linear:
             self.through = [0] * n
             for a, b in itertools.combinations(range(n), 2):
                 bit = 1 << (a * n + b)
@@ -296,8 +295,8 @@ class _Searcher:
         """Most edges a host in the subtree of a node with live list
         children = L can add under walk's degree cap cap.
 
-        Every added edge comes from L: on a general host (or r = 2) the bound
-        is |L|.  On a linear one it is floor(sum over v of
+        Every added edge comes from L: on a general host the bound is |L|.
+        On a linear one it is floor(sum over v of
         min(floor((|N_L(v)|-1)/(r-1)), cap - deg v) / r), with N_L(v) the
         vertices of the edges L_v of L through v, v included, so |N_L(v)|-1
         counts the pairs {v, x} their masks cover (near[v] & through[v]): the
@@ -375,10 +374,10 @@ class _Searcher:
         the tree is the full tree of admitted hosts, and every admissibility
         test runs once per (node, candidate) pair that is still open.
 
-        The degree cap: on a linear host (r >= 3) an edge that lifts a
-        vertex v to cap edges marks every pair {v, x} (through[v]) used
-        from its node down, so no candidate through v fits; degrees only
-        grow down the tree, so forward checking holds.  Omitted, cap is
+        The degree cap: on a linear host an edge that lifts a vertex v to
+        cap edges marks every pair {v, x} (through[v]) used from its node
+        down, so no candidate through v fits; degrees only grow down the
+        tree, so forward checking holds.  Omitted, cap is
         degree_cap = floor((n-1)/(r-1)), which linearity imposes anyway: a
         vertex's edges meet only in it, each taking r-1 other vertices.
 
@@ -477,15 +476,15 @@ class _Searcher:
             tail = children[i + 1:]
             used = push(children[i], used)
 
-    def split_host(self, m: int, star: list[int]) -> Optional[tuple[int, ...]]:
-        """A free linear host with m edges, found by the split walks for D
-        from min(len(star), m) down to ceil(rm/n), or None when none
-        exists; star is the longest free star (see split_hosts).  A walk's
-        root orbit is a candidate's number of petal vertices: a fitting
-        one avoids 0, so those are its vertices up to (r-1)D.  Any order
-        of D is sound, and a refutation runs every D; the largest first
-        finds an existing host soonest on the rows measured (n=14 P3: 279
-        nodes, against 48 922 from the smallest up)."""
+    def split_host(self, m: int, star: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
+        """A free linear host with m edges and the D whose split walk found
+        it, trying D from min(len(star), m) down to ceil(rm/n), or None
+        when none exists; star is the longest free star (see split_hosts).
+        A walk's root orbit is a candidate's number of petal vertices: a
+        fitting one avoids 0, so those are its vertices up to (r-1)D.  Any
+        order of D finds a host, and a refutation runs every D; the largest
+        first, which split_hosts' witness cap relies on, finds one soonest
+        on the rows measured (n=14 P3: 279 nodes, 48 922 smallest first)."""
         cands = self.cands
         for d in range(min(len(star), m), -(-self.r * m // self.n) - 1, -1):
             def orbit(q: int, top: int = (self.r - 1) * d) -> int:
@@ -493,14 +492,13 @@ class _Searcher:
 
             for chosen in self.walk(lambda: m, m, orbit, star[:d], d):
                 if len(chosen) == m:
-                    return tuple(sorted(chosen))
+                    return tuple(sorted(chosen)), d
         return None
 
     def split_hosts(self) -> Iterator[tuple[int, ...]]:
-        """max_edges by the max-degree split, for a linear host (r >= 3):
-        each better free host found, as its edge list, and last the
-        lex-least host of the maximum size.  Three phases, each ticking the
-        one budget.
+        """max_edges by the max-degree split, for a linear host: each
+        better free host found, as its edge list, and last the lex-least
+        host of the maximum size.  Three phases, each ticking one budget.
 
         1. Lower bound: the walk's first descent under the root rule, its
            path of first children down to a leaf, with L edges.
@@ -513,10 +511,12 @@ class _Searcher:
            At its root it tests one candidate per orbit and expands one child
            per orbit (the orbit rules below).
         3. Witness: the walk with the bar and the stop fixed at the value,
-           under the root rule; its first host is the lex-least (walk's
-           root-rule argument).  When the value is L, phase 1's leaf is
-           that host already: the first host of its size in the walk's
-           order.
+           under the root rule and the degree cap D at which phase 2 found
+           its last host.  Phase 2 tries D from the largest down, so every
+           larger D was refuted at m = value, and (argued below) no free
+           host of that size has a degree above D; the walk's first host is
+           the lex-least (walk's root-rule argument).  When the value is L,
+           phase 1's leaf is that host: the first of its size in the walk.
 
         Why phase 2 is sound: take a free linear host with m edges and a
         vertex of maximum degree D.  The degrees sum to rm, so D >= rm/n,
@@ -542,7 +542,8 @@ class _Searcher:
         of petal vertices are one orbit of G: a relabelling in G takes the
         k petals of one to those of the other, its petal vertices to the
         other's, and its r-k untouched vertices to the other's.  There are
-        at most r+1 orbits, keyed by k (split_host's key).
+        at most r+1 orbits, keyed by k (split_host's key).  At r = 2 each
+        petal is one vertex, and k still counts petal vertices.
         (a) One admissibility check per orbit: a relabelling in G takes the
             star plus one candidate to the star plus the other, so both are
             free or neither, and the root's live list is the same list.
@@ -570,11 +571,11 @@ class _Searcher:
         lower = len(best)
         star = self.grow_star()
         while (found := self.split_host(len(best) + 1, star)) is not None:
-            best = found
+            best, cap = found
             yield best
         if len(best) > lower:
             value = len(best)
-            for chosen in self.walk(lambda: value, value, orbit=_one_orbit):
+            for chosen in self.walk(lambda: value, value, orbit=_one_orbit, cap=cap):
                 if len(chosen) == value:
                     yield tuple(chosen)
                     break
@@ -609,23 +610,22 @@ def max_edges(
     edge set, because the search explores candidates in ascending order
     and only strict improvements replace the incumbent.
 
-    A linear host with r >= 3 takes the max-degree split
-    (_Searcher.split_hosts, stats.proof "degree-split").  A general host,
-    or r = 2, has no pair masks to enforce the split's degree cap
+    A linear host, and so every 2-uniform one, takes the max-degree split
+    (_Searcher.split_hosts, stats.proof "degree-split").  A general host
+    with r >= 3 has no pair masks to enforce the split's degree cap
     (through is empty), so its search is the walk alone.  A budget cut
     returns the best host found so far, re-verified, as interrupted.
     """
     budget = budget or SearchBudget()
     s = _Searcher(n, r, pattern, host, budget)
-    split = s.linear and r > 2
-    if split:
+    if s.linear:
         s.stats.proof = "degree-split"
 
     # the empty host, always free and linear, is the first incumbent
     best: tuple[int, ...] = ()
     interrupted = False
     try:
-        if split:
+        if s.linear:
             for best in s.split_hosts():
                 pass  # each host is better than the last, or the witness
         else:

@@ -230,7 +230,8 @@ class TestTuran:
          (("--r", "3", "--pattern", "S2@r3"), "walk"),
          (("--r", "3", "--pattern", "2*P1@r3", "--linear"), "degree-split"),
          (("--r", "3", "--linear"), "degree-split"),
-         (("--r", "2", "--linear"), "walk")],
+         (("--r", "2", "--linear"), "degree-split"),
+         (("--r", "2"), "degree-split")],
     )
     def test_structured_output_names_the_proof(self, capsys, flags, proof):
         code, text, _ = run(capsys, "turan", "--n", "7", *flags, "--report-format", "structured")

@@ -132,14 +132,14 @@ def test_oracle_matches_exhaustive_search(expr, comps, host):
 
 # (r, largest n) with at most 15 candidate edges; linear hosts, which
 # are far fewer, go further, so that the max-degree split meets stars of
-# two and three edges
-SMALL_ROWS = {2: 5, 3: 5, 4: 6}
-LINEAR_ROWS = {2: 5, 3: 7, 4: 8}
+# two and three edges (every 2-uniform host is linear)
+SMALL_ROWS = {2: 6, 3: 5, 4: 6}
+LINEAR_ROWS = {2: 6, 3: 7, 4: 8}
 
 
 def takes_split(n, r, pattern, host):
     """Whether max_edges proves this row by the max-degree split."""
-    return host == "linear" and r > 2
+    return host == "linear" or r == 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,9 +184,9 @@ def test_search_matches_bitmask_exhaustion(data):
         # max-degree split (P4 has 9 vertices, so P4 on 7 and 8 vertices
         # is the split's unconstrained search)
         pytest.param(8, "P3@r3", "linear", 10, id="8-P3@r3-linear"),
-        pytest.param(8, "C3@r3", "linear", 23, id="8-C3@r3-linear"),
+        pytest.param(8, "C3@r3", "linear", 20, id="8-C3@r3-linear"),
         pytest.param(8, "P4@r3", "linear", 32, id="8-P4@r3-linear"),
-        pytest.param(9, "P3@r3", "linear", 32, id="9-P3@r3-linear"),
+        pytest.param(9, "P3@r3", "linear", 31, id="9-P3@r3-linear"),
         # unions, whose checks are anchored too
         pytest.param(10, "2*P2@r3", "linear", 70, id="10-2*P2@r3-linear"),
         pytest.param(10, "P2+S2@r3", "linear", 70, id="10-P2+S2@r3-linear"),
@@ -241,6 +241,8 @@ SPLIT_UNIONS = (None, "2*P1", "P1+S2", "2*P2", "P2+S2", "P1+C3")
 # split rows whose walk alone takes more than 25 000 nodes: (value, walk
 # nodes, digest of the witness's edge list) from the walk run to the end
 WALK_LONG_RUNS = {
+    (2, 8, "C4"): (11, 175_816, "5bb2cbccd2ac"),
+    (2, 10, "C3"): (25, 245_529, "94ce2f7816b5"),
     (3, 10, "S3"): (6, 360_769, "c3db6b41e310"),
     (3, 10, "C3"): (6, 108_015, "99b481de2f22"),
     (3, 9, "C4"): (8, 79_113, "f5a435b6b583"),
@@ -248,10 +250,13 @@ WALK_LONG_RUNS = {
     (3, 10, "P4"): (12, 590_921, "dcdcf6cd425c"),
 }
 SPLIT_ROWS = [
-    (r, n, expr) for r in (3, 4) for n in range(r, 11) for expr in SPLIT_PATTERNS
+    (r, n, expr)
+    for r, top in ((2, 7), (3, 10), (4, 10))
+    for n in range(r, top + 1)
+    for expr in SPLIT_PATTERNS
 ] + [
     (r, n, expr)
-    for r, top in ((3, 9), (4, 10))
+    for r, top in ((2, 7), (3, 9), (4, 10))
     for n in range(r, top + 1)
     for expr in SPLIT_UNIONS
 ]
@@ -320,7 +325,8 @@ def root_live(s, root, orbit=None):
     "r,n,expr",
     [(3, n, expr) for n in (8, 9, 10) for expr in ("P3", "P4", "S3", "C3", "C4")
      if lt.parse_pattern(f"{expr}@r3").num_vertices <= n]
-    + [(4, n, expr) for n in (10, 11) for expr in ("P3", "S3", "C3")],
+    + [(4, n, expr) for n in (10, 11) for expr in ("P3", "S3", "C3")]
+    + [(2, n, expr) for n in (7, 8) for expr in ("P3", "S3", "C3", "C4")],
 )
 def test_split_root_admits_by_the_first_anchor(r, n, expr):
     # the split's root is the free star of D edges at vertex 0; its live
@@ -378,7 +384,9 @@ def stabiliser_orbits(s, d, cands):
 
 
 @pytest.mark.parametrize(
-    "r,n,expr", [(3, 10, "C3"), (3, 10, "C4"), (3, 11, "P4"), (4, 11, "C3"), (4, 11, "P3")]
+    "r,n,expr",
+    [(3, 10, "C3"), (3, 10, "C4"), (3, 11, "P4"), (4, 11, "C3"), (4, 11, "P3"), (2, 8, "C4"),
+     (2, 9, "C5")],
 )
 def test_split_root_expands_one_child_per_orbit(r, n, expr):
     # the split walk's root expands exactly the first live candidate of
@@ -429,7 +437,7 @@ def subtree_gains(s, root=(), orbit=None, cap=None):
     return rows
 
 
-@pytest.mark.parametrize("r,top", [(3, 8), (4, 9)])
+@pytest.mark.parametrize("r,top", [(2, 6), (3, 8), (4, 9)])
 @pytest.mark.parametrize("expr", ["P2", "P3", "S2", "C3", None])
 def test_gain_bounds_every_subtree(r, top, expr):
     # at every node of the plain walk and of every walk rooted at a free
@@ -653,10 +661,10 @@ UNION_ROWS = [
     (7, 3, "2*P1", "linear", 100, (7, "exact", 8, 50, 7, 0), "b510de7e3234"),
     (8, 3, "2*P1", "linear", 100, (7, "exact", 10, 84, 22, 4), "b510de7e3234"),
     (8, 3, "P1+S2", "linear", 100, (8, "exact", 28, 178, 24, 5), "2dbde94f8eb7"),
-    (9, 3, "2*P1", "linear", 100, (7, "exact", 32, 291, 112, 7), "b510de7e3234"),
+    (9, 3, "2*P1", "linear", 100, (7, "exact", 31, 282, 104, 6), "b510de7e3234"),
     (9, 3, "P1+S2", "linear", 100, (12, "exact", 13, 167, 20, 0), "dcdcf6cd425c"),
     (9, 3, "P1+C3", "linear", 100, (12, "exact", 62, 483, 46, 23), "dcdcf6cd425c"),
-    (10, 3, "2*P1", "linear", 100, (7, "exact", 34, 425, 190, 9), "b510de7e3234"),
+    (10, 3, "2*P1", "linear", 100, (7, "exact", 31, 398, 166, 6), "b510de7e3234"),
     (10, 3, "P1+S2", "linear", 100, (12, "exact", 15, 233, 47, 7), "dcdcf6cd425c"),
     (10, 3, "2*P2", "linear", 100, (13, "exact", 70, 772, 27, 34), "e16f59768666"),
     (10, 3, "P2+S2", "linear", 100, (13, "exact", 70, 772, 27, 34), "e16f59768666"),
@@ -674,7 +682,7 @@ UNION_ROWS = [
     (10, 3, "P2+S2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
     (8, 4, "2*P1", "linear", 100, (2, "exact", 5, 18, 1, 2), "3929c590e9bf"),
     (9, 4, "2*P1", "linear", 100, (3, "exact", 7, 56, 5, 2), "238abed65f6f"),
-    (10, 4, "2*P1", "linear", 100, (5, "exact", 22, 284, 38, 5), "95d59a87ef69"),
+    (10, 4, "2*P1", "linear", 100, (5, "exact", 21, 283, 38, 4), "95d59a87ef69"),
     (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1540, 99, 68), "da0a21ca2dfa"),
     (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3431, 125, 53), "92f25cca91e3"),
     (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6603, 142, 34), "97eb85d7e757"),

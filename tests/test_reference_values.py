@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 import linturan as lt
+from linturan.oracle import HOSTS
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -51,3 +52,59 @@ def test_general_p3_is_a_star():
     # Combin. Theory Ser. A 129, 2015)
     res = lt.max_edges(8, 3, lt.parse_pattern("P3@r3"), "general")
     assert (res.status, res.value) == ("exact", comb(7, 2))
+
+
+# graphs: at r = 2 every host is linear, so both host strings search the
+# same hosts, and both prove their value by the max-degree split
+def graph_max(n, expr, host):
+    res = lt.max_edges(n, 2, lt.parse_pattern(f"{expr}@r2"), host)
+    assert (res.status, res.stats.proof) == ("exact", "degree-split")
+    return res.value
+
+
+@pytest.mark.parametrize("host", HOSTS)
+@pytest.mark.parametrize("n", range(3, 11))
+def test_triangle_free_graphs_are_mantels(n, host):
+    # a triangle-free graph on n vertices has at most floor(n^2/4) edges
+    # (W. Mantel, "Problem 28", Wiskundige Opgaven 10, 1907)
+    assert graph_max(n, "C3", host) == n * n // 4
+
+
+@pytest.mark.parametrize("host", HOSTS)
+@pytest.mark.parametrize("n", range(6, 9))
+def test_pentagon_free_graphs_are_bipartite(n, host):
+    # ex(n, C_{2k+1}) = floor(n^2/4) for n >= 4k-2, so for C5 from n = 6
+    # on (Z. Füredi and D. S. Gunderson, "Extremal numbers for odd
+    # cycles", Combin. Probab. Comput. 24, 2015); n = 5 gives 7, outside
+    # that range
+    assert graph_max(n, "C5", host) == n * n // 4
+
+
+@pytest.mark.parametrize("host", HOSTS)
+@pytest.mark.parametrize("ell", [3, 4])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_path_free_graphs_are_faudree_schelps(n, ell, host):
+    # a graph with no path on k = ell+1 vertices has at most
+    # q C(k-1, 2) + C(t, 2) edges, n = q(k-1) + t with 0 <= t < k-1,
+    # attained by disjoint cliques (R. J. Faudree and R. H. Schelp, "Path
+    # Ramsey numbers in multicolorings", J. Combin. Theory Ser. B 19, 1975)
+    q, t = divmod(n, ell)
+    assert graph_max(n, f"P{ell}", host) == q * comb(ell, 2) + comb(t, 2)
+
+
+@pytest.mark.parametrize("host", HOSTS)
+@pytest.mark.parametrize("n,value", zip(range(3, 10), [3, 4, 6, 7, 9, 11, 13]))
+def test_four_cycle_free_graphs_are_clapham_flockhart_sheehans(n, value, host):
+    # ex(n, C4) for n <= 21 (C. R. J. Clapham, A. Flockhart and J.
+    # Sheehan, "Graphs without four-cycles", J. Graph Theory 13, 1989);
+    # n = 10, 16 edges, takes seconds and is left out
+    assert graph_max(n, "C4", host) == value
+
+
+@pytest.mark.parametrize("host", HOSTS)
+@pytest.mark.parametrize("expr", ["P2", "S2"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_graphs_without_two_touching_edges_are_matchings(n, expr, host):
+    # two edges that share a vertex are both a path and a star of two
+    # edges, so a free graph is a matching: floor(n/2) edges
+    assert graph_max(n, expr, host) == n // 2
