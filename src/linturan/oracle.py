@@ -12,11 +12,12 @@ Both max_edges and the enumerators consume the same depth-first walk
 cut, in the size at which it stops growing, and in the root rule, which
 only max_edges takes.  On a linear host, and every 2-uniform host is
 one, max_edges proves its value by the max-degree split (split_hosts):
-walks rooted at a fixed star at vertex 0 under a degree cap show that no
-host has one edge more, and a last walk recovers the lex-least witness;
-its soundness argument is in split_hosts' docstring.  Budgets turn an
-over-long search into an explicit interrupted result (or InterruptedSearch
-for the enumerators, which have no partial answer worth returning).
+one walk per degree D, rooted at the star of D edges at vertex 0 under
+the degree cap D and raising its bar as it finds better hosts, shows
+that no host has one edge more, and a last walk recovers the lex-least
+witness; split_hosts' docstring argues it.  Budgets turn an over-long
+search into an explicit interrupted result (or InterruptedSearch for the
+enumerators, which have no partial answer worth returning).
 Exploration is serial, so values never depend on scheduling.
 
 The walk is forward-checked.  Each node tests every later candidate edge
@@ -25,10 +26,10 @@ their candidates only from that list, since a host that contains the
 pattern keeps containing it as edges are added.  Three prunes ride on
 this, each argued in walk's or gain's docstring: the live list bounds
 how many edges a subtree can still gain (vertex by vertex on a linear
-host, under a degree cap), a walk ends once its bar passes the host's
-edge cap, and max_edges fixes the first edge to {0, ..., r-1}, and a
-split walk its first edge after the star up to the star's symmetries
-(the root rule).
+host, under a degree cap), a walk ends once its bar passes the most
+edges its degree cap allows, and max_edges fixes the first edge to
+{0, ..., r-1}, and a split walk its first edge after the star up to the
+star's symmetries (the root rule).
 Searches whose candidate edges would list more than DEFAULT_PRODUCT_CAP
 vertices are refused before anything is built.
 
@@ -190,7 +191,6 @@ class _Searcher:
         fits = pattern is not None and pattern.num_vertices <= n
         self.min_edges = pattern.num_edges if fits else None
         self.degree_cap = (n - 1) // (r - 1)
-        self.edge_cap = n * self.degree_cap // r if self.linear else len(self.cands)
         self.stats = SearchStats()
         self.start = time.monotonic()
 
@@ -237,9 +237,10 @@ class _Searcher:
         used_pairs: int,
         orbit: Optional[Callable[[int], int]] = None,
         root: int = 0,
-    ) -> list[int]:
-        """The candidates of tail that extend the host of chosen: the ones
-        whose pairs are unused and that admits() accepts, in tail's order.
+    ) -> tuple[list[int], Sequence[int]]:
+        """The candidates of tail that extend the host of chosen, the ones
+        whose pairs are unused and that admits() accepts, in tail's order;
+        and the indices in that list of the children walk expands.
 
         Each is tested once here, with incidence listing chosen.  When the
         host plus one edge is still too small for the pattern, admits could
@@ -251,7 +252,8 @@ class _Searcher:
         relabelling takes the host plus one of them to the host plus the
         other, and freeness does not depend on labels, so the first
         candidate of each key that fits is tested and its verdict serves
-        the rest of its key.
+        the rest of its key; only that first one is expanded.  Without
+        orbit every child is.
 
         The second anchor: below the root, which holds root edges, chosen
         is H plus its last edge q, and tail comes from H's live list, so
@@ -265,31 +267,38 @@ class _Searcher:
         """
         masks = self.pair_masks
         fits = [q for q in tail if not masks[q] & used_pairs]
-        if self.min_edges is None or len(chosen) + 1 < self.min_edges:
-            return fits
-        stats, cands, incidence, admits = self.stats, self.cands, self.incidence, self.admits
-        also = chosen[-1] if len(chosen) > root and self.pattern.is_single else None
+        test: Optional[Callable[[int], bool]] = None
+        if self.min_edges is not None and len(chosen) + 1 >= self.min_edges:
+            stats, cands, incidence, admits = self.stats, self.cands, self.incidence, self.admits
+            also = chosen[-1] if len(chosen) > root and self.pattern.is_single else None
 
-        def test(q: int) -> bool:
-            chosen.append(q)
-            for v in cands[q]:
-                incidence[v].append(q)
-            stats.admits_calls += 1
-            free = admits(chosen, also)
-            if not free:
-                stats.admits_rejects += 1
-            for v in cands[q]:
-                incidence[v].pop()
-            chosen.pop()
-            return free
+            def test(q: int) -> bool:
+                chosen.append(q)
+                for v in cands[q]:
+                    incidence[v].append(q)
+                stats.admits_calls += 1
+                free = admits(chosen, also)
+                if not free:
+                    stats.admits_rejects += 1
+                for v in cands[q]:
+                    incidence[v].pop()
+                chosen.pop()
+                return free
 
         if orbit is None:
-            return [q for q in fits if test(q)]
-        firsts: dict[int, int] = {}
+            children = fits if test is None else [q for q in fits if test(q)]
+            return children, range(len(children))
+        verdicts: dict[int, bool] = {}
+        children, taken = [], []
         for q in fits:
-            firsts.setdefault(orbit(q), q)
-        verdicts = {key: test(q) for key, q in firsts.items()}
-        return [q for q in fits if verdicts[orbit(q)]]
+            key = orbit(q)
+            if key not in verdicts:
+                verdicts[key] = test is None or test(q)
+                if verdicts[key]:
+                    taken.append(len(children))
+            if verdicts[key]:
+                children.append(q)
+        return children, taken
 
     def gain(self, children: list[int], cap: int) -> int:
         """Most edges a host in the subtree of a node with live list
@@ -381,25 +390,28 @@ class _Searcher:
         degree_cap = floor((n-1)/(r-1)), which linearity imposes anyway: a
         vertex's edges meet only in it, each taking r-1 other vertices.
 
-        A node with size < need() is cut (not expanded) when gain(L), the
-        most edges a host in its subtree can add, cannot lift it to need(),
-        and child i is not entered when |L| - i cannot (its edges come from
-        L[i+1:]).  A cut subtree holds no host of need() edges, and a node
-        with stop_at edges is not expanded either.  The walk ends once
-        need() exceeds edge_cap, the most edges of any host: C(n, r), or on
-        a linear host floor(n * degree_cap / r), as its degrees sum to r
+        A node's reach is size + gain(L), the most edges a host in its
+        subtree can have, if it was expanded below the bar, else
+        size + |L|.  It is cut (not expanded) when its reach is below
+        need(), and child i is entered only while its reach and
+        size + |L| - i (the child's edges come from L[i+1:]) are both at
+        least need(), re-read as the bar rises.  A cut subtree holds no
+        host of need() edges, and a node with stop_at edges is not
+        expanded either.  The walk ends once need() exceeds the most
+        edges of a host it can reach: C(n, r), or on a linear host
+        floor(n * cap / r), as its degrees, each at most cap, sum to r
         times its size (Schoenheim; Johnson); the bar never falls.
 
         orbit, the root rule, keys the root's candidates so that two with
         one key lie in one orbit of the stabiliser of the root host and the
-        cap.  live takes one verdict per key, and only the first child of
-        each key is expanded; each still draws from all of L[i+1:], so a
-        skipped child stays available as a later edge.  split_hosts argues
-        the rule for the split's root, the host of root's edges (its
-        candidates are every edge).  The plain walk's root is the empty
-        host, and its one key, _one_orbit, keeps the hosts whose first edge
-        is candidate 0, {0, ..., r-1}: all one-edge hosts are isomorphic,
-        so the root admits every candidate or none.  A vertex relabelling
+        cap.  live takes one verdict per key and expands only the first
+        child of each; each still draws from all of L[i+1:], so a skipped
+        child stays available as a later edge.  split_hosts argues the rule
+        for the split's root, the host of root's edges (its candidates are
+        every edge).  The plain walk's root is the empty host, and its one
+        key, _one_orbit, keeps the hosts whose first edge is candidate 0,
+        {0, ..., r-1}: all one-edge hosts are isomorphic, so the root
+        admits every candidate or none.  A vertex relabelling
         keeps a host free and linear, and every nonempty host relabels to
         one that holds candidate 0, so every size is still reached; a
         sorted edge list that starts with 0 is lex-smaller than any that
@@ -413,6 +425,7 @@ class _Searcher:
         incidence, through = self.incidence, self.through
         if cap is None:
             cap = self.degree_cap
+        edge_cap = self.n * cap // self.r if through else len(cands)
         chosen: list[int] = []
 
         def push(q: int, used: int) -> int:  # the pairs used below q
@@ -433,38 +446,32 @@ class _Searcher:
             used = push(q, used)
         tail: Sequence[int] = range(len(masks))
         # one frame per open node: [live list, indices of the children
-        # taken, next of those, pairs used]
+        # taken, next of those, pairs used, reach]
         stack: list[list] = []
         while True:
             self.tick()
             yield chosen
             size = len(chosen)
             bar = need()
-            if bar > self.edge_cap:
+            if bar > edge_cap:
                 return
-            children: list[int] = []
+            children, taken = [], ()
             if size != stop_at:
-                children = self.live(chosen, tail, used, orbit, len(root))
-                if bar > size and size + self.gain(children, cap) < bar:
-                    stats.bound_cuts += 1
-                    children = []
-            if orbit is None:
-                taken: Sequence[int] = range(len(children))
-            else:
-                firsts: dict[int, int] = {}
-                for i, q in enumerate(children):
-                    firsts.setdefault(orbit(q), i)
-                taken = list(firsts.values())
-                orbit = None  # the root's children only
-            stack.append([children, taken, 0, used])
+                children, taken = self.live(chosen, tail, used, orbit, len(root))
+            orbit = None  # the root's children only
+            reach = size + (self.gain(children, cap) if bar > size else len(children))
+            if reach < bar:
+                stats.bound_cuts += 1
+                taken = ()
+            stack.append([children, taken, 0, used, reach])
             # descend into the next child that can still reach the bar,
             # closing exhausted nodes on the way up
             while True:
                 frame = stack[-1]
-                children, taken, k, used = frame
+                children, taken, k, used, reach = frame
                 if k < len(taken):
                     i = taken[k]
-                    if len(chosen) + len(children) - i >= need():
+                    if min(reach, len(chosen) + len(children) - i) >= need():
                         break
                     stats.bound_cuts += 1
                 stack.pop()
@@ -476,62 +483,49 @@ class _Searcher:
             tail = children[i + 1:]
             used = push(children[i], used)
 
-    def split_host(self, m: int, star: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
-        """A free linear host with m edges and the D whose split walk found
-        it, trying D from min(len(star), m) down to ceil(rm/n), or None
-        when none exists; star is the longest free star (see split_hosts).
-        A walk's root orbit is a candidate's number of petal vertices: a
-        fitting one avoids 0, so those are its vertices up to (r-1)D.  Any
-        order of D finds a host, and a refutation runs every D; the largest
-        first, which split_hosts' witness cap relies on, finds one soonest
-        on the rows measured (n=14 P3: 279 nodes, 48 922 smallest first)."""
-        cands = self.cands
-        for d in range(min(len(star), m), -(-self.r * m // self.n) - 1, -1):
-            def orbit(q: int, top: int = (self.r - 1) * d) -> int:
-                return bisect_right(cands[q], top)
-
-            for chosen in self.walk(lambda: m, m, orbit, star[:d], d):
-                if len(chosen) == m:
-                    return tuple(sorted(chosen)), d
-        return None
+    def petals(self, d: int) -> Callable[[int], int]:
+        """The root orbit key of the split walk for D = d: a candidate's
+        number of petal vertices, those up to (r-1)d, as a fitting one
+        avoids 0 (see split_hosts)."""
+        cands, top = self.cands, (self.r - 1) * d
+        return lambda q: bisect_right(cands[q], top)
 
     def split_hosts(self) -> Iterator[tuple[int, ...]]:
         """max_edges by the max-degree split, for a linear host: each
         better free host found, as its edge list, and last the lex-least
         host of the maximum size.  Three phases, each ticking one budget.
 
-        1. Lower bound: the walk's first descent under the root rule, its
-           path of first children down to a leaf, with L edges.
-        2. Existence: for m = L+1, L+2, ..., search for a free linear host with
-           m edges; the value is m-1 for the first m without one.  For each D
-           from floor((n-1)/(r-1)) down to ceil(rm/n) (at most the longest free
-           star and m), a walk rooted at the star's first D edges under the
-           degree cap D searches the hosts that hold the star s_0..s_{D-1} at
-           vertex 0 and no other edge through 0, with every degree at most D.
-           At its root it tests one candidate per orbit and expands one child
-           per orbit (the orbit rules below).
-        3. Witness: the walk with the bar and the stop fixed at the value,
-           under the root rule and the degree cap D at which phase 2 found
-           its last host.  Phase 2 tries D from the largest down, so every
-           larger D was refuted at m = value, and (argued below) no free
-           host of that size has a degree above D; the walk's first host is
-           the lex-least (walk's root-rule argument).  When the value is L,
-           phase 1's leaf is that host: the first of its size in the walk.
+        1. Descent: the walk's path of first children under the root rule,
+           down to a leaf.
+        2. Per-D walks: for D from the longest free star s_0, s_1, ... at
+           vertex 0 down, while D * n >= r * (|best| + 1), one walk rooted
+           at s_0..s_{D-1} under the degree cap D, with the bar at
+           |best| + 1, takes every better host it yields; top is the D at
+           which best last rose.  D's family is the hosts that hold that
+           star and no other edge through 0, with every degree at most D.
+        3. Witness: the walk with the bar and the stop at the value, under
+           the root rule and the cap top; its first host is the lex-least
+           of that size (walk's root-rule argument).  With top None best
+           never rose after phase 1, and its leaf is that host.
 
         Why phase 2 is sound: take a free linear host with m edges and a
-        vertex of maximum degree D.  The degrees sum to rm, so D >= rm/n,
-        and a vertex meets at most (n-1)/(r-1) edges of a linear host.  Its
-        D edges meet pairwise only in that vertex, so a vertex relabelling
-        takes it to 0 and its edges to s_0..s_{D-1}; relabelling keeps the
-        host free, linear and of size m, and every degree stays at most D.
-        That host holds the free star s_0..s_{D-1}, so its D is tried, and
-        it is a host of that walk.  Conversely every host a split walk
-        finds is a free linear host with m edges.  A host with more than m
-        edges has one with m (drop edges), so the first m without one
-        bounds every size.
+        vertex of maximum degree D.  The degrees sum to rm, so D * n >= rm.
+        Its D edges meet pairwise only in that vertex, so a relabelling
+        takes it to 0 and its edges to s_0..s_{D-1}, keeping the host free,
+        linear, of size m and of maximum degree D: the star is free, and
+        the host is in D's family.  By orbit rule (b) and gain's bound, a D
+        walk under the rising bar finds the largest host of its family: a
+        host of the family with more edges than best lies in an expanded
+        root child's subtree, and no cut or stop (walk) removes it while
+        the bar is at most its size.  A host with one edge more than the
+        value would have been found: its star is free, so its D is at most
+        the longest, and D * n >= r * (value + 1), so the loop reaches D.
+        The witness cap: every D above top up to the longest free star was
+        walked to the end with a bar at most the value and found no host of
+        that size, so every free host of that size has degrees <= top.
 
-        The orbit rules at the split's root.  Let F be the hosts a split
-        walk for D searches, and G the vertex relabellings that fix 0 and
+        The orbit rules at the split's root.  Let F be the hosts of one
+        size in D's family, and G the vertex relabellings that fix 0 and
         permute the petals {1 + (r-1)j, ..., (r-1)(j+1)} as blocks, the
         vertices inside each petal, and the n-1-(r-1)D untouched vertices
         above the petals.  G maps the star to itself, so it keeps the used
@@ -542,8 +536,8 @@ class _Searcher:
         of petal vertices are one orbit of G: a relabelling in G takes the
         k petals of one to those of the other, its petal vertices to the
         other's, and its r-k untouched vertices to the other's.  There are
-        at most r+1 orbits, keyed by k (split_host's key).  At r = 2 each
-        petal is one vertex, and k still counts petal vertices.
+        at most r+1 orbits, keyed by k (petals).  At r = 2 each petal is
+        one vertex, and k still counts petal vertices.
         (a) One admissibility check per orbit: a relabelling in G takes the
             star plus one candidate to the star plus the other, so both are
             free or neither, and the root's live list is the same list.
@@ -568,14 +562,19 @@ class _Searcher:
                 break  # back from the leaf
             best = tuple(chosen)
             yield best
-        lower = len(best)
         star = self.grow_star()
-        while (found := self.split_host(len(best) + 1, star)) is not None:
-            best, cap = found
-            yield best
-        if len(best) > lower:
+        top: Optional[int] = None
+        for d in range(len(star), 0, -1):
+            if d * self.n < self.r * (len(best) + 1):
+                break
+            for chosen in self.walk(lambda: len(best) + 1, root=star[:d], cap=d,
+                                    orbit=self.petals(d)):
+                if len(chosen) > len(best):
+                    best, top = tuple(chosen), d
+                    yield best
+        if top is not None:
             value = len(best)
-            for chosen in self.walk(lambda: value, value, orbit=_one_orbit, cap=cap):
+            for chosen in self.walk(lambda: value, value, orbit=_one_orbit, cap=top):
                 if len(chosen) == value:
                     yield tuple(chosen)
                     break
