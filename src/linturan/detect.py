@@ -11,18 +11,39 @@ An Embedding maps the pattern's minimum realization into the host.  The
 pattern owns that realization and its edge numbering
 (ForbiddenPattern.realization and edge_slots); this module only reads
 them.  verify_embedding rechecks an embedding against the host from
-scratch, so witnesses are independently auditable.
+scratch, on its edge tuples and none of the search's tables, so
+witnesses are independently auditable.
 
 Only host edges of exactly the pattern's order participate; a mixed host
 is searched through its order-r edges.  The host does not have to be
 linear.  Paths and cycles grow by one step rule (_steps) in one walker
 (_walks), stars by one star rule (_star_leaves); contains and
-occurs_through share all three.  Union
-patterns are embedded component by component.  Three sound prunes cut the
-search:
+occurs_through share all three.
+
+Vertex sets.  The search reads one table per host (EdgeTable, built by
+edge_table): each edge's vertices as an ascending tuple, to scan, and as
+a set, to test.  The set kind is chosen once, by the host's vertex
+count.  A host on at most _MASK_LIMIT vertices gets Python ints, where
+bit v stands for vertex v.  A larger host gets frozensets (a
+Hypergraph's cached edge_sets).  _steps, _walks, _star_leaves and
+_Search are written once against &, | and == on the table, and banned
+sets and a walk's vertex set are of the same kind, so both kinds give
+the same answers in the same order.  The limit is the same argument as
+DEFAULT_PRODUCT_CAP's, which bounds what a host pays per declared
+vertex: a mask is as wide as its largest vertex label, so on a host of
+n declared vertices each edge's mask may cost n/8 bytes, and every mask
+built along a walk as much again.  Under the limit that is at most
+_MASK_LIMIT/8 bytes a set; a frozenset costs the same at any label.
+Masks also pay most on small hosts: building one costs more than a
+frozenset, and the int test, whose cost grows with the label width,
+stops beating the set test at about 2 000 vertices.
+
+Union patterns are embedded component by component.  Three sound prunes
+cut the search:
 
 - Each component type must exist individually.  A single-component
-  pattern skips this prune: its search is the presence check.
+  pattern skips this prune, and the placement of components: its search
+  is the presence check.
 - When k components remain, deleting any k-1 vertices must leave at least
   one remaining type present (pigeonhole over vertex-disjoint copies), so
   if greedily deleting the k-1 busiest vertices kills every remaining
@@ -39,7 +60,7 @@ search:
   vertices, so a query answered among them, or a small host, pays no
   pass over the host.
 
-occurs_through(sets, incidence, q, pattern, also=None, edges=None) is
+occurs_through(table, incidence, q, pattern, also=None, edges=None) is
 the yes/no query for callers that keep their own edge state (the search
 oracle): does some occurrence of the pattern use edge q, and edge also
 as well when it is given (one component only)?  The second anchor
@@ -48,7 +69,7 @@ or cycle through two edges that meet is walked from their 2-edge chain,
 and one through two disjoint edges must reach the second in the steps it
 has left.  A union places the component through q by the same walkers
 and the rest by the union search of contains, on the caller's edges.  It
-reads the caller's edge sets and per-vertex incidence as they are and
+reads the caller's edge table and per-vertex incidence as they are and
 assembles no Embedding.
 """
 
@@ -56,7 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BadParameters, MalformedEmbedding
 from .hypergraph import Hypergraph
@@ -64,12 +85,28 @@ from .patterns import ForbiddenPattern, PatternComponent
 
 __all__ = [
     "Embedding",
+    "EdgeTable",
     "contains",
+    "edge_table",
     "iter_embeddings",
     "is_free",
     "occurs_through",
     "verify_embedding",
 ]
+
+# Hosts on at most this many vertices get int-mask tables, larger ones
+# frozensets (see the module docstring).  Under the limit a mask takes at
+# most 160 bytes, less than the 216 of a frozenset of up to four
+# vertices.  Set by measurement on the certify-large benchmark's hosts
+# (CPython 3.11): masks were faster on its hosts of 115 and 903 vertices,
+# and the limit keeps its thm45 hosts (1 000 vertices and up) on
+# frozensets.
+_MASK_LIMIT = 999
+
+# _steps scans a tail lazily once one of its vertices lies in more edges
+# than this: eager lists win on small hosts, but at a hub of a thm47 host
+# (thousands of edges) a presence check needs only the first few steps.
+_HUB_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -95,7 +132,8 @@ class Embedding:
 
 
 def verify_embedding(h: Hypergraph, emb: Embedding) -> bool:
-    """Recheck an embedding against the host from first principles."""
+    """Recheck an embedding against the host from first principles: each
+    edge's image, sorted, must be the host edge it is mapped to."""
     ideal = emb.pattern.realization
     vertex_map, edge_map = emb.vertex_map, emb.edge_map
     if len(vertex_map) != ideal.n or len(edge_map) != ideal.edge_count:
@@ -108,11 +146,11 @@ def verify_embedding(h: Hypergraph, emb: Embedding) -> bool:
     for v in vertex_map:
         if not 0 <= v < n:
             return False
-    edge_sets = h.edge_sets
+    edges = h.edges
     for j, host_idx in enumerate(edge_map):
         if not 0 <= host_idx < m:
             return False
-        if {vertex_map[p] for p in ideal.edges[j]} != edge_sets[host_idx]:
+        if tuple(sorted([vertex_map[p] for p in ideal.edges[j]])) != edges[host_idx]:
             return False
     return True
 
@@ -123,46 +161,149 @@ def _require_valid(h: Hypergraph, emb: Embedding) -> Embedding:
     return emb
 
 
-def _steps(sets, incidence, tail, used, meets, floor=-1, banned=None):
-    """The loose-walk step rule: ascending (edge, meet) pairs for the edges
-    above position floor, through a vertex of tail and avoiding banned,
-    that share exactly `meets` vertices (meet) with the walk's vertex set
-    used.
+class EdgeTable(NamedTuple):
+    """The vertex sets a search reads, of one kind per host (see the
+    module docstring).
 
-    tail is the last edge of the walk minus the vertex it was entered by.
-    A path step asks for meets == 1: the new edge meets the walk only in
-    its entry vertex, which is then the tail vertex it was found through.
-    A cycle's closing edge asks for meets == 2: its entry vertex and the
-    vertex where the cycle started, which the caller checks.  An edge
-    already on the walk lies inside used, so it is never a path step
-    (r >= 2); the only one through tail is the last edge, whose meet holds
-    no start vertex, so the caller's check rejects it as a closing edge.
+    verts[p] holds the vertices of position p as an ascending tuple and
+    bits[p] the same vertices as a set; unit[v] is the set {v} and empty
+    the empty set, of the same kind.
     """
+
+    verts: Sequence[tuple[int, ...]]
+    bits: Sequence[Any]
+    unit: Any
+    empty: Any
+
+
+class _Units(dict):
+    """unit of a frozenset table: {v} is built the first time v is asked
+    for, so a host on many vertices pays only for those a search reaches."""
+
+    def __missing__(self, v: int) -> frozenset[int]:
+        unit = self[v] = frozenset((v,))
+        return unit
+
+
+def edge_table(
+    n: int, edges: Sequence[tuple[int, ...]], host: Optional[Hypergraph] = None
+) -> EdgeTable:
+    """The table of edges, ascending vertex tuples on n vertices: int
+    masks when n is at most _MASK_LIMIT, frozensets past it.  host, when
+    given, is the hypergraph whose edges these are, and a frozenset table
+    reads its cached edge_sets."""
+    if n <= _MASK_LIMIT:
+        unit = [1 << v for v in range(n)]
+        bits = []
+        for e in edges:
+            mask = 0
+            for v in e:
+                mask |= unit[v]
+            bits.append(mask)
+        return EdgeTable(edges, bits, unit, 0)
+    sets = host.edge_sets if host is not None else [frozenset(e) for e in edges]
+    return EdgeTable(edges, sets, _Units(), frozenset())
+
+
+def _steps(table, incidence, tail, skip, used, floor=-1, banned=None, ends=None):
+    """The loose-walk step rule: the edges above position floor, avoiding
+    banned, through a vertex v of the tail that meet the walk's vertex set
+    used in v alone, as a list of (edge, v) in ascending edge order.
+
+    The tail is edge tail minus skip, the vertex it was entered by (-1 on
+    a one-edge walk, which has none).  Each tail vertex's incidence is
+    scanned, and an edge q through v is a step when
+    bits[q] & used == unit[v].  The test is exact: v lies in q and, as a
+    tail vertex, in used, so the meet holds v, and equality says it holds
+    nothing else, which is what a path step asks (the new edge meets the
+    walk only in its entry vertex).  An edge through two tail vertices is
+    met through each, and each time its meet holds both, so it is
+    rejected both times.  An accepted edge holds one tail vertex and is
+    met once, so sorting the list puts each edge once, in edge order.  An
+    edge already on the walk lies inside used, so it is never a path step
+    (r >= 2).
+
+    ends, when given, asks for a cycle's closing edge instead: (p, w0),
+    the first edge of the walk minus w0, the second edge's entry vertex.
+    A closing edge meets used in its entry vertex v and in one vertex w of
+    ends, listed as (edge, v, w): the meet minus v must be unit[w].  The
+    tail misses the first edge, so an edge through two tail vertices is
+    rejected here too.  The only edge of the walk through the tail is the
+    last one, which misses the first edge's vertices, so it never closes.
+
+    A tail vertex in more than _HUB_DEGREE edges makes the scan lazy
+    (_hub_steps): the same steps in the same order, each tested only when
+    the walk asks for it.
+    """
+    verts, bits, unit, _ = table
+    backs = None if ends is None else {unit[w]: w for w in verts[ends[0]] if w != ends[1]}
+    found = []
+    for v in verts[tail]:
+        if v != skip:
+            at_v = incidence[v]
+            if len(at_v) > _HUB_DEGREE:
+                return _hub_steps(table, incidence, tail, skip, used, floor, banned, backs)
+            uv = unit[v]
+            if backs is None:
+                for q in at_v:
+                    if q > floor:
+                        eq = bits[q]
+                        if eq & used == uv and not (banned and eq & banned):
+                            found.append((q, v))
+            else:
+                for q in at_v:
+                    if q > floor:
+                        eq = bits[q]
+                        w = backs.get((eq & used) ^ uv)
+                        if w is not None and not (banned and eq & banned):
+                            found.append((q, v, w))
+    found.sort()
+    return found
+
+
+def _hub_steps(table, incidence, tail, skip, used, floor, banned, backs):
+    """_steps' list, yielded one step at a time, for a tail that holds a
+    hub.  A search that stops at its first occurrence then tests the
+    hub's edges up to the one it takes, not all of them.  The candidates
+    are the tail vertices' edges, deduplicated and sorted; each is tested
+    against every tail vertex v by _steps' rule, and the meet holds one
+    tail vertex at most for an edge that passes.  backs maps unit[w] to w
+    for a closing edge's vertex w of the first edge, or is None.
+    """
+    verts, bits, unit, _ = table
+    tails = [v for v in verts[tail] if v != skip]
     cand: set[int] = set()
-    for v in tail:
+    for v in tails:
         cand.update(incidence[v])
     for q in sorted(cand):
         if q <= floor:
             continue
-        eq = sets[q]
+        eq = bits[q]
         if banned and eq & banned:
             continue
         meet = eq & used
-        if len(meet) == meets:
-            yield q, meet
+        for v in tails:
+            if backs is None:
+                if meet == unit[v]:
+                    yield q, v
+            else:
+                w = backs.get(meet ^ unit[v])
+                if w is not None:
+                    yield q, v, w
 
 
-def _walks(sets, incidence, chain, conns, tail, used, left, rest, closed, arm,
+def _walks(table, incidence, chain, conns, tail, skip, used, left, rest, closed, arm,
            goal=None, floor=-1, banned=None):
     """The loose-walk search: yields (chain, conns, back, used) for each
     way to grow the walk chain by `left` more edges by _steps, above
     position floor and avoiding banned.
 
-    conns[i] is the vertex chain[i] and chain[i+1] share; tail is the last
-    edge minus its entry vertex, used the walk's vertices, and rest the
-    first edge minus the second edge's entry vertex (None for a one-edge
-    chain: its first step sets it).  back is None for a path, and for a
-    cycle the vertex its closing edge shares with chain[0].
+    conns[i] is the vertex chain[i] and chain[i+1] share; the tail is edge
+    tail minus skip, its entry vertex (-1: none), used the walk's vertex
+    set, and rest, as a (position, vertex) pair, the first edge minus the
+    second edge's entry vertex (None for a one-edge chain: its first step
+    sets it).  back is None for a path, and for a cycle the vertex its
+    closing edge shares with chain[0].
 
     - Cycle closing: a cycle's last edge meets the walk in its entry
       vertex and in one vertex of rest (the tail misses the first edge).
@@ -176,55 +317,56 @@ def _walks(sets, incidence, chain, conns, tail, used, left, rest, closed, arm,
       the goal meets the walk in the tail or nowhere: had it met an older
       tail, it would have been the forced step there.  A goal that meets
       the walk is the forced next step, one set test instead of a step
-      enumeration, and fits only if it meets it in one vertex; one that
-      meets nothing is two steps away at least.  A cycle's closing edge
-      holds a vertex of the first edge, so it comes after the goal.  A
-      branch with fewer edges left than the goal needs is cut.
+      enumeration, and fits only if it meets it in one vertex, a tail
+      vertex v with meet == unit[v]; one that meets nothing is two steps
+      away at least.  A cycle's closing edge holds a vertex of the first
+      edge, so it comes after the goal.  A branch with fewer edges left
+      than the goal needs is cut.
     """
+    bits = table.bits
     if goal is not None:
-        gs = sets[goal]
+        gs = bits[goal]
         meet = gs & used
         if left < (1 if meet else 2) + closed:
             return
         if meet:
-            if len(meet) == 1:
-                yield from _walks(sets, incidence, chain + [goal], conns + list(meet), gs - meet,
-                                  used | gs, left - 1, rest, closed, arm, None, floor, banned)
+            for v in table.verts[tail]:
+                if v != skip and meet == table.unit[v]:
+                    yield from _walks(table, incidence, chain + [goal], conns + [v], goal, v,
+                                      used | gs, left - 1, rest, closed, arm, None, floor,
+                                      banned)
             return
     if closed and left == 1:
-        for q, meet in _steps(sets, incidence, tail, used, 2, floor, banned):
-            back = meet & rest
-            if back:
-                (va,) = meet - back
-                (vb,) = back
-                yield chain + [q], conns + [va], vb, used | sets[q]
+        for q, v, w in _steps(table, incidence, tail, skip, used, floor, banned, rest):
+            yield chain + [q], conns + [v], w, used | bits[q]
         return
     if left == 0:
         yield chain, conns, None, used
         return
     if left <= arm and not closed:
-        yield from _walks(sets, incidence, chain, conns, rest, used, left, rest, closed, 0,
-                          goal, floor, banned)
-    for q, meet in _steps(sets, incidence, tail, used, 1, floor, banned):
-        es = sets[q]
-        (v,) = meet
-        yield from _walks(sets, incidence, chain + [q], conns + [v], es - meet, used | es,
-                          left - 1, tail - meet if rest is None else rest, closed, arm,
+        yield from _walks(table, incidence, chain, conns, rest[0], rest[1], used, left, rest,
+                          closed, 0, goal, floor, banned)
+    for q, v in _steps(table, incidence, tail, skip, used, floor, banned):
+        yield from _walks(table, incidence, chain + [q], conns + [v], q, v, used | bits[q],
+                          left - 1, (tail, v) if rest is None else rest, closed, arm,
                           goal, floor, banned)
 
 
-def _star_leaves(sets, through, used, left, banned=None):
+def _star_leaves(bits, centre, through, used, left, banned=None):
     """The star step rule: ascending picks (lists) of `left` more edges
     from through, the edges at a centre c, that avoid banned and meet
-    used, and each other, only in c.  Each edge of through holds c, so a
-    single shared vertex is c, and an edge inside used (r >= 2) never fits.
+    used, and each other, only in c; each pick comes with used and its
+    edges' vertices (pick, span).  centre is unit[c], and c lies in used.
+    Each edge of through holds c, so its meet with the span so far holds
+    c, and a meet equal to centre holds nothing else; an edge inside used
+    (r >= 2) never fits.
 
     One depth-first loop over a stack of indices into through.  A branch
     with fewer edges of through left than picks still to make is closed:
     it can yield nothing.
     """
     if left == 0:
-        yield []
+        yield [], used
         return
     picks: list[int] = []  # indices into through of the edges picked so far
     spans = [used]  # spans[j]: used and the first j picks
@@ -236,10 +378,10 @@ def _star_leaves(sets, through, used, left, banned=None):
             i = picks.pop() + 1
             spans.pop()
             continue
-        es = sets[through[i]]
-        if len(es & spans[-1]) == 1 and not (banned and es & banned):
+        es = bits[through[i]]
+        if es & spans[-1] == centre and not (banned and es & banned):
             if len(picks) + 1 == left:
-                yield [through[j] for j in picks] + [through[i]]
+                yield [through[j] for j in picks] + [through[i]], spans[-1] | es
             else:
                 picks.append(i)
                 spans.append(spans[-1] | es)
@@ -249,58 +391,60 @@ def _star_leaves(sets, through, used, left, banned=None):
 class _Search:
     """One containment query on edge state the caller owns.
 
-    sets[p] is the vertex set of position p and incidence[v] lists the
-    positions through vertex v (n vertices); edges lists the positions
-    that make up the host, so sets may hold more.  Only order-r edges
-    may be listed.  Everything is read in place and never mutated.
-    Occurrences come in canonical order when edges and the incidence
-    lists ascend; in any other order none is missed.
+    table holds the vertex sets of the positions (see EdgeTable) and
+    incidence[v] lists the positions through vertex v; edges lists the
+    positions that make up the host, so table may hold more.  Only
+    order-r edges may be listed.  Everything is read in place and never
+    mutated.  Banned vertex sets are of the table's kind.  Occurrences
+    come in canonical order when edges and the incidence lists ascend; in
+    any other order none is missed.
     """
 
-    def __init__(self, pattern: ForbiddenPattern, n: int, sets, incidence, edges):
+    def __init__(self, pattern: ForbiddenPattern, table: EdgeTable, incidence, edges):
         self.pattern = pattern
-        self.n = n
-        self.sets: Sequence[frozenset[int]] = sets
+        self.n = len(incidence)
+        self.table = table
         self.incidence: Sequence[Sequence[int]] = incidence
         self.edges: Sequence[int] = edges
         # component rooms, built on first use: the one for no banned
         # vertices, and the latest one for another banned set
         self._free_room: Optional[list[int]] = None
-        self._last_room: Optional[tuple[frozenset[int], list[int]]] = None
+        self._last_room: Optional[tuple[Any, list[int]]] = None
 
     # -- component rooms --------------------------------------------------
 
-    def _component_sizes(self, banned: frozenset[int]) -> list[int]:
+    def _component_sizes(self, banned) -> list[int]:
         """sizes[pos]: how many vertices the component of edge pos has in
         the host of the order-r edges that avoid banned (0 when edge pos
         meets banned or is not a host edge).  One pass over the edges and
         their incidence."""
-        sets, incidence = self.sets, self.incidence
-        sizes = [0] * len(sets)
-        seen = [False] * len(sets)
+        verts, bits, _, _ = self.table
+        incidence = self.incidence
+        sizes = [0] * len(bits)
+        seen = [False] * len(bits)
         if banned:
             for p in self.edges:
-                seen[p] = bool(sets[p] & banned)
+                seen[p] = bool(bits[p] & banned)
         for p in self.edges:
             if seen[p]:
                 continue
             seen[p] = True
             members = [p]
-            verts: set[int] = set()
+            found: set[int] = set()
             for e in members:  # members grows while it is read
-                for v in sets[e]:
-                    if v not in verts:
-                        verts.add(v)
+                for v in verts[e]:
+                    if v not in found:
+                        found.add(v)
                         for f in incidence[v]:
                             if not seen[f]:
                                 seen[f] = True
                                 members.append(f)
-            size = len(verts)
+            size = len(found)
             for e in members:
                 sizes[e] = size
         return sizes
 
-    def _room(self, banned: frozenset[int], exact: bool) -> list[int]:
+    def _room(self, banned, exact: bool) -> list[int]:
         """Component sizes for start edges avoiding banned: exact for
         banned when exact is set or banned is empty, else the sizes for no
         banned vertices, an upper bound (removing vertices only splits
@@ -310,10 +454,10 @@ class _Search:
                 self._last_room = (banned, self._component_sizes(banned))
             return self._last_room[1]
         if self._free_room is None:
-            self._free_room = self._component_sizes(frozenset())
+            self._free_room = self._component_sizes(self.table.empty)
         return self._free_room
 
-    def _starts(self, need: int, banned: frozenset[int], exact: bool) -> Iterator[int]:
+    def _starts(self, need: int, banned, exact: bool) -> Iterator[int]:
         """Ascending positions of the edges that avoid banned and lie in a
         component with at least need vertices (see _room).
 
@@ -322,8 +466,8 @@ class _Search:
         pays no pass over the host.  The prune is sound from whichever
         start edge it begins at.
         """
-        sets = self.sets
-        positions = (p for p in self.edges if not sets[p] & banned)
+        bits = self.table.bits
+        positions = (p for p in self.edges if not bits[p] & banned)
         yield from islice(positions, need)
         room = None
         for p in positions:
@@ -338,8 +482,8 @@ class _Search:
     # vertices).  Positions are live positions, not host indices.
 
     def iter_component(
-        self, comp: PatternComponent, banned: frozenset[int], exact: bool = False
-    ) -> Iterator[tuple[list[int], list[int], frozenset[int]]]:
+        self, comp: PatternComponent, banned, exact: bool = False
+    ) -> Iterator[tuple[list[int], list[int], Any]]:
         """Occurrences of comp avoiding banned; exact asks for the room of
         banned itself, not its upper bound (see _room)."""
         starts = self._starts(comp.vertex_count(self.pattern.r), banned, exact)
@@ -353,12 +497,14 @@ class _Search:
         vertex the closing edge shares with chain[0]): each edge's free
         vertices in ascending order, preceded by the vertex it enters
         through; a cycle starts at back."""
+        verts = self.table.verts
         ends = conns + [back]
         vm = [] if back is None else [back]
         for i, pos in enumerate(chain):
             if i:
                 vm.append(conns[i - 1])
-            vm += sorted(self.sets[pos] - {ends[i - 1], ends[i]})
+            a, b = ends[i - 1], ends[i]
+            vm += [v for v in verts[pos] if v != a and v != b]
         return vm
 
     def _iter_chains(self, ell, banned, closed, starts):
@@ -366,11 +512,11 @@ class _Search:
         by _walks from each start position of starts.  A cycle is walked
         from its minimum-index edge, so every later edge has a larger
         position."""
-        sets, incidence = self.sets, self.incidence
+        table, incidence = self.table, self.incidence
+        bits = table.bits
         for p0 in starts:
-            e0 = sets[p0]
-            walks = _walks(sets, incidence, [p0], [], e0, e0, ell - 1, None, closed, 0,
-                           floor=p0 if closed else -1, banned=banned)
+            walks = _walks(table, incidence, [p0], [], p0, -1, bits[p0], ell - 1, None, closed,
+                           0, floor=p0 if closed else -1, banned=banned)
             for chain, conns, back, used in walks:
                 yield chain, self._chain_map(chain, conns, back), used
 
@@ -388,39 +534,43 @@ class _Search:
         list leaves the others after it.  Such a star may then come more
         than once, and out of position order.
         """
-        sets, incidence = self.sets, self.incidence
+        table, incidence = self.table, self.incidence
+        verts, bits, unit, _ = table
         for p0 in starts:
-            e0 = sets[p0]
-            if all(len(incidence[v]) < ell for v in e0):
+            if all(len(incidence[v]) < ell for v in verts[p0]):
                 continue
-            for p1, (c,) in _steps(sets, incidence, e0, e0, 1, p0, banned):
+            e0 = bits[p0]
+            for p1, c in _steps(table, incidence, p0, -1, e0, p0, banned):
                 at_c = incidence[c]
                 if len(at_c) < ell:
                     continue
-                used = e0 | sets[p1]
                 above = at_c[at_c.index(p1) + 1 :]
-                for pick in _star_leaves(sets, above, used, ell - 2, banned):
+                for pick, used in _star_leaves(bits, unit[c], above, e0 | bits[p1], ell - 2,
+                                               banned):
                     chosen = [p0, p1] + pick
-                    vm = [c] + [v for pos in chosen for v in sorted(sets[pos] - {c})]
-                    yield chosen, vm, used.union(*(sets[pos] for pos in pick))
+                    vm = [c] + [v for pos in chosen for v in verts[pos] if v != c]
+                    yield chosen, vm, used
 
     # -- union search -----------------------------------------------------
 
-    def component_present(self, comp: PatternComponent, banned: frozenset[int]) -> bool:
+    def component_present(self, comp: PatternComponent, banned) -> bool:
         for _ in self.iter_component(comp, banned, exact=True):
             return True
         return False
 
-    def _busiest_vertices(self, banned: frozenset[int], k: int) -> frozenset[int]:
+    def _busiest_vertices(self, banned, k: int):
+        verts, bits, unit, empty = self.table
         deg: dict[int, int] = {}
         for p in self.edges:
-            es = self.sets[p]
-            if es & banned:
+            if bits[p] & banned:
                 continue
-            for v in es:
+            for v in verts[p]:
                 deg[v] = deg.get(v, 0) + 1
         ranked = sorted(deg, key=lambda v: (-deg[v], v))
-        return frozenset(ranked[:k])
+        peel = empty
+        for v in ranked[:k]:
+            peel = peel | unit[v]
+        return peel
 
     def _prune_disjoint(self, comps, idx, banned) -> bool:
         """True when the remaining components provably cannot all embed.
@@ -440,19 +590,24 @@ class _Search:
 
     def iter_all(self) -> Iterator[list[tuple[list[int], list[int]]]]:
         """Every occurrence of the pattern, in canonical search order, as
-        place yields it.
+        a list of (positions, vertex list) pairs, one per component.
 
         Copies of identical components are listed once (assigned in order
-        of their smallest host-edge index), not once per permutation.
+        of their smallest host-edge index), not once per permutation.  A
+        single component is listed as iter_component yields it, with no
+        placement.
         """
         comps = self.pattern.components
         if self.pattern.num_vertices > self.n or self.pattern.num_edges > len(self.edges):
             return iter([])
-        if not self.pattern.is_single:  # one component: the DFS is the check
-            for comp in set(comps):
-                if not self.component_present(comp, frozenset()):
-                    return iter([])
-        return self.place(comps, 0, frozenset(), [])
+        empty = self.table.empty
+        if self.pattern.is_single:  # one component: the walk is the check
+            return ([(positions, vmap)]
+                    for positions, vmap, _ in self.iter_component(comps[0], empty))
+        for comp in set(comps):
+            if not self.component_present(comp, empty):
+                return iter([])
+        return self.place(comps, 0, empty, [])
 
     def place(self, comps, idx, banned, chosen) -> Iterator[list[tuple[list[int], list[int]]]]:
         """Ways to place comps[idx:] vertex-disjointly, avoiding banned,
@@ -482,22 +637,22 @@ def iter_embeddings(h: Hypergraph, pattern: ForbiddenPattern) -> Iterator[Embedd
     components are not permuted among themselves.
 
     The search runs on the host's order-r edges.  On a host of uniform
-    order r those are all its edges, so it reads the host's own edge_sets
-    and incidence, and a host queried again reuses them.  A mixed host
-    gets a filtered copy, whose positions orig_index maps back.
+    order r those are all its edges, so it reads the host's own edges and
+    incidence, and a host queried again reuses them.  A mixed host gets a
+    filtered copy, whose positions orig_index maps back.
     """
     if h.r == pattern.r:
         orig_index: Sequence[int] = range(len(h.edges))
-        sets: Sequence[frozenset[int]] = h.edge_sets
+        table = edge_table(h.n, h.edges, h)
         incidence: Sequence[Sequence[int]] = h.incidence
     else:
         orig_index = [i for i, e in enumerate(h.edges) if len(e) == pattern.r]
-        sets = [h.edge_sets[i] for i in orig_index]
+        table = edge_table(h.n, [h.edges[i] for i in orig_index])
         incidence = [[] for _ in range(h.n)]
-        for pos, es in enumerate(sets):
-            for v in es:
+        for pos, e in enumerate(table.verts):
+            for v in e:
                 incidence[v].append(pos)
-    search = _Search(pattern, h.n, sets, incidence, range(len(sets)))
+    search = _Search(pattern, table, incidence, range(len(orig_index)))
     for chosen in search.iter_all():
         # each component's host edges go into the pattern's edge slots;
         # the vertex lists, in component order, are the vertex map
@@ -520,7 +675,7 @@ def is_free(h: Hypergraph, pattern: ForbiddenPattern) -> bool:
 
 
 def occurs_through(
-    sets,
+    table: EdgeTable,
     incidence,
     q: int,
     pattern: ForbiddenPattern,
@@ -531,11 +686,11 @@ def occurs_through(
     `also` as well when it is given?
 
     The host is given by edge state the caller keeps and updates in
-    place: sets[i] is the vertex set of edge i, incidence[v] lists the
-    host edges through vertex v, q and also among them, in any order, and
-    edges lists the host's edges (None: every position of sets).  Edges
-    of any other order must not be listed.  No Hypergraph and no
-    Embedding is built.
+    place: table holds the vertex sets of edges (edge_table), incidence[v]
+    lists the host edges through vertex v, q and also among them, in any
+    order, and edges lists the host's edges (None: every position of
+    table).  Edges of any other order must not be listed.  No Hypergraph
+    and no Embedding is built.
 
     One component: _through searches its occurrences through q (and
     also), with no whole-host pass; edges is not read.  The answer is
@@ -546,26 +701,28 @@ def occurs_through(
     copy is an occurrence of C through q, and the other components form
     an occurrence of the rest (the pattern minus one C) that avoids the
     copy's vertices; conversely such a pair is an occurrence through q.
-    So for each distinct C and each vertex set U that _spans_through
-    yields, the rest is placed by _Search.place with U banned, which
-    brings the pigeonhole and room prunes of a whole-host search; the rest
-    may lie anywhere in the host, so it starts from the edges listed.
-    also is for one component only (q and also may lie in different
-    components of a union) and raises BadParameters with a union.
+    So for each distinct C and each vertex set U of an occurrence of C
+    through q (the last item _through yields for it), the rest is placed
+    by _Search.place with U banned, which brings the pigeonhole and room
+    prunes of a whole-host search; the rest may lie anywhere in the host,
+    so it starts from the edges listed.  also is for one component only
+    (q and also may lie in different components of a union) and raises
+    BadParameters with a union.
     """
     comps = pattern.components
     if len(comps) == 1:
-        return next(_through(sets, incidence, q, comps[0], also), None) is not None
+        return next(_through(table, incidence, q, comps[0], also), None) is not None
     if also is not None:
         raise BadParameters(f"a second anchor needs a one-component pattern, not {pattern}")
-    search = _Search(pattern, len(incidence), sets, incidence,
-                     range(len(sets)) if edges is None else edges)
+    search = _Search(pattern, table, incidence,
+                     range(len(table.bits)) if edges is None else edges)
     for i, comp in enumerate(comps):
         if i and comps[i - 1] == comp:
             continue  # each distinct type once
         rest = comps[:i] + comps[i + 1:]
-        tried: set[frozenset[int]] = set()  # a path comes once per direction
-        for used in _spans_through(sets, incidence, q, comp):
+        tried = set()  # a path comes once per direction
+        for occurrence in _through(table, incidence, q, comp):
+            used = occurrence[-1]
             if used not in tried:
                 tried.add(used)
                 if next(search.place(rest, 0, used, []), None) is not None:
@@ -573,26 +730,14 @@ def occurs_through(
     return False
 
 
-def _spans_through(sets, incidence, q, comp: PatternComponent) -> Iterator[frozenset[int]]:
-    """The vertex set of each occurrence of one component through q, as
-    _through yields them: a walk carries its own, a star or single edge is
-    q and the edges it lists."""
-    occurrences = _through(sets, incidence, q, comp)
-    if comp.kind == "star" or comp.length == 1:
-        eq = sets[q]
-        return (eq.union(*(sets[p] for p in pick)) for pick in occurrences)
-    return (walk[-1] for walk in occurrences)
-
-
-def _through(sets, incidence, q, comp: PatternComponent, also=None) -> Iterator:
+def _through(table, incidence, q, comp: PatternComponent, also=None) -> Iterator:
     """The occurrences of one component that use edge q, and edge also as
-    well when it is given (an occurrence may repeat).  Paths and cycles
-    are the walks of _walks, (chain, conns, back, used), read as they
-    come; a star or a single edge is the list of its edges besides q and
-    also, and stars are searched by _star_leaves.  Only _spans_through
-    builds vertex sets, for the union search that reads them.
-    Each rule below only drops branches that hold no occurrence through
-    both anchors.
+    well when it is given (an occurrence may repeat), each ending with its
+    vertex set.  Paths and cycles are the walks of _walks, (chain, conns,
+    back, used), read as they come; a star or a single edge is the list
+    of its edges besides q and also, with its vertex set (pick, span), and
+    stars are searched by _star_leaves.  Each rule below only drops
+    branches that hold no occurrence through both anchors.
 
     - One edge: q alone is an occurrence, and no single edge holds two.
     - Shared pair: two edges of a loose path, cycle or star share at most
@@ -611,27 +756,30 @@ def _through(sets, incidence, q, comp: PatternComponent, also=None) -> Iterator:
       as its goal.  A path is walked in both directions from q, so its
       second arm is at most as long as its first.
     """
-    eq = sets[q]
+    verts, bits, unit, _ = table
+    eq = bits[q]
     ell = comp.length
     if ell == 1:
-        return iter([[]] if also is None else [])
+        return iter([([], eq)] if also is None else [])
     if also is None:
-        centres, used = eq, eq
+        centres, used = verts[q], eq
     else:
-        eb = sets[also]
-        centres, used = eq & eb, eq | eb
+        vb = verts[also]
+        centres, used = [v for v in verts[q] if v in vb], eq | bits[also]
         if len(centres) > 1:
             return iter([])
     if comp.kind == "star":
         picks = ell - 1 if also is None else ell - 2
         return (
-            pick
+            occurrence
             for c in centres
             if len(incidence[c]) >= ell
-            for pick in _star_leaves(sets, incidence[c], used, picks)
+            for occurrence in _star_leaves(bits, unit[c], incidence[c], used, picks)
         )
     closed = comp.kind == "cycle"
     if also is not None and centres:
-        return _walks(sets, incidence, [also, q], list(centres), eq - centres, used, ell - 2,
-                      eb - centres, closed, ell - 2)
-    return _walks(sets, incidence, [q], [], eq, eq, ell - 1, None, closed, (ell - 1) // 2, also)
+        (c,) = centres
+        return _walks(table, incidence, [also, q], [c], q, c, used, ell - 2, (also, c), closed,
+                      ell - 2)
+    return _walks(table, incidence, [q], [], q, -1, eq, ell - 1, None, closed, (ell - 1) // 2,
+                  also)

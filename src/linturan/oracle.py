@@ -37,8 +37,9 @@ Admissibility is anchored.  The walk grows every host one admitted edge
 at a time from the empty host, so when it tries a new edge q, the host
 without q is pattern-free.  Any occurrence of the pattern in the host
 with q must therefore use q, and the check asks only that: does an
-occurrence go through q?  (detect.occurs_through, on edge sets and a
-per-vertex incidence that the walk updates in place.)  Its answer equals
+occurrence go through q?  (detect.occurs_through, on the candidates'
+edge table, built once per search, and a per-vertex incidence that the
+walk updates in place.)  Its answer equals
 a whole-host check; for one component it reads only the walks out of q,
 and a union places its other components on the walk's own edges.  Below
 the root it has a second anchor: the node's own last edge q was admitted
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .bounds import BoundReport, linear_path_upper
-from .detect import is_free, occurs_through
+from .detect import edge_table, is_free, occurs_through
 from .errors import (
     BadParameters,
     FormatError,
@@ -167,7 +168,7 @@ class _Searcher:
         self.cands: list[tuple[int, ...]] = list(
             itertools.combinations(range(n), r)
         )
-        self.sets: list[frozenset[int]] = [frozenset(e) for e in self.cands]
+        self.table = edge_table(n, self.cands)
         # bit a*n+b stands for the pair {a, b}, a < b, and through[v] holds
         # every pair {v, x}.  A general host's masks stay empty; two 2-edges
         # never share a pair, so every 2-uniform host is linear.
@@ -226,7 +227,7 @@ class _Searcher:
             self.min_edges is None
             or len(chosen) < self.min_edges
             or not occurs_through(
-                self.sets, self.incidence, chosen[-1], self.pattern, also=also, edges=chosen
+                self.table, self.incidence, chosen[-1], self.pattern, also=also, edges=chosen
             )
         )
 

@@ -16,8 +16,8 @@ Components are kept in a canonical order (paths, then stars, then cycles,
 longer first) so equal unions compare equal.  A pattern owns its minimum
 hypergraph on consecutive integers (realization, also returned by
 realize()) and the numbering of that hypergraph's edges (edge_slots);
-each is built at most once per pattern object, and the detector only
-reads them.
+each, and the component blocks both are read from, is built at most
+once per pattern object, and the detector only reads them.
 
 Pattern text grammar (parse_pattern / pattern_expr):
 
@@ -114,9 +114,11 @@ class ForbiddenPattern:
             return self.components[0].length
         return None
 
+    @cached_property
     def _blocks(self) -> list[list[tuple[int, ...]]]:
         """Construction edges of each component, shifted onto its own
-        block of consecutive vertices."""
+        block of consecutive vertices; realization and edge_slots share
+        them."""
         blocks, offset = [], 0
         for comp in self.components:
             blocks.append([tuple(v + offset for v in e) for e in construction_edges(comp, self.r)])
@@ -127,14 +129,14 @@ class ForbiddenPattern:
     def realization(self) -> Hypergraph:
         """Minimum hypergraph of the pattern: components in canonical
         order, each on the next block of consecutive vertices."""
-        return make_hypergraph(self.num_vertices, [e for b in self._blocks() for e in b], self.r)
+        return make_hypergraph(self.num_vertices, [e for b in self._blocks for e in b], self.r)
 
     @cached_property
     def edge_slots(self) -> tuple[tuple[int, ...], ...]:
         """edge_slots[k][i] is the index in realization.edges (the
         lexicographic edge numbering) of construction edge i of component k."""
         index_of = {e: j for j, e in enumerate(self.realization.edges)}
-        return tuple(tuple(index_of[e] for e in b) for b in self._blocks())
+        return tuple(tuple(index_of[e] for e in b) for b in self._blocks)
 
     def __str__(self) -> str:
         return pattern_expr(self)

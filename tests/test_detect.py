@@ -8,6 +8,7 @@ import pytest
 import linturan as lt
 from linturan.detect import _require_valid
 from linturan.errors import BadParameters, MalformedEmbedding
+from linturan.hypergraph import DEFAULT_PRODUCT_CAP
 import naive_detect as nd
 from hostgen import piecewise_host, random_host
 
@@ -248,32 +249,85 @@ def test_mixed_host_is_searched_through_its_order_r_edges(seed):
 
 
 def _unbounded_rooms(self, banned):
-    return [sys.maxsize] * len(self.sets)
+    return [sys.maxsize] * len(self.table.bits)
+
+
+# (_MASK_LIMIT, _HUB_DEGREE) that force each kind of vertex-set table, and
+# on both kinds the lazy scan _steps takes at a hub, for every scan
+SETTINGS = {
+    "masks": (sys.maxsize, sys.maxsize),
+    "frozensets": (-1, sys.maxsize),
+    "lazy masks": (sys.maxsize, -1),
+    "lazy frozensets": (-1, -1),
+}
+
+
+def _force(mp, setting, host):
+    """Apply a setting; host's table must then have its kind."""
+    limit, hub = SETTINGS[setting]
+    mp.setattr(lt.detect, "_MASK_LIMIT", limit)
+    mp.setattr(lt.detect, "_HUB_DEGREE", hub)
+    kind = int if limit > host.n else frozenset
+    assert all(isinstance(b, kind) for b in lt.detect.edge_table(host.n, host.edges, host).bits)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_component_room_prune_keeps_every_answer(seed, monkeypatch):
     # hosts of several components, most too small for the patterns: the
     # pruned search agrees with the naive enumerator and lists the same
-    # embeddings, in the same order, as the search without the room prune
+    # embeddings, in the same order, as the search without the room prune.
+    # Int-mask and frozenset tables, scanned eagerly or lazily, give the
+    # same lists, witnesses and step counts, on these linear hosts and on
+    # general ones, r = 2..4.
     rng = random.Random(9500 + seed)
     hosts = [piecewise_host(rng, r) for r in (3, 4) for _ in range(4)]
+    hosts += [random_host(rng, orders=(2, 3, 4)) for _ in range(4)]
     cases = [
         (host, lt.parse_pattern(expr.format(r=host.r)), comps)
         for host in hosts
         for expr, comps in [(e, (c,)) for e, c in PATTERNS] + FORESTS
     ]
-    for host, pat, comps in cases:
-        got = lt.contains(host, pat)
-        assert (got is not None) == nd.has_forest(host, comps), (str(pat), host.edges)
-    steps = _counted(monkeypatch, lt.detect, "_steps")
-    pruned = [list(lt.iter_embeddings(host, pat)) for host, pat, _ in cases]
-    pruned_steps = len(steps)
-    monkeypatch.setattr(lt.detect._Search, "_component_sizes", _unbounded_rooms)
-    for (host, pat, _), embs in zip(cases, pruned):
-        assert list(lt.iter_embeddings(host, pat)) == embs, (str(pat), host.edges)
-    # the prune fired: the unpruned lists take the same walks and more
-    assert pruned_steps < len(steps) - pruned_steps
+    seen = {}
+    for setting in SETTINGS:
+        with monkeypatch.context() as mp:
+            _force(mp, setting, hosts[0])
+            witnesses = [lt.contains(host, pat) for host, pat, _ in cases]
+            for (host, pat, comps), got in zip(cases, witnesses):
+                assert (got is not None) == nd.has_forest(host, comps), (str(pat), host.edges)
+            steps = _counted(mp, lt.detect, "_steps")
+            pruned = [list(lt.iter_embeddings(host, pat)) for host, pat, _ in cases]
+            pruned_steps = len(steps)
+            mp.setattr(lt.detect._Search, "_component_sizes", _unbounded_rooms)
+            for (host, pat, _), embs in zip(cases, pruned):
+                assert list(lt.iter_embeddings(host, pat)) == embs, (str(pat), host.edges)
+            # the prune fired: the unpruned lists take the same walks and more
+            assert pruned_steps < len(steps) - pruned_steps
+            seen[setting] = (witnesses, pruned, len(steps))
+    assert all(got == seen["masks"] for got in seen.values())
+
+
+def test_table_kind_follows_the_host_size(sts13):
+    # a host on DEFAULT_PRODUCT_CAP vertices with a loose P3 at labels
+    # near the cap gets frozensets: a mask there is as wide as the cap
+    n = DEFAULT_PRODUCT_CAP
+    top = n - 10
+    edges = [(top, top + 1, top + 2), (top + 2, top + 3, top + 4), (top + 4, top + 5, top + 6)]
+    wide = lt.make_hypergraph(n, edges, 3)
+    assert all(isinstance(b, frozenset) for b in lt.detect.edge_table(n, wide.edges, wide).bits)
+    emb = lt.contains(wide, lt.linear_path(3, 3))
+    assert emb.edge_map == (0, 1, 2) and lt.verify_embedding(wide, emb)
+    assert lt.is_free(wide, lt.linear_path(4, 3))
+    assert lt.contains(wide, lt.parse_pattern("2*P1@r3")).edge_map == (0, 2)
+    assert lt.is_free(wide, lt.parse_pattern("P2+P1@r3"))
+    # either side of the limit, with an edge at the highest label: masks
+    # up to it, never wider than n bits, and frozensets past it
+    limit = lt.detect._MASK_LIMIT
+    for host in (sts13, lt.make_hypergraph(limit, [(0, 1, 2), (0, limit - 2, limit - 1)], 3)):
+        bits = lt.detect.edge_table(host.n, host.edges, host).bits
+        assert all(isinstance(b, int) and 0 < b.bit_length() <= host.n for b in bits)
+    past = lt.make_hypergraph(limit + 1, [(0, 1, 2), (0, limit - 1, limit)], 3)
+    assert all(isinstance(b, frozenset) for b in lt.detect.edge_table(past.n, past.edges).bits)
+    assert lt.contains(past, lt.linear_path(2, 3)).edge_map == (0, 1)
 
 
 def test_thm45_certificate_walks_one_copy(monkeypatch):
@@ -316,72 +370,92 @@ ANCHORED_UNIONS = ["2*P1", "P1+S2", "2*P2", "P2+S2", "P1+C3", "P1+S3"]
 
 
 def _edge_state(host, rng=None):
-    """Edge sets and per-vertex incidence; with rng, each incidence list
-    is shuffled (the caller's order is any order)."""
-    sets = [frozenset(e) for e in host.edges]
-    incidence = [[i for i, es in enumerate(sets) if v in es] for v in range(host.n)]
+    """The host's edge table and per-vertex incidence; with rng, each
+    incidence list is shuffled (the caller's order is any order)."""
+    incidence = [[i for i, e in enumerate(host.edges) if v in e] for v in range(host.n)]
     if rng:
         for edges in incidence:
             rng.shuffle(edges)
-    return sets, incidence
+    return lt.detect.edge_table(host.n, host.edges), incidence
+
+
+def _through_answers(host, table, incidence):
+    """occurs_through's answer for every edge q, every ordered pair
+    (q, also) and every anchored union, checked against the naive
+    enumerator, in one list."""
+    answers = []
+    m = len(host.edges)
+    for kind, length in ANCHORED:
+        pattern = lt.forest([lt.PatternComponent(kind, length)], host.r)
+        occs = nd.occurrence_edge_sets(host, kind, length)
+        for q in range(m):
+            got = lt.detect.occurs_through(table, incidence, q, pattern)
+            assert got == any(q in occ for occ in occs), (kind, length, q, host.edges)
+            answers.append(got)
+            for also in range(m):
+                if also == q:
+                    continue
+                got = lt.detect.occurs_through(table, incidence, q, pattern, also=also)
+                want = any({q, also} <= occ for occ in occs)
+                assert got == want, (kind, length, q, also, host.edges)
+                answers.append(got)
+    # a union: one anchor
+    for expr in ANCHORED_UNIONS:
+        pattern = lt.parse_pattern(expr, host.r)
+        comps = [(c.kind, c.length) for c in pattern.components]
+        occs = nd.union_occurrence_edge_sets(host, comps)
+        for q in range(m):
+            got = lt.detect.occurs_through(table, incidence, q, pattern)
+            assert got == any(q in occ for occ in occs), (expr, q, host.edges)
+            answers.append(got)
+    return answers
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_occurs_through_matches_naive_occurrences(seed):
+def test_occurs_through_matches_naive_occurrences(seed, monkeypatch):
     # for every edge q, and every ordered pair (q, also), occurs_through
     # must say whether an occurrence uses q (and also); no precondition on
     # the host, general hosts hold pairs that share two or more vertices,
-    # and incidence lists may come in any order
+    # and incidence lists may come in any order.  Int-mask and frozenset
+    # tables, scanned eagerly or lazily, give the same answers on the same
+    # shuffled state.
     rng, shuffler = random.Random(9100 + seed), random.Random(seed)
     for _ in range(6):
         host = random_host(rng, orders=(2, 3, 4))
-        sets, incidence = _edge_state(host, shuffler)
-        for kind, length in ANCHORED:
-            pattern = lt.forest([lt.PatternComponent(kind, length)], host.r)
-            occs = nd.occurrence_edge_sets(host, kind, length)
-            for q in range(len(sets)):
-                got = lt.detect.occurs_through(sets, incidence, q, pattern)
-                assert got == any(q in occ for occ in occs), (kind, length, q, host.edges)
-                for also in range(len(sets)):
-                    if also == q:
-                        continue
-                    got = lt.detect.occurs_through(sets, incidence, q, pattern, also=also)
-                    want = any({q, also} <= occ for occ in occs)
-                    assert got == want, (kind, length, q, also, host.edges)
-        # a union: one anchor
-        for expr in ANCHORED_UNIONS:
-            pattern = lt.parse_pattern(expr, host.r)
-            comps = [(c.kind, c.length) for c in pattern.components]
-            occs = nd.union_occurrence_edge_sets(host, comps)
-            for q in range(len(sets)):
-                want = any(q in occ for occ in occs)
-                got = lt.detect.occurs_through(sets, incidence, q, pattern)
-                assert got == want, (expr, q, host.edges)
+        _, incidence = _edge_state(host, shuffler)
+        answers = {}
+        for setting in SETTINGS:
+            with monkeypatch.context() as mp:
+                _force(mp, setting, host)
+                table = lt.detect.edge_table(host.n, host.edges)
+                answers[setting] = _through_answers(host, table, incidence)
+        assert all(got == answers["masks"] for got in answers.values())
 
 
 def test_occurs_through_reads_the_callers_state_as_given():
-    # the caller's sets may hold positions outside the host (the oracle
+    # the caller's table may hold positions outside the host (the oracle
     # keeps every candidate edge): a union's rest starts only from the
     # listed edges, in the order given
     host = lt.make_hypergraph(10, [(0, 1, 2), (2, 3, 4), (5, 6, 7), (7, 8, 9)], 3)
-    sets, _ = _edge_state(host)
+    table, _ = _edge_state(host)
     chosen = [2, 0, 1]  # (7, 8, 9) is not in the host
-    incidence = [[i for i in chosen if v in sets[i]] for v in range(host.n)]
+    incidence = [[i for i in chosen if v in host.edges[i]] for v in range(host.n)]
     two_p2 = lt.parse_pattern("2*P2@r3")
-    assert lt.detect.occurs_through(sets, incidence, 0, lt.parse_pattern("P2+P1@r3"), edges=chosen)
-    assert not lt.detect.occurs_through(sets, incidence, 0, two_p2, edges=chosen)
+    assert lt.detect.occurs_through(table, incidence, 0, lt.parse_pattern("P2+P1@r3"),
+                                    edges=chosen)
+    assert not lt.detect.occurs_through(table, incidence, 0, two_p2, edges=chosen)
     # listing every position walks from (7, 8, 9) into the host
-    assert lt.detect.occurs_through(sets, incidence, 0, two_p2)
+    assert lt.detect.occurs_through(table, incidence, 0, two_p2)
     # incidence in descending order misses no star: the rest, a star of
     # three edges at vertex 0, is still found
-    sets = [frozenset(e) for e in [(0, 1), (0, 2), (0, 3), (4, 5)]]
+    table = lt.detect.edge_table(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
     incidence = [[2, 1, 0], [0], [1], [2], [3], [3]]
-    assert lt.detect.occurs_through(sets, incidence, 3, lt.parse_pattern("P1+S3@r2"))
+    assert lt.detect.occurs_through(table, incidence, 3, lt.parse_pattern("P1+S3@r2"))
 
 
 def test_second_anchor_is_for_one_component_only():
     # q and also may lie in different components of a union
     host = lt.make_hypergraph(6, [(0, 1, 2), (3, 4, 5)], 3)
-    sets, incidence = _edge_state(host)
+    table, incidence = _edge_state(host)
     with pytest.raises(BadParameters):
-        lt.detect.occurs_through(sets, incidence, 0, lt.parse_pattern("2*P1@r3"), also=1)
+        lt.detect.occurs_through(table, incidence, 0, lt.parse_pattern("2*P1@r3"), also=1)

@@ -345,7 +345,7 @@ def test_split_root_admits_by_the_first_anchor(r, n, expr):
         expected = [
             q for q in range(len(s.cands))
             if not s.pair_masks[q] & used
-            and all(sum(v in s.sets[e] for e in root) < d for v in s.cands[q])
+            and all(sum(v in s.cands[e] for e in root) < d for v in s.cands[q])
             and lt.is_free(s.graph(root + [q]), pattern)
         ]
         assert root_live(s, root)[0] == expected, d
