@@ -76,6 +76,7 @@ assembles no Embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import nsmallest
 from itertools import islice
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
@@ -391,9 +392,9 @@ def _star_leaves(bits, centre, through, used, left, banned=None):
 class _Search:
     """One containment query on edge state the caller owns.
 
-    table holds the vertex sets of the positions (see EdgeTable) and
-    incidence[v] lists the positions through vertex v; edges lists the
-    positions that make up the host, so table may hold more.  Only
+    table holds the vertex sets of the positions (see EdgeTable); edges
+    lists the positions that make up the host, so table may hold more,
+    and incidence[v] lists exactly those of them through vertex v.  Only
     order-r edges may be listed.  Everything is read in place and never
     mutated.  Banned vertex sets are of the table's kind.  Occurrences
     come in canonical order when edges and the incidence lists ascend; in
@@ -559,16 +560,26 @@ class _Search:
         return False
 
     def _busiest_vertices(self, banned, k: int):
+        """The k vertices of highest degree in the host of the edges that
+        avoid banned, ties to the smaller vertex, and none of degree 0, as
+        a set of the table's kind.  With nothing banned the degrees are
+        the incidence lists' lengths, as incidence lists the host's
+        edges; under a banned set they are counted."""
         verts, bits, unit, empty = self.table
-        deg: dict[int, int] = {}
-        for p in self.edges:
-            if bits[p] & banned:
-                continue
-            for v in verts[p]:
-                deg[v] = deg.get(v, 0) + 1
-        ranked = sorted(deg, key=lambda v: (-deg[v], v))
+        if banned:
+            deg: dict[int, int] = {}
+            for p in self.edges:
+                if bits[p] & banned:
+                    continue
+                for v in verts[p]:
+                    deg[v] = deg.get(v, 0) + 1
+            ranked = sorted(deg, key=lambda v: (-deg[v], v))[:k]
+        else:
+            incidence = self.incidence
+            ranked = nsmallest(k, (v for v in range(self.n) if incidence[v]),
+                               key=lambda v: (-len(incidence[v]), v))
         peel = empty
-        for v in ranked[:k]:
+        for v in ranked:
             peel = peel | unit[v]
         return peel
 

@@ -23,24 +23,14 @@ the degree check below.
 Classification alone forces, in any linear host:
 
   |A_1(u)| <= (r-1)(ell-3)           per left end
-  |A_1 u B_1| <= 2(r-1)^2 (ell-3)    and A_1, B_1 are disjoint
   sum_k k|A_k(u)| <= (r-1)(ell-1)    per end
 
-so classifying the ends raises InvariantViolation if any of them fails,
-and if two class edges through one end share a path vertex other than
-the end.
-
-The classes of an end u are a function of u, the path's vertex set and
-its interior alone: the class of an edge through u is read from its meet
-with the path and whether the meet holds an interior vertex.  A loose
-path and its reverse have the same vertex set and interior, with left
-and right ends swapped, so A_k(u) of one direction is B_k(u) of the
-other.  In a loose path consecutive edges meet and no others do, so its
-edge set fixes the edge order up to reversal: only the path and its
-reverse have that edge set, and it determines the vertex set and the
-interior.  verify_frame_sweep therefore classifies the ends of each path
-once, keyed by its edge set, for the first of its two directions, and
-reuses the classes for the second.
+so classifying the ends raises InvariantViolation if either fails, and
+if two class edges through one end share a path vertex other than the
+end.  Two more facts hold in every host and need no check: A_1 and B_1
+are disjoint, since an A_1 edge meets the path in its end and one
+interior vertex and so holds no right end; hence |A_1 u B_1| is at most
+2(r-1) ends times the per-end bound, 2(r-1)^2 (ell-3).
 
 verify_frame additionally runs the checks that are only guaranteed when
 the host has no loose path of ell edges (a precondition it verifies):
@@ -55,21 +45,50 @@ counterexample to the underlying claims, so it is reported with concrete
 edges rather than raised.  The checks apply for ell >= 4 and r >= 3;
 outside that range reports carry status "not-applicable".
 
+Per path and per direction.  The classes of an end u are a function of
+u, the path's vertex set and its interior alone: the class of an edge
+through u is read from its meet with the path and whether the meet holds
+an interior vertex.  A loose path and its reverse have the same vertex
+set, interior and blocked vertices (the vertices of path edges 2..ell-2
+other than their joints), with left and right ends swapped, so A_k(u) of
+one direction is B_k(u) of the other.  In a loose path consecutive edges
+meet and no others do, so its edge set fixes the edge order up to
+reversal: only the path and its reverse have that edge set, and it
+determines the vertex set and the interior.  So _classify runs once per
+path, keyed by its edge set, for the first of its two directions, and
+with the classes it settles what is symmetric in A and B: whether a
+blocked vertex lies in both an A_1 and a B_1 edge (the first half of
+(a)), the least |A_1(u)| + |B_1(w)| of (c), and whether an end exceeds
+its degree budget (d).  The reverse takes the same _Frame, sides
+swapped.  A traversing pair at i joins an A_1 edge through the last
+vertex of path edge i, v_{i(r-1)+1}, to a B_1 edge through the one
+before it; in the reverse those are the edge's first two vertices, so
+the pairs, the disjoint pairs of (a) and (b) are found once per
+direction.  A fault's details name positions and sides, so they are
+listed for an embedding only when its check fails.
+
+Vertex sets.  The checks read the host's detect.edge_table, built once
+per call: int masks, bit v for vertex v, on hosts of at most
+detect._MASK_LIMIT vertices, frozensets past it.  An edge's meet with the
+path is one & and its size a popcount (len on frozensets), "x lies in
+edge f" is bits[f] & unit[x], and each end keeps the union of its A_1
+(or B_1) edges, its reach, so "x lies in an A_1 edge through u" is one
+test.
+
 verify_frame and verify_frame_sweep share one data path over plain
-values of a directed path: _split reads its ends and interior off its
-vertex tuple, _classify gives the classes of its ends, and _battery runs
-(a)-(d), returning each check's faults and the numbers the details
-quote.  _frame_report turns that into a FrameReport: verify_frame does
-so for its one embedding, verify_frame_sweep only for an embedding whose
-battery found a fault.
+values of a directed path: _classify gives the _Frame of its vertex
+tuple, _battery runs (a)-(d) on it, returning each check's faults and
+the traversing pair count, and _frame_report turns that into a
+FrameReport: verify_frame does so for its one embedding,
+verify_frame_sweep only for an embedding whose battery found a fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
-from .detect import Embedding, contains, iter_embeddings, verify_embedding
+from .detect import Embedding, EdgeTable, contains, edge_table, iter_embeddings, verify_embedding
 from .errors import (
     BadParameters,
     HostContainsPath,
@@ -87,9 +106,6 @@ __all__ = [
     "verify_frame",
     "verify_frame_sweep",
 ]
-
-# classes[u][k]: the host-edge indices of A_k(u) or B_k(u), by end vertex u
-_Classes = dict[int, dict[int, frozenset[int]]]
 
 
 @dataclass(frozen=True)
@@ -126,145 +142,193 @@ class SweepReport:
         return self.status == "pass"
 
 
-def _split(v: tuple[int, ...], r: int) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]:
-    """The left ends and right ends (each ascending) and the interior of
-    the path whose vertex v_j is v[j]."""
+class _End(NamedTuple):
+    """An end u of a path, in one direction's frame: ones lists the host
+    edges of A_1(u) (B_1(u) at a right end) in ascending index order, as
+    incidence lists them, and reach is the union of their vertex sets, of
+    the table's kind; degree is u's host degree and cap its budget, its
+    class edge count plus r-1."""
+
+    vertex: int
+    ones: list[int]
+    reach: Any
+    degree: int
+    cap: int
+
+
+class _Frame(NamedTuple):
+    """The ends of a path in one direction, a left and b right, each in
+    ascending vertex order, with reach_a and reach_b the unions of their
+    reaches; and what the direction shares with its reverse (see the
+    module docstring): blocked, whether a blocked vertex lies in an A_1
+    and a B_1 edge; best, the least |A_1(u)|+|B_1(w)|; and over, whether
+    an end's degree exceeds its cap."""
+
+    a: tuple[_End, ...]
+    b: tuple[_End, ...]
+    reach_a: Any
+    reach_b: Any
+    blocked: bool
+    best: int
+    over: bool
+
+    def reverse(self) -> _Frame:
+        """The frame of the reverse direction: the sides swap."""
+        a, b, reach_a, reach_b, blocked, best, over = self
+        return _Frame(b, a, reach_b, reach_a, blocked, best, over)
+
+
+def _split(v: tuple[int, ...], r: int) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """The left ends and right ends (each ascending) and the interior, in
+    path order, of the path whose vertex v_j is v[j]."""
     m = len(v) - r + 1  # v[m:] are the right ends
-    return tuple(sorted(v[1:r])), tuple(sorted(v[m:])), frozenset(v[r:m])
+    return sorted(v[1:r]), sorted(v[m:]), v[r:m]
 
 
-def _classify(
-    host: Hypergraph, r: int, ell: int, left, right, interior
-) -> tuple[_Classes, _Classes]:
-    """The classes of the left ends (A) and of the right ends (B), each in
-    the order given, and the counting checks: per end (tagged A or B) and
-    on A_1 and B_1 together, which are symmetric in the two sides.
+def _classify(table: EdgeTable, incidence, r: int, ell: int, v) -> _Frame:
+    """The _Frame of the directed path whose vertex v_j is v[j], on the
+    host's edge table and incidence, and the counting checks: per end
+    (tagged A or B), left ends first.
 
     One pass over the edges through each end: an edge whose meet with the
-    path is u and k more vertices goes to class k, except that k = 1 needs
-    the other vertex interior and k = 0 is no class.  covered gathers the
-    meets of the class edges, so it has 1 + sum k|A_k(u)| vertices exactly
-    when no path vertex besides u is in two of them.
+    path is u and k more vertices is a class edge, of class k, except that
+    k = 1 needs the other vertex interior and k = 0 is no class.  covered
+    gathers the meets of the class edges, so it has 1 + sum k|A_k(u)|
+    vertices exactly when no path vertex besides u is in two of them.
     """
-    edge_sets, incidence = host.edge_sets, host.incidence
-    pathv = interior.union(left, right)
-    sides: list[_Classes] = []
+    bits, unit, empty = table.bits, table.unit, table.empty
+    size = int.bit_count if empty == 0 else len
+    left, right, interior = _split(v, r)
+    inner = empty
+    for x in interior:
+        inner |= unit[x]
+    pathv = inner
+    for x in left + right:
+        pathv |= unit[x]
+    sides = []
+    over = False
     for tag, ends in (("A", left), ("B", right)):
-        side: _Classes = {}
+        side = []
+        side_reach = empty
         for u in ends:
-            per_k: list[list[int]] = [[] for _ in range(r)]  # per_k[0] stays empty
-            covered = {u}
-            weighted = 0
-            for idx in incidence[u]:
-                meet = edge_sets[idx] & pathv
-                k = len(meet) - 1
-                if k > 1 or (k == 1 and not interior.isdisjoint(meet)):
-                    per_k[k].append(idx)
-                    covered |= meet
-                    weighted += k
-            if len(per_k[1]) > (r - 1) * (ell - 3):
-                raise InvariantViolation(
-                    f"|{tag}_1({u})| = {len(per_k[1])} exceeds (r-1)(ell-3)"
-                )
+            home = unit[u]
+            ones: list[int] = []
+            members: list[int] = []  # every class edge through u
+            covered, reach, weighted = home, empty, 0
+            through = incidence[u]
+            for idx in through:
+                edge = bits[idx]
+                meet = edge & pathv
+                if meet == home:
+                    continue
+                k = size(meet) - 1
+                if k == 1:
+                    if not meet & inner:
+                        continue
+                    ones.append(idx)
+                    reach |= edge
+                members.append(idx)
+                covered |= meet
+                weighted += k
+            if len(ones) > (r - 1) * (ell - 3):
+                raise InvariantViolation(f"|{tag}_1({u})| = {len(ones)} exceeds (r-1)(ell-3)")
             if weighted > (r - 1) * (ell - 1):
                 raise InvariantViolation(
                     f"sum k|{tag}_k({u})| = {weighted} exceeds (r-1)(ell-1)"
                 )
             # linearity gives each path vertex to at most one edge through u
-            if len(covered) <= weighted:
+            if size(covered) <= weighted:
                 wv = min(
-                    v for v in pathv - {u}
-                    if sum(v in edge_sets[i] for s in per_k for i in s) > 1
+                    x for x in v[1:]
+                    if x != u and sum(1 for i in members if bits[i] & unit[x]) > 1
                 )
                 raise InvariantViolation(f"path vertex {wv} in two {tag}-edges through {u}")
-            side[u] = {k: frozenset(per_k[k]) for k in range(1, r)}
-        sides.append(side)
-    a, b = sides
-    a1, b1 = ({f for per_k in side.values() for f in per_k[1]} for side in sides)
-    if a1 & b1:
-        raise InvariantViolation(f"A_1 and B_1 overlap at edges {sorted(a1 & b1)}")
-    if len(a1 | b1) > 2 * (r - 1) ** 2 * (ell - 3):
-        raise InvariantViolation("|A_1 u B_1| exceeds 2(r-1)^2(ell-3)")
-    return a, b
+            cap = len(members) + r - 1
+            over = over or len(through) > cap
+            side.append(_End(u, ones, reach, len(through), cap))
+            side_reach |= reach
+        sides.append((tuple(side), side_reach))
+    (a, reach_a), (b, reach_b) = sides
+    blocked = empty
+    for i in range(2, ell - 1):
+        for x in v[(i - 1) * (r - 1) + 2:i * (r - 1) + 1]:
+            blocked |= unit[x]
+    # the pair sum is separable: its minimum pairs the two smallest classes
+    best = min([len(e.ones) for e in a]) + min([len(e.ones) for e in b])
+    return _Frame(a, b, reach_a, reach_b, bool(reach_a & reach_b & blocked), best, over)
 
 
-def _pairs(host: Hypergraph, r: int, ell: int, v, a: _Classes, b: _Classes) -> list[tuple]:
-    """The traversing pairs of the directed path v with end classes a and
-    b, as (f1, f2, i, u, w), ordered by i, u, f1, w, f2."""
-    sets = host.edge_sets
+def _pairs(table: EdgeTable, r: int, ell: int, v, frame: _Frame) -> list[tuple]:
+    """The traversing pairs of the directed path v in frame, as
+    (f1, f2, i, u, w), ordered by i, u, f1, w, f2."""
+    bits, unit = table.bits, table.unit
     out: list[tuple] = []
     for i in range(2, ell - 1):
-        hi, lo = v[i * (r - 1) + 1], v[i * (r - 1)]
-        f1s = [(u, f) for u, per_k in a.items() for f in sorted(per_k[1]) if hi in sets[f]]
-        if f1s:
-            f2s = [(w, f) for w, per_k in b.items() for f in sorted(per_k[1]) if lo in sets[f]]
+        hi, lo = unit[v[i * (r - 1) + 1]], unit[v[i * (r - 1)]]
+        if frame.reach_a & hi and frame.reach_b & lo:
+            f1s = [(e.vertex, f) for e in frame.a if e.reach & hi for f in e.ones if bits[f] & hi]
+            f2s = [(e.vertex, f) for e in frame.b if e.reach & lo for f in e.ones if bits[f] & lo]
             out += [(f1, f2, i, u, w) for u, f1 in f1s for w, f2 in f2s]
     return out
 
 
-def _blocked_overlaps(host: Hypergraph, r: int, ell: int, v, a: _Classes, b: _Classes) -> list:
+def _blocked_overlaps(table: EdgeTable, r: int, ell: int, v, frame: _Frame) -> list:
     """(j, v_j, least A_1 edge, least B_1 edge through v_j) for each blocked
-    vertex v_j, one of path edges 2..ell-2 other than their joints, that
-    lies in both an A_1 and a B_1 edge."""
-    sets = host.edge_sets
+    vertex v_j that lies in both an A_1 and a B_1 edge."""
+    bits, unit = table.bits, table.unit
     bad = []
     for i in range(2, ell - 1):
         for j in range((i - 1) * (r - 1) + 2, i * (r - 1) + 1):
-            vj = v[j]
-            in_a = [f for per_k in a.values() for f in per_k[1] if vj in sets[f]]
-            in_b = [f for per_k in b.values() for f in per_k[1] if vj in sets[f]] if in_a else ()
+            x = unit[v[j]]
+            in_a = [f for e in frame.a for f in e.ones if bits[f] & x]
+            in_b = [f for e in frame.b for f in e.ones if bits[f] & x] if in_a else ()
             if in_b:
-                bad.append((j, vj, min(in_a), min(in_b)))
+                bad.append((j, v[j], min(in_a), min(in_b)))
     return bad
 
 
-def _disjoint_pairs(host: Hypergraph, pairs: list[tuple]) -> list:
+def _disjoint_pairs(bits, pairs: list[tuple]) -> list:
     """(f1, f2, i) for each traversing pair whose edges are disjoint."""
-    sets = host.edge_sets
-    return [(f1, f2, i) for f1, f2, i, _, _ in pairs if not sets[f1] & sets[f2]]
+    return [(f1, f2, i) for f1, f2, i, _, _ in pairs if not bits[f1] & bits[f2]]
 
 
-def _uncovered_ends(host: Hypergraph, r: int, v, a: _Classes, b: _Classes, pairs) -> list:
+def _uncovered_ends(table: EdgeTable, r: int, v, frame: _Frame, pairs) -> list:
     """(i, reason) for each way a traversing pair at i leaves no free end.
 
     A class-1 edge through an end x meets the path in x and one interior
     vertex, so it holds no other end: {x, y} lies in some A_1 edge exactly
-    when it lies in one of A_1(x), and likewise for B_1.
+    when y lies in the reach of x, and likewise for B_1.
     """
-    sets = host.edge_sets
-
-    def apart(side: _Classes, x: int, y: int) -> bool:
-        return all(y not in sets[f] for f in side[x][1])
-
+    unit, empty = table.unit, table.empty
     bad = []
     for _, _, i, u, w in pairs:
-        hi, lo = v[i * (r - 1) + 1], v[i * (r - 1)]
-        if not any(x != u and apart(a, x, hi) for x in a):
+        hi, lo = unit[v[i * (r - 1) + 1]], unit[v[i * (r - 1)]]
+        if not any(e.vertex != u and not e.reach & hi for e in frame.a):
             bad.append((i, "every other left end pairs with v_(i(r-1)+1) in A_1"))
-        if not any(x != w and apart(b, x, lo) for x in b):
+        if not any(e.vertex != w and not e.reach & lo for e in frame.b):
             bad.append((i, "every other right end pairs with v_(i(r-1)) in B_1"))
-        lows = v[(i - 1) * (r - 1) + 2:(i - 1) * (r - 1) + r - 1]
-        if r >= 4 and not any(all(apart(b, x, y) for y in lows) for x in b):
-            bad.append((i, "no right end avoids all early blocked vertices in B_1"))
+        if r >= 4:
+            lows = empty
+            for x in v[(i - 1) * (r - 1) + 2:(i - 1) * (r - 1) + r - 1]:
+                lows |= unit[x]
+            if not any(not e.reach & lows for e in frame.b):
+                bad.append((i, "no right end avoids all early blocked vertices in B_1"))
     return bad
 
 
-def _end_degrees(host: Hypergraph, r: int, a: _Classes, b: _Classes) -> list:
-    """(u, degree, tag, cap) for each end whose degree exceeds cap, its
-    class count plus r-1."""
-    incidence = host.incidence
-    bad = []
-    for tag, side in (("A", a), ("B", b)):
-        for u, per_k in side.items():
-            deg = len(incidence[u])
-            cap = sum(map(len, per_k.values())) + r - 1
-            if deg > cap:
-                bad.append((u, deg, tag, cap))
-    return bad
+def _end_degrees(frame: _Frame) -> list:
+    """(u, degree, tag, cap) for each end whose degree exceeds its cap,
+    left ends first."""
+    return [
+        (e.vertex, e.degree, tag, e.cap)
+        for tag, side in (("A", frame.a), ("B", frame.b))
+        for e in side
+        if e.degree > e.cap
+    ]
 
 
 # name, fault detail and passing detail of each check, in report order;
-# a fault fills the first, the numbers _battery quotes the second
+# a fault fills the first, the numbers _frame_report quotes the second
 _CHECKS = (
     ("no-shared-blocked-vertex", "v_{}={} lies in A_1 edge {} and B_1 edge {}",
      "no vertex of the blocked ranges meets both A_1 and B_1"),
@@ -278,38 +342,35 @@ _CHECKS = (
 )
 
 
-def _battery(host: Hypergraph, r: int, ell: int, v, a: _Classes, b: _Classes):
-    """Checks (a)-(d) on the directed path whose vertex v_j is v[j], with
-    left-end classes a and right-end classes b: each check's faults (an
-    empty list when it passes) and the numbers its passing detail quotes
-    (see _CHECKS): the traversing pair count, and the least
-    |A_1(u)|+|B_1(w)| with its bound."""
-    pairs = _pairs(host, r, ell, v, a, b)
-    # the pair sum is separable: its minimum pairs the two smallest classes
-    best = min([len(per_k[1]) for per_k in a.values()]) + min(
-        [len(per_k[1]) for per_k in b.values()]
-    )
+def _battery(table: EdgeTable, r: int, ell: int, v, frame: _Frame):
+    """Checks (a)-(d) on the directed path whose vertex v_j is v[j], in
+    frame: each check's faults, in _CHECKS order (an empty list when it
+    passes), and the traversing pair count.  The checks frame settles for
+    the path are only listed when it found them failing."""
+    pairs = _pairs(table, r, ell, v, frame)
     bound = 2 * (r - 2) * (ell - 3)
     faults = (
-        _blocked_overlaps(host, r, ell, v, a, b),
-        _disjoint_pairs(host, pairs),
-        _uncovered_ends(host, r, v, a, b, pairs),
-        [(best, bound)] if best > bound else [],
-        _end_degrees(host, r, a, b),
+        _blocked_overlaps(table, r, ell, v, frame) if frame.blocked else [],
+        _disjoint_pairs(table.bits, pairs),
+        _uncovered_ends(table, r, v, frame, pairs),
+        [(frame.best, bound)] if frame.best > bound else [],
+        _end_degrees(frame) if frame.over else [],
     )
-    return faults, ((), (len(pairs),), (len(pairs),), (best, bound), ())
+    return faults, len(pairs)
 
 
-def _frame_report(emb: Embedding, ell: int, r: int, faults, quoted) -> FrameReport:
+def _frame_report(
+    emb: Embedding, ell: int, r: int, frame: _Frame, faults, npairs: int
+) -> FrameReport:
     """The FrameReport of one battery result (see _battery)."""
+    quoted = ((), (npairs,), (npairs,), (frame.best, 2 * (r - 2) * (ell - 3)), ())
     outcomes = tuple(
         CheckOutcome(
             name, not bad, "; ".join(fail.format(*f) for f in bad) if bad else ok.format(*args)
         )
         for (name, fail, ok), bad, args in zip(_CHECKS, faults, quoted)
     )
-    best = quoted[3][0]  # small-end-pair's sum
-    return FrameReport("fail" if any(faults) else "pass", ell, r, emb, outcomes, best)
+    return FrameReport("fail" if any(faults) else "pass", ell, r, emb, outcomes, frame.best)
 
 
 def _require_linear(host: Hypergraph, ell: int, r: int, what: str) -> None:
@@ -351,37 +412,40 @@ def verify_frame(host: Hypergraph, emb: Embedding, ell: int) -> FrameReport:
     _require_path_free(host, ell, r)
     if ell < 4 or r < 3:
         return FrameReport("not-applicable", ell, r, emb, ())
+    table = edge_table(host.n, host.edges, host)
     v = (-1,) + emb.vertex_map
-    a, b = _classify(host, r, ell, *_split(v, r))
-    return _frame_report(emb, ell, r, *_battery(host, r, ell, v, a, b))
+    frame = _classify(table, host.incidence, r, ell, v)
+    return _frame_report(emb, ell, r, frame, *_battery(table, r, ell, v, frame))
 
 
 def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
     """verify_frame over every directed embedding of the (ell-1)-edge path;
-    the two directions of a path share one classification of its ends,
-    and only an embedding that fails gets a FrameReport."""
+    the two directions of a path share one _Frame, and only an embedding
+    that fails gets a FrameReport."""
     _require_linear(host, ell, r, "sweeps")
     _require_path_free(host, ell, r)
     checked = 0
     failures: list[FrameReport] = []
     applicable = ell >= 4 and r >= 3
-    # the classes of the paths met in one direction so far, keyed by edge
+    if applicable:
+        table, incidence = edge_table(host.n, host.edges, host), host.incidence
+    # the frames of the paths met in one direction so far, keyed by edge
     # set (see the module docstring); the reverse takes them, sides swapped
-    pending: dict[frozenset[int], tuple[_Classes, _Classes]] = {}
+    pending: dict[frozenset[int], _Frame] = {}
     for emb in iter_embeddings(host, linear_path(ell - 1, r)):
         checked += 1
         if not applicable:
             continue
         v = (-1,) + emb.vertex_map
         key = frozenset(emb.edge_map)
-        sides = pending.pop(key, None)
-        if sides is None:
-            a, b = pending[key] = _classify(host, r, ell, *_split(v, r))
+        frame = pending.pop(key, None)
+        if frame is None:
+            frame = pending[key] = _classify(table, incidence, r, ell, v)
         else:
-            b, a = sides
-        faults, quoted = _battery(host, r, ell, v, a, b)
+            frame = frame.reverse()
+        faults, npairs = _battery(table, r, ell, v, frame)
         if any(faults):
-            failures.append(_frame_report(emb, ell, r, faults, quoted))
+            failures.append(_frame_report(emb, ell, r, frame, faults, npairs))
     if not applicable:
         status = "not-applicable"
     else:

@@ -11,7 +11,8 @@ import pytest
 import linturan as lt
 from linturan import cli
 from linturan.cli import EXIT_FAIL, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, main
-from linturan.endsets import _classify, _pairs, _split
+from linturan.detect import edge_table
+from linturan.endsets import _classify, _pairs
 from linturan.results import SearchStats
 
 
@@ -448,10 +449,11 @@ class TestVerify:
         h = lt.read_file(str(hfile))
         assert lt.is_free(h, lt.linear_path(5, 4))
         pairs = 0
+        table = edge_table(h.n, h.edges, h)
         for emb in lt.iter_embeddings(h, lt.linear_path(4, 4)):
             v = (-1,) + emb.vertex_map
-            a, b = _classify(h, 4, 5, *_split(v, 4))
-            pairs += len(_pairs(h, 4, 5, v, a, b))
+            frame = _classify(table, h.incidence, 4, 5, v)
+            pairs += len(_pairs(table, 4, 5, v, frame))
         assert pairs == 2
         code, text, _ = run(capsys, "verify", "section2", "--in", str(hfile), "--ell", "5")
         assert (code, text) == (EXIT_OK, "pass: 8 embeddings checked, 0 failures\n")

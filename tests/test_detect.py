@@ -306,6 +306,44 @@ def test_component_room_prune_keeps_every_answer(seed, monkeypatch):
     assert all(got == seen["masks"] for got in seen.values())
 
 
+def _busiest_by_scan(table, edges, banned, k):
+    """The pigeonhole prune's peel as counted over the edges avoiding
+    banned: the k vertices of highest degree, ties to the smaller."""
+    verts, bits, unit, empty = table
+    deg = {}
+    for p in edges:
+        if not bits[p] & banned:
+            for v in verts[p]:
+                deg[v] = deg.get(v, 0) + 1
+    peel = empty
+    for v in sorted(deg, key=lambda v: (-deg[v], v))[:k]:
+        peel = peel | unit[v]
+    return peel
+
+
+@pytest.mark.parametrize("setting", ["masks", "frozensets"])
+def test_busiest_vertices_read_the_incidence(setting, monkeypatch):
+    # with nothing banned the peel ranks vertices by their incidence
+    # lists, which list exactly the host's edges; it must be the peel the
+    # count over the edges gives, and a banned set is still counted
+    rng = random.Random(2540)
+    hosts = [random_host(rng, max_edges=12, orders=(2, 3, 4)) for _ in range(40)]
+    hosts += [piecewise_host(rng, r) for r in (3, 4) for _ in range(5)]
+    _force(monkeypatch, setting, hosts[0])
+    for host in hosts:
+        table = lt.detect.edge_table(host.n, host.edges, host)
+        edges = range(len(host.edges))
+        pattern = lt.parse_pattern(f"2*P1@r{host.r}")
+        search = lt.detect._Search(pattern, table, host.incidence, edges)
+        banned = table.empty
+        for v in rng.sample(range(host.n), 2):
+            banned = banned | table.unit[v]
+        for k in range(1, 5):
+            for ban in (table.empty, banned):
+                got = search._busiest_vertices(ban, k)
+                assert got == _busiest_by_scan(table, edges, ban, k), (host.edges, k, ban)
+
+
 def test_table_kind_follows_the_host_size(sts13):
     # a host on DEFAULT_PRODUCT_CAP vertices with a loose P3 at labels
     # near the cap gets frozensets: a mask there is as wide as the cap

@@ -5,7 +5,9 @@ from itertools import islice
 import pytest
 
 import linturan as lt
+import naive_endsets as naive
 from hostgen import random_edges
+from linturan.detect import edge_table
 from linturan.endsets import _classify, _pairs, _split
 from linturan.errors import (
     BadParameters,
@@ -31,20 +33,26 @@ def test_frame_partition_of_bare_path():
     emb = identity_embedding(host, P3)
     assert emb.vertex_map == tuple(range(7))
     left, right, interior = _split((-1,) + emb.vertex_map, 3)
-    assert (left, right, interior) == ((0, 1), (5, 6), frozenset({2, 3, 4}))
+    assert (left, right, interior) == ([0, 1], [5, 6], (2, 3, 4))
 
 
 def test_pendant_edge_lands_in_a1(p3_plus_pendant):
-    emb = identity_embedding(p3_plus_pendant, P3)
-    left, right, interior = _split((-1,) + emb.vertex_map, 3)
+    host = p3_plus_pendant
+    emb = identity_embedding(host, P3)
+    v = (-1,) + emb.vertex_map
+    left, right, interior = _split(v, 3)
     # vertex 7 is off the path
-    assert interior.union(left, right) == frozenset(range(7))
-    a, b = _classify(p3_plus_pendant, 3, 4, left, right, interior)
+    assert set(interior).union(left, right) == set(range(7))
+    table = edge_table(host.n, host.edges, host)
+    frame = _classify(table, host.incidence, 3, 4, v)
+    a0, a1 = frame.a
+    b5, b6 = frame.b
+    assert [e.vertex for e in frame.a + frame.b] == [0, 1, 5, 6]
     # the added edge goes through left end 1 and interior vertex 3
-    assert len(a[1][1]) == 1
-    assert a[0][1] == frozenset()
-    assert b[5][1] == frozenset()
-    assert b[6][1] == frozenset()
+    assert [host.edges[f] for f in a1.ones] == [(1, 3, 7)]
+    assert a0.ones == b5.ones == b6.ones == []
+    assert frame.reach_a == a1.reach == table.bits[a1.ones[0]]
+    assert frame.reach_b == table.empty
 
 
 def test_verify_frame_passes_on_pendant_host(p3_plus_pendant):
@@ -71,8 +79,9 @@ def test_traversing_pair_is_found_and_intersects():
     assert lt.is_free(host, lt.linear_path(4, 3))
     emb = identity_embedding(host, P3)
     v = (-1,) + emb.vertex_map
-    a, b = _classify(host, 3, 4, *_split(v, 3))
-    [(f1, f2, i, u, w)] = _pairs(host, 3, 4, v, a, b)
+    table = edge_table(host.n, host.edges, host)
+    frame = _classify(table, host.incidence, 3, 4, v)
+    [(f1, f2, i, u, w)] = _pairs(table, 3, 4, v, frame)
     assert (i, u, w) == (2, 1, 5)
     assert set(host.edges[f1]) & set(host.edges[f2])
     assert lt.verify_frame(host, emb, 4).status == "pass"
@@ -147,13 +156,114 @@ def test_sweep_shares_classes_between_directions():
     assert frames > 1000
 
 
+def _relabelled(host):
+    """host with vertex x renamed n-1-x on n = host.n + _MASK_LIMIT + 1
+    vertices: every label lies past the mask limit, so the detector's
+    table holds frozensets, and the reversal reorders edges and
+    embeddings."""
+    n = host.n + lt.detect._MASK_LIMIT + 1
+    copy = lt.make_hypergraph(n, [tuple(n - 1 - x for x in e) for e in host.edges], host.r)
+    assert edge_table(n, copy.edges, copy).empty == frozenset()
+    return copy
+
+
+def _outcome(check, *args):
+    """check(*args), or the InvariantViolation it raises, as a comparable
+    (type, message) pair."""
+    try:
+        return check(*args)
+    except InvariantViolation as exc:
+        return InvariantViolation, str(exc)
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["masks", "frozensets"])
+def test_frames_match_the_reference(relabel):
+    # every report, field by field, equals the frozenset reference that
+    # classifies each directed embedding afresh
+    frames = 0
+    for host, ell in _sweep_hosts():
+        if relabel:
+            host = _relabelled(host)
+        r = host.r
+        assert lt.verify_frame_sweep(host, ell, r) == naive.verify_frame_sweep(host, ell, r)
+        for emb in lt.iter_embeddings(host, lt.linear_path(ell - 1, r)):
+            assert lt.verify_frame(host, emb, ell) == naive.verify_frame(host, emb, ell)
+            frames += 1
+    assert frames > 1000
+
+
+def _faulty_hosts():
+    """(host, ell): seeded random linear hosts that hold the ell-edge path,
+    where checks (a)-(d) fail, and random non-linear hosts, where the
+    counting checks of the classification raise; a host whose left end 1
+    has three A_1 edges, one more than the bound; and a P3 at r = 4 with
+    a traversing pair, whose right ends all meet both vertices 4 and 5
+    of the middle edge in B_1 edges, so whichever is v_5, the early
+    blocked vertex, no right end avoids it."""
+    rng = random.Random(2500)
+    for r, n, ell, linear, lo, hi, hosts in [
+        (3, 13, 4, True, 14, 20, 2),
+        (3, 9, 4, True, 6, 12, 8),
+        (3, 11, 5, True, 6, 10, 4),
+        (4, 16, 4, True, 18, 22, 1),
+        (3, 8, 4, False, 6, 12, 8),
+        (4, 10, 4, False, 5, 9, 4),
+    ]:
+        for _ in range(hosts):
+            yield random_edges(rng, n, r, rng.randint(lo, hi), linear), ell
+    yield lt.make_hypergraph(
+        10, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (1, 2, 7), (1, 3, 8), (1, 4, 9)], 3
+    ), 4
+    yield lt.make_hypergraph(24, [
+        (0, 1, 2, 3), (3, 4, 5, 6), (6, 7, 8, 9), (0, 6, 10, 11), (5, 7, 12, 13),
+        (4, 7, 14, 15), (4, 8, 16, 17), (4, 9, 18, 19), (5, 8, 20, 21), (5, 9, 22, 23),
+    ], 4), 4
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["masks", "frozensets"])
+def test_failing_frames_match_the_reference(monkeypatch, relabel):
+    # with the preconditions lifted, frames fail their checks and
+    # classifications raise: every report, fault detail and message, and
+    # the order of a sweep's failures, must be the reference's
+    for name in ("_require_linear", "_require_path_free"):
+        monkeypatch.setattr(lt.endsets, name, lambda *args: None)
+    failed, details, raised = set(), set(), set()
+    for host, ell in _faulty_hosts():
+        if relabel:
+            host = _relabelled(host)
+        r = host.r
+        sweep = _outcome(lt.verify_frame_sweep, host, ell, r)
+        assert sweep == _outcome(naive.verify_frame_sweep, host, ell, r)
+        for emb in lt.iter_embeddings(host, lt.linear_path(ell - 1, r)):
+            frame = _outcome(lt.verify_frame, host, emb, ell)
+            assert frame == _outcome(naive.verify_frame, host, emb, ell)
+            if isinstance(frame, lt.FrameReport):
+                failed.update(o.name for o in frame.failures)
+                details.update(o.detail for o in frame.failures)
+            else:
+                raised.add(frame[1])
+    # every check fails somewhere, each counting check raises, and the
+    # r >= 4 reason of the uncovered-ends check is given
+    assert failed == {name for name, _, _ in lt.endsets._CHECKS}
+    assert any("early blocked" in detail for detail in details)
+    for kind in ("exceeds (r-1)(ell-3)", "exceeds (r-1)(ell-1)", "-edges through"):
+        assert any(kind in message for message in raised), kind
+
+
 def test_sweep_reports_every_failing_embedding(monkeypatch):
     # no conforming host fails a check, so one check is made to fail on
-    # every embedding: the sweep must report each, in its own order, with
-    # the report verify_frame gives that embedding
-    monkeypatch.setattr(
-        lt.endsets, "_end_degrees", lambda host, r, a, b: [(u, -1, "A", -2) for u in a]
-    )
+    # every embedding, by putting every end one edge over its degree cap:
+    # the sweep must report each, in its own order, with the report
+    # verify_frame gives that embedding, naming the embedding's own left
+    # ends as A ends
+    classify = lt.endsets._classify
+
+    def over_budget(*args):
+        frame = classify(*args)
+        a, b = (tuple(e._replace(cap=e.degree - 1) for e in side) for side in frame[:2])
+        return frame._replace(a=a, b=b, over=True)
+
+    monkeypatch.setattr(lt.endsets, "_classify", over_budget)
     hosts = {}  # the first host of each order and path length
     for host, ell in _sweep_hosts():
         hosts.setdefault((host.r, ell), host)
@@ -165,8 +275,17 @@ def test_sweep_reports_every_failing_embedding(monkeypatch):
         assert sweep.status == "fail"
         assert sweep.embeddings_checked == len(reports) > 0
         assert sweep.failures == reports
-        assert all(rep.status == "fail" and rep.failures[0].name == "end-degree-bound"
-                   for rep in reports)
+        r = host.r
+        for rep in reports:
+            [fault] = rep.failures
+            v = rep.emb.vertex_map
+            detail = "; ".join(
+                f"end {u}: degree {len(host.incidence[u])} > sum|{tag}_k| + r-1 = "
+                f"{len(host.incidence[u]) - 1}"
+                for tag, ends in (("A", v[:r - 1]), ("B", v[-(r - 1):]))
+                for u in sorted(ends)
+            )
+            assert (rep.status, fault.name, fault.detail) == ("fail", "end-degree-bound", detail)
 
 
 def test_sweep_classifies_each_path_once(monkeypatch, p3_plus_pendant):
@@ -181,7 +300,7 @@ def test_sweep_classifies_each_path_once(monkeypatch, p3_plus_pendant):
     assert rep.embeddings_checked == 4
     assert len(classified) == 2
     # the paths (0,1,2) (2,3,4) (4,5,6) and (4,5,6) (2,3,4) (1,3,7)
-    path_vertices = {interior.union(left, right) for *_, left, right, interior in classified}
+    path_vertices = {frozenset(v[1:]) for *_, v in classified}
     assert path_vertices == {frozenset(range(7)), frozenset(range(1, 8))}
 
 
@@ -191,7 +310,7 @@ def test_two_class_edges_sharing_a_path_vertex_raise():
     # rejects the non-linear host, so the ends are classified directly.
     host = lt.make_hypergraph(8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (1, 2, 7)], 3)
     with pytest.raises(InvariantViolation, match="path vertex 2 in two A-edges through 1"):
-        _classify(host, 3, 4, (0, 1), (5, 6), frozenset({2, 3, 4}))
+        _classify(edge_table(8, host.edges, host), host.incidence, 3, 4, tuple(range(-1, 7)))
 
 
 def test_sweep_rejects_host_with_the_path():
