@@ -4,8 +4,18 @@ Two interchange formats, both lossless for vertex count, uniformity, and
 edges:
 
 Text: first non-comment line is a header ``n <count> r <order|mixed>``,
-then one edge per line as ascending space-separated vertices.  Lines that
-are blank or start with ``#`` are skipped.
+then one edge per line as strictly ascending vertices separated by any
+whitespace.  Lines that are blank or start with ``#`` are skipped.
+
+``load_text`` reads the body in bulk: it splits every line, converts all
+vertex tokens with one ``map(int, ...)`` and, when every row has the
+header's order r, checks the ascent column by column and zips the
+columns into edges; a mixed host or a ragged row is checked and sliced
+row by row.  ``make_hypergraph`` then validates the edges, so its faults
+(range, duplicates, order) are reported as ``invalid hypergraph: ...``.
+When a bulk step fails, a fault scan re-reads the body line by line and
+raises the first faulty line's error with its line number (blank and
+comment lines count); it runs only on malformed text and returns no host.
 
 JSON: an object with keys ``n`` (int), ``r`` (int or null for mixed) and
 ``edges`` (list of ascending int lists); other keys are ignored.  The
@@ -20,9 +30,11 @@ short file could otherwise ask for any amount of memory.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, TextIO, Union
+from itertools import chain
+from operator import ge
+from typing import Any, NoReturn, Optional, TextIO, Union
 
-from .errors import FormatError, LinturanError
+from .errors import FormatError, InvariantViolation, LinturanError
 from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, make_hypergraph
 
 __all__ = [
@@ -50,30 +62,56 @@ def _check_vertex_count(n: int, what: str) -> None:
         raise FormatError(f"{what} vertex count {n} exceeds the cap {DEFAULT_PRODUCT_CAP}")
 
 
-def load_text(text: str) -> Hypergraph:
-    header: Optional[tuple[int, Optional[int]]] = None
-    edges: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _header(lines: list[str]) -> tuple[int, int, Optional[int]]:
+    """(index, n, r) of the header, the first line that is neither blank
+    nor a comment."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "n" or parts[2] != "r":
-                raise FormatError(f"line {lineno}: expected 'n <count> r <order|mixed>', got {line!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-            _check_vertex_count(n, f"line {lineno}:")
-            if parts[3] == "mixed":
-                r: Optional[int] = None
-            else:
-                try:
-                    r = int(parts[3])
-                except ValueError:
-                    raise FormatError(f"line {lineno}: bad order {parts[3]!r}") from None
-            header = (n, r)
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "n" or parts[2] != "r":
+            raise FormatError(f"line {lineno}: expected 'n <count> r <order|mixed>', got {line!r}")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+        _check_vertex_count(n, f"line {lineno}:")
+        if parts[3] == "mixed":
+            return lineno - 1, n, None
+        try:
+            return lineno - 1, n, int(parts[3])
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad order {parts[3]!r}") from None
+    raise FormatError("missing header line 'n <count> r <order|mixed>'")
+
+
+def _edges(rows: list[list[str]], r: Optional[int]) -> list[tuple[int, ...]]:
+    """The edges of the body rows' tokens; ValueError on a token int()
+    refuses or an edge that is not strictly ascending."""
+    flat = list(map(int, chain.from_iterable(rows)))
+    if r is not None and set(map(len, rows)) == {r}:
+        columns = [flat[j::r] for j in range(r)]
+        if any(any(map(ge, a, b)) for a, b in zip(columns, columns[1:])):
+            raise ValueError("an edge is not strictly ascending")
+        return list(zip(*columns))
+    edges = []
+    start = 0
+    for k in map(len, rows):
+        edge = tuple(flat[start:start + k])
+        start += k
+        if any(map(ge, edge, edge[1:])):
+            raise ValueError("an edge is not strictly ascending")
+        edges.append(edge)
+    return edges
+
+
+def _raise_first_fault(lines: list[str], start: int) -> NoReturn:
+    """Raise the FormatError of the first body line, from index start, that
+    holds a non-integer vertex or is not strictly ascending."""
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         try:
             edge = tuple(int(tok) for tok in line.split())
@@ -81,11 +119,21 @@ def load_text(text: str) -> Hypergraph:
             raise FormatError(f"line {lineno}: non-integer vertex in {line!r}") from None
         if any(edge[i] >= edge[i + 1] for i in range(len(edge) - 1)):
             raise FormatError(f"line {lineno}: edge {edge} is not strictly ascending")
-        edges.append(edge)
-    if header is None:
-        raise FormatError("missing header line 'n <count> r <order|mixed>'")
+    raise InvariantViolation("the bulk parse failed on a text with no faulty line")
+
+
+def load_text(text: str) -> Hypergraph:
+    lines = text.splitlines()
+    head, n, r = _header(lines)
+    rows = list(filter(None, map(str.split, lines[head + 1:])))
+    if "#" in text:  # comment rows are rare: look for them only then
+        rows = [parts for parts in rows if parts[0][0] != "#"]
     try:
-        return make_hypergraph(header[0], edges, header[1])
+        edges = _edges(rows, r)
+    except ValueError:
+        _raise_first_fault(lines, head + 1)
+    try:
+        return make_hypergraph(n, edges, r)
     except Exception as exc:
         raise FormatError(f"invalid hypergraph: {exc}") from exc
 
@@ -155,14 +203,17 @@ def write_file(h: Hypergraph, f: Union[str, TextIO], fmt: str = "text") -> None:
 
 def read_file(f: Union[str, TextIO]) -> Hypergraph:
     """Read from a path or open handle: a .json suffix or a leading '{'
-    means JSON, anything else text."""
-    if isinstance(f, str):
-        with open(f, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if f.endswith(".json"):
-            return load_json(text)
-    else:
-        text = f.read()
-    if text.lstrip().startswith("{"):
+    means JSON, anything else text.  Bytes that are not UTF-8 raise
+    FormatError with the offset of the first bad byte in what was read."""
+    try:
+        if isinstance(f, str):
+            with open(f, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        where = f if isinstance(f, str) else getattr(f, "name", "input")
+        raise FormatError(f"{where}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
+    if (isinstance(f, str) and f.endswith(".json")) or text.lstrip().startswith("{"):
         return load_json(text)
     return load_text(text)

@@ -203,6 +203,22 @@ class TestCheck:
         assert code == EXIT_FAIL
         assert '"edge_map": [0, 1, 2]' in text
 
+    def test_host_that_is_not_utf8_is_an_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"n 3 r 3\n0 1 \xff\n")
+        code, out, err = run(capsys, "check", "free", "--in", str(bad), "--pattern", "P1@r3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+        assert "not valid UTF-8 at byte 12" in err
+
+    def test_malformed_host_names_its_first_faulty_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# host\r\nn 5 r 3\r\n2 1 3\r\n0 1 x\r\n")
+        code, out, err = run(capsys, "check", "free", "--in", str(bad), "--pattern", "P1@r3")
+        assert code == EXIT_USAGE
+        assert err == "error: line 3: edge (2, 1, 3) is not strictly ascending\n"
+
 
 class TestTuran:
     def test_prints_value(self, capsys):

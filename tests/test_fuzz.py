@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from linturan.cli import load_config
 from linturan.errors import LinturanError
-from linturan.hgio import load_json, load_text
+from linturan.hgio import load_json, load_text, read_file
 from linturan.patterns import parse_pattern
 from linturan.results import ResultRecord, ResultsStore
 
@@ -62,18 +62,28 @@ def _only_package_errors(parse, *args):
         return None
 
 
+host_texts = st.text(max_size=80) | st.lists(
+    st.text(alphabet="nrmixed0123456789 -#.", max_size=12)
+    | st.sampled_from(["n 5 r 3", "n 4 r mixed", "0 1 2", "2 1 0", "# c"])
+    | st.integers(0, 6000).map(lambda k: "n " + "9" * k + " r 3"),
+    max_size=6,
+).map("\n".join)
+
+
 @FUZZ
-@given(
-    st.text(max_size=80)
-    | st.lists(
-        st.text(alphabet="nrmixed0123456789 -#.", max_size=12)
-        | st.sampled_from(["n 5 r 3", "n 4 r mixed", "0 1 2", "2 1 0", "# c"])
-        | st.integers(0, 6000).map(lambda k: "n " + "9" * k + " r 3"),
-        max_size=6,
-    ).map("\n".join)
-)
+@given(host_texts)
 def test_load_text(text):
     _only_package_errors(load_text, text)
+
+
+@FUZZ
+@given(host_texts.map(_utf8) | json_texts.map(_utf8) | st.binary(max_size=40))
+def test_read_file(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "host.txt")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        _only_package_errors(read_file, path)
 
 
 @FUZZ
