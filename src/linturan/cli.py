@@ -179,7 +179,10 @@ def _construct(args, command: str, kind: str, certify: bool):
     `verify construction`; cone certifies its pattern whatever certify says."""
     if kind == "thm45":
         r, ell, n = _need(args, command, "r", "ell", "n")
-        return thm45_construction(r, ell, n, certify=certify)
+        try:
+            return thm45_construction(r, ell, n, certify=certify)
+        except NoDesignAvailable as exc:  # only n < r leaves no design
+            raise BadParameters(f"--n {n} leaves no design: {exc}") from None
     if kind == "thm47":
         r, ell, k, copies = _need(args, command, "r", "ell", "k", "copies")
         try:

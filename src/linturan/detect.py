@@ -15,20 +15,22 @@ scratch, on its edge tuples and none of the search's tables, so
 witnesses are independently auditable.
 
 Only host edges of exactly the pattern's order participate; a mixed host
-is searched through its order-r edges.  The host does not have to be
-linear.  Paths and cycles grow by one step rule (_steps) in one walker
-(_walks), stars by one star rule (_star_leaves); contains and
-occurs_through share all three.
+is searched through the subset of its edge positions that hold order-r
+edges, so every position the search reports is a host edge index.  The
+host does not have to be linear.  Paths and cycles grow by one step rule
+(_steps) in one walker (_walks), stars by one star rule (_star_leaves);
+contains and occurs_through share all three.
 
 Vertex sets.  The search reads one table per host (EdgeTable, built by
 edge_table): each edge's vertices as an ascending tuple, to scan, and as
 a set, to test.  The set kind is chosen once, by the host's vertex
 count.  A host on at most _MASK_LIMIT vertices gets Python ints, where
-bit v stands for vertex v.  A larger host gets frozensets (a
-Hypergraph's cached edge_sets).  _steps, _walks, _star_leaves and
-_Search are written once against &, | and == on the table, and banned
-sets and a walk's vertex set are of the same kind, so both kinds give
-the same answers in the same order.  The limit is the same argument as
+bit v stands for vertex v.  A larger host gets frozensets, which
+edge_table builds too; nothing keeps a table past the search that asked
+for it.  _steps, _walks, _star_leaves and _Search are written once
+against &, | and == on the table, and banned sets and a walk's vertex
+set are of the same kind, so both kinds give the same answers in the
+same order.  The limit is the same argument as
 DEFAULT_PRODUCT_CAP's, which bounds what a host pays per declared
 vertex: a mask is as wide as its largest vertex label, so on a host of
 n declared vertices each edge's mask may cost n/8 bytes, and every mask
@@ -186,13 +188,9 @@ class _Units(dict):
         return unit
 
 
-def edge_table(
-    n: int, edges: Sequence[tuple[int, ...]], host: Optional[Hypergraph] = None
-) -> EdgeTable:
+def edge_table(n: int, edges: Sequence[tuple[int, ...]]) -> EdgeTable:
     """The table of edges, ascending vertex tuples on n vertices: int
-    masks when n is at most _MASK_LIMIT, frozensets past it.  host, when
-    given, is the hypergraph whose edges these are, and a frozenset table
-    reads its cached edge_sets."""
+    masks when n is at most _MASK_LIMIT, frozensets past it."""
     if n <= _MASK_LIMIT:
         unit = [1 << v for v in range(n)]
         bits = []
@@ -202,8 +200,7 @@ def edge_table(
                 mask |= unit[v]
             bits.append(mask)
         return EdgeTable(edges, bits, unit, 0)
-    sets = host.edge_sets if host is not None else [frozenset(e) for e in edges]
-    return EdgeTable(edges, sets, _Units(), frozenset())
+    return EdgeTable(edges, [frozenset(e) for e in edges], _Units(), frozenset())
 
 
 def _steps(table, incidence, tail, skip, used, floor=-1, banned=None, ends=None):
@@ -480,7 +477,8 @@ class _Search:
     # -- single-component generators ------------------------------------
     # Each yields (positions in construction order, vertex list in the
     # numbering of the component's block of the realization, used host
-    # vertices).  Positions are live positions, not host indices.
+    # vertices).  Positions index the table: host edge indices for
+    # iter_embeddings, candidate indices for the oracle.
 
     def iter_component(
         self, comp: PatternComponent, banned, exact: bool = False
@@ -647,30 +645,30 @@ def iter_embeddings(h: Hypergraph, pattern: ForbiddenPattern) -> Iterator[Embedd
     Paths and cycles appear once per traversal direction; identical union
     components are not permuted among themselves.
 
-    The search runs on the host's order-r edges.  On a host of uniform
-    order r those are all its edges, so it reads the host's own edges and
-    incidence, and a host queried again reuses them.  A mixed host gets a
-    filtered copy, whose positions orig_index maps back.
+    The search runs on the host's edge table and its order-r edges.  On a
+    host of uniform order r those are all its edges, so it reads the
+    host's own incidence, and a host queried again reuses it.  A mixed
+    host is searched through the positions of its order-r edges, with an
+    incidence that lists only those; positions are host edge indices
+    either way.
     """
-    if h.r == pattern.r:
-        orig_index: Sequence[int] = range(len(h.edges))
-        table = edge_table(h.n, h.edges, h)
-        incidence: Sequence[Sequence[int]] = h.incidence
-    else:
-        orig_index = [i for i, e in enumerate(h.edges) if len(e) == pattern.r]
-        table = edge_table(h.n, [h.edges[i] for i in orig_index])
+    table = edge_table(h.n, h.edges)
+    edges: Sequence[int] = range(len(h.edges))
+    incidence: Sequence[Sequence[int]] = h.incidence
+    if h.r != pattern.r:
+        edges = [i for i, e in enumerate(h.edges) if len(e) == pattern.r]
         incidence = [[] for _ in range(h.n)]
-        for pos, e in enumerate(table.verts):
-            for v in e:
-                incidence[v].append(pos)
-    search = _Search(pattern, table, incidence, range(len(orig_index)))
+        for i in edges:
+            for v in h.edges[i]:
+                incidence[v].append(i)
+    search = _Search(pattern, table, incidence, edges)
     for chosen in search.iter_all():
         # each component's host edges go into the pattern's edge slots;
         # the vertex lists, in component order, are the vertex map
         edge_map = [0] * pattern.num_edges
         for (positions, _), slots in zip(chosen, pattern.edge_slots):
             for pos, j in zip(positions, slots):
-                edge_map[j] = orig_index[pos]
+                edge_map[j] = pos
         vertex_map = tuple(v for _, vmap in chosen for v in vmap)
         yield _require_valid(h, Embedding(pattern, tuple(edge_map), vertex_map))
 

@@ -412,7 +412,7 @@ def verify_frame(host: Hypergraph, emb: Embedding, ell: int) -> FrameReport:
     _require_path_free(host, ell, r)
     if ell < 4 or r < 3:
         return FrameReport("not-applicable", ell, r, emb, ())
-    table = edge_table(host.n, host.edges, host)
+    table = edge_table(host.n, host.edges)
     v = (-1,) + emb.vertex_map
     frame = _classify(table, host.incidence, r, ell, v)
     return _frame_report(emb, ell, r, frame, *_battery(table, r, ell, v, frame))
@@ -428,7 +428,7 @@ def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
     failures: list[FrameReport] = []
     applicable = ell >= 4 and r >= 3
     if applicable:
-        table, incidence = edge_table(host.n, host.edges, host), host.incidence
+        table, incidence = edge_table(host.n, host.edges), host.incidence
     # the frames of the paths met in one direction so far, keyed by edge
     # set (see the module docstring); the reverse takes them, sides swapped
     pending: dict[frozenset[int], _Frame] = {}

@@ -60,10 +60,6 @@ class Hypergraph:
     r: Optional[int] = None
 
     @cached_property
-    def edge_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self.edges))
-
-    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """For each vertex, the indices of the edges containing it."""
         inc: list[list[int]] = [[] for _ in range(self.n)]

@@ -1,8 +1,9 @@
 """Reference end-set checks for differential tests: the frozenset
 classification and check battery, run afresh on every directed embedding.
 
-Each function reads the host's edge_sets and nothing of the detector's
-tables, and a sweep shares nothing between the two directions of a path.
+Each function reads frozensets it builds from the host's edges and
+nothing of the detector's tables, and a sweep shares nothing between the
+two directions of a path.
 The preconditions (ell, order, linearity, freeness) are linturan.endsets'
 own, looked up at call time, so a test that patches them there patches
 them here too.
@@ -17,6 +18,10 @@ from linturan.errors import InvariantViolation, NotAPathEmbedding
 from linturan.patterns import linear_path
 
 
+def frozensets(host):
+    return [frozenset(e) for e in host.edges]
+
+
 def split(v, r):
     m = len(v) - r + 1
     return tuple(sorted(v[1:r])), tuple(sorted(v[m:])), frozenset(v[r:m])
@@ -25,7 +30,7 @@ def split(v, r):
 def classify(host, r, ell, left, right, interior):
     """{u: {k: frozenset of A_k(u)}} for the left ends and the right ends,
     raising InvariantViolation where the classes break a counting bound."""
-    edge_sets, incidence = host.edge_sets, host.incidence
+    edge_sets, incidence = frozensets(host), host.incidence
     pathv = interior.union(left, right)
     sides = []
     for tag, ends in (("A", left), ("B", right)):
@@ -67,7 +72,7 @@ def classify(host, r, ell, left, right, interior):
 
 
 def pairs_of(host, r, ell, v, a, b):
-    sets = host.edge_sets
+    sets = frozensets(host)
     out = []
     for i in range(2, ell - 1):
         hi, lo = v[i * (r - 1) + 1], v[i * (r - 1)]
@@ -79,7 +84,7 @@ def pairs_of(host, r, ell, v, a, b):
 
 
 def blocked_overlaps(host, r, ell, v, a, b):
-    sets = host.edge_sets
+    sets = frozensets(host)
     bad = []
     for i in range(2, ell - 1):
         for j in range((i - 1) * (r - 1) + 2, i * (r - 1) + 1):
@@ -92,12 +97,12 @@ def blocked_overlaps(host, r, ell, v, a, b):
 
 
 def disjoint_pairs(host, pairs):
-    sets = host.edge_sets
+    sets = frozensets(host)
     return [(f1, f2, i) for f1, f2, i, _, _ in pairs if not sets[f1] & sets[f2]]
 
 
 def uncovered_ends(host, r, v, a, b, pairs):
-    sets = host.edge_sets
+    sets = frozensets(host)
 
     def apart(side, x, y):
         return all(y not in sets[f] for f in side[x][1])

@@ -116,6 +116,13 @@ class TestBuild:
         assert err == ("error: --k 12 leaves no hub design: "
                        "no design for n=12, r=3: inadmissible\n")
 
+    @pytest.mark.parametrize("command", [("build", "thm45"),
+                                         ("verify", "construction", "--which", "thm45")])
+    def test_thm45_with_too_few_vertices_is_a_usage_error(self, capsys, command):
+        code, text, err = run(capsys, *command, "--r", "3", "--ell", "4", "--n", "2")
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err == "error: --n 2 leaves no design: no design fits on 2 < 3 vertices\n"
+
     @pytest.mark.parametrize("argv, expected", [
         (("star", "--ell", "3", "--r", "3"), "n 7 r 3\n0 1 2\n0 3 4\n0 5 6\n"),
         (("cycle", "--ell", "5", "--r", "3"),
@@ -465,7 +472,7 @@ class TestVerify:
         h = lt.read_file(str(hfile))
         assert lt.is_free(h, lt.linear_path(5, 4))
         pairs = 0
-        table = edge_table(h.n, h.edges, h)
+        table = edge_table(h.n, h.edges)
         for emb in lt.iter_embeddings(h, lt.linear_path(4, 4)):
             v = (-1,) + emb.vertex_map
             frame = _classify(table, h.incidence, 4, 5, v)

@@ -268,7 +268,7 @@ def _force(mp, setting, host):
     mp.setattr(lt.detect, "_MASK_LIMIT", limit)
     mp.setattr(lt.detect, "_HUB_DEGREE", hub)
     kind = int if limit > host.n else frozenset
-    assert all(isinstance(b, kind) for b in lt.detect.edge_table(host.n, host.edges, host).bits)
+    assert all(isinstance(b, kind) for b in lt.detect.edge_table(host.n, host.edges).bits)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -331,7 +331,7 @@ def test_busiest_vertices_read_the_incidence(setting, monkeypatch):
     hosts += [piecewise_host(rng, r) for r in (3, 4) for _ in range(5)]
     _force(monkeypatch, setting, hosts[0])
     for host in hosts:
-        table = lt.detect.edge_table(host.n, host.edges, host)
+        table = lt.detect.edge_table(host.n, host.edges)
         edges = range(len(host.edges))
         pattern = lt.parse_pattern(f"2*P1@r{host.r}")
         search = lt.detect._Search(pattern, table, host.incidence, edges)
@@ -351,7 +351,7 @@ def test_table_kind_follows_the_host_size(sts13):
     top = n - 10
     edges = [(top, top + 1, top + 2), (top + 2, top + 3, top + 4), (top + 4, top + 5, top + 6)]
     wide = lt.make_hypergraph(n, edges, 3)
-    assert all(isinstance(b, frozenset) for b in lt.detect.edge_table(n, wide.edges, wide).bits)
+    assert all(isinstance(b, frozenset) for b in lt.detect.edge_table(n, wide.edges).bits)
     emb = lt.contains(wide, lt.linear_path(3, 3))
     assert emb.edge_map == (0, 1, 2) and lt.verify_embedding(wide, emb)
     assert lt.is_free(wide, lt.linear_path(4, 3))
@@ -361,7 +361,7 @@ def test_table_kind_follows_the_host_size(sts13):
     # up to it, never wider than n bits, and frozensets past it
     limit = lt.detect._MASK_LIMIT
     for host in (sts13, lt.make_hypergraph(limit, [(0, 1, 2), (0, limit - 2, limit - 1)], 3)):
-        bits = lt.detect.edge_table(host.n, host.edges, host).bits
+        bits = lt.detect.edge_table(host.n, host.edges).bits
         assert all(isinstance(b, int) and 0 < b.bit_length() <= host.n for b in bits)
     past = lt.make_hypergraph(limit + 1, [(0, 1, 2), (0, limit - 1, limit)], 3)
     assert all(isinstance(b, frozenset) for b in lt.detect.edge_table(past.n, past.edges).bits)

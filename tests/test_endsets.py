@@ -43,7 +43,7 @@ def test_pendant_edge_lands_in_a1(p3_plus_pendant):
     left, right, interior = _split(v, 3)
     # vertex 7 is off the path
     assert set(interior).union(left, right) == set(range(7))
-    table = edge_table(host.n, host.edges, host)
+    table = edge_table(host.n, host.edges)
     frame = _classify(table, host.incidence, 3, 4, v)
     a0, a1 = frame.a
     b5, b6 = frame.b
@@ -79,7 +79,7 @@ def test_traversing_pair_is_found_and_intersects():
     assert lt.is_free(host, lt.linear_path(4, 3))
     emb = identity_embedding(host, P3)
     v = (-1,) + emb.vertex_map
-    table = edge_table(host.n, host.edges, host)
+    table = edge_table(host.n, host.edges)
     frame = _classify(table, host.incidence, 3, 4, v)
     [(f1, f2, i, u, w)] = _pairs(table, 3, 4, v, frame)
     assert (i, u, w) == (2, 1, 5)
@@ -163,7 +163,7 @@ def _relabelled(host):
     embeddings."""
     n = host.n + lt.detect._MASK_LIMIT + 1
     copy = lt.make_hypergraph(n, [tuple(n - 1 - x for x in e) for e in host.edges], host.r)
-    assert edge_table(n, copy.edges, copy).empty == frozenset()
+    assert edge_table(n, copy.edges).empty == frozenset()
     return copy
 
 
@@ -310,7 +310,7 @@ def test_two_class_edges_sharing_a_path_vertex_raise():
     # rejects the non-linear host, so the ends are classified directly.
     host = lt.make_hypergraph(8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (1, 2, 7)], 3)
     with pytest.raises(InvariantViolation, match="path vertex 2 in two A-edges through 1"):
-        _classify(edge_table(8, host.edges, host), host.incidence, 3, 4, tuple(range(-1, 7)))
+        _classify(edge_table(8, host.edges), host.incidence, 3, 4, tuple(range(-1, 7)))
 
 
 def test_sweep_rejects_host_with_the_path():

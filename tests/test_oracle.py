@@ -507,9 +507,10 @@ def test_split_budget_cuts_return_verified_hosts():
 @given(st.data())
 def test_anchored_admits_matches_whole_host_check(data):
     # grow a host one admitted edge at a time, in any order, keeping the
-    # searcher's incidence as walk does; every verdict must equal a
-    # whole-host is_free, with one anchor and then, for one component,
-    # with two
+    # searcher's incidence as walk does; every verdict on a candidate q
+    # must equal a whole-host is_free of the host plus q, with one anchor
+    # and then, for one component, with two, and each trial must leave
+    # chosen and the incidence as it found them
     def push(q):
         chosen.append(q)
         for v in s.cands[q]:
@@ -518,6 +519,12 @@ def test_anchored_admits_matches_whole_host_check(data):
     def pop():
         for v in s.cands[chosen.pop()]:
             s.incidence[v].pop()
+
+    def trial(q, also=None):
+        before = (list(chosen), [list(edges) for edges in s.incidence])
+        free = s.admits(chosen, q, also)
+        assert (chosen, s.incidence) == before
+        return free
 
     r = data.draw(st.sampled_from((2, 3, 4)), label="r")
     n = data.draw(st.integers(r + 1, 9), label="n")
@@ -534,13 +541,12 @@ def test_anchored_admits_matches_whole_host_check(data):
     for q in order[:30]:
         if s.pair_masks[q] & used:
             continue
-        push(q)
-        admitted = s.admits(chosen)
-        assert admitted == lt.is_free(s.graph(chosen), pattern), s.graph(chosen).edges
+        admitted = trial(q)
+        grown = s.graph(chosen + [q])
+        assert admitted == lt.is_free(grown, pattern), grown.edges
         if admitted:
+            push(q)
             used |= s.pair_masks[q]
-        else:
-            pop()
     # the second anchor: cut the free host back to a drawn prefix H; with
     # H+q and H+q2 also free, every occurrence in H+q+q2 uses q2 and q, as
     # in walk's live lists (a union is asked about q2 alone)
@@ -556,10 +562,9 @@ def test_anchored_admits_matches_whole_host_check(data):
         if s.pair_masks[q] & s.pair_masks[q2]:
             continue
         push(q)
-        push(q2)
         also = q if pattern.is_single else None
-        assert s.admits(chosen, also) == lt.is_free(s.graph(chosen), pattern), s.graph(chosen).edges
-        pop()
+        grown = s.graph(chosen + [q2])
+        assert trial(q2, also) == lt.is_free(grown, pattern), grown.edges
         pop()
 
 
@@ -719,6 +724,34 @@ def test_union_rows_are_pinned(n, r, expr, host, limit, outcome, witness):
     s = res.stats
     got = (res.value, res.status, s.nodes, s.admits_calls, s.admits_rejects, s.bound_cuts)
     assert (got, _digest(res.witness)) == (outcome, witness)
+
+
+@pytest.mark.parametrize(
+    "n,r,expr,host",
+    [
+        (7, 3, "P3", "linear"),
+        (9, 3, "C3", "linear"),
+        (7, 2, "C4", "linear"),
+        (7, 3, "S2", "general"),
+        (10, 3, "P2+S2", "linear"),
+    ],
+)
+def test_admits_probe_counts_are_the_searchs_own(monkeypatch, n, r, expr, host):
+    # the benchmark's tracer counts calls of _Searcher.admits and reads
+    # True as free; every trial must go through it, so its calls are
+    # admits_calls and its False returns admits_rejects
+    verdicts = []
+    admits = _Searcher.admits
+
+    def counted(self, *args, **kwargs):
+        verdicts.append(admits(self, *args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_Searcher, "admits", counted)
+    res = lt.max_edges(n, r, lt.parse_pattern(f"{expr}@r{r}"), host)
+    assert res.exact and verdicts
+    assert len(verdicts) == res.stats.admits_calls
+    assert verdicts.count(False) == res.stats.admits_rejects
 
 
 def test_budget_raises_for_enumeration():
