@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,12 +25,11 @@ from .errors import BadParameters, InvariantViolation, NoDesignAvailable, Produc
 from .hypergraph import (
     DEFAULT_PRODUCT_CAP,
     Hypergraph,
-    cartesian_product,
-    connected_components,
     integer_lattice,
     is_linear,
     make_hypergraph,
-    remove_vertices,
+    product_edges,
+    vertex_components,
 )
 from .patterns import (
     ForbiddenPattern,
@@ -195,9 +196,14 @@ def _structural_forest_premises(
     copy of the m-point design: too few vertices for the path and too low
     a degree for the star.  Then each of the k+1 forest components would
     need its own hub vertex.
+
+    The hubs are vertices 0..k-1, so an edge misses them exactly when its
+    smallest vertex is at least k, and those edges are the tail of
+    ``result.edges`` from (k,) on.  The hubs are the first k components
+    of the graph on all n vertices with those edges, each on its own.
     """
-    rest = remove_vertices(result, range(k))
-    comps = connected_components(rest)
+    rest = result.edges[bisect_left(result.edges, (k,)):]
+    comps = vertex_components(result.n, rest)[k:]
     if len(comps) != blocks or any(len(c) != m for c in comps):
         raise InvariantViolation(
             f"hub removal left {[len(c) for c in comps]} instead of "
@@ -205,8 +211,29 @@ def _structural_forest_premises(
         )
     if any(len(c) >= ell * (r - 1) + 1 for c in comps):
         raise InvariantViolation("a component is large enough to hold the path")
-    if rest.edge_count and rest.max_degree() >= ell:
+    if rest and max(Counter(itertools.chain.from_iterable(rest)).values()) >= ell:
         raise InvariantViolation("a component is dense enough to hold the star")
+
+
+def _hub_inserted_edges(r: int, k: int, copies: int, design: Hypergraph) -> list[tuple[int, ...]]:
+    """The hub design's edges on vertices 0..k-1, then ``copies`` shifted
+    copies of design x lattice with hub i added to each thin edge along
+    axis i; unvalidated."""
+    edges = list(_hub_core(k, r).edges)
+    block_n, product = product_edges(design, integer_lattice(r - 1, k))
+    # The thin edges are the lattice's, of order r-1.  One along axis i is
+    # {a} x {base + t*w : t < r-1} with w = (r-1)^(k-1-i), the axis weight,
+    # so the step between its two smallest vertices is w and names i.
+    # Hub i is below every shifted vertex, so it goes first.
+    axis_of_step = {(r - 1) ** (k - 1 - i): i for i in range(k)}
+    for c in range(copies):
+        shift = (k + c * block_n).__add__
+        for e in product:
+            if len(e) == r - 1:
+                edges.append((axis_of_step[e[1] - e[0]], *map(shift, e)))
+            else:
+                edges.append(tuple(map(shift, e)))
+    return edges
 
 
 def thm47_construction(
@@ -219,36 +246,22 @@ def thm47_construction(
     lattice edge in direction i absorbs hub i, restoring order r.  Each
     forbidden-forest component would need a hub of its own, and there are
     only k hubs against k+1 components.  Raises ProductTooLarge when the
-    host would have more than DEFAULT_PRODUCT_CAP vertices.
+    host would have more than DEFAULT_PRODUCT_CAP vertices, before the hub
+    design is built.
     """
     if r < 3 or ell < 4 or k < 1 or copies < 0:
         raise BadParameters(
             f"need r >= 3, ell >= 4, k >= 1, copies >= 0, "
             f"got r={r}, ell={ell}, k={k}, copies={copies}"
         )
-    hub_core = _hub_core(k, r)
     design = fallback_block_count(r, ell)
     m = design.n
     n = k + copies * m * (r - 1) ** k
     if n > DEFAULT_PRODUCT_CAP:
         raise ProductTooLarge(f"thm47 host would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
-    lattice = integer_lattice(r - 1, k)
-    product = cartesian_product(design.graph, lattice)
-    block_n = product.n
-
-    # The thin edges are the lattice's, of order r-1.  One along axis i is
-    # {a} x {base + t*w : t < r-1} with w = (r-1)^(k-1-i), the axis weight,
-    # so the step between its two smallest vertices is w and names i.
-    axis_of_step = {(r - 1) ** (k - 1 - i): i for i in range(k)}
-    edges = list(hub_core.edges)
-    for c in range(copies):
-        off = k + c * block_n
-        for e in product.edges:
-            shifted = tuple(v + off for v in e)
-            if len(e) == r - 1:
-                shifted += (axis_of_step[e[1] - e[0]],)
-            edges.append(shifted)
-    result = make_hypergraph(n, edges, r=r)
+    # the unvalidated edge lists die here, before the linearity scan's
+    # pair set, the peak of a large build, is grown
+    result = make_hypergraph(n, _hub_inserted_edges(r, k, copies, design.graph), r=r)
     if not is_linear(result):
         raise InvariantViolation("hub insertion broke linearity")
 

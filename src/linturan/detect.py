@@ -36,9 +36,10 @@ vertex: a mask is as wide as its largest vertex label, so on a host of
 n declared vertices each edge's mask may cost n/8 bytes, and every mask
 built along a walk as much again.  Under the limit that is at most
 _MASK_LIMIT/8 bytes a set; a frozenset costs the same at any label.
-Masks also pay most on small hosts: building one costs more than a
-frozenset, and the int test, whose cost grows with the label width,
-stops beating the set test at about 2 000 vertices.
+Building a mask costs more than a frozenset, and the int test's cost
+grows with the label width, so masks gain least on wide labels; they
+still search faster up to about 4 000 vertices, where the two kinds
+come out even (see _MASK_LIMIT).
 
 Union patterns are embedded component by component.  Three sound prunes
 cut the search:
@@ -99,12 +100,14 @@ __all__ = [
 
 # Hosts on at most this many vertices get int-mask tables, larger ones
 # frozensets (see the module docstring).  Under the limit a mask takes at
-# most 160 bytes, less than the 216 of a frozenset of up to four
-# vertices.  Set by measurement on the certify-large benchmark's hosts
-# (CPython 3.11): masks were faster on its hosts of 115 and 903 vertices,
-# and the limit keeps its thm45 hosts (1 000 vertices and up) on
-# frozensets.
-_MASK_LIMIT = 999
+# most 560 bytes, against the 216 of a frozenset of up to four vertices;
+# the two are even at about 1 400 vertices.  Set by measurement on the
+# certify-large benchmark's hosts (CPython 3.11, 2-vCPU Xeon VM): every
+# one of them, up to 4 000 vertices, is searched faster on masks.  The
+# certificate search took 13.1 ms on frozensets and 7.0 ms on masks on
+# thm47 (3, 4, 7, 2), 1 799 vertices, and 8.6 and 8.5 ms on thm45 at
+# 4 000 vertices, where the two meet.
+_MASK_LIMIT = 4000
 
 # _steps scans a tail lazily once one of its vertices lies in more edges
 # than this: eager lists win on small hosts, but at a hub of a thm47 host

@@ -126,15 +126,34 @@ def linearity_violation(h: Hypergraph) -> Optional[tuple[int, int]]:
     """Indices of some edge pair sharing >= 2 vertices, or None if linear.
 
     Scans vertex pairs instead of edge pairs: h is linear iff no unordered
-    vertex pair lies in two edges.
+    vertex pair lies in two edges.  The pairs go into one set a run of
+    edges at a time, each run as long as all before it (8 edges at first),
+    and the scan stops at the first run that repeats a pair, so a host
+    whose first repeat comes early, such as a cone, costs about twice its
+    edges up to that repeat.  Only a host that is not linear is scanned
+    again, in order, to name the two edges: the first edge j holding a
+    pair of an earlier edge, and the first edge i holding that pair.
     """
+    edges = h.edges
+    pairs: set[tuple[int, int]] = set()
+    total = 0
+    start, stop = 0, 8
+    while start < len(edges):
+        run = [p for e in edges[start:stop] for p in itertools.combinations(e, 2)]
+        pairs.update(run)
+        total += len(run)
+        if len(pairs) != total:
+            break
+        start, stop = stop, 2 * stop
+    else:
+        return None
     seen: dict[tuple[int, int], int] = {}
-    for i, e in enumerate(h.edges):
+    for j, e in enumerate(edges):
         for p in itertools.combinations(e, 2):
             if p in seen:
-                return (seen[p], i)
-            seen[p] = i
-    return None
+                return (seen[p], j)
+            seen[p] = j
+    return None  # unreachable: the pair set found a repeat
 
 
 def is_linear(h: Hypergraph) -> bool:
@@ -185,6 +204,22 @@ def _product_uniformity(h: Hypergraph, g: Hypergraph) -> Optional[int]:
     return None
 
 
+def product_edges(h: Hypergraph, g: Hypergraph) -> tuple[int, list[tuple[int, ...]]]:
+    """The vertex count and edges of cartesian_product(h, g), unvalidated.
+
+    Every edge is an ascending tuple; the list is not sorted.  Raises what
+    cartesian_product raises on its factors.
+    """
+    if h.r is None or g.r is None:
+        raise BadParameters("cartesian_product requires uniform factors")
+    n = h.n * g.n
+    if n > DEFAULT_PRODUCT_CAP:
+        raise ProductTooLarge(f"product would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
+    edges = [tuple(a * g.n + u for a in e) for u in range(g.n) for e in h.edges]
+    edges.extend(tuple(a * g.n + u for u in f) for a in range(h.n) for f in g.edges)
+    return n, edges
+
+
 def cartesian_product(h: Hypergraph, g: Hypergraph) -> Hypergraph:
     """Cartesian product: vertex (a, u) is encoded as a*|V(g)| + u.
 
@@ -195,13 +230,7 @@ def cartesian_product(h: Hypergraph, g: Hypergraph) -> Hypergraph:
     Both factors must be uniform; raises ProductTooLarge past
     DEFAULT_PRODUCT_CAP vertices.
     """
-    if h.r is None or g.r is None:
-        raise BadParameters("cartesian_product requires uniform factors")
-    n = h.n * g.n
-    if n > DEFAULT_PRODUCT_CAP:
-        raise ProductTooLarge(f"product would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
-    edges = [tuple(a * g.n + u for a in e) for u in range(g.n) for e in h.edges]
-    edges.extend(tuple(a * g.n + u for u in f) for a in range(h.n) for f in g.edges)
+    n, edges = product_edges(h, g)
     return make_hypergraph(n, edges, _product_uniformity(h, g))
 
 
@@ -232,7 +261,13 @@ def integer_lattice(r: int, d: int) -> Hypergraph:
 
 def connected_components(h: Hypergraph) -> list[frozenset[int]]:
     """Vertex sets of the components; isolated vertices are singletons."""
-    parent = list(range(h.n))
+    return vertex_components(h.n, h.edges)
+
+
+def vertex_components(n: int, edges: Iterable[Sequence[int]]) -> list[frozenset[int]]:
+    """connected_components of the graph on vertices 0..n-1 with these
+    edges, which are not validated, ordered by their smallest vertex."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -240,12 +275,12 @@ def connected_components(h: Hypergraph) -> list[frozenset[int]]:
             x = parent[x]
         return x
 
-    for e in h.edges:
+    for e in edges:
         for v in e[1:]:
             ra, rb = find(e[0]), find(v)
             if ra != rb:
                 parent[rb] = ra
     groups: dict[int, set[int]] = {}
-    for v in range(h.n):
+    for v in range(n):
         groups.setdefault(find(v), set()).add(v)
     return [frozenset(g) for g in sorted(groups.values(), key=min)]

@@ -50,6 +50,42 @@ def _is_loose_star(chosen):
 
 def occurrences(h, kind, length):
     """All vertex sets spanned by an occurrence of the component."""
+    if kind != "star" and all(len(e) == 2 for e in h.edges):
+        return graph_occurrences(h, kind, length)
+    return edge_occurrences(h, kind, length)
+
+
+def graph_occurrences(h, kind, length):
+    """occurrences of a path or cycle in a graph, by walking vertices.
+
+    In a graph a loose path of l edges is a path on l+1 distinct vertices,
+    and a loose cycle of l >= 3 edges a cycle on l distinct vertices, so
+    no edge subset or permutation is tried.
+    """
+    adjacent = {v: set() for e in h.edges for v in e}
+    for a, b in h.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    size = length + 1 if kind == "path" else length
+    found = set()
+
+    def grow(walk):
+        if len(walk) == size:
+            if kind == "path" or walk[0] in adjacent[walk[-1]]:
+                found.add(frozenset(walk))
+            return
+        for w in adjacent[walk[-1]]:
+            if w not in walk:
+                grow(walk + [w])
+
+    for v in adjacent:
+        grow([v])
+    return found
+
+
+def edge_occurrences(h, kind, length):
+    """occurrences by trying every edge subset, and for a path or cycle
+    every order of it."""
     found = set()
     if kind == "star":
         for chosen in combinations(h.edges, length):
@@ -110,7 +146,8 @@ def has_cycle(h, ell):
 
 def has_forest(h, comps):
     """comps: sequence of ("path" | "star" | "cycle", length) pairs."""
-    occ = [sorted(occurrences(h, kind, length), key=sorted) for kind, length in comps]
+    spans = {c: sorted(occurrences(h, *c), key=sorted) for c in set(comps)}
+    occ = [spans[c] for c in comps]
 
     def place(i, used):
         if i == len(occ):

@@ -1,12 +1,27 @@
 import hashlib
+import itertools
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 
 import linturan as lt
-from linturan.constructions import FALLBACK_NOTE, NOT_LINEAR_NOTE, PADDING_NOTE
-from linturan.errors import BadParameters, NoDesignAvailable
+import naive_constructions as naive
+from linturan.constructions import (
+    FALLBACK_NOTE,
+    NOT_LINEAR_NOTE,
+    PADDING_NOTE,
+    _structural_forest_premises,
+    fallback_block_count,
+)
+from linturan.errors import (
+    BadParameters,
+    InvariantViolation,
+    LinturanError,
+    NoDesignAvailable,
+    ProductTooLarge,
+)
+from linturan.hypergraph import DEFAULT_PRODUCT_CAP
 
 
 def caveat_with(report, prefix):
@@ -122,6 +137,99 @@ class TestInsertedProduct:
         fano = lt.require_design(7, 3).graph
         digest.update(repr(lt.cartesian_product(fano, lt.integer_lattice(3, 2)).edges).encode())
         assert digest.hexdigest()[:16] == "0e0babcfea6abc02"
+
+    def test_largest_benchmark_host_is_pinned(self):
+        edges = lt.thm47_construction(3, 4, 7, 2, certify=False).result.edges
+        assert hashlib.sha256(repr(edges).encode()).hexdigest()[:16] == "7325b8ccdcfe7c8f"
+
+    def test_cap_is_checked_before_the_hub_design(self, monkeypatch):
+        # k = 999 has a design of 166 167 blocks, and a host of about
+        # 2^999 vertices: the host is refused without building the design
+        def refuse(*args):
+            raise AssertionError("hub design built before the cap check")
+
+        monkeypatch.setattr(lt.constructions, "require_design", refuse)
+        with pytest.raises(ProductTooLarge, match=r"^thm47 host would have \d+ vertices"):
+            lt.thm47_construction(3, 4, 999, 1)
+
+    def test_cap_comes_before_a_missing_hub_design(self):
+        # no design on 2 points, and a host past the cap: the cap wins
+        with pytest.raises(ProductTooLarge):
+            lt.thm47_construction(3, 4, 2, 10**5)
+
+
+def _outcome(build, *args):
+    try:
+        rep = build(*args)
+    except LinturanError as exc:
+        return type(exc), str(exc)
+    return rep.result, rep.to_obj(), str(rep)
+
+
+# every row is under the cap; r = 4 has no design on 3 or 7 hub points
+THM47_GRID = [
+    (r, ell, k, copies)
+    for r in (3, 4)
+    for ell in (4, 5)
+    for k in (1, 3, 7)
+    for copies in (0, 1, 2)
+    if k + copies * fallback_block_count(r, ell).n * (r - 1) ** k <= DEFAULT_PRODUCT_CAP
+]
+
+
+@pytest.mark.parametrize("params", THM47_GRID, ids=lambda p: "-".join(map(str, p)))
+def test_thm47_matches_the_validated_build(params):
+    got = _outcome(lt.thm47_construction, *params)
+    assert got == _outcome(naive.thm47_construction, *params)
+
+
+class TestStructuralPremises:
+    """thm47 (3, 4, 3, 1): hubs 0, 1, 2 and eight Fano blocks of 7 vertices."""
+
+    K, ELL, R, M, BLOCKS = 3, 4, 3, 7, 8
+
+    @pytest.fixture(scope="class")
+    def host(self):
+        return lt.thm47_construction(3, 4, 3, 1, certify=False).result
+
+    @pytest.fixture(scope="class")
+    def blocks(self, host):
+        rest = lt.remove_vertices(host, range(self.K))
+        return [sorted(v + self.K for v in c) for c in lt.connected_components(rest)]
+
+    def _outcomes(self, host):
+        out = []
+        for check in (_structural_forest_premises, naive.structural_forest_premises):
+            try:
+                check(host, self.K, self.ELL, self.R, self.M, self.BLOCKS)
+                out.append(None)
+            except InvariantViolation as exc:
+                out.append(str(exc))
+        return out
+
+    def _with(self, host, edge):
+        return lt.make_hypergraph(host.n, host.edges + (edge,), host.r)
+
+    def test_the_built_host_passes(self, host, blocks):
+        # vertex K, the first one past the hubs, starts block 0's edges
+        assert blocks[0][0] == self.K
+        assert self._outcomes(host) == [None, None]
+
+    def test_an_edge_joining_two_blocks(self, host, blocks):
+        joined = self._with(host, (blocks[0][0], blocks[1][0], blocks[2][0]))
+        got, want = self._outcomes(joined)
+        assert got == want
+        assert want.startswith("hub removal left [")
+
+    def test_a_block_vertex_of_degree_ell(self, host, blocks):
+        # a fourth edge through vertex K, inside its Fano block; an edge
+        # that starts at K misses the hubs and must count
+        edges = set(host.edges)
+        extra = next(
+            e for e in itertools.combinations(blocks[0], 3) if e[0] == self.K and e not in edges
+        )
+        got, want = self._outcomes(self._with(host, extra))
+        assert got == want == "a component is dense enough to hold the star"
 
 
 class TestCone:

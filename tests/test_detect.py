@@ -28,6 +28,18 @@ def test_fano_star_facts(fano):
     assert lt.is_free(fano, lt.linear_star(4, 3))
 
 
+def test_naive_graph_walks_match_edge_orders():
+    # the reference's vertex walk on graphs against its own edge subsets
+    # and orders, on seeded graphs of 6 vertices and up to 9 edges
+    rng = random.Random(28)
+    pool = list(combinations(range(6), 2))
+    for _ in range(60):
+        h = lt.make_hypergraph(6, rng.sample(pool, rng.randint(0, 9)), 2)
+        for kind, length in [("path", 1), ("path", 2), ("path", 3), ("path", 4),
+                             ("cycle", 3), ("cycle", 4), ("cycle", 5)]:
+            assert nd.graph_occurrences(h, kind, length) == nd.edge_occurrences(h, kind, length)
+
+
 @pytest.mark.parametrize("fault", [
     "short vertex map", "long edge map", "repeated vertex", "repeated edge",
     "vertex past n", "negative vertex", "edge past m", "negative edge",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import linturan as lt
+import naive_constructions
 from linturan.errors import (
     DuplicateEdge,
     NonUniformEdge,
@@ -128,6 +129,64 @@ def test_linearity_agrees_with_witness(h):
     if pair is not None:
         i, j = pair
         assert len(set(h.edges[i]) & set(h.edges[j])) >= 2
+
+
+@st.composite
+def scan_hosts(draw):
+    """(host, last): uniform or mixed-order hosts of up to 60 edges, so
+    that the pair scan runs over several runs of edges.  Linear ones, ones
+    with a repeated pair anywhere, and, when last is set, linear ones
+    followed by an edge that repeats a pair of the edge before it."""
+    n = draw(st.integers(min_value=6, max_value=30), label="n")
+    r = draw(st.sampled_from([None, 2, 3, 4]), label="r")
+    kind = draw(st.sampled_from(["any", "linear", "last"]), label="kind")
+    rng = draw(st.randoms(use_true_random=False), label="rng")
+    # vertex n-1 is kept free for the last edge's raised top vertex
+    pool = range(n - 1 if kind == "last" else n)
+    drawn = {
+        tuple(sorted(rng.sample(pool, r or rng.randint(2, 5))))
+        for _ in range(draw(st.integers(min_value=0, max_value=60), label="m"))
+    }
+    edges = sorted(drawn, key=lambda e: rng.random())
+    if kind != "any":
+        kept: list[tuple[int, ...]] = []
+        for e in edges:
+            if all(len(set(e) & set(f)) <= 1 for f in kept):
+                kept.append(e)
+        edges = kept
+    h = lt.make_hypergraph(n, edges, r)
+    if kind == "last" and h.edges and len(h.edges[-1]) >= 3:
+        # the last edge with its top vertex raised still sorts last, and
+        # shares all its other vertices with the edge it came from
+        last = h.edges[-1]
+        top = draw(st.integers(last[-1] + 1, n - 1), label="top")
+        h = lt.make_hypergraph(n, h.edges + (last[:-1] + (top,),), r)
+        assert h.edges[-1][-1] == top
+        return h, True
+    return h, False
+
+
+@given(scan_hosts())
+def test_linearity_violation_matches_the_ordered_scan(case):
+    h, last = case
+    pair = naive_constructions.linearity_violation(h)
+    assert lt.linearity_violation(h) == pair
+    if last:
+        assert pair == (h.edge_count - 2, h.edge_count - 1)
+
+
+@pytest.mark.parametrize("tail", [0, 5])
+def test_a_repeat_at_every_index(tail):
+    # j disjoint edges, then one sharing two vertices with edge j-1, then
+    # tail more disjoint edges: the repeat sits at each index in and
+    # around the pair scan's first runs of 8, 8, 16 and 32 edges
+    for j in range(1, 70):
+        edges = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(j)]
+        edges += [(3 * j - 3, 3 * j - 2, 3 * j)]
+        edges += [(3 * j + 1 + 3 * i, 3 * j + 2 + 3 * i, 3 * j + 3 + 3 * i) for i in range(tail)]
+        h = lt.make_hypergraph(3 * j + 1 + 3 * tail, edges, 3)
+        assert lt.linearity_violation(h) == (j - 1, j)
+        assert lt.is_linear(lt.make_hypergraph(h.n, edges[:j] + edges[j + 1:], 3))
 
 
 @given(small_hypergraphs(max_n=5, max_edges=4), small_hypergraphs(max_n=5, max_edges=4))

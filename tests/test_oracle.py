@@ -168,7 +168,9 @@ def test_search_matches_bitmask_exhaustion(data):
     )
     pattern = lt.parse_pattern(f"{expr}@r{r}")
     comps = tuple((c.kind, c.length) for c in pattern.components)
-    hosts = cached_free(n, r, comps, host)
+    # two distinct 2-edges never share two vertices: at r = 2 the linear
+    # and general rows exhaust the same hosts
+    hosts = cached_free(n, r, comps, host if r > 2 else "general")
     best = max(len(h) for h in hosts)
     res = lt.max_edges(n, r, pattern, host)
     assert res.exact
