@@ -260,7 +260,7 @@ def thm47_construction(
     if n > DEFAULT_PRODUCT_CAP:
         raise ProductTooLarge(f"thm47 host would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
     # the unvalidated edge lists die here, before the linearity scan's
-    # pair set, the peak of a large build, is grown
+    # pair dict, the peak of a large build, is grown
     result = make_hypergraph(n, _hub_inserted_edges(r, k, copies, design.graph), r=r)
     if not is_linear(result):
         raise InvariantViolation("hub insertion broke linearity")

@@ -126,34 +126,15 @@ def linearity_violation(h: Hypergraph) -> Optional[tuple[int, int]]:
     """Indices of some edge pair sharing >= 2 vertices, or None if linear.
 
     Scans vertex pairs instead of edge pairs: h is linear iff no unordered
-    vertex pair lies in two edges.  The pairs go into one set a run of
-    edges at a time, each run as long as all before it (8 edges at first),
-    and the scan stops at the first run that repeats a pair, so a host
-    whose first repeat comes early, such as a cone, costs about twice its
-    edges up to that repeat.  Only a host that is not linear is scanned
-    again, in order, to name the two edges: the first edge j holding a
-    pair of an earlier edge, and the first edge i holding that pair.
+    vertex pair lies in two edges.
     """
-    edges = h.edges
-    pairs: set[tuple[int, int]] = set()
-    total = 0
-    start, stop = 0, 8
-    while start < len(edges):
-        run = [p for e in edges[start:stop] for p in itertools.combinations(e, 2)]
-        pairs.update(run)
-        total += len(run)
-        if len(pairs) != total:
-            break
-        start, stop = stop, 2 * stop
-    else:
-        return None
     seen: dict[tuple[int, int], int] = {}
-    for j, e in enumerate(edges):
+    for i, e in enumerate(h.edges):
         for p in itertools.combinations(e, 2):
             if p in seen:
-                return (seen[p], j)
-            seen[p] = j
-    return None  # unreachable: the pair set found a repeat
+                return (seen[p], i)
+            seen[p] = i
+    return None
 
 
 def is_linear(h: Hypergraph) -> bool:
