@@ -22,7 +22,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -39,19 +39,12 @@ from .errors import (
     BadParameters,
     FormatError,
     HostContainsPath,
-    InterruptedSearch,
     InvariantViolation,
     LinturanError,
     NoDesignAvailable,
-    ProductTooLarge,
 )
 from .hgio import read_file, write_file
-from .hypergraph import (
-    DEFAULT_PRODUCT_CAP,
-    cartesian_product,
-    integer_lattice,
-    linearity_violation,
-)
+from .hypergraph import cartesian_product, integer_lattice, linearity_violation
 from .oracle import SearchBudget, ex_table, max_edges, path_cap
 from .patterns import parse_pattern, realize
 from .results import ResultsStore
@@ -64,28 +57,25 @@ EXIT_INTERRUPTED = 3
 ENV_NODE_LIMIT = "LINTURAN_NODE_LIMIT"
 ENV_TIME_LIMIT = "LINTURAN_TIME_LIMIT"
 
-# accepted JSON type of each config key; the caps must be positive, and
-# all but prime_cap (an int parameter of build_design) may also be null
-_CONFIG_TYPES = {
-    "node_limit": int,
-    "time_limit": (int, float),
-    "prime_cap": int,
-    "search_cap": int,
-    "output_dir": str,
-    "format": str,
-}
-_CAPS = ("node_limit", "time_limit", "prime_cap", "search_cap")
-_NULLABLE = ("node_limit", "time_limit", "search_cap")
+
+def _key(default, kind, cap: bool = False):
+    """A config key: its default, its accepted JSON type, and whether it
+    is a cap, which must be positive."""
+    return field(default=default, metadata={"kind": kind, "cap": cap})
 
 
 @dataclass(frozen=True)
 class Config:
-    node_limit: Optional[int] = None
-    time_limit: Optional[float] = None
-    prime_cap: int = DEFAULT_PRIME_CAP
-    search_cap: Optional[int] = None
-    output_dir: str = "."
-    format: str = "text"
+    """The config file's keys, each declared once.  A key whose default
+    is None may also be null; prime_cap, an int parameter of
+    build_design, may not."""
+
+    node_limit: Optional[int] = _key(None, int, cap=True)
+    time_limit: Optional[float] = _key(None, (int, float), cap=True)
+    prime_cap: int = _key(DEFAULT_PRIME_CAP, int, cap=True)
+    search_cap: Optional[int] = _key(None, int, cap=True)
+    output_dir: str = _key(".", str)
+    format: str = _key("text", str)
 
 
 def load_config(path: Optional[str]) -> Config:
@@ -98,43 +88,38 @@ def load_config(path: Optional[str]) -> Config:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(obj) - set(_CONFIG_TYPES))
+    keys = {f.name: f for f in fields(Config)}
+    unknown = sorted(set(obj) - set(keys))
     if unknown:
         raise BadParameters(f"{path}: unknown config keys {unknown}")
     for key, value in obj.items():
-        if value is None and key in _NULLABLE:
+        spec = keys[key]
+        if value is None and spec.default is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+        if isinstance(value, bool) or not isinstance(value, spec.metadata["kind"]):
             raise BadParameters(f"{path}: {key} has the wrong type: {value!r}")
-        if key in _CAPS and value <= 0:
+        if spec.metadata["cap"] and value <= 0:
             raise BadParameters(f"{path}: {key} must be positive")
     if obj.get("format", "text") not in ("text", "structured"):
         raise BadParameters(f"{path}: format must be 'text' or 'structured'")
     return Config(**obj)
 
 
-def _env_number(name: str, kind: type):
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return kind(raw)
-    except ValueError:
-        raise BadParameters(f"{name} must be a number, got {raw!r}") from None
-
-
 def _budget(args, config: Config) -> SearchBudget:
-    node = args.node_limit
-    if node is None:
-        node = _env_number(ENV_NODE_LIMIT, int)
-    if node is None:
-        node = config.node_limit
-    wall = args.time_limit
-    if wall is None:
-        wall = _env_number(ENV_TIME_LIMIT, float)
-    if wall is None:
-        wall = config.time_limit
-    return SearchBudget(node_limit=node, time_limit=wall)
+    """Each limit from its flag, else its environment variable (read only
+    when the flag is absent), else the config."""
+    limits = {}
+    for name, env, kind in (("node_limit", ENV_NODE_LIMIT, int),
+                            ("time_limit", ENV_TIME_LIMIT, float)):
+        value = getattr(args, name)
+        raw = os.environ.get(env) if value is None else None
+        if raw:
+            try:
+                value = kind(raw)
+            except ValueError:
+                raise BadParameters(f"{env} must be a number, got {raw!r}") from None
+        limits[name] = getattr(config, name) if value is None else value
+    return SearchBudget(**limits)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,14 +190,7 @@ def _cmd_build(args, config: Config) -> int:
     kind = args.what
     if kind in ("path", "star", "cycle", "forest"):
         expr = args.pattern if kind == "forest" else f"{_LETTER[kind]}{args.ell}"
-        pattern = parse_pattern(expr, args.r)
-        # realize allocates about half a KiB per edge, so cap it like a product
-        if pattern.num_vertices > DEFAULT_PRODUCT_CAP:
-            raise ProductTooLarge(
-                f"pattern would have {pattern.num_vertices} vertices "
-                f"(cap {DEFAULT_PRODUCT_CAP})"
-            )
-        graph = realize(pattern)
+        graph = realize(parse_pattern(expr, args.r))
     elif kind == "lattice":
         graph = integer_lattice(args.base, args.dim)
     elif kind == "product":
@@ -306,25 +284,17 @@ def _cmd_turan(args, config: Config) -> int:
     budget = _budget(args, config)
     store = _open_store(args.results) if args.results else None
     result = ex_table([(args.n, args.r, pattern)], host, budget, store)[0]
-    structured = _structured(args, config)
-    if structured:
-        print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "r": args.r,
-                    "pattern": str(pattern) if pattern else None,
-                    "host": host,
-                    "value": result.value,
-                    "status": result.status,
-                    # every search counter; elapsed is a time, not a count
-                    **{k: v for k, v in asdict(result.stats).items() if k != "elapsed"},
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(result.value)
+    obj = {
+        "n": args.n,
+        "r": args.r,
+        "pattern": str(pattern) if pattern else None,
+        "host": host,
+        "value": result.value,
+        "status": result.status,
+        # every search counter; elapsed is a time, not a count
+        **{k: v for k, v in asdict(result.stats).items() if k != "elapsed"},
+    }
+    _emit(obj, str(result.value), _structured(args, config))
     if args.witness_out:
         write_file(result.witness, args.witness_out, fmt=args.graph_format)
     if not result.exact:
@@ -401,14 +371,10 @@ def _bound_reports(args) -> list:
 def _cmd_bound(args, config: Config) -> int:
     reports = _bound_reports(args)
     try:  # str() refuses ints past the interpreter's digit limit
-        if _structured(args, config):
-            lines = [json.dumps([rep.to_obj() for rep in reports], sort_keys=True)]
-        else:
-            lines = [str(rep) for rep in reports]
+        _emit([rep.to_obj() for rep in reports], "\n".join(str(rep) for rep in reports),
+              _structured(args, config))
     except ValueError:
         raise BadParameters("a report value is too long to print") from None
-    for line in lines:
-        print(line)
     return EXIT_OK
 
 
@@ -429,35 +395,23 @@ def _cmd_verify_section2(args, config: Config) -> int:
             obj["witness"] = exc.witness.to_obj()
         _emit(obj, f"host contains the forbidden path: {exc}", structured)
         return EXIT_FAIL
-    if structured:
-        print(
-            json.dumps(
-                {
-                    "status": sweep.status,
-                    "embeddings_checked": sweep.embeddings_checked,
-                    "failures": [
-                        {
-                            "embedding": rep.emb.to_obj(),
-                            "outcomes": [
-                                {"name": o.name, "detail": o.detail}
-                                for o in rep.failures
-                            ],
-                        }
-                        for rep in sweep.failures
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(
-            f"{sweep.status}: {sweep.embeddings_checked} embeddings checked, "
-            f"{len(sweep.failures)} failures"
-        )
-        for rep in sweep.failures:
-            for outcome in rep.failures:
-                print(f"  {outcome.name}: {outcome.detail}")
-            print(f"    embedding: {json.dumps(rep.emb.to_obj())}")
+    obj = {
+        "status": sweep.status,
+        "embeddings_checked": sweep.embeddings_checked,
+        "failures": [
+            {
+                "embedding": rep.emb.to_obj(),
+                "outcomes": [{"name": o.name, "detail": o.detail} for o in rep.failures],
+            }
+            for rep in sweep.failures
+        ],
+    }
+    lines = [f"{sweep.status}: {sweep.embeddings_checked} embeddings checked, "
+             f"{len(sweep.failures)} failures"]
+    for rep in sweep.failures:
+        lines.extend(f"  {outcome.name}: {outcome.detail}" for outcome in rep.failures)
+        lines.append(f"    embedding: {json.dumps(rep.emb.to_obj())}")
+    _emit(obj, "\n".join(lines), structured)
     # "not-applicable" is not a failed property, just an out-of-range ell/r
     return EXIT_FAIL if sweep.status == "fail" else EXIT_OK
 
@@ -550,7 +504,6 @@ def _cmd_verify_suite(args, config: Config) -> int:
 
 def _cmd_report(args, config: Config) -> int:
     store = _open_store(args.results)
-    structured = _structured(args, config)
     rows = []
     for rec in store.entries():
         if rec.status != "exact":
@@ -570,17 +523,14 @@ def _cmd_report(args, config: Config) -> int:
                 "bound": "-" if cap is None else str(cap.value),
             }
         )
-    if structured:
-        print(json.dumps(rows, sort_keys=True))
-        return EXIT_OK
     header = f"{'n':>4} {'r':>3}  {'pattern':<14} {'host':<8} {'value':>6}  {'cap':>8}"
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        print(
-            f"{row['n']:>4} {row['r']:>3}  {row['pattern']:<14} "
-            f"{row['host']:<8} {row['value']:>6}  {row['bound']:>8}"
-        )
+    lines = [header, "-" * len(header)]
+    lines.extend(
+        f"{row['n']:>4} {row['r']:>3}  {row['pattern']:<14} "
+        f"{row['host']:<8} {row['value']:>6}  {row['bound']:>8}"
+        for row in rows
+    )
+    _emit(rows, "\n".join(lines), _structured(args, config))
     return EXIT_OK
 
 
@@ -717,9 +667,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
         config = load_config(getattr(args, "config", None))
         return args.func(args, config)
-    except InterruptedSearch as exc:
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return EXIT_INTERRUPTED
     except (BadParameters, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

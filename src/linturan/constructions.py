@@ -218,8 +218,11 @@ def _structural_forest_premises(
 def _hub_inserted_edges(r: int, k: int, copies: int, design: Hypergraph) -> list[tuple[int, ...]]:
     """The hub design's edges on vertices 0..k-1, then ``copies`` shifted
     copies of design x lattice with hub i added to each thin edge along
-    axis i; unvalidated."""
+    axis i; unvalidated.  With no copies the hub design is all there is,
+    and the lattice and product are not built."""
     edges = list(_hub_core(k, r).edges)
+    if copies == 0:
+        return edges
     block_n, product = product_edges(design, integer_lattice(r - 1, k))
     # The thin edges are the lattice's, of order r-1.  One along axis i is
     # {a} x {base + t*w : t < r-1} with w = (r-1)^(k-1-i), the axis weight,

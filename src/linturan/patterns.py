@@ -17,7 +17,9 @@ longer first) so equal unions compare equal.  A pattern owns its minimum
 hypergraph on consecutive integers (realization, also returned by
 realize()) and the numbering of that hypergraph's edges (edge_slots);
 each, and the component blocks both are read from, is built at most
-once per pattern object, and the detector only reads them.
+once per pattern object, and the detector only reads them.  A pattern
+of more than DEFAULT_PRODUCT_CAP vertices has neither: asking for one
+raises ProductTooLarge.
 
 Pattern text grammar (parse_pattern / pattern_expr):
 
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import BadParameters
-from .hypergraph import Hypergraph, make_hypergraph
+from .errors import BadParameters, ProductTooLarge
+from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, make_hypergraph
 
 __all__ = [
     "PatternComponent",
@@ -118,7 +120,13 @@ class ForbiddenPattern:
     def _blocks(self) -> list[list[tuple[int, ...]]]:
         """Construction edges of each component, shifted onto its own
         block of consecutive vertices; realization and edge_slots share
-        them."""
+        them.  A realization allocates about half a KiB per edge, so one
+        past DEFAULT_PRODUCT_CAP vertices is refused, like a product,
+        before anything is built."""
+        if self.num_vertices > DEFAULT_PRODUCT_CAP:
+            raise ProductTooLarge(
+                f"pattern would have {self.num_vertices} vertices (cap {DEFAULT_PRODUCT_CAP})"
+            )
         blocks, offset = [], 0
         for comp in self.components:
             blocks.append([tuple(v + offset for v in e) for e in construction_edges(comp, self.r)])

@@ -222,3 +222,60 @@ def test_report_rendering():
     assert obj["value"] == "600"
     assert obj["value_float"] == 600.0
     assert obj["params"] == {"r": 3, "ell": 4, "n": 100}
+
+
+# one call per parameter check (bound, its arguments), with the full
+# message it must give
+_REJECTED = [
+    (lt.linear_path_upper, (1, 4, 10), "edge order must be at least 2, got 1"),
+    (lt.linear_path_upper, (3, 4, -1), "host size must be nonnegative, got -1"),
+    (lt.linear_path_upper, (2, 4, 10), "path bounds need edge order >= 3, got 2"),
+    (lt.linear_path_upper, (3, 1, 10), "path length must be at least 2, got 1"),
+    (lt.star_forest_upper, (3, 0, 1, 10), "need ell, k >= 1, got ell=0, k=1"),
+    (lt.star_forest_upper, (3, 1, 0, 10), "need ell, k >= 1, got ell=1, k=0"),
+    (lt.path_star_forest_upper, (3, 3, (3,), 10),
+     "need edge order >= 3 and path length >= 4, got r=3, ell0=3"),
+    (lt.path_star_forest_upper, (3, 4, (4, 0), 10),
+     "star lengths must be positive, got (4, 0)"),
+    (lt.path_star_forest_upper, (3, 4, [3, 4], 10),
+     "star lengths must be nonincreasing, got (3, 4)"),
+    (lt.packing_lower, (3, 3, 10), "need r >= 3 and ell >= 4, got r=3, ell=3"),
+    (lt.removal_upper, (3, 4, -1, 10), "need r >= 3, ell >= 4, k >= 0, got r=3, ell=4, k=-1"),
+    (lt.removal_upper, (3, 4, 11, 10), "host size 10 smaller than removed set 11"),
+    (lt.inserted_product_lower, (3, 4, 0, 10),
+     "need r >= 3, ell >= 4, k >= 1, got r=3, ell=4, k=0"),
+    (lt.inserted_product_lower, (3, 4, 11, 10), "host size 10 smaller than hub set 11"),
+    (lt.path_turan_exact, (2, 4, 10), "need r >= 3 and ell >= 4, got r=2, ell=4"),
+    (lt.disjoint_paths_turan, (3, 4, 1, 10),
+     "need r >= 3, ell >= 1, k >= 2, got r=3, ell=4, k=1"),
+    (lt.star_turan_upper, (3, 1, 10), "need r >= 3 and ell >= 2, got r=3, ell=1"),
+    (lt.star_turan_upper, (3, 4, 10, F(-1, 2)), "constant factor must be positive, got -1/2"),
+    (lt.path_star_turan, (3, 4, -1, 10),
+     "need r >= 3, ell >= 4, k >= 0, got r=3, ell=4, k=-1"),
+    (lt.path_star_turan, (3, 4, 11, 10), "host size 10 smaller than star count 11"),
+    (lt.forest_turan, (3, 4, 1, 0, 10),
+     "need r >= 3, ell >= 4, k1 >= 2, k2 >= 0, got r=3, ell=4, k1=1, k2=0"),
+    (lt.forest_turan, (3, 4, 2, 9, 10), "host size 10 too small for 11 components"),
+    (lt.turan_formulas, (2, 4, 10), "these formulas need edge order >= 3, got 2"),
+    (lt.turan_formulas, (3, 4, 10, (1, 2, 3)),
+     "component counts must be a pair, got (1, 2, 3)"),
+    (lt.turan_formulas, (3, 1, 10), "no formula applies at r=3, ell=1, k=None"),
+]
+
+
+@pytest.mark.parametrize(
+    "bound,args,message", _REJECTED,
+    ids=[f"{bound.__name__}-{i}" for i, (bound, _, _) in enumerate(_REJECTED)],
+)
+def test_rejected_parameters_are_named(bound, args, message):
+    with pytest.raises(BadParameters) as info:
+        bound(*args)
+    assert str(info.value) == message
+
+
+def test_fraction_and_tuple_params_render_as_json():
+    rep = lt.star_turan_upper(3, 4, 10, c=F(1, 2))
+    assert rep.to_obj()["params"]["c"] == "1/2"
+    assert rep.to_obj()["value"] == "60"
+    rep = lt.path_star_forest_upper(3, 4, (4, 4), 100)
+    assert rep.to_obj()["params"]["lengths"] == [4, 4]

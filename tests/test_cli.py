@@ -187,6 +187,24 @@ class TestBuild:
         assert "56 edges" in text
 
 
+    def test_output_dir_applies_to_a_relative_out(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"output_dir": str(tmp_path / "sub")}))
+        (tmp_path / "sub").mkdir()
+        code, text, _ = run(capsys, "build", "path", "--ell", "3", "--r", "3",
+                            "--out", "p.txt", "--config", str(cfg))
+        assert (code, text) == (EXIT_OK, "")
+        assert lt.read_file(str(tmp_path / "sub" / "p.txt")) == lt.realize(lt.linear_path(3, 3))
+
+    def test_thm47_out_writes_the_reports_host(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, text, _ = run(capsys, "build", "thm47", "--r", "3", "--ell", "4", "--k", "3",
+                            "--copies", "1", "--out", "h.txt")
+        report = lt.thm47_construction(3, 4, 3, 1)
+        assert (code, text) == (EXIT_OK, str(report) + "\n")
+        assert lt.read_file(str(tmp_path / "h.txt")) == report.result
+
+
 class TestCheck:
     def test_linear_and_design_pass(self, capsys, fano_file):
         assert run(capsys, "check", "linear", "--in", fano_file)[0] == EXIT_OK
@@ -226,6 +244,13 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert err == "error: line 3: edge (2, 1, 3) is not strictly ascending\n"
 
+
+    def test_design_failure(self, capsys, tmp_path, fano):
+        six = tmp_path / "six.txt"
+        lt.write_file(lt.make_hypergraph(7, fano.edges[:6], 3), str(six))
+        assert run(capsys, "check", "design", "--in", str(six)) == (
+            EXIT_FAIL, "not a design\n", ""
+        )
 
 class TestTuran:
     def test_prints_value(self, capsys):
@@ -575,6 +600,16 @@ class TestVerify:
         assert all(l.startswith("PASS") for l in lines)
 
 
+    def test_suite_reports_a_check_that_raises(self, capsys, monkeypatch):
+        def broken():
+            raise lt.BadParameters("no such row")
+
+        monkeypatch.setattr(cli, "_suite_checks",
+                            lambda: iter([("fine", lambda: True), ("boom", broken)]))
+        assert run(capsys, "verify", "suite") == (
+            EXIT_FAIL, "PASS  fine\nFAIL  boom (no such row)\n", ""
+        )
+
 class TestReport:
     def test_table_includes_path_cap(self, capsys, tmp_path):
         rfile = tmp_path / "r.jsonl"
@@ -630,6 +665,16 @@ class TestReport:
         assert code == EXIT_USAGE
         assert f"{rfile}:2:" in err
 
+
+    def test_unparsable_stored_pattern_has_no_cap(self, capsys, tmp_path):
+        rfile = tmp_path / "r.jsonl"
+        rec = {"n": 6, "r": 3, "pattern": "P0@r3", "host": "linear", "value": 0,
+               "status": "exact", "witness": {"n": 6, "r": 3, "edges": []},
+               "nodes": 1, "elapsed": 0.0}
+        rfile.write_text(json.dumps(rec) + "\n")
+        code, text, _ = run(capsys, "report", "--results", str(rfile))
+        assert code == EXIT_OK
+        assert text.splitlines()[2].split() == ["6", "3", "P0@r3", "linear", "0", "-"]
 
 class TestConfigAndUsage:
     def test_unknown_subcommand(self, capsys):
@@ -703,6 +748,28 @@ class TestConfigAndUsage:
             "--linear", "--node-limit", "5",
         )
         assert code == EXIT_INTERRUPTED
+
+    def test_flag_skips_a_malformed_env_budget(self, capsys, monkeypatch):
+        # the environment is read only when the flag is absent
+        monkeypatch.setenv(cli.ENV_NODE_LIMIT, "abc")
+        assert run(
+            capsys, "turan", "--n", "6", "--r", "3", "--pattern", "P2@r3",
+            "--linear", "--node-limit", "50",
+        ) == (EXIT_OK, "2\n", "")
+
+    def test_config_format_must_be_text_or_structured(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"format": "json"}')
+        code, text, err = run(capsys, "check", "linear", "--in", "x.txt", "--config", str(cfg))
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err == f"error: {cfg}: format must be 'text' or 'structured'\n"
+
+    def test_config_format_structured_applies(self, capsys, tmp_path, fano_file):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"format": "structured"}')
+        assert run(capsys, "check", "linear", "--in", fano_file, "--config", str(cfg)) == (
+            EXIT_OK, '{"linear": true}\n', ""
+        )
 
     @pytest.mark.parametrize("argv", [
         ("turan", "--n", "6", "--r", "3", "--pattern", "P2@r3", "--linear", "--seed", "42"),

@@ -117,6 +117,24 @@ class TestInsertedProduct:
         assert (rep.result.n, rep.actual) == (3, 1)
         assert rep.nominal == F(1)
 
+    def test_zero_copies_builds_no_lattice(self, monkeypatch):
+        # the host is the 15-point hub design alone; the product a copy
+        # would need has 229 376 vertices, past the cap
+        def refuse(*args):
+            raise AssertionError("lattice built for zero copies")
+
+        monkeypatch.setattr(lt.constructions, "integer_lattice", refuse)
+        rep = lt.thm47_construction(3, 4, 15, 0)
+        assert str(rep).splitlines()[0].startswith("thm47: 15 vertices, 35 edges")
+        assert [c.method for c in rep.certificates] == ["structural", "detect"]
+
+    def test_parameter_check_names_the_values(self):
+        with pytest.raises(BadParameters) as info:
+            lt.thm47_construction(3, 4, 3, -1)
+        assert str(info.value) == (
+            "need r >= 3, ell >= 4, k >= 1, copies >= 0, got r=3, ell=4, k=3, copies=-1"
+        )
+
     def test_hub_needs_a_design(self):
         with pytest.raises(NoDesignAvailable):
             lt.thm47_construction(3, 4, 2, 1)
@@ -268,6 +286,14 @@ class TestCone:
             lt.cone_construction(7, 3, 1, fano)  # kernel must have n-k vertices
         with pytest.raises(BadParameters):
             lt.cone_construction(9, 4, 2, fano)  # kernel order must match r
+
+    def test_size_rejections_name_the_values(self):
+        with pytest.raises(BadParameters) as info:
+            lt.cone_construction(3, 4, 1, lt.make_hypergraph(2, [], r=4))
+        assert str(info.value) == "no edges of order 4 fit on 3 vertices"
+        with pytest.raises(BadParameters) as info:
+            lt.cone_construction(300, 3, 1, lt.make_hypergraph(299, [], r=3))
+        assert str(info.value) == "C(300,3) exceeds the enumeration cap 2000000"
 
 
 def test_report_rendering():

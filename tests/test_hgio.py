@@ -256,3 +256,10 @@ def test_vertex_count_cap(fmt):
     for n in (cap + 1, 10**9):
         with pytest.raises(FormatError, match="exceeds the cap"):
             load(blob(n))
+
+
+def test_unknown_write_format_is_named(tmp_path):
+    with pytest.raises(FormatError) as info:
+        lt.write_file(lt.make_hypergraph(3, [(0, 1, 2)]), str(tmp_path / "h.xml"), fmt="xml")
+    assert str(info.value) == "unknown format 'xml'"
+    assert not (tmp_path / "h.xml").exists()

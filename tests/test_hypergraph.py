@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import linturan as lt
-import naive_constructions
 from linturan.errors import (
     DuplicateEdge,
     NonUniformEdge,
@@ -53,6 +52,20 @@ def test_linearity_violation_names_an_edge_pair():
     # indices of two edges sharing >= 2 vertices
     assert lt.linearity_violation(h) == (0, 1)
     assert lt.linearity_violation(lt.make_hypergraph(4, [(0, 1, 2)])) is None
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: lt.integer_lattice(1, 2), lt.BadParameters,
+     "lattice needs r >= 2 and d >= 1, got r=1, d=2"),
+    (lambda: lt.disjoint_union([]), lt.BadParameters,
+     "disjoint_union needs at least one hypergraph"),
+    (lambda: lt.remove_vertices(lt.make_hypergraph(5, [(0, 1, 2)]), [1, 5]),
+     OutOfRangeVertex, "vertex 5 not in range(0, 5)"),
+], ids=["lattice", "union", "remove"])
+def test_rejected_arguments_are_named(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_connected_components_isolated_vertices():
@@ -166,10 +179,22 @@ def scan_hosts(draw):
     return h, False
 
 
+def edge_pair_scan(h):
+    """(i, j) for the first edge j, and the first pair of j in combinations
+    order, that an earlier edge holds, i the least such edge; None when h
+    is linear.  Quadratic in the edges: for small hosts only."""
+    for j, e in enumerate(h.edges):
+        for pair in combinations(e, 2):
+            for i in range(j):
+                if set(pair) <= set(h.edges[i]):
+                    return (i, j)
+    return None
+
+
 @given(scan_hosts())
 def test_linearity_violation_matches_the_ordered_scan(case):
     h, last = case
-    pair = naive_constructions.linearity_violation(h)
+    pair = edge_pair_scan(h)
     assert lt.linearity_violation(h) == pair
     if last:
         assert pair == (h.edge_count - 2, h.edge_count - 1)

@@ -852,3 +852,12 @@ class TestExTable:
         while root.__cause__ is not None:
             root = root.__cause__
         assert isinstance(root, cause)
+
+
+def test_rejected_search_arguments_are_named():
+    with pytest.raises(BadParameters) as info:
+        next(lt.iter_free(6, 3, lt.linear_path(2, 3), edge_count=-1))
+    assert str(info.value) == "edge count must be nonnegative, got -1"
+    with pytest.raises(BadParameters) as info:
+        lt.max_edges(3, 1, None)
+    assert str(info.value) == "edge order must be at least 2, got 1"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import linturan as lt
-from linturan.errors import BadParameters
+from linturan.errors import BadParameters, ProductTooLarge
 
 
 def test_path_star_cycle_vertex_counts():
@@ -82,6 +82,25 @@ def test_copies_multiplies_components():
 def test_parse_rejections(text):
     with pytest.raises(BadParameters):
         lt.parse_pattern(text)
+
+
+def test_realization_past_the_size_cap_is_refused():
+    pattern = lt.parse_pattern("P150000@r3")
+    message = r"^pattern would have 300001 vertices \(cap 200000\)$"
+    for build in (lt.realize, lambda p: p.realization, lambda p: p.edge_slots):
+        with pytest.raises(ProductTooLarge, match=message):
+            build(pattern)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: lt.copies(0, lt.linear_path(2, 3)), "copy count must be >= 1, got 0"),
+    (lambda: lt.PatternComponent("x", 1), "unknown component kind 'x'"),
+    (lambda: lt.ForbiddenPattern(3, ()), "a pattern needs at least one component"),
+], ids=["copies", "kind", "empty"])
+def test_rejected_arguments_are_named(call, message):
+    with pytest.raises(BadParameters) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_copy_cap_is_reachable():
