@@ -38,7 +38,8 @@ from .patterns import (
     linear_path,
 )
 
-# enumeration guard for cone hosts: C(n, r) capped here
+# the most edges a built host lists: C(n, r) for a cone host, and the
+# copies times the design's blocks for a thm45 host
 CONE_ENUMERATION_CAP = 2_000_000
 
 FALLBACK_NOTE = "fallback block count"
@@ -142,7 +143,9 @@ def thm45_construction(r: int, ell: int, n: int, certify: bool = True) -> Constr
     points plus isolated padding.  Freeness is structural (every component
     has m <= ell*(r-1) vertices, one fewer than the path needs) and
     rechecked by search when ``certify`` is set.  Raises ProductTooLarge
-    when n exceeds DEFAULT_PRODUCT_CAP.
+    when n exceeds DEFAULT_PRODUCT_CAP, or when the copies would hold more
+    than CONE_ENUMERATION_CAP edges; the second is checked after the
+    design is chosen and before any copy is laid out.
     """
     if r < 3 or ell < 4:
         raise BadParameters(f"need r >= 3 and ell >= 4, got r={r}, ell={ell}")
@@ -153,6 +156,9 @@ def thm45_construction(r: int, ell: int, n: int, certify: bool = True) -> Constr
     design = fallback_block_count(r, ell, limit=n)
     m = design.n
     copies = n // m
+    size = copies * len(design.graph.edges)
+    if size > CONE_ENUMERATION_CAP:
+        raise ProductTooLarge(f"thm45 host would have {size} edges (cap {CONE_ENUMERATION_CAP})")
     edges = []
     for c in range(copies):
         off = c * m

@@ -46,14 +46,13 @@ __all__ = [
     "build_design",
     "require_design",
     "DEFAULT_PRIME_CAP",
-    "default_search_cap",
+    "DEFAULT_SEARCH_CAP",
 ]
 
 DEFAULT_PRIME_CAP = 7
-
-
-def default_search_cap(r: int) -> int:
-    return 15 if r == 3 else 13
+# the largest n the exact-cover search tries; r = 3 never reaches it, every
+# admissible n being 1 or 3 mod 6 and built by skolem or bose
+DEFAULT_SEARCH_CAP = 13
 
 
 def _check_params(n: int, r: int) -> None:
@@ -247,7 +246,7 @@ def build_design(
     if blocks > DEFAULT_PRODUCT_CAP:
         raise ProductTooLarge(f"design would have {blocks} blocks (cap {DEFAULT_PRODUCT_CAP})")
     if search_cap is None:
-        search_cap = default_search_cap(r)
+        search_cap = DEFAULT_SEARCH_CAP
 
     # r = 3 takes bose or skolem (every admissible n is 1 or 3 mod 6);
     # otherwise at most one of the rest applies, the projective order

@@ -7,15 +7,15 @@ Text: first non-comment line is a header ``n <count> r <order|mixed>``,
 then one edge per line as strictly ascending vertices separated by any
 whitespace.  Lines that are blank or start with ``#`` are skipped.
 
-``load_text`` reads the body in bulk: it splits every line, converts all
-vertex tokens with one ``map(int, ...)`` and, when every row has the
-header's order r, checks the ascent column by column and zips the
-columns into edges; a mixed host or a ragged row is checked and sliced
-row by row.  ``make_hypergraph`` then validates the edges, so its faults
-(range, duplicates, order) are reported as ``invalid hypergraph: ...``.
-When a bulk step fails, a fault scan re-reads the body line by line and
-raises the first faulty line's error with its line number (blank and
-comment lines count); it runs only on malformed text and returns no host.
+``load_text`` reads a uniform body in bulk: when every row has the
+header's order r, it converts all vertex tokens with one ``map(int,
+...)``, checks the ascent column by column and zips the columns into
+edges.  Every other body (a mixed host, a ragged row, or one the bulk
+step refuses) goes through the one line-by-line reader, which returns the
+edges or raises the first faulty line's error with its line number (blank
+and comment lines count).  ``make_hypergraph`` then validates the edges,
+so its faults (range, duplicates, order) are reported as ``invalid
+hypergraph: ...``.
 
 JSON: an object with keys ``n`` (int), ``r`` (int or null for mixed) and
 ``edges`` (list of ascending int lists); other keys are ignored.  The
@@ -32,9 +32,9 @@ from __future__ import annotations
 import json
 from itertools import chain
 from operator import ge
-from typing import Any, NoReturn, Optional, TextIO, Union
+from typing import Any, Optional, TextIO, Union
 
-from .errors import FormatError, InvariantViolation, LinturanError
+from .errors import FormatError, LinturanError
 from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, make_hypergraph
 
 __all__ = [
@@ -86,52 +86,52 @@ def _header(lines: list[str]) -> tuple[int, int, Optional[int]]:
     raise FormatError("missing header line 'n <count> r <order|mixed>'")
 
 
-def _edges(rows: list[list[str]], r: Optional[int]) -> list[tuple[int, ...]]:
-    """The edges of the body rows' tokens; ValueError on a token int()
-    refuses or an edge that is not strictly ascending."""
-    flat = list(map(int, chain.from_iterable(rows)))
-    if r is not None and set(map(len, rows)) == {r}:
-        columns = [flat[j::r] for j in range(r)]
-        if any(any(map(ge, a, b)) for a, b in zip(columns, columns[1:])):
-            raise ValueError("an edge is not strictly ascending")
-        return list(zip(*columns))
+def _uniform_edges(rows: list[list[str]], r: int) -> Optional[list[tuple[int, ...]]]:
+    """The edges of body rows that each hold r tokens, read in bulk; None
+    when a row has another length, a token int() refuses or an edge is
+    not strictly ascending."""
+    if set(map(len, rows)) != {r}:
+        return None
+    try:
+        flat = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        return None
+    columns = [flat[j::r] for j in range(r)]
+    if any(any(map(ge, a, b)) for a, b in zip(columns, columns[1:])):
+        return None
+    return list(zip(*columns))
+
+
+def _line_edges(lines: list[str], start: int) -> list[tuple[int, ...]]:
+    """The edges of the body lines from index start, one line at a time;
+    FormatError for the first line that holds a non-integer vertex or is
+    not strictly ascending."""
     edges = []
-    start = 0
-    for k in map(len, rows):
-        edge = tuple(flat[start:start + k])
-        start += k
-        if any(map(ge, edge, edge[1:])):
-            raise ValueError("an edge is not strictly ascending")
-        edges.append(edge)
-    return edges
-
-
-def _raise_first_fault(lines: list[str], start: int) -> NoReturn:
-    """Raise the FormatError of the first body line, from index start, that
-    holds a non-integer vertex or is not strictly ascending."""
     for lineno, raw in enumerate(lines[start:], start=start + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
         try:
-            edge = tuple(int(tok) for tok in line.split())
+            edge = tuple(map(int, parts))
         except ValueError:
-            raise FormatError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        if any(edge[i] >= edge[i + 1] for i in range(len(edge) - 1)):
+            raise FormatError(f"line {lineno}: non-integer vertex in {raw.strip()!r}") from None
+        if any(map(ge, edge, edge[1:])):
             raise FormatError(f"line {lineno}: edge {edge} is not strictly ascending")
-    raise InvariantViolation("the bulk parse failed on a text with no faulty line")
+        edges.append(edge)
+    return edges
 
 
 def load_text(text: str) -> Hypergraph:
     lines = text.splitlines()
     head, n, r = _header(lines)
-    rows = list(filter(None, map(str.split, lines[head + 1:])))
-    if "#" in text:  # comment rows are rare: look for them only then
-        rows = [parts for parts in rows if parts[0][0] != "#"]
-    try:
-        edges = _edges(rows, r)
-    except ValueError:
-        _raise_first_fault(lines, head + 1)
+    edges = None
+    if r is not None:
+        rows = list(filter(None, map(str.split, lines[head + 1:])))
+        if "#" in text:  # comment rows are rare: look for them only then
+            rows = [parts for parts in rows if parts[0][0] != "#"]
+        edges = _uniform_edges(rows, r)
+    if edges is None:
+        edges = _line_edges(lines, head + 1)
     try:
         return make_hypergraph(n, edges, r)
     except Exception as exc:

@@ -2,9 +2,10 @@
 
 One JSON object per line, append-only.  A record is keyed by
 (n, r, pattern, host); re-running a computation appends a fresh line
-rather than rewriting history, and lookups resolve the duplicates: an
-exact record always beats an interrupted one, later records beat earlier
-ones of the same status.
+rather than rewriting history.  The store resolves the duplicates as it
+reads and adds records, so a lookup finds one record per key: an exact
+record always beats an interrupted one, later records beat earlier ones
+of the same status.
 """
 
 from __future__ import annotations
@@ -121,11 +122,16 @@ class ResultsStore:
     add saw another writer's line half written and started a fresh line.
     Any other invalid line rejects the whole file with a FormatError
     naming it.
+
+    The store keeps only the resolved record of each key, folded in as
+    each record is read or added, and the number of records it has read
+    and added, which is its len().
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._records: list[ResultRecord] = []
+        self._best: dict[tuple, ResultRecord] = {}
+        self._count = 0  # records read and added
         self.torn: Optional[int] = None  # line number of a dropped torn line
         # the torn line's byte offset and bytes, until the next add
         self._torn_tail: Optional[tuple[int, bytes]] = None
@@ -146,12 +152,21 @@ class ResultsStore:
                     continue
                 raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                self._records.append(ResultRecord.from_obj(obj))
+                rec = ResultRecord.from_obj(obj)
             except FormatError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            self._fold(rec)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
+
+    def _fold(self, rec: ResultRecord) -> None:
+        """Count rec and resolve its key against the record held so far:
+        exact beats interrupted, then the later line wins."""
+        self._count += 1
+        held = self._best.get(rec.key)
+        if held is None or rec.status == "exact" or held.status != "exact":
+            self._best[rec.key] = rec
 
     def add(self, record: ResultRecord) -> None:
         line = json.dumps(record.to_obj(), sort_keys=True) + "\n"
@@ -168,26 +183,15 @@ class ResultsStore:
                 if fh.read(1) != b"\n":  # a last record without its newline
                     line = "\n" + line
             fh.write(line.encode("utf-8"))
-        self._records.append(record)
+        self._fold(record)
 
     def best(
         self, n: int, r: int, pattern: Optional[str], host: str
     ) -> Optional[ResultRecord]:
-        """Resolve duplicates for one key: exact beats interrupted, then
-        the latest line wins."""
-        key = (n, r, pattern, host)
-        found: Optional[ResultRecord] = None
-        for rec in self._records:
-            if rec.key != key:
-                continue
-            if found is None or rec.status == "exact" or found.status != "exact":
-                found = rec
-        return found
+        """The resolved record of one key, or None when none is on file."""
+        return self._best.get((n, r, pattern, host))
 
     def entries(self) -> Iterator[ResultRecord]:
         """The resolved record for every key, in sorted key order."""
-        keys = sorted({rec.key for rec in self._records}, key=lambda k: (k[0], k[1], str(k[2]), k[3]))
-        for n, r, pattern, host in keys:
-            rec = self.best(n, r, pattern, host)
-            if rec is not None:
-                yield rec
+        for key in sorted(self._best, key=lambda k: (k[0], k[1], str(k[2]), k[3])):
+            yield self._best[key]

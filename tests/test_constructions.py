@@ -91,6 +91,18 @@ class TestDesignCopies:
         with pytest.raises(NoDesignAvailable):
             lt.thm45_construction(3, 4, 2)
 
+    def test_edge_cap_is_checked_before_the_copies(self, monkeypatch):
+        # 1 005 copies of a 199-point design of 6 567 blocks: every vertex
+        # cap passes, and the host is refused before any copy is laid out
+        def refuse(*args, **kwargs):
+            raise AssertionError("thm45 host built before the edge cap check")
+
+        monkeypatch.setattr(lt.constructions, "make_hypergraph", refuse)
+        with pytest.raises(
+            ProductTooLarge, match=r"^thm45 host would have 6599835 edges \(cap 2000000\)$"
+        ):
+            lt.thm45_construction(3, 100, 200000)
+
 
 class TestInsertedProduct:
     def test_desk_instance(self):

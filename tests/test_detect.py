@@ -415,8 +415,10 @@ ANCHORED = [("path", 1), ("path", 2), ("path", 3), ("path", 4), ("path", 5), ("s
             ("star", 3), ("cycle", 3), ("cycle", 4), ("cycle", 5)]
 
 # unions that fit random_host's at most 9 vertices at r = 2, and most at
-# r = 3; P1+S3 places a star of three edges as the rest
-ANCHORED_UNIONS = ["2*P1", "P1+S2", "2*P2", "P2+S2", "P1+C3", "P1+S3"]
+# r = 3; P1+S3 places a star of three edges as the rest, and the last two
+# leave a rest of two components, whose pigeonhole prune runs with the
+# anchored component's vertices banned
+ANCHORED_UNIONS = ["2*P1", "P1+S2", "2*P2", "P2+S2", "P1+C3", "P1+S3", "3*P1", "2*P1+S2"]
 
 
 def _edge_state(host, rng=None):

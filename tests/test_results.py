@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -213,6 +214,53 @@ def test_entries_resolve_per_key_in_order(tmp_path):
     resolved = list(store.entries())
     assert [e.n for e in resolved] == [6, 7]
     assert resolved[0].status == "exact"
+
+
+def _folded(history):
+    """best, entries and len of the records in history, by a fold over
+    all of them: exact beats interrupted, then the later record wins."""
+    best = {}
+    for rec in history:
+        held = best.get(rec.key)
+        if held is None or not (held.status == "exact" and rec.status != "exact"):
+            best[rec.key] = rec
+    order = sorted(best, key=lambda k: (k[0], k[1], str(k[2]), k[3]))
+    return best, [best[k] for k in order], len(history)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_store_matches_a_fold_over_every_record(tmp_path, seed):
+    # random adds over few keys, both statuses, reloads, and torn final
+    # lines that a reload drops and the next add cuts off
+    rng = random.Random(seed)
+    path = tmp_path / "s.jsonl"
+    keys = [(n, pattern, host) for n in (3, 4, 5) for pattern in ("P2@r3", None)
+            for host in ("linear", "general")]
+    history = []
+    store = lt.ResultsStore(path)
+    for step in range(60):
+        op = rng.random()
+        if op < 0.7:
+            n, pattern, host = rng.choice(keys)
+            status = rng.choice(("exact", "interrupted"))
+            rec = dataclasses.replace(record(value=rng.randrange(3), status=status, n=n,
+                                             pattern=pattern, nodes=step), host=host)
+            store.add(rec)
+            history.append(rec)
+        elif op < 0.85:
+            store = lt.ResultsStore(path)
+        else:
+            line = json.dumps(record(n=9, nodes=step).to_obj())
+            with open(path, "a") as fh:
+                fh.write(line[: rng.randrange(1, len(line))])
+            store = lt.ResultsStore(path)
+            assert store.torn is not None
+        best, entries, count = _folded(history)
+        for n, pattern, host in keys + [(9, "P2@r3", "linear")]:
+            assert store.best(n, 3, pattern, host) == best.get((n, 3, pattern, host))
+        assert list(store.entries()) == entries
+        assert len(store) == count
+    assert list(lt.ResultsStore(path).entries()) == entries
 
 
 @pytest.mark.parametrize(
