@@ -21,10 +21,10 @@ from typing import Optional
 from .bounds import inserted_product_lower, packing_lower
 from .designs import Design, build_design, require_design
 from .detect import contains
-from .errors import BadParameters, InvariantViolation, NoDesignAvailable, ProductTooLarge
+from .errors import BadParameters, InvariantViolation, NoDesignAvailable
 from .hypergraph import (
-    DEFAULT_PRODUCT_CAP,
     Hypergraph,
+    _check_size,
     integer_lattice,
     is_linear,
     make_hypergraph,
@@ -151,14 +151,12 @@ def thm45_construction(r: int, ell: int, n: int, certify: bool = True) -> Constr
         raise BadParameters(f"need r >= 3 and ell >= 4, got r={r}, ell={ell}")
     if n < r:
         raise NoDesignAvailable(f"no design fits on {n} < {r} vertices")
-    if n > DEFAULT_PRODUCT_CAP:
-        raise ProductTooLarge(f"thm45 host would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
+    _check_size("thm45 host", n, "vertices")
     design = fallback_block_count(r, ell, limit=n)
     m = design.n
     copies = n // m
     size = copies * len(design.graph.edges)
-    if size > CONE_ENUMERATION_CAP:
-        raise ProductTooLarge(f"thm45 host would have {size} edges (cap {CONE_ENUMERATION_CAP})")
+    _check_size("thm45 host", size, "edges", CONE_ENUMERATION_CAP)
     edges = []
     for c in range(copies):
         off = c * m
@@ -266,8 +264,7 @@ def thm47_construction(
     design = fallback_block_count(r, ell)
     m = design.n
     n = k + copies * m * (r - 1) ** k
-    if n > DEFAULT_PRODUCT_CAP:
-        raise ProductTooLarge(f"thm47 host would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
+    _check_size("thm47 host", n, "vertices")
     # the unvalidated edge lists die here, before the linearity scan's
     # pair dict, the peak of a large build, is grown
     result = make_hypergraph(n, _hub_inserted_edges(r, k, copies, design.graph), r=r)

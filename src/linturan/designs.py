@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadParameters, InvariantViolation, NoDesignAvailable, ProductTooLarge
-from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, linearity_violation, make_hypergraph
+from .errors import BadParameters, InvariantViolation, NoDesignAvailable
+from .hypergraph import Hypergraph, _check_size, linearity_violation, make_hypergraph
 
 __all__ = [
     "Design",
@@ -243,8 +243,7 @@ def build_design(
     if not is_admissible(n, r):
         return DesignOutcome(None, "inadmissible")
     blocks = block_count(n, r)  # an integer, n and r being admissible
-    if blocks > DEFAULT_PRODUCT_CAP:
-        raise ProductTooLarge(f"design would have {blocks} blocks (cap {DEFAULT_PRODUCT_CAP})")
+    _check_size("design", blocks, "blocks")
     if search_cap is None:
         search_cap = DEFAULT_SEARCH_CAP
 

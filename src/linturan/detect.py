@@ -55,13 +55,13 @@ cut the search:
   occurrence lies inside one connected component of the order-r edges
   that avoid the banned vertices, and a component with fewer vertices
   than the pattern component holds none.  Start edges in such a component
-  are skipped.  The room is exact for no banned vertices and for the
-  k-1 deleted vertices of the second prune.  Under any other banned set
-  the room for no banned vertices is used, an upper bound, since removing
-  vertices only splits components.  The room is built on first use, once
-  the search has walked as many start edges as the pattern component has
-  vertices, so a query answered among them, or a small host, pays no
-  pass over the host.
+  are skipped.  The room is exact for whatever banned set the search
+  avoids: no banned vertices, the k-1 deleted vertices of the second
+  prune, or the vertices of the components already placed.  A search
+  keeps two rooms, the one for no banned vertices and the latest one for
+  another banned set.  A room is built on first use, once the search has
+  walked as many start edges as the pattern component has vertices, so a
+  query answered among them, or a small host, pays no pass over the host.
 
 occurs_through(table, incidence, q, pattern, also=None, edges=None) is
 the yes/no query for callers that keep their own edge state (the search
@@ -445,20 +445,21 @@ class _Search:
                 sizes[e] = size
         return sizes
 
-    def _room(self, banned, exact: bool) -> list[int]:
-        """Component sizes for start edges avoiding banned: exact for
-        banned when exact is set or banned is empty, else the sizes for no
-        banned vertices, an upper bound (removing vertices only splits
-        components)."""
-        if exact and banned:
-            if self._last_room is None or self._last_room[0] != banned:
-                self._last_room = (banned, self._component_sizes(banned))
-            return self._last_room[1]
-        if self._free_room is None:
-            self._free_room = self._component_sizes(self.table.empty)
-        return self._free_room
+    def _room(self, banned) -> list[int]:
+        """Component sizes for start edges avoiding banned, exact for
+        banned.  The room for no banned vertices is kept for the whole
+        search, and the room of the latest nonempty banned set until
+        another is asked for: the pigeonhole prune asks for one blocked
+        set once per remaining component type."""
+        if not banned:
+            if self._free_room is None:
+                self._free_room = self._component_sizes(banned)
+            return self._free_room
+        if self._last_room is None or self._last_room[0] != banned:
+            self._last_room = (banned, self._component_sizes(banned))
+        return self._last_room[1]
 
-    def _starts(self, need: int, banned, exact: bool) -> Iterator[int]:
+    def _starts(self, need: int, banned) -> Iterator[int]:
         """Ascending positions of the edges that avoid banned and lie in a
         component with at least need vertices (see _room).
 
@@ -473,7 +474,7 @@ class _Search:
         room = None
         for p in positions:
             if room is None:
-                room = self._room(banned, exact)
+                room = self._room(banned)
             if room[p] >= need:
                 yield p
 
@@ -484,11 +485,10 @@ class _Search:
     # iter_embeddings, candidate indices for the oracle.
 
     def iter_component(
-        self, comp: PatternComponent, banned, exact: bool = False
+        self, comp: PatternComponent, banned
     ) -> Iterator[tuple[list[int], list[int], Any]]:
-        """Occurrences of comp avoiding banned; exact asks for the room of
-        banned itself, not its upper bound (see _room)."""
-        starts = self._starts(comp.vertex_count(self.pattern.r), banned, exact)
+        """Occurrences of comp avoiding banned."""
+        starts = self._starts(comp.vertex_count(self.pattern.r), banned)
         if comp.kind == "star" and comp.length > 1:
             yield from self._iter_stars(comp.length, banned, starts)
         else:  # a one-edge star is a one-edge path
@@ -556,7 +556,7 @@ class _Search:
     # -- union search -----------------------------------------------------
 
     def component_present(self, comp: PatternComponent, banned) -> bool:
-        for _ in self.iter_component(comp, banned, exact=True):
+        for _ in self.iter_component(comp, banned):
             return True
         return False
 

@@ -46,6 +46,13 @@ __all__ = [
 DEFAULT_PRODUCT_CAP = 200_000
 
 
+def _check_size(what: str, count: int, unit: str, cap: int = DEFAULT_PRODUCT_CAP) -> None:
+    """The one size-cap refusal of the builders: ProductTooLarge when what
+    would have more than cap of unit, raised before anything is built."""
+    if count > cap:
+        raise ProductTooLarge(f"{what} would have {count} {unit} (cap {cap})")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable hypergraph.  Build instances through make_hypergraph.
@@ -95,6 +102,9 @@ def make_hypergraph(
     Uniformity is explicit: r=None builds a mixed hypergraph even if all
     edges happen to share an order.
 
+    An edge with no vertices is refused: the text format could not write
+    it.
+
     Raises OutOfRangeVertex, RepeatedVertexInEdge, DuplicateEdge,
     NonUniformEdge, or BadParameters.
     """
@@ -112,6 +122,8 @@ def make_hypergraph(
             raise RepeatedVertexInEdge(f"edge {e} repeats a vertex")
         if r is not None and len(t) != r:
             raise NonUniformEdge(f"edge {e} has order {len(t)}, expected {r}")
+        if not t:
+            raise BadParameters(f"edge {e} has no vertices")
         norm.append(t)
     if len(set(norm)) != len(norm):
         seen: set[tuple[int, ...]] = set()
@@ -172,19 +184,6 @@ def remove_vertices(h: Hypergraph, drop: Iterable[int]) -> Hypergraph:
     return make_hypergraph(len(keep), edges, h.r)
 
 
-def _product_uniformity(h: Hypergraph, g: Hypergraph) -> Optional[int]:
-    orders = set()
-    if h.edges:
-        orders.add(h.r)
-    if g.edges:
-        orders.add(g.r)
-    if not orders:
-        return h.r if h.r == g.r else None
-    if len(orders) == 1:
-        return orders.pop()
-    return None
-
-
 def product_edges(h: Hypergraph, g: Hypergraph) -> tuple[int, list[tuple[int, ...]]]:
     """The vertex count and edges of cartesian_product(h, g), unvalidated.
 
@@ -194,8 +193,7 @@ def product_edges(h: Hypergraph, g: Hypergraph) -> tuple[int, list[tuple[int, ..
     if h.r is None or g.r is None:
         raise BadParameters("cartesian_product requires uniform factors")
     n = h.n * g.n
-    if n > DEFAULT_PRODUCT_CAP:
-        raise ProductTooLarge(f"product would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
+    _check_size("product", n, "vertices")
     edges = [tuple(a * g.n + u for a in e) for u in range(g.n) for e in h.edges]
     edges.extend(tuple(a * g.n + u for u in f) for a in range(h.n) for f in g.edges)
     return n, edges
@@ -209,10 +207,13 @@ def cartesian_product(h: Hypergraph, g: Hypergraph) -> Hypergraph:
     factors is linear.
 
     Both factors must be uniform; raises ProductTooLarge past
-    DEFAULT_PRODUCT_CAP vertices.
+    DEFAULT_PRODUCT_CAP vertices.  The product has the order of the
+    factors that have edges, or of both when neither has, and is mixed
+    when those orders differ.
     """
     n, edges = product_edges(h, g)
-    return make_hypergraph(n, edges, _product_uniformity(h, g))
+    orders = {f.r for f in (h, g) if f.edges} or {h.r, g.r}
+    return make_hypergraph(n, edges, orders.pop() if len(orders) == 1 else None)
 
 
 def integer_lattice(r: int, d: int) -> Hypergraph:
@@ -228,8 +229,7 @@ def integer_lattice(r: int, d: int) -> Hypergraph:
     if r < 2 or d < 1:
         raise BadParameters(f"lattice needs r >= 2 and d >= 1, got r={r}, d={d}")
     n = r**d
-    if n > DEFAULT_PRODUCT_CAP:
-        raise ProductTooLarge(f"lattice would have {n} vertices (cap {DEFAULT_PRODUCT_CAP})")
+    _check_size("lattice", n, "vertices")
     weights = [r ** (d - 1 - i) for i in range(d)]
     edges: list[tuple[int, ...]] = []
     for axis in range(d):

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import BadParameters, ProductTooLarge
-from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, make_hypergraph
+from .errors import BadParameters
+from .hypergraph import Hypergraph, _check_size, make_hypergraph
 
 __all__ = [
     "PatternComponent",
@@ -123,10 +123,7 @@ class ForbiddenPattern:
         them.  A realization allocates about half a KiB per edge, so one
         past DEFAULT_PRODUCT_CAP vertices is refused, like a product,
         before anything is built."""
-        if self.num_vertices > DEFAULT_PRODUCT_CAP:
-            raise ProductTooLarge(
-                f"pattern would have {self.num_vertices} vertices (cap {DEFAULT_PRODUCT_CAP})"
-            )
+        _check_size("pattern", self.num_vertices, "vertices")
         blocks, offset = [], 0
         for comp in self.components:
             blocks.append([tuple(v + offset for v in e) for e in construction_edges(comp, self.r)])

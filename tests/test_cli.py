@@ -237,6 +237,13 @@ class TestCheck:
         assert err.startswith("error:")
         assert "not valid UTF-8 at byte 12" in err
 
+    def test_host_with_an_empty_edge_is_an_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 3, "r": null, "edges": [[], [0, 1, 2]]}')
+        code, out, err = run(capsys, "check", "free", "--in", str(bad), "--pattern", "P1@r3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: invalid hypergraph: edge () has no vertices\n"
+
     def test_malformed_host_names_its_first_faulty_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("# host\r\nn 5 r 3\r\n2 1 3\r\n0 1 x\r\n")

@@ -283,6 +283,16 @@ def _force(mp, setting, host):
     assert all(isinstance(b, kind) for b in lt.detect.edge_table(host.n, host.edges).bits)
 
 
+# unions that only fit a piecewise host's larger pieces, or several of its
+# pieces: each later component is placed, and its room built, under the
+# vertices of the earlier ones (3*P1 is among FORESTS)
+PIECEWISE_UNIONS = [
+    ("4*P1@r{r}", (("path", 1),) * 4),
+    ("2*P1+S2@r{r}", (("path", 1), ("path", 1), ("star", 2))),
+    ("P1+2*S2@r{r}", (("path", 1), ("star", 2), ("star", 2))),
+]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_component_room_prune_keeps_every_answer(seed, monkeypatch):
     # hosts of several components, most too small for the patterns: the
@@ -292,12 +302,17 @@ def test_component_room_prune_keeps_every_answer(seed, monkeypatch):
     # same lists, witnesses and step counts, on these linear hosts and on
     # general ones, r = 2..4.
     rng = random.Random(9500 + seed)
-    hosts = [piecewise_host(rng, r) for r in (3, 4) for _ in range(4)]
-    hosts += [random_host(rng, orders=(2, 3, 4)) for _ in range(4)]
+    pieces = [piecewise_host(rng, r) for r in (3, 4) for _ in range(4)]
+    hosts = pieces + [random_host(rng, orders=(2, 3, 4)) for _ in range(4)]
     cases = [
         (host, lt.parse_pattern(expr.format(r=host.r)), comps)
         for host in hosts
         for expr, comps in [(e, (c,)) for e, c in PATTERNS] + FORESTS
+    ]
+    cases += [
+        (host, lt.parse_pattern(expr.format(r=host.r)), comps)
+        for host in pieces
+        for expr, comps in PIECEWISE_UNIONS
     ]
     seen = {}
     for setting in SETTINGS:
@@ -316,6 +331,31 @@ def test_component_room_prune_keeps_every_answer(seed, monkeypatch):
             assert pruned_steps < len(steps) - pruned_steps
             seen[setting] = (witnesses, pruned, len(steps))
     assert all(got == seen["masks"] for got in seen.values())
+
+
+@pytest.mark.parametrize("setting", ["masks", "frozensets"])
+def test_room_counts_the_components_that_avoid_banned(setting, monkeypatch):
+    # the room for a banned set, empty or not, gives each edge avoiding it
+    # the vertex count of its component among the edges avoiding it, and
+    # each edge meeting it 0; asked in turn for several sets
+    rng = random.Random(3100)
+    hosts = [piecewise_host(rng, r) for r in (3, 4) for _ in range(5)]
+    hosts += [random_host(rng, orders=(2, 3, 4)) for _ in range(20)]
+    _force(monkeypatch, setting, hosts[0])
+    for host in hosts:
+        table = lt.detect.edge_table(host.n, host.edges)
+        pattern = lt.parse_pattern(f"2*P1@r{host.r}")
+        search = lt.detect._Search(pattern, table, host.incidence, range(len(host.edges)))
+        for size in (1, 0, 2, 1, 3):
+            drop = set(rng.sample(range(host.n), size))
+            banned = table.empty
+            for v in drop:
+                banned = banned | table.unit[v]
+            kept = lt.make_hypergraph(host.n, [e for e in host.edges if drop.isdisjoint(e)])
+            comps = lt.connected_components(kept)
+            want = [len(next(c for c in comps if e[0] in c)) if drop.isdisjoint(e) else 0
+                    for e in host.edges]
+            assert search._room(banned) == want, (host.edges, drop)
 
 
 def _busiest_by_scan(table, edges, banned, k):

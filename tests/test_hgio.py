@@ -197,6 +197,8 @@ def test_malformed_texts_match_the_reference(data):
         '{"n": 7, "r": 3, "edges": [7]}',
         '{"n": 7, "r": 3, "edges": [[0, 1, 2], [2, 1, 0]]}',
         '{"n": 7, "r": 3, "edges": [[0, 1, 7]]}',
+        # dump_text would write an empty edge as a blank line
+        '{"n": 3, "r": null, "edges": [[], [0, 1, 2]]}',
     ],
 )
 def test_json_format_errors(blob):

@@ -44,6 +44,10 @@ def test_constructor_rejections():
         lt.make_hypergraph(3, [(0, 1, 3)])
     with pytest.raises(DuplicateEdge):
         lt.make_hypergraph(4, [(0, 1, 2), (2, 1, 0)])
+    # the text format would write an empty edge as a blank line, which
+    # reads back as no edge
+    with pytest.raises(lt.BadParameters, match=r"^edge \(\) has no vertices$"):
+        lt.make_hypergraph(3, [[], [0, 1, 2]])
 
 
 def test_linearity_violation_names_an_edge_pair():
@@ -118,6 +122,23 @@ def test_product_size_guard():
 
     with pytest.raises(BadParameters):
         lt.cartesian_product(lt.make_hypergraph(2, []), big)
+
+
+E3 = lt.make_hypergraph(3, [(0, 1, 2)], 3)
+E2 = lt.make_hypergraph(2, [(0, 1)], 2)
+BARE3 = lt.make_hypergraph(2, [], 3)
+BARE2 = lt.make_hypergraph(2, [], 2)
+
+
+@pytest.mark.parametrize("h, g, r", [
+    (E3, E3, 3), (E3, E2, None), (E2, E3, None), (E3, BARE2, 3), (BARE2, E3, 3),
+    (BARE3, BARE3, 3), (BARE3, BARE2, None),
+], ids=["equal", "unequal", "unequal-swapped", "bare-right", "bare-left", "bare-equal",
+        "bare-unequal"])
+def test_product_order(h, g, r):
+    # the order of the factors that have edges, or of both when neither
+    # has; mixed when those orders differ
+    assert lt.cartesian_product(h, g).r == r
 
 
 @st.composite

@@ -20,6 +20,13 @@ def record(value=2, status="exact", n=6, pattern="P2@r3", nodes=31):
     return ResultRecord(n, 3, pattern, "linear", value, status, witness, SearchStats(nodes, 0.01))
 
 
+def test_witness_with_an_empty_edge_is_a_format_error():
+    witness = {"n": 3, "r": None, "edges": [[], [0, 1, 2]]}
+    rec = dataclasses.replace(record(), witness=witness)
+    with pytest.raises(FormatError, match=r"^invalid result record witness: edge \(\)"):
+        rec.witness_graph()
+
+
 def test_round_trip_and_key():
     r = record()
     assert r.key == (6, 3, "P2@r3", "linear")
