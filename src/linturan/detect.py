@@ -139,7 +139,12 @@ class Embedding:
 
 def verify_embedding(h: Hypergraph, emb: Embedding) -> bool:
     """Recheck an embedding against the host from first principles: each
-    edge's image, sorted, must be the host edge it is mapped to."""
+    edge's image, sorted, must be the host edge it is mapped to.
+
+    Every vertex of a realization lies in one of its edges, so a vertex
+    map whose edge images are all host edges maps into the host's
+    vertices: the vertices need no range test of their own.
+    """
     ideal = emb.pattern.realization
     vertex_map, edge_map = emb.vertex_map, emb.edge_map
     if len(vertex_map) != ideal.n or len(edge_map) != ideal.edge_count:
@@ -148,11 +153,8 @@ def verify_embedding(h: Hypergraph, emb: Embedding) -> bool:
         return False
     if len(set(edge_map)) != ideal.edge_count:
         return False
-    n, m = h.n, len(h.edges)
-    for v in vertex_map:
-        if not 0 <= v < n:
-            return False
     edges = h.edges
+    m = len(edges)
     for j, host_idx in enumerate(edge_map):
         if not 0 <= host_idx < m:
             return False
@@ -595,7 +597,7 @@ class _Search:
             return False
         peel = self._busiest_vertices(banned, need - 1)
         blocked = banned | peel
-        for comp in set(comps[idx:]):
+        for comp in dict.fromkeys(comps[idx:]):
             if self.component_present(comp, blocked):
                 return False
         return True
@@ -616,7 +618,7 @@ class _Search:
         if self.pattern.is_single:  # one component: the walk is the check
             return ([(positions, vmap)]
                     for positions, vmap, _ in self.iter_component(comps[0], empty))
-        for comp in set(comps):
+        for comp in dict.fromkeys(comps):
             if not self.component_present(comp, empty):
                 return iter([])
         return self.place(comps, 0, empty, [])
@@ -665,15 +667,21 @@ def iter_embeddings(h: Hypergraph, pattern: ForbiddenPattern) -> Iterator[Embedd
             for v in h.edges[i]:
                 incidence[v].append(i)
     search = _Search(pattern, table, incidence, edges)
+    slots = None
     for chosen in search.iter_all():
+        if slots is None:
+            # read at the first occurrence, not before: edge_slots builds
+            # the pattern's realization, which a free host never needs
+            size, slots = pattern.num_edges, pattern.edge_slots
         # each component's host edges go into the pattern's edge slots;
         # the vertex lists, in component order, are the vertex map
-        edge_map = [0] * pattern.num_edges
-        for (positions, _), slots in zip(chosen, pattern.edge_slots):
-            for pos, j in zip(positions, slots):
+        edge_map = [0] * size
+        vertex_map: list[int] = []
+        for (positions, vmap), at in zip(chosen, slots):
+            for pos, j in zip(positions, at):
                 edge_map[j] = pos
-        vertex_map = tuple(v for _, vmap in chosen for v in vmap)
-        yield _require_valid(h, Embedding(pattern, tuple(edge_map), vertex_map))
+            vertex_map += vmap
+        yield _require_valid(h, Embedding(pattern, tuple(edge_map), tuple(vertex_map)))
 
 
 def contains(h: Hypergraph, pattern: ForbiddenPattern) -> Optional[Embedding]:

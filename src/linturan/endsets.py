@@ -45,6 +45,16 @@ counterexample to the underlying claims, so it is reported with concrete
 edges rather than raised.  The checks apply for ell >= 4 and r >= 3;
 outside that range reports carry status "not-applicable".
 
+Path-freeness from the classes.  An edge through an end that meets the
+path in that end alone extends it to a loose path of ell edges, and
+every loose path of ell edges arises so: its first ell-1 edges form a
+loose path, which its last edge meets in a right end alone.
+verify_frame asks the detector whether the host is free.
+verify_frame_sweep classifies the ends of every (ell-1)-edge path
+anyway, so in the range of the checks it reads freeness off those
+classes and asks the detector only for the witness, once an end edge
+extends a path: one exhaustive search per host, not two.
+
 Per path and per direction.  The classes of an end u are a function of
 u, the path's vertex set and its interior alone: the class of an edge
 through u is read from its meet with the path and whether the meet holds
@@ -161,8 +171,9 @@ class _Frame(NamedTuple):
     ascending vertex order, with reach_a and reach_b the unions of their
     reaches; and what the direction shares with its reverse (see the
     module docstring): blocked, whether a blocked vertex lies in an A_1
-    and a B_1 edge; best, the least |A_1(u)|+|B_1(w)|; and over, whether
-    an end's degree exceeds its cap."""
+    and a B_1 edge; best, the least |A_1(u)|+|B_1(w)|; over, whether an
+    end's degree exceeds its cap; and extends, whether an edge through an
+    end meets the path in that end alone."""
 
     a: tuple[_End, ...]
     b: tuple[_End, ...]
@@ -171,11 +182,12 @@ class _Frame(NamedTuple):
     blocked: bool
     best: int
     over: bool
+    extends: bool
 
     def reverse(self) -> _Frame:
         """The frame of the reverse direction: the sides swap."""
-        a, b, reach_a, reach_b, blocked, best, over = self
-        return _Frame(b, a, reach_b, reach_a, blocked, best, over)
+        a, b, reach_a, reach_b, blocked, best, over, extends = self
+        return _Frame(b, a, reach_b, reach_a, blocked, best, over, extends)
 
 
 def _split(v: tuple[int, ...], r: int) -> tuple[list[int], list[int], tuple[int, ...]]:
@@ -192,9 +204,10 @@ def _classify(table: EdgeTable, incidence, r: int, ell: int, v) -> _Frame:
 
     One pass over the edges through each end: an edge whose meet with the
     path is u and k more vertices is a class edge, of class k, except that
-    k = 1 needs the other vertex interior and k = 0 is no class.  covered
-    gathers the meets of the class edges, so it has 1 + sum k|A_k(u)|
-    vertices exactly when no path vertex besides u is in two of them.
+    k = 1 needs the other vertex interior and k = 0 is no class, but sets
+    the frame's extends.  covered gathers the meets of the class edges, so
+    it has 1 + sum k|A_k(u)| vertices exactly when no path vertex besides
+    u is in two of them.
     """
     bits, unit, empty = table.bits, table.unit, table.empty
     size = int.bit_count if empty == 0 else len
@@ -206,7 +219,7 @@ def _classify(table: EdgeTable, incidence, r: int, ell: int, v) -> _Frame:
     for x in left + right:
         pathv |= unit[x]
     sides = []
-    over = False
+    over = extends = False
     for tag, ends in (("A", left), ("B", right)):
         side = []
         side_reach = empty
@@ -220,6 +233,7 @@ def _classify(table: EdgeTable, incidence, r: int, ell: int, v) -> _Frame:
                 edge = bits[idx]
                 meet = edge & pathv
                 if meet == home:
+                    extends = True
                     continue
                 k = size(meet) - 1
                 if k == 1:
@@ -255,7 +269,7 @@ def _classify(table: EdgeTable, incidence, r: int, ell: int, v) -> _Frame:
             blocked |= unit[x]
     # the pair sum is separable: its minimum pairs the two smallest classes
     best = min([len(e.ones) for e in a]) + min([len(e.ones) for e in b])
-    return _Frame(a, b, reach_a, reach_b, bool(reach_a & reach_b & blocked), best, over)
+    return _Frame(a, b, reach_a, reach_b, bool(reach_a & reach_b & blocked), best, over, extends)
 
 
 def _pairs(table: EdgeTable, r: int, ell: int, v, frame: _Frame) -> list[tuple]:
@@ -421,14 +435,38 @@ def verify_frame(host: Hypergraph, emb: Embedding, ell: int) -> FrameReport:
 def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
     """verify_frame over every directed embedding of the (ell-1)-edge path;
     the two directions of a path share one _Frame, and only an embedding
-    that fails gets a FrameReport."""
+    that fails gets a FrameReport.
+
+    Raises what verify_frame raises for the host, in the same order, and
+    HostContainsPath with the same witness.  Where the checks apply
+    (ell >= 4, r >= 3) the host's freeness of the ell-edge path is read
+    off the classification instead of searched for up front:
+
+    - An edge f through an end u that meets the path in u alone extends
+      it: u lies in the end edge only, so the path with f added at that
+      end is a loose path of ell edges.  _classify sets the frame's
+      extends for such an f.
+    - Conversely, the first ell-1 edges of a loose path of ell edges are
+      a loose (ell-1)-edge path, and the last edge meets it in one vertex
+      of its last edge that no earlier edge holds: a right end alone.
+    - iter_embeddings yields every (ell-1)-edge path, and _classify runs
+      once per path, over the ends of both sides.
+
+    So the host holds the ell-edge path exactly when some classified
+    frame extends, and at the first one the detector is asked for its
+    witness.  Before that only the counting checks of _classify can
+    raise, and they hold in every linear host, so no exception comes
+    earlier than it did.  For ell < 4 or r < 3 nothing is classified,
+    and the detector is asked up front.
+    """
     _require_linear(host, ell, r, "sweeps")
-    _require_path_free(host, ell, r)
-    checked = 0
-    failures: list[FrameReport] = []
     applicable = ell >= 4 and r >= 3
     if applicable:
         table, incidence = edge_table(host.n, host.edges), host.incidence
+    else:
+        _require_path_free(host, ell, r)
+    checked = 0
+    failures: list[FrameReport] = []
     # the frames of the paths met in one direction so far, keyed by edge
     # set (see the module docstring); the reverse takes them, sides swapped
     pending: dict[frozenset[int], _Frame] = {}
@@ -441,6 +479,8 @@ def verify_frame_sweep(host: Hypergraph, ell: int, r: int) -> SweepReport:
         frame = pending.pop(key, None)
         if frame is None:
             frame = pending[key] = _classify(table, incidence, r, ell, v)
+            if frame.extends:
+                _require_path_free(host, ell, r)
         else:
             frame = frame.reverse()
         faults, npairs = _battery(table, r, ell, v, frame)

@@ -169,6 +169,37 @@ def test_embeddings_read_the_realization_built_once(monkeypatch, affine9):
     assert len(calls) == 1
 
 
+def test_free_host_never_builds_the_realization(fano):
+    # edge_slots and the realization are read at the first occurrence: a
+    # fresh pattern that a host is free of is never realized
+    pattern = lt.linear_path(3, 3)
+    assert lt.contains(fano, pattern) is None
+    assert "realization" not in vars(pattern)
+    assert lt.contains(fano, lt.linear_path(2, 3)) is not None
+
+
+def test_union_presence_checks_follow_pattern_order(monkeypatch):
+    # the distinct components of a union are checked for presence in
+    # pattern order, whatever their hashes: first each on the whole host,
+    # then, under each pigeonhole peel, the remaining ones until one fits
+    pattern = lt.parse_pattern("P3+P2+S2+C3@r3")
+    host = lt.realize(pattern)
+    order = {comp: i for i, comp in enumerate(pattern.components)}
+    calls = []
+    present = lt.detect._Search.component_present
+    monkeypatch.setattr(
+        lt.detect._Search, "component_present",
+        lambda self, comp, banned: calls.append((comp, banned)) or present(self, comp, banned),
+    )
+    assert lt.contains(host, pattern) is not None
+    assert [comp for comp, _ in calls[:4]] == list(pattern.components)
+    assert all(not banned for _, banned in calls[:4])
+    assert len(calls) > 4
+    for (comp, banned), (later, again) in zip(calls[4:], calls[5:]):
+        if banned == again:
+            assert order[comp] < order[later]
+
+
 PATTERNS = [
     ("P2@r{r}", ("path", 2)),
     ("P3@r{r}", ("path", 3)),

@@ -320,6 +320,97 @@ def test_sweep_rejects_host_with_the_path():
     assert exc.value.witness.edge_map == (0, 1, 2, 3)
 
 
+def _path_hosts(rng, r, ell, count):
+    """count seeded random linear hosts holding the (ell-1)-edge path, of
+    sizes where some hold the ell-edge path and some do not."""
+    n = ell * (r - 1) + 1  # the ell-edge path's vertex count
+    kept = 0
+    while kept < count:
+        h = random_edges(rng, rng.randint(n - 2, n + 1), r, rng.randint(ell - 1, ell + 4), True)
+        if not lt.is_free(h, lt.linear_path(ell - 1, r)):
+            kept += 1
+            yield h
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["masks", "frozensets"])
+def test_sweep_raises_exactly_when_the_host_holds_the_path(relabel):
+    # the sweep reads path-freeness off its classification: it must raise
+    # on the hosts the detector finds the ell-edge path in, with the
+    # detector's witness, and on the others give the reference's report
+    rng = random.Random(3200)
+    for r, ell in [(3, 4), (3, 5), (4, 4), (4, 5)]:
+        seen = set()
+        for host in _path_hosts(rng, r, ell, 24):
+            if relabel:
+                host = _relabelled(host)
+            witness = lt.contains(host, lt.linear_path(ell, r))
+            seen.add(witness is None)
+            if witness is None:
+                assert lt.verify_frame_sweep(host, ell, r) == naive.verify_frame_sweep(host, ell, r)
+                continue
+            with pytest.raises(HostContainsPath) as exc:
+                lt.verify_frame_sweep(host, ell, r)
+            assert exc.value.witness == witness, host.edges
+        assert seen == {True, False}, (r, ell)
+
+
+def _extending_sides(host, emb):
+    """'left' or 'right' for each host edge that meets the path of emb in
+    one of its left or right ends alone."""
+    r, vm = host.r, emb.vertex_map
+    path = set(vm)
+    sides = set()
+    for e in host.edges:
+        meet = path.intersection(e)
+        if len(meet) == 1:
+            (u,) = meet
+            sides.update(side for side, ends in (("left", vm[:r - 1]), ("right", vm[-(r - 1):]))
+                         if u in ends)
+    return sides
+
+
+# loose paths e1 e2 e3 e4 whose edge numbering makes the sweep classify
+# each three-edge path e1 e2 e3 and e2 e3 e4 in the direction in which
+# the fourth edge extends it at its left ends only, or at its right ends
+# only: a side the classification missed would hide the path
+EXTENDED_ONE_SIDE = {
+    "left": [(2, 5, 6), (0, 1, 2), (1, 3, 4), (3, 7, 8)],
+    "right": [(0, 5, 6), (4, 5, 7), (3, 7, 8), (1, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("side", sorted(EXTENDED_ONE_SIDE))
+def test_sweep_finds_an_extension_at_either_side(side):
+    host = lt.make_hypergraph(9, EXTENDED_ONE_SIDE[side], 3)
+    first = {}  # each path in the direction it comes first, so classified
+    for emb in lt.iter_embeddings(host, P3):
+        first.setdefault(frozenset(emb.edge_map), emb)
+    assert len(first) == 2
+    assert all(_extending_sides(host, emb) == {side} for emb in first.values())
+    with pytest.raises(HostContainsPath) as exc:
+        lt.verify_frame_sweep(host, 4, 3)
+    assert exc.value.witness == lt.contains(host, lt.linear_path(4, 3))
+
+
+def test_sweep_searches_for_the_path_only_outside_the_checks(monkeypatch, p3_plus_pendant, fano):
+    # in range the classification proves the host free, so the detector is
+    # never asked for the ell-edge path, and on a host holding it only
+    # for the witness; for ell < 4 or r < 3 it is asked once, up front
+    searched = []
+    search = lt.endsets.contains
+    monkeypatch.setattr(lt.endsets, "contains", lambda h, p: searched.append(p) or search(h, p))
+    assert lt.verify_frame_sweep(p3_plus_pendant, 4, 3).status == "pass"
+    assert searched == []
+    with pytest.raises(HostContainsPath):
+        lt.verify_frame_sweep(lt.realize(lt.linear_path(4, 3)), 4, 3)
+    assert searched == [lt.linear_path(4, 3)]
+    assert lt.verify_frame_sweep(fano, 3, 3).status == "not-applicable"
+    assert searched[1:] == [lt.linear_path(3, 3)]
+    graph = lt.make_hypergraph(4, [(0, 1), (1, 2), (2, 3)], 2)
+    assert lt.verify_frame_sweep(graph, 4, 2).status == "not-applicable"
+    assert searched[2:] == [lt.linear_path(4, 2)]
+
+
 def test_nonlinear_host_rejected(p3_plus_pendant):
     bad = lt.make_hypergraph(
         8, list(lt.realize(P3).edges) + [(1, 2, 3)], 3
