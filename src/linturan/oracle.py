@@ -17,10 +17,11 @@ linear host, and every 2-uniform host is one, leaves phase 1 at its
 first leaf and proves its value by the max-degree split: one walk per
 degree D, rooted at the star of D edges at vertex 0 under the degree
 cap D and raising its bar as it finds better hosts, shows that no host
-has one edge more, and a last walk recovers the lex-least witness;
-hosts' docstring argues it.  Budgets turn an over-long
-search into an explicit interrupted result (or InterruptedSearch for the
-enumerators, which have no partial answer worth returning).
+has one edge more, and the host at which the bar last rose is the
+lex-least witness; hosts' docstring argues both.  Budgets turn an
+over-long search into an explicit interrupted result (or
+InterruptedSearch for the enumerators, which have no partial answer
+worth returning).
 Exploration is serial, so values never depend on scheduling.
 
 The walk is forward-checked.  Each node tests every later candidate edge
@@ -486,7 +487,7 @@ class _Searcher:
 
     def hosts(self) -> Iterator[tuple[int, ...]]:
         """max_edges' search: each better free host found, as its edge
-        list, and last the lex-least host of the maximum size.  Three
+        list; the last is the lex-least host of the maximum size.  Two
         phases, each ticking one budget.
 
         1. The plain walk under the root rule, with the bar one above the
@@ -497,17 +498,16 @@ class _Searcher:
            that size (walk's root-rule argument).  A linear host, and so
            every 2-uniform one, leaves it at the first leaf (the descent
            along first children) and proves its value by the max-degree
-           split, phases 2 and 3.
+           split, phase 2.
         2. Per-D walks: for D from the longest free star s_0, s_1, ... at
            vertex 0 down, while D * n >= r * (|best| + 1), one walk rooted
            at s_0..s_{D-1} under the degree cap D, with the bar at
            |best| + 1, takes every better host it yields; top is the D at
            which best last rose.  D's family is the hosts that hold that
            star and no other edge through 0, with every degree at most D.
-        3. Witness: the walk with the bar and the stop at the value, under
-           the root rule and the cap top; its first host is the lex-least
-           of that size (walk's root-rule argument).  With top None best
-           never rose after phase 1, and its leaf is that host.
+           If best never rises here, the leaf of phase 1 is the witness:
+           its edges are each the least admitted after the ones before, so
+           no host of its size is lex-smaller.
 
         Why phase 2 is sound: take a free linear host with m edges and a
         vertex of maximum degree D.  The degrees sum to rm, so D * n >= rm.
@@ -521,9 +521,25 @@ class _Searcher:
         the bar is at most its size.  A host with one edge more than the
         value would have been found: its star is free, so its D is at most
         the longest, and D * n >= r * (value + 1), so the loop reaches D.
-        The witness cap: every D above top up to the longest free star was
-        walked to the end with a bar at most the value and found no host of
-        that size, so every free host of that size has degrees <= top.
+
+        Why the host at which best last rose is the lex-least extremal
+        host W:
+        1. Every extremal host has maximum degree at most top: every D
+           above top up to the longest free star was walked to the end with
+           a bar at most the value and found no host of that size.
+        2. Relabel an extremal host whose maximum degree is top so that its
+           star is s_0..s_{top-1}.  Each s_j is the least r-set that meets
+           s_0..s_{j-1} in at most one vertex, so W, no greater than that
+           host, starts with the same star; it has degree exactly top at 0
+           and lies in top's family.
+        3. W's least edge outside the star is the first fitting candidate
+           of its petal orbit: otherwise a relabelling in G (below) takes
+           it to an earlier one, and W to a lex-smaller extremal host.  So
+           rule (b) expands W's subtree.
+        4. The walk meets hosts in lexicographic order, and no cut removes
+           W while the bar is at most the value.  Any host of that size met
+           earlier would be a lex-smaller host of the family, so W is where
+           best reaches the value.
 
         The orbit rules at the split's root.  Let F be the hosts of one
         size in D's family, and G the vertex relabellings that fix 0 and
@@ -550,9 +566,7 @@ class _Searcher:
             often, so some host of F has as its least edge outside the star
             the first child of its orbit, and that child's subtree, which
             draws from every later root child, holds it.  So the walk finds
-            a host of F whenever F has one.  Phase 2 needs only that; which
-            host it finds may change, and phase 3 recovers the lex-least
-            one with the plain walk.
+            a host of F whenever F has one.
         Phase 2's argument and both rules use only that freeness survives
         a vertex relabelling and the removal of edges, so they hold for
         every pattern: a union, one wider than n, or none.
@@ -567,21 +581,14 @@ class _Searcher:
         if not self.linear:
             return
         star = self.grow_star()
-        top: Optional[int] = None
         for d in range(len(star), 0, -1):
             if d * self.n < self.r * (len(best) + 1):
                 break
             for chosen in self.walk(lambda: len(best) + 1, root=star[:d], cap=d,
                                     orbit=self.petals(d)):
                 if len(chosen) > len(best):
-                    best, top = tuple(chosen), d
+                    best = tuple(chosen)
                     yield best
-        if top is not None:
-            value = len(best)
-            for chosen in self.walk(lambda: value, value, orbit=_one_orbit, cap=top):
-                if len(chosen) == value:
-                    yield tuple(chosen)
-                    break
 
 
 def path_cap(
@@ -629,7 +636,7 @@ def max_edges(
     interrupted = False
     try:
         for best in s.hosts():
-            pass  # each host is better than the last, or the witness
+            pass  # each host is better than the last
     except _Stop:
         interrupted = True
     s.finish()

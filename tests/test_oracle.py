@@ -195,12 +195,12 @@ def test_search_matches_bitmask_exhaustion(data):
         # max-degree split (P4 has 9 vertices, so P4 on 7 and 8 vertices
         # is the split's unconstrained search)
         pytest.param(8, "P3@r3", "linear", 10, id="8-P3@r3-linear"),
-        pytest.param(8, "C3@r3", "linear", 16, id="8-C3@r3-linear"),
-        pytest.param(8, "P4@r3", "linear", 32, id="8-P4@r3-linear"),
-        pytest.param(9, "P3@r3", "linear", 20, id="9-P3@r3-linear"),
+        pytest.param(8, "C3@r3", "linear", 11, id="8-C3@r3-linear"),
+        pytest.param(8, "P4@r3", "linear", 19, id="8-P4@r3-linear"),
+        pytest.param(9, "P3@r3", "linear", 12, id="9-P3@r3-linear"),
         # unions, whose checks are anchored too
-        pytest.param(10, "2*P2@r3", "linear", 70, id="10-2*P2@r3-linear"),
-        pytest.param(10, "P2+S2@r3", "linear", 70, id="10-P2+S2@r3-linear"),
+        pytest.param(10, "2*P2@r3", "linear", 40, id="10-2*P2@r3-linear"),
+        pytest.param(10, "P2+S2@r3", "linear", 40, id="10-P2+S2@r3-linear"),
     ],
 )
 def test_node_counts_are_pinned(n, expr, host, nodes):
@@ -216,8 +216,8 @@ def test_node_counts_are_pinned(n, expr, host, nodes):
     [
         (7, "P3@r3", "linear", (29, 5, 0)),
         (7, "S2@r3", "general", (184, 115, 24)),
-        (10, "2*P2@r3", "linear", (772, 27, 34)),
-        (10, "P2+S2@r3", "linear", (772, 27, 34)),
+        (10, "2*P2@r3", "linear", (449, 16, 18)),
+        (10, "P2+S2@r3", "linear", (449, 16, 18)),
     ],
 )
 def test_search_counters_are_pinned(n, expr, host, counters):
@@ -290,6 +290,27 @@ def test_split_matches_the_walks_long_runs(row):
     res = lt.max_edges(n, r, lt.parse_pattern(f"{expr}@r{r}"))
     assert (res.status, res.stats.proof) == ("exact", "degree-split")
     assert (res.value, _digest(res.witness)) == (value, witness)
+
+
+WITNESS_PATTERNS = ("P2", "P3", "P4", "S2", "S3", "C3", "C4", "2*P1", "P1+S2", "2*P2", "P2+S2", None)
+
+
+def test_split_witness_is_the_first_free_host_of_its_size():
+    # the split keeps the host at which its bar last rose; iter_free lists
+    # hosts in lexicographic order and never takes the split, so its first
+    # host of the value's size is an independent lex-least witness
+    matched = 0
+    for r, top in ((2, 8), (3, 11), (4, 12)):
+        for n in range(r, top + 1):
+            for expr in WITNESS_PATTERNS:
+                pattern = pattern_at(r, expr)
+                res = lt.max_edges(n, r, pattern, budget=lt.SearchBudget(node_limit=3000))
+                if not res.exact:
+                    continue
+                first = next(lt.iter_free(n, r, pattern, "linear", edge_count=res.value))
+                assert res.witness == first, (r, n, expr)
+                matched += 1
+    assert matched >= 296  # of 300 rows; the others outrun the budget
 
 
 def split_roots(r, n, expr):
@@ -465,31 +486,34 @@ def test_gain_bounds_every_subtree(r, top, expr):
 
 
 def test_split_makes_one_walk_per_degree(monkeypatch):
-    # n=14 P3: one walk for the first descent, at most one per D of the
-    # longest free star, each raising its own bar, and one witness pass
-    caps = []
+    # n=14 P3: one walk for the first descent, then at most one per D of
+    # the longest free star, each rooted at the star of D edges under the
+    # cap D and raising its own bar; no walk runs with a cap but no root
+    walks = []
     walk = _Searcher.walk
 
     def counted(self, *args, **kwargs):
-        caps.append(kwargs.get("cap"))
+        walks.append((tuple(kwargs.get("root", ())), kwargs.get("cap")))
         return walk(self, *args, **kwargs)
 
     monkeypatch.setattr(_Searcher, "walk", counted)
     res = lt.max_edges(14, 3, P3)
     assert (res.status, res.value) == ("exact", 14)
     star = _Searcher(14, 3, P3, "linear", lt.SearchBudget()).grow_star()
-    assert len(caps) <= len(star) + 2
-    per_d = caps[1:-1]
+    assert len(walks) <= len(star) + 1
+    assert walks[0] == ((), None)
+    per_d = [cap for _, cap in walks[1:]]
     assert per_d == sorted(set(per_d), reverse=True)
+    assert all(root == tuple(star[:cap]) for root, cap in walks[1:])
 
 
 def test_split_budget_cuts_return_verified_hosts():
-    # n=10 P3: the first descent stops at a star of 4 edges, the per-D
-    # walks find hosts of 5 to 8 edges and no host of 9, and the witness
-    # pass recovers the lex-least host of 8.  A node limit short of the full
-    # count cuts one of the three phases and returns the best host found
-    # so far, re-verified, so the values never fall as the limit grows;
-    # the last limit cuts the witness pass and keeps a host of 8 edges
+    # n=10 P3: the first descent stops at a star of 4 edges, and the per-D
+    # walks find hosts of 5 to 8 edges and no host of 9; the node that
+    # finds the lex-least host of 8 is the search's last.  A node limit
+    # short of the full count cuts one of the two phases and returns the
+    # best host found so far, re-verified, so the values never fall as the
+    # limit grows; the last limit stops one node short of the host of 8
     full = lt.max_edges(10, 3, P3)
     assert (full.status, full.value, full.stats.proof) == ("exact", 8, "degree-split")
     values = []
@@ -500,7 +524,7 @@ def test_split_budget_cuts_return_verified_hosts():
         assert lt.is_linear(res.witness) and lt.is_free(res.witness, P3)
         values.append(res.value)
     assert values == sorted(values)
-    assert (values[0], values[-1]) == (0, 8)
+    assert (values[0], values[-1]) == (0, 7)
     res = lt.max_edges(10, 3, P3, budget=lt.SearchBudget(node_limit=full.stats.nodes))
     assert (res.status, res.value, res.witness) == ("exact", 8, full.witness)
 
@@ -670,7 +694,7 @@ def test_union_search_builds_only_the_witness(monkeypatch):
 
     monkeypatch.setattr(lt.oracle, "make_hypergraph", counted)
     res = lt.max_edges(10, 3, lt.parse_pattern("P2+S2@r3"))
-    assert (res.status, res.value, res.stats.admits_calls) == ("exact", 13, 772)
+    assert (res.status, res.value, res.stats.admits_calls) == ("exact", 13, 449)
     assert len(built) == 1
 
 
@@ -685,14 +709,14 @@ def _digest(witness):
 UNION_ROWS = [
     (7, 3, "2*P1", "linear", 100, (7, "exact", 8, 50, 7, 0), "b510de7e3234"),
     (8, 3, "2*P1", "linear", 100, (7, "exact", 10, 84, 22, 5), "b510de7e3234"),
-    (8, 3, "P1+S2", "linear", 100, (8, "exact", 28, 178, 24, 6), "2dbde94f8eb7"),
-    (9, 3, "2*P1", "linear", 100, (7, "exact", 20, 260, 93, 5), "b510de7e3234"),
+    (8, 3, "P1+S2", "linear", 100, (8, "exact", 17, 101, 15, 4), "2dbde94f8eb7"),
+    (9, 3, "2*P1", "linear", 100, (7, "exact", 12, 138, 52, 5), "b510de7e3234"),
     (9, 3, "P1+S2", "linear", 100, (12, "exact", 13, 167, 20, 0), "dcdcf6cd425c"),
-    (9, 3, "P1+C3", "linear", 100, (12, "exact", 50, 397, 36, 19), "dcdcf6cd425c"),
-    (10, 3, "2*P1", "linear", 100, (7, "exact", 20, 370, 149, 5), "b510de7e3234"),
+    (9, 3, "P1+C3", "linear", 100, (12, "exact", 33, 240, 26, 15), "dcdcf6cd425c"),
+    (10, 3, "2*P1", "linear", 100, (7, "exact", 12, 195, 81, 5), "b510de7e3234"),
     (10, 3, "P1+S2", "linear", 100, (12, "exact", 15, 233, 47, 9), "dcdcf6cd425c"),
-    (10, 3, "2*P2", "linear", 100, (13, "exact", 70, 772, 27, 34), "e16f59768666"),
-    (10, 3, "P2+S2", "linear", 100, (13, "exact", 70, 772, 27, 34), "e16f59768666"),
+    (10, 3, "2*P2", "linear", 100, (13, "exact", 40, 449, 16, 18), "e16f59768666"),
+    (10, 3, "P2+S2", "linear", 100, (13, "exact", 40, 449, 16, 18), "e16f59768666"),
     (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 865, 221, 86), "dcdcf6cd425c"),
     (6, 3, "2*P1", "general", 100, (10, "interrupted", 101, 545, 99, 96), "05bd1b448ddd"),
     (7, 3, "2*P1", "general", 100, (15, "interrupted", 101, 989, 183, 92), "0ae9c0acebb4"),
@@ -707,7 +731,7 @@ UNION_ROWS = [
     (10, 3, "P2+S2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
     (8, 4, "2*P1", "linear", 100, (2, "exact", 5, 18, 1, 2), "3929c590e9bf"),
     (9, 4, "2*P1", "linear", 100, (3, "exact", 7, 56, 5, 2), "238abed65f6f"),
-    (10, 4, "2*P1", "linear", 100, (5, "exact", 16, 273, 37, 2), "95d59a87ef69"),
+    (10, 4, "2*P1", "linear", 100, (5, "exact", 10, 139, 19, 2), "95d59a87ef69"),
     (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1540, 99, 68), "da0a21ca2dfa"),
     (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3431, 125, 53), "92f25cca91e3"),
     (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6603, 142, 34), "97eb85d7e757"),
