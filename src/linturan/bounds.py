@@ -198,6 +198,7 @@ def removal_upper(
     ``ell`` is the larger of the path length and the longest star length.
     ``path_free_max`` is the extremal edge count of a path-free linear host
     on n - k vertices; when omitted it is replaced by its own upper bound.
+    An edge count is never negative, so a negative one is refused.
     """
     _check_common(r, n)
     if r < 3 or ell < 4 or k < 0:
@@ -206,6 +207,8 @@ def removal_upper(
         )
     if n < k:
         raise BadParameters(f"host size {n} smaller than removed set {k}")
+    if path_free_max is not None and path_free_max < 0:
+        raise BadParameters(f"path-free maximum must be nonnegative, got {path_free_max}")
     caveats = [ASYMPTOTIC, DESIGN_PREMISE]
     if path_free_max is None:
         path_free_max = linear_path_upper(r, ell, n - k).value

@@ -105,17 +105,25 @@ def make_hypergraph(
     An edge with no vertices is refused: the text format could not write
     it.
 
+    n, r and every vertex must be ints; a bool is not one.
+
     Raises OutOfRangeVertex, RepeatedVertexInEdge, DuplicateEdge,
     NonUniformEdge, or BadParameters.
     """
+    if type(n) is not int:
+        raise BadParameters(f"vertex count must be an int, got {n!r}")
     if n < 0:
         raise BadParameters(f"vertex count must be nonnegative, got {n}")
+    if r is not None and type(r) is not int:
+        raise BadParameters(f"uniform order must be an int or None, got {r!r}")
     if r is not None and r < 1:
         raise BadParameters(f"uniform order must be positive, got {r}")
     norm: list[tuple[int, ...]] = []
     for e in map(tuple, edges):
         for v in e:
-            if not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
+                if type(v) is not int:
+                    raise BadParameters(f"vertex {v!r} in edge {e} is not an int")
                 raise OutOfRangeVertex(f"vertex {v} in edge {e} not in range(0, {n})")
         t = tuple(sorted(e))
         if len(set(t)) != len(t):

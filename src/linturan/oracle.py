@@ -11,11 +11,10 @@ Both max_edges and the enumerators consume the same depth-first walk
 (_Searcher.walk); they differ in the size bar below which a branch is
 cut, in the size at which it stops growing, and in the root rule, which
 only max_edges takes.  max_edges reads one stream of ever better hosts,
-_Searcher.hosts, whose phase 1 is the plain walk under the root rule.
-A general host runs phase 1 to the end, and that walk is its proof.  A
-linear host, and every 2-uniform host is one, leaves phase 1 at its
-first leaf and proves its value by the max-degree split: one walk per
-degree D, rooted at the star of D edges at vertex 0 under the degree
+_Searcher.hosts, from one proof per host kind.  A general host is proved
+by the plain walk under the root rule.  A linear host, and every
+2-uniform host is one, is proved by the max-degree split alone: one walk
+per degree D, rooted at the star of D edges at vertex 0 under the degree
 cap D and raising its bar as it finds better hosts, shows that no host
 has one edge more, and the host at which the bar last rose is the
 lex-least witness; hosts' docstring argues both.  Budgets turn an
@@ -154,6 +153,8 @@ class _Searcher:
         host: str,
         budget: SearchBudget,
     ):
+        if type(n) is not int or type(r) is not int:
+            raise BadParameters(f"n and r must be ints, got n={n!r}, r={r!r}")
         if r < 2:
             raise BadParameters(f"edge order must be at least 2, got {r}")
         if n < r:
@@ -486,30 +487,25 @@ class _Searcher:
         return lambda q: bisect_right(cands[q], top)
 
     def hosts(self) -> Iterator[tuple[int, ...]]:
-        """max_edges' search: each better free host found, as its edge
-        list; the last is the lex-least host of the maximum size.  Two
-        phases, each ticking one budget.
+        """max_edges' search: each free host found that beats the best so
+        far, which starts as the empty host, as its edge list; the last is
+        the lex-least host of the maximum size.  Every walk of the proof
+        ticks one budget and keeps its bar one above the best host so far.
 
-        1. The plain walk under the root rule, with the bar one above the
-           best host so far.  A general host with r >= 3 has no pair masks
-           to enforce the split's degree cap (through is empty), so it runs
-           this phase to the end: that walk proves the value, and the
-           first host it reaches of the largest size is the lex-least of
-           that size (walk's root-rule argument).  A linear host, and so
-           every 2-uniform one, leaves it at the first leaf (the descent
-           along first children) and proves its value by the max-degree
-           split, phase 2.
-        2. Per-D walks: for D from the longest free star s_0, s_1, ... at
-           vertex 0 down, while D * n >= r * (|best| + 1), one walk rooted
-           at s_0..s_{D-1} under the degree cap D, with the bar at
-           |best| + 1, takes every better host it yields; top is the D at
-           which best last rose.  D's family is the hosts that hold that
-           star and no other edge through 0, with every degree at most D.
-           If best never rises here, the leaf of phase 1 is the witness:
-           its edges are each the least admitted after the ones before, so
-           no host of its size is lex-smaller.
+        A general host with r >= 3 has no pair masks to enforce a degree
+        cap (through is empty), so its proof is the plain walk under the
+        root rule: it proves the value, and the first host it reaches of
+        the largest size is the lex-least of that size (walk's root-rule
+        argument).  A linear host, and so every 2-uniform one, is proved
+        by the max-degree split alone: for D from the longest free star
+        s_0, s_1, ... at vertex 0 down, while D * n >= r * (|best| + 1),
+        one walk rooted at s_0..s_{D-1} under the degree cap D takes every
+        better host it yields; top is the D at which best last rose.  D's
+        family is the hosts that hold that star and no other edge through
+        0, with every degree at most D.  A pattern that forbids every edge
+        leaves no free star, so no walk runs and the value is 0.
 
-        Why phase 2 is sound: take a free linear host with m edges and a
+        Why the split is sound: take a free linear host with m edges and a
         vertex of maximum degree D.  The degrees sum to rm, so D * n >= rm.
         Its D edges meet pairwise only in that vertex, so a relabelling
         takes it to 0 and its edges to s_0..s_{D-1}, keeping the host free,
@@ -567,25 +563,23 @@ class _Searcher:
             the first child of its orbit, and that child's subtree, which
             draws from every later root child, holds it.  So the walk finds
             a host of F whenever F has one.
-        Phase 2's argument and both rules use only that freeness survives
+        The split's argument and both rules use only that freeness survives
         a vertex relabelling and the removal of edges, so they hold for
         every pattern: a union, one wider than n, or none.
         """
         best: tuple[int, ...] = ()
-        for chosen in self.walk(lambda: len(best) + 1, orbit=_one_orbit):
-            if len(chosen) > len(best):
-                best = tuple(chosen)
-                yield best
-            elif chosen and self.linear:
-                break  # back from the leaf
-        if not self.linear:
-            return
-        star = self.grow_star()
-        for d in range(len(star), 0, -1):
-            if d * self.n < self.r * (len(best) + 1):
-                break
-            for chosen in self.walk(lambda: len(best) + 1, root=star[:d], cap=d,
-                                    orbit=self.petals(d)):
+
+        def need() -> int:
+            return len(best) + 1
+
+        if self.linear:
+            star = self.grow_star()
+            walks = (self.walk(need, root=star[:d], cap=d, orbit=self.petals(d))
+                     for d in range(len(star), 0, -1) if d * self.n >= self.r * need())
+        else:
+            walks = [self.walk(need, orbit=_one_orbit)]
+        for walk in walks:
+            for chosen in walk:
                 if len(chosen) > len(best):
                     best = tuple(chosen)
                     yield best
@@ -622,9 +616,10 @@ def max_edges(
 
     The hosts come from _Searcher.hosts.  A linear host, and so every
     2-uniform one, takes the max-degree split (stats.proof
-    "degree-split"); a general host with r >= 3 is proved by the plain
-    walk, phase 1 run to the end.  A budget cut returns the best host
-    found so far, re-verified, as interrupted.
+    "degree-split"), whose first node, if any, is its widest root star;
+    a general host with r >= 3 is proved by the plain walk, whose first
+    node is the empty host.  A budget cut returns the best host found so
+    far, re-verified, as interrupted.
     """
     budget = budget or SearchBudget()
     s = _Searcher(n, r, pattern, host, budget)

@@ -260,6 +260,7 @@ _REJECTED = [
     (lt.turan_formulas, (3, 4, 10, (1, 2, 3)),
      "component counts must be a pair, got (1, 2, 3)"),
     (lt.turan_formulas, (3, 1, 10), "no formula applies at r=3, ell=1, k=None"),
+    (lt.removal_upper, (3, 4, 1, 10, -5), "path-free maximum must be nonnegative, got -5"),
 ]
 
 

@@ -307,7 +307,7 @@ class TestTuran:
     def test_node_limit_flag_interrupts(self, capsys):
         code, text, err = run(
             capsys, "turan", "--n", "7", "--r", "3", "--pattern", "P3@r3",
-            "--linear", "--node-limit", "5",
+            "--linear", "--node-limit", "2",
         )
         assert code == EXIT_INTERRUPTED
         assert "lower bound" in err
@@ -472,6 +472,12 @@ class TestBound:
         assert (code, text) == (EXIT_USAGE, "")
         assert got.startswith("error: argument") and err in got
 
+    def test_negative_path_free_maximum_is_refused(self, capsys):
+        # it once printed "removal: upper -1/2" and exited 0
+        assert run(capsys, "bound", "--theorem", "removal", "--r", "3", "--ell", "4",
+                   "--k", "1", "--n", "10", "--ex", "-5") == (
+            EXIT_USAGE, "", "error: path-free maximum must be nonnegative, got -5\n")
+
     def test_value_too_long_to_print_is_a_usage_error(self, capsys):
         code, text, err = run(capsys, "bound", "--theorem", "path-turan", "--r", "3",
                               "--ell", "4", "--n", "9" * 4000)
@@ -631,7 +637,7 @@ class TestReport:
     def test_interrupted_records_are_left_out(self, capsys, tmp_path):
         rfile = tmp_path / "r.jsonl"
         code, _, _ = run(capsys, "turan", "--n", "7", "--r", "3", "--pattern", "P3@r3",
-                         "--linear", "--node-limit", "5", "--results", str(rfile))
+                         "--linear", "--node-limit", "2", "--results", str(rfile))
         assert code == EXIT_INTERRUPTED
         assert json.loads(rfile.read_text())["status"] == "interrupted"
         code, text, _ = run(capsys, "report", "--results", str(rfile))
@@ -730,7 +736,7 @@ class TestConfigAndUsage:
 
     def test_config_budget_applies(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"node_limit": 5}')
+        cfg.write_text('{"node_limit": 2}')
         code, _, _ = run(
             capsys, "turan", "--n", "7", "--r", "3", "--pattern", "P3@r3",
             "--linear", "--config", str(cfg),
@@ -739,7 +745,7 @@ class TestConfigAndUsage:
 
     def test_env_overrides_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"node_limit": 5}')
+        cfg.write_text('{"node_limit": 2}')
         monkeypatch.setenv(cli.ENV_NODE_LIMIT, "1000000")
         code, text, _ = run(
             capsys, "turan", "--n", "7", "--r", "3", "--pattern", "P3@r3",
@@ -752,7 +758,7 @@ class TestConfigAndUsage:
         monkeypatch.setenv(cli.ENV_NODE_LIMIT, "1000000")
         code, _, _ = run(
             capsys, "turan", "--n", "7", "--r", "3", "--pattern", "P3@r3",
-            "--linear", "--node-limit", "5",
+            "--linear", "--node-limit", "2",
         )
         assert code == EXIT_INTERRUPTED
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from linturan.cli import load_config
 from linturan.errors import LinturanError
 from linturan.hgio import load_json, load_text, read_file
+from linturan.hypergraph import make_hypergraph
 from linturan.patterns import parse_pattern
 from linturan.results import ResultRecord, ResultsStore
 
@@ -153,3 +154,12 @@ def test_load_config(blob):
         with open(path, "wb") as fh:
             fh.write(blob)
         _only_package_errors(load_config, path)
+
+
+@FUZZ
+@given(small_ints | scalars, st.lists(st.lists(small_ints | scalars, max_size=4), max_size=5),
+       st.none() | small_ints | scalars)
+def test_make_hypergraph(n, edges, r):
+    # the library's own constructor takes sizes and vertices of any type:
+    # anything but an int (a bool is not one) is a BadParameters
+    _only_package_errors(make_hypergraph, n, edges, r)

@@ -65,7 +65,22 @@ def test_linearity_violation_names_an_edge_pair():
      "disjoint_union needs at least one hypergraph"),
     (lambda: lt.remove_vertices(lt.make_hypergraph(5, [(0, 1, 2)]), [1, 5]),
      OutOfRangeVertex, "vertex 5 not in range(0, 5)"),
-], ids=["lattice", "union", "remove"])
+    # a float vertex or size would build a host that breaks the detector
+    # with a TypeError; a bool is not an int here either
+    (lambda: lt.make_hypergraph(3, [(0, 1.0, 2)], 3), lt.BadParameters,
+     "vertex 1.0 in edge (0, 1.0, 2) is not an int"),
+    (lambda: lt.make_hypergraph(3, [(0, True, 2)], 3), lt.BadParameters,
+     "vertex True in edge (0, True, 2) is not an int"),
+    (lambda: lt.make_hypergraph(3, [(0, "1", 2)]), lt.BadParameters,
+     "vertex '1' in edge (0, '1', 2) is not an int"),
+    (lambda: lt.make_hypergraph(3.5, [(0, 1, 2)], 3), lt.BadParameters,
+     "vertex count must be an int, got 3.5"),
+    (lambda: lt.make_hypergraph(True, []), lt.BadParameters,
+     "vertex count must be an int, got True"),
+    (lambda: lt.make_hypergraph(3, [(0, 1, 2)], 3.0), lt.BadParameters,
+     "uniform order must be an int or None, got 3.0"),
+], ids=["lattice", "union", "remove", "float-vertex", "bool-vertex", "str-vertex",
+        "float-n", "bool-n", "float-r"])
 def test_rejected_arguments_are_named(call, error, message):
     with pytest.raises(error) as info:
         call()

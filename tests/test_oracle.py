@@ -19,6 +19,7 @@ from linturan.errors import (
     OutOfRangeVertex,
     ProductTooLarge,
 )
+from linturan.cli import main
 from linturan.oracle import HOSTS, SearchStats, _Searcher, _check_search_size, _one_orbit
 
 P2 = lt.linear_path(2, 3)
@@ -186,21 +187,21 @@ def test_search_matches_bitmask_exhaustion(data):
 @pytest.mark.parametrize(
     "n,expr,host,nodes",
     [
-        pytest.param(7, "P3@r3", "linear", 8, id="7-P3@r3-linear"),
-        pytest.param(6, "C3@r3", "linear", 5, id="6-C3@r3-linear"),
-        pytest.param(7, "P4@r3", "linear", 8, id="7-P4@r3-linear"),
+        pytest.param(7, "P3@r3", "linear", 5, id="7-P3@r3-linear"),
+        pytest.param(6, "C3@r3", "linear", 1, id="6-C3@r3-linear"),
+        pytest.param(7, "P4@r3", "linear", 5, id="7-P4@r3-linear"),
         pytest.param(7, "S2@r3", "general", 26, id="7-S2@r3-general"),
         pytest.param(6, "P3@r3", "general", 21, id="6-P3@r3-general"),
         # the benchmark's exact-grid rows; the linear ones take the
         # max-degree split (P4 has 9 vertices, so P4 on 7 and 8 vertices
         # is the split's unconstrained search)
-        pytest.param(8, "P3@r3", "linear", 10, id="8-P3@r3-linear"),
-        pytest.param(8, "C3@r3", "linear", 11, id="8-C3@r3-linear"),
-        pytest.param(8, "P4@r3", "linear", 19, id="8-P4@r3-linear"),
-        pytest.param(9, "P3@r3", "linear", 12, id="9-P3@r3-linear"),
+        pytest.param(8, "P3@r3", "linear", 5, id="8-P3@r3-linear"),
+        pytest.param(8, "C3@r3", "linear", 6, id="8-C3@r3-linear"),
+        pytest.param(8, "P4@r3", "linear", 12, id="8-P4@r3-linear"),
+        pytest.param(9, "P3@r3", "linear", 6, id="9-P3@r3-linear"),
         # unions, whose checks are anchored too
-        pytest.param(10, "2*P2@r3", "linear", 40, id="10-2*P2@r3-linear"),
-        pytest.param(10, "P2+S2@r3", "linear", 40, id="10-P2+S2@r3-linear"),
+        pytest.param(10, "2*P2@r3", "linear", 28, id="10-2*P2@r3-linear"),
+        pytest.param(10, "P2+S2@r3", "linear", 28, id="10-P2+S2@r3-linear"),
     ],
 )
 def test_node_counts_are_pinned(n, expr, host, nodes):
@@ -214,10 +215,10 @@ def test_node_counts_are_pinned(n, expr, host, nodes):
 @pytest.mark.parametrize(
     "n,expr,host,counters",
     [
-        (7, "P3@r3", "linear", (29, 5, 0)),
+        (7, "P3@r3", "linear", (9, 1, 0)),
         (7, "S2@r3", "general", (184, 115, 24)),
-        (10, "2*P2@r3", "linear", (449, 16, 18)),
-        (10, "P2+S2@r3", "linear", (449, 16, 18)),
+        (10, "2*P2@r3", "linear", (205, 11, 17)),
+        (10, "P2+S2@r3", "linear", (205, 11, 17)),
     ],
 )
 def test_search_counters_are_pinned(n, expr, host, counters):
@@ -486,9 +487,9 @@ def test_gain_bounds_every_subtree(r, top, expr):
 
 
 def test_split_makes_one_walk_per_degree(monkeypatch):
-    # n=14 P3: one walk for the first descent, then at most one per D of
-    # the longest free star, each rooted at the star of D edges under the
-    # cap D and raising its own bar; no walk runs with a cap but no root
+    # n=14 P3: at most one walk per D of the longest free star, each
+    # rooted at the star of D edges under the cap D and raising its own
+    # bar; no walk runs unrooted or with a cap but no root
     walks = []
     walk = _Searcher.walk
 
@@ -500,20 +501,20 @@ def test_split_makes_one_walk_per_degree(monkeypatch):
     res = lt.max_edges(14, 3, P3)
     assert (res.status, res.value) == ("exact", 14)
     star = _Searcher(14, 3, P3, "linear", lt.SearchBudget()).grow_star()
-    assert len(walks) <= len(star) + 1
-    assert walks[0] == ((), None)
-    per_d = [cap for _, cap in walks[1:]]
+    assert 0 < len(walks) <= len(star)
+    per_d = [cap for _, cap in walks]
     assert per_d == sorted(set(per_d), reverse=True)
-    assert all(root == tuple(star[:cap]) for root, cap in walks[1:])
+    assert all(root == tuple(star[:cap]) for root, cap in walks)
 
 
 def test_split_budget_cuts_return_verified_hosts():
-    # n=10 P3: the first descent stops at a star of 4 edges, and the per-D
-    # walks find hosts of 5 to 8 edges and no host of 9; the node that
-    # finds the lex-least host of 8 is the search's last.  A node limit
-    # short of the full count cuts one of the two phases and returns the
+    # n=10 P3: the first per-D walk's root is the star of 4 edges, its
+    # first node, and the walks find hosts of 5 to 8 edges and no host of
+    # 9; the node that finds the lex-least host of 8 is the search's last.
+    # A node limit short of the full count cuts a walk and returns the
     # best host found so far, re-verified, so the values never fall as the
-    # limit grows; the last limit stops one node short of the host of 8
+    # limit grows; the first limit keeps the root star, and the last stops
+    # one node short of the host of 8
     full = lt.max_edges(10, 3, P3)
     assert (full.status, full.value, full.stats.proof) == ("exact", 8, "degree-split")
     values = []
@@ -524,7 +525,7 @@ def test_split_budget_cuts_return_verified_hosts():
         assert lt.is_linear(res.witness) and lt.is_free(res.witness, P3)
         values.append(res.value)
     assert values == sorted(values)
-    assert (values[0], values[-1]) == (0, 7)
+    assert (values[0], values[-1]) == (4, 7)
     res = lt.max_edges(10, 3, P3, budget=lt.SearchBudget(node_limit=full.stats.nodes))
     assert (res.status, res.value, res.witness) == ("exact", 8, full.witness)
 
@@ -626,7 +627,7 @@ def test_iter_free_yields_only_free_hosts():
 
 
 def test_budget_interrupts_max_edges():
-    res = lt.max_edges(7, 3, P3, budget=lt.SearchBudget(node_limit=5))
+    res = lt.max_edges(7, 3, P3, budget=lt.SearchBudget(node_limit=2))
     assert res.status == "interrupted"
     assert not res.exact
     assert res.value <= 7
@@ -635,9 +636,10 @@ def test_budget_interrupts_max_edges():
 
 @pytest.mark.parametrize("n,expr,exact", [(9, "P3@r3", 7), (8, "C3@r3", 4)])
 def test_interrupted_values_are_verified_lower_bounds(n, expr, exact):
-    # a node budget cuts the walk after a prefix of its nodes, so the value
-    # can only grow with the budget, never past the exact value, and each
-    # witness is a free linear host with that many edges
+    # a node budget cuts the walks after a prefix of their nodes, so the
+    # value can only grow with the budget, from the first walk's root star
+    # (its first node) up, never past the exact value, and each witness is
+    # a free linear host with that many edges
     pattern = lt.parse_pattern(expr)
     full = lt.max_edges(n, 3, pattern)
     assert (full.status, full.value) == ("exact", exact)
@@ -652,7 +654,8 @@ def test_interrupted_values_are_verified_lower_bounds(n, expr, exact):
         assert lt.is_linear(res.witness) and lt.is_free(res.witness, pattern)
         values.append(res.value)
     assert values == sorted(values)
-    assert values[0] == 0 and values[-1] <= exact
+    star = _Searcher(n, 3, pattern, "linear", lt.SearchBudget()).grow_star()
+    assert values[0] == len(star) and values[-1] <= exact
     res = lt.max_edges(n, 3, pattern, budget=lt.SearchBudget(node_limit=full.stats.nodes))
     assert (res.status, res.value, res.witness) == ("exact", exact, full.witness)
 
@@ -682,6 +685,32 @@ def test_time_budget_spent_before_the_root_gives_the_empty_host(monkeypatch):
     assert res.stats.nodes == 1
 
 
+@pytest.mark.parametrize("n,r,expr", [(7, 3, "P1"), (7, 3, "S1"), (6, 2, "P1")])
+def test_pattern_that_forbids_every_edge_visits_no_node(capsys, tmp_path, n, r, expr):
+    # no edge is free, so the split's one trial finds no free star and no
+    # walk runs: the value is 0, exact, with the empty witness and no
+    # node, and the CLI and a results store say the same
+    pattern = lt.parse_pattern(f"{expr}@r{r}")
+    res = lt.max_edges(n, r, pattern)
+    s = res.stats
+    assert (res.value, res.status, res.witness) == (0, "exact", lt.make_hypergraph(n, [], r))
+    assert (s.nodes, s.admits_calls, s.admits_rejects, s.bound_cuts, s.proof) == (
+        0, 1, 1, 0, "degree-split")
+    rfile = tmp_path / "r.jsonl"
+    argv = ["turan", "--n", str(n), "--r", str(r), "--pattern", f"{expr}@r{r}", "--linear",
+            "--report-format", "structured", "--results", str(rfile)]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert (got["status"], got["value"], got["nodes"], got["admits_calls"], got["proof"]) == (
+        "exact", 0, 0, 1, "degree-split")
+    rec = lt.ResultsStore(rfile).best(n, r, f"{expr}@r{r}", "linear")
+    assert (rec.value, rec.status, rec.witness_graph()) == (0, "exact", res.witness)
+    assert dataclasses.replace(rec.stats, elapsed=0) == dataclasses.replace(s, elapsed=0)
+    # served from the store, the row reports the stored record
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == got
+
+
 def test_union_search_builds_only_the_witness(monkeypatch):
     # every check runs on the searcher's own edge state: the one host
     # built is the witness
@@ -694,7 +723,7 @@ def test_union_search_builds_only_the_witness(monkeypatch):
 
     monkeypatch.setattr(lt.oracle, "make_hypergraph", counted)
     res = lt.max_edges(10, 3, lt.parse_pattern("P2+S2@r3"))
-    assert (res.status, res.value, res.stats.admits_calls) == ("exact", 13, 449)
+    assert (res.status, res.value, res.stats.admits_calls) == ("exact", 13, 205)
     assert len(built) == 1
 
 
@@ -707,17 +736,17 @@ def _digest(witness):
 # the values and digests are the ones the search gave when a union took a
 # whole-host check, and the counters move only when the walk's tree does
 UNION_ROWS = [
-    (7, 3, "2*P1", "linear", 100, (7, "exact", 8, 50, 7, 0), "b510de7e3234"),
-    (8, 3, "2*P1", "linear", 100, (7, "exact", 10, 84, 22, 5), "b510de7e3234"),
-    (8, 3, "P1+S2", "linear", 100, (8, "exact", 17, 101, 15, 4), "2dbde94f8eb7"),
-    (9, 3, "2*P1", "linear", 100, (7, "exact", 12, 138, 52, 5), "b510de7e3234"),
-    (9, 3, "P1+S2", "linear", 100, (12, "exact", 13, 167, 20, 0), "dcdcf6cd425c"),
-    (9, 3, "P1+C3", "linear", 100, (12, "exact", 33, 240, 26, 15), "dcdcf6cd425c"),
-    (10, 3, "2*P1", "linear", 100, (7, "exact", 12, 195, 81, 5), "b510de7e3234"),
-    (10, 3, "P1+S2", "linear", 100, (12, "exact", 15, 233, 47, 9), "dcdcf6cd425c"),
-    (10, 3, "2*P2", "linear", 100, (13, "exact", 40, 449, 16, 18), "e16f59768666"),
-    (10, 3, "P2+S2", "linear", 100, (13, "exact", 40, 449, 16, 18), "e16f59768666"),
-    (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 865, 221, 86), "dcdcf6cd425c"),
+    (7, 3, "2*P1", "linear", 100, (7, "exact", 5, 10, 1, 0), "b510de7e3234"),
+    (8, 3, "2*P1", "linear", 100, (7, "exact", 5, 11, 2, 3), "b510de7e3234"),
+    (8, 3, "P1+S2", "linear", 100, (8, "exact", 10, 34, 9, 3), "2dbde94f8eb7"),
+    (9, 3, "2*P1", "linear", 100, (7, "exact", 6, 14, 4, 4), "b510de7e3234"),
+    (9, 3, "P1+S2", "linear", 100, (12, "exact", 9, 49, 12, 0), "dcdcf6cd425c"),
+    (9, 3, "P1+C3", "linear", 100, (12, "exact", 24, 127, 22, 14), "dcdcf6cd425c"),
+    (10, 3, "2*P1", "linear", 100, (7, "exact", 6, 16, 6, 4), "b510de7e3234"),
+    (10, 3, "P1+S2", "linear", 100, (12, "exact", 9, 50, 13, 7), "dcdcf6cd425c"),
+    (10, 3, "2*P2", "linear", 100, (13, "exact", 28, 205, 11, 17), "e16f59768666"),
+    (10, 3, "P2+S2", "linear", 100, (13, "exact", 28, 205, 11, 17), "e16f59768666"),
+    (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 747, 226, 94), "dcdcf6cd425c"),
     (6, 3, "2*P1", "general", 100, (10, "interrupted", 101, 545, 99, 96), "05bd1b448ddd"),
     (7, 3, "2*P1", "general", 100, (15, "interrupted", 101, 989, 183, 92), "0ae9c0acebb4"),
     (8, 3, "2*P1", "general", 100, (21, "interrupted", 101, 1431, 228, 92), "159bf9c948c4"),
@@ -729,9 +758,9 @@ UNION_ROWS = [
     (10, 3, "P1+S2", "general", 100, (36, "interrupted", 101, 2635, 287, 76), "540b738511c8"),
     (10, 3, "2*P2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
     (10, 3, "P2+S2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
-    (8, 4, "2*P1", "linear", 100, (2, "exact", 5, 18, 1, 2), "3929c590e9bf"),
-    (9, 4, "2*P1", "linear", 100, (3, "exact", 7, 56, 5, 2), "238abed65f6f"),
-    (10, 4, "2*P1", "linear", 100, (5, "exact", 10, 139, 19, 2), "95d59a87ef69"),
+    (8, 4, "2*P1", "linear", 100, (2, "exact", 1, 1, 0, 1), "3929c590e9bf"),
+    (9, 4, "2*P1", "linear", 100, (3, "exact", 2, 2, 0, 1), "238abed65f6f"),
+    (10, 4, "2*P1", "linear", 100, (5, "exact", 5, 13, 1, 1), "95d59a87ef69"),
     (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1540, 99, 68), "da0a21ca2dfa"),
     (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3431, 125, 53), "92f25cca91e3"),
     (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6603, 142, 34), "97eb85d7e757"),
@@ -885,3 +914,15 @@ def test_rejected_search_arguments_are_named():
     with pytest.raises(BadParameters) as info:
         lt.max_edges(3, 1, None)
     assert str(info.value) == "edge order must be at least 2, got 1"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: lt.max_edges(6.0, 3, None), "n and r must be ints, got n=6.0, r=3"),
+    (lambda: lt.max_edges(6, True, None), "n and r must be ints, got n=6, r=True"),
+    (lambda: next(lt.iter_free(6, 3.0, None)), "n and r must be ints, got n=6, r=3.0"),
+    (lambda: lt.ex_table([(True, 2, None)]), "n and r must be ints, got n=True, r=2"),
+], ids=["max-edges-n", "max-edges-r", "iter-free-r", "ex-table-n"])
+def test_non_int_search_sizes_are_refused(call, message):
+    with pytest.raises(BadParameters) as info:
+        call()
+    assert str(info.value) == message

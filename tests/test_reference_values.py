@@ -1,9 +1,12 @@
 """max_edges against closed forms proved outside this library.
 
 Every other exact value is checked against the library's own searchers;
-these come from theorems, each cited with the range of n it covers.
+these come from theorems, each cited with the range of n it covers.  From
+below, the certified constructions that fit on n vertices must have at
+most as many edges as max_edges gives.
 """
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -52,6 +55,28 @@ def test_general_p3_is_a_star():
     # Combin. Theory Ser. A 129, 2015)
     res = lt.max_edges(8, 3, lt.parse_pattern("P3@r3"), "general")
     assert (res.status, res.value) == ("exact", comb(7, 2))
+
+
+@pytest.mark.parametrize("n", range(7, 15))
+def test_thm45_fano_copies_fit_under_the_p4_value(n):
+    # thm45 lays out floor(n/7) disjoint Fano planes, a linear P4-free host
+    # (each component has 7 vertices, and P4 spans 9), so it has at most
+    # ex(n) edges; one plane attains ex(7) = 7 and two attain ex(14) = 14
+    built = lt.thm45_construction(3, 4, n)
+    res = lt.max_edges(n, 3, lt.parse_pattern("P4@r3"), "linear")
+    assert res.exact and built.actual <= res.value
+    assert (built.actual == res.value) == (n in (7, 14))
+
+
+def test_thm45_affine_plane_attains_the_p5_value():
+    # at ell = 5 and n = 9 thm45's design is a Steiner triple system on 9
+    # points, the affine plane AG(2, 3): 12 triples covering every pair
+    # once.  P5 spans 11 vertices, so ex(9, P5) is the packing number 12
+    built = lt.thm45_construction(3, 5, 9)
+    pairs = [p for e in built.result.edges for p in combinations(e, 2)]
+    assert sorted(pairs) == list(combinations(range(9), 2))
+    res = lt.max_edges(9, 3, lt.parse_pattern("P5@r3"), "linear")
+    assert (built.actual, res.status, res.value) == (12, "exact", 12)
 
 
 # graphs: at r = 2 every host is linear, so both host strings search the
