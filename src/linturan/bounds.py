@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .designs import is_admissible
 from .errors import BadParameters
+from .hypergraph import _check_ints
 
 Rational = Union[int, Fraction]
 
@@ -85,7 +86,10 @@ def _comb(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_common(r: int, n: int) -> None:
+def _check_common(r: int, n: int, **sizes: int) -> None:
+    """Refuse an edge order below 2, a negative host size, and any of r,
+    n and the other integer sizes that is not an int."""
+    _check_ints(r=r, n=n, **sizes)
     if r < 2:
         raise BadParameters(f"edge order must be at least 2, got {r}")
     if n < 0:
@@ -106,7 +110,7 @@ def linear_path_upper(r: int, ell: int, n: int) -> BoundReport:
     ell >= 4 gives (2r-3)*ell*n/2; ell = 3 gives n; ell = 2 is the exact
     matching number floor(n/r).
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell)
     if r < 3:
         raise BadParameters(f"path bounds need edge order >= 3, got {r}")
     if ell < 2:
@@ -122,7 +126,7 @@ def linear_path_upper(r: int, ell: int, n: int) -> BoundReport:
 
 def star_forest_upper(r: int, ell: int, k: int, n: int) -> BoundReport:
     """Cap on edges of a linear host with no k disjoint loose ell-stars."""
-    _check_common(r, n)
+    _check_common(r, n, ell=ell, k=k)
     if ell < 1 or k < 1:
         raise BadParameters(f"need ell, k >= 1, got ell={ell}, k={k}")
     value = (Fraction(ell - 1, r) + Fraction(k - 1, r - 1)) * (n - k + 1)
@@ -141,12 +145,13 @@ def path_star_forest_upper(
     ``lengths`` lists the star lengths and must be nonincreasing; the
     formula depends only on k = len(lengths) and ell = max(ell0, lengths[0]).
     """
-    _check_common(r, n)
+    _check_common(r, n, ell0=ell0)
     if r < 3 or ell0 < 4:
         raise BadParameters(
             f"need edge order >= 3 and path length >= 4, got r={r}, ell0={ell0}"
         )
     lengths = tuple(lengths)
+    _check_ints(**{f"star length {i}": x for i, x in enumerate(lengths)})
     if any(x < 1 for x in lengths):
         raise BadParameters(f"star lengths must be positive, got {lengths}")
     if any(a < b for a, b in zip(lengths, lengths[1:])):
@@ -172,7 +177,7 @@ def packing_lower(r: int, ell: int, n: int) -> BoundReport:
     fails the admissibility congruences for every r >= 3, so the report is
     never marked applicable; the value is still the nominal one.
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell)
     if r < 3 or ell < 4:
         raise BadParameters(f"need r >= 3 and ell >= 4, got r={r}, ell={ell}")
     value = (Fraction(ell, r) - Fraction(1, r * (r - 1))) * n
@@ -200,7 +205,7 @@ def removal_upper(
     on n - k vertices; when omitted it is replaced by its own upper bound.
     An edge count is never negative, so a negative one is refused.
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell, k=k)
     if r < 3 or ell < 4 or k < 0:
         raise BadParameters(
             f"need r >= 3, ell >= 4, k >= 0, got r={r}, ell={ell}, k={k}"
@@ -233,7 +238,7 @@ def inserted_product_lower(r: int, ell: int, k: int, n: int) -> BoundReport:
     the report is informational; constructions.py builds the achievable
     variant with a fallback block count.
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell, k=k)
     if r < 3 or ell < 4 or k < 1:
         raise BadParameters(
             f"need r >= 3, ell >= 4, k >= 1, got r={r}, ell={ell}, k={k}"
@@ -266,7 +271,7 @@ def path_turan_exact(r: int, ell: int, n: int) -> BoundReport:
     C(n,r) - C(n-d,r) with d = floor((ell-1)/2), plus C(n-d-2, r-2) when
     ell is even.  Exact only for sufficiently large n.
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell)
     if r < 3 or ell < 4:
         raise BadParameters(f"need r >= 3 and ell >= 4, got r={r}, ell={ell}")
     d = (ell - 1) // 2
@@ -285,7 +290,7 @@ def disjoint_paths_turan(r: int, ell: int, k: int, n: int) -> BoundReport:
     Sum of C(n-j, r-1) for j = 1 .. k*floor((ell+1)/2), plus
     C(n - k*floor((ell+1)/2) - 1, r-2) when ell is even.
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell, k=k)
     if r < 3 or ell < 1 or k < 2:
         raise BadParameters(
             f"need r >= 3, ell >= 1, k >= 2, got r={r}, ell={ell}, k={k}"
@@ -308,7 +313,7 @@ def star_turan_upper(
     The true constant depends only on r and is not pinned down; callers
     supply ``c`` (default 1) and the report says so.
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell)
     if r < 3 or ell < 2:
         raise BadParameters(f"need r >= 3 and ell >= 2, got r={r}, ell={ell}")
     if _frac(c) <= 0:
@@ -333,7 +338,7 @@ def path_star_turan(
     :func:`star_turan_upper` is available, so the lower report is marked
     not applicable.
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell, k=k)
     if r < 3 or ell < 4 or k < 0:
         raise BadParameters(
             f"need r >= 3, ell >= 4, k >= 0, got r={r}, ell={ell}, k={k}"
@@ -364,7 +369,7 @@ def forest_turan(
     count on n - k1 - k2 + 1 vertices, stood in for by its upper estimate
     as in :func:`path_star_turan`.
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell, k1=k1, k2=k2)
     if r < 3 or ell < 4 or k1 < 2 or k2 < 0:
         raise BadParameters(
             f"need r >= 3, ell >= 4, k1 >= 2, k2 >= 0, "
@@ -402,7 +407,7 @@ def turan_formulas(
     count (k >= 2) and the path-plus-k-stars pair; a (k1, k2) tuple requests
     the k1-paths-plus-k2-stars pair.
     """
-    _check_common(r, n)
+    _check_common(r, n, ell=ell)
     if r < 3:
         raise BadParameters(f"these formulas need edge order >= 3, got {r}")
     reports: list[BoundReport] = []
@@ -416,6 +421,7 @@ def turan_formulas(
         if ell >= 4:
             reports.extend(forest_turan(r, ell, k[0], k[1], n, c=c))
     elif k is not None:
+        _check_ints(k=k)
         if k >= 2:
             reports.append(disjoint_paths_turan(r, ell, k, n))
         if ell >= 4:

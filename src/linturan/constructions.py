@@ -24,6 +24,7 @@ from .detect import contains
 from .errors import BadParameters, InvariantViolation, NoDesignAvailable
 from .hypergraph import (
     Hypergraph,
+    _check_ints,
     _check_size,
     integer_lattice,
     is_linear,
@@ -124,8 +125,10 @@ def fallback_block_count(r: int, ell: int, limit: Optional[int] = None) -> Desig
     """Largest buildable design on at most ell*(r-1) points (and at most
     ``limit`` when given).  The ideal point count ell*(r-1) itself never
     passes the admissibility test for r >= 3, hence the fallback."""
+    _check_ints(r=r, ell=ell)
     top = ell * (r - 1)
     if limit is not None:
+        _check_ints(limit=limit)
         top = min(top, limit)
     for m in range(top, r - 1, -1):
         outcome = build_design(m, r)
@@ -147,6 +150,7 @@ def thm45_construction(r: int, ell: int, n: int, certify: bool = True) -> Constr
     than CONE_ENUMERATION_CAP edges; the second is checked after the
     design is chosen and before any copy is laid out.
     """
+    _check_ints(r=r, ell=ell, n=n)
     if r < 3 or ell < 4:
         raise BadParameters(f"need r >= 3 and ell >= 4, got r={r}, ell={ell}")
     if n < r:
@@ -256,6 +260,7 @@ def thm47_construction(
     host would have more than DEFAULT_PRODUCT_CAP vertices, before the hub
     design is built.
     """
+    _check_ints(r=r, ell=ell, k=k, copies=copies)
     if r < 3 or ell < 4 or k < 1 or copies < 0:
         raise BadParameters(
             f"need r >= 3, ell >= 4, k >= 1, copies >= 0, "
@@ -309,6 +314,7 @@ def cone_construction(
     not an error, since it only means the kernel lacked the assumed
     freeness.
     """
+    _check_ints(n=n, r=r, k=k)
     if k < 1:
         raise BadParameters(f"need at least one cone vertex, got k={k}")
     if n < r:

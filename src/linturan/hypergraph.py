@@ -53,6 +53,14 @@ def _check_size(what: str, count: int, unit: str, cap: int = DEFAULT_PRODUCT_CAP
         raise ProductTooLarge(f"{what} would have {count} {unit} (cap {cap})")
 
 
+def _check_ints(**sizes: object) -> None:
+    """Refuse the first of sizes, named by its keyword, that is not an
+    int; a bool is not one."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise BadParameters(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable hypergraph.  Build instances through make_hypergraph.

@@ -30,9 +30,11 @@ pattern keeps containing it as edges are added.  Three prunes ride on
 this, each argued in walk's or gain's docstring: the live list bounds
 how many edges a subtree can still gain (vertex by vertex on a linear
 host, under a degree cap), a walk ends once its bar passes the most
-edges its degree cap allows, and max_edges fixes the first edge to
-{0, ..., r-1}, and a split walk its first edge after the star up to the
-star's symmetries (the root rule).
+edges its degree cap allows, and the root rule skips relabelled copies:
+max_edges fixes the first edge to s_0 = {0, ..., r-1} and, on a general
+host, the second up to the relabellings that fix s_0, one per overlap
+with s_0; a split walk fixes its first edge after the star up to the
+star's symmetries.
 Searches whose candidate edges would list more than DEFAULT_PRODUCT_CAP
 vertices are refused before anything is built.
 
@@ -96,10 +98,19 @@ class SearchBudget:
     time_limit: Optional[float] = None  # seconds
 
     def __post_init__(self):
-        if self.node_limit is not None and self.node_limit <= 0:
-            raise BadParameters(f"node limit must be positive, got {self.node_limit}")
-        if self.time_limit is not None and not self.time_limit > 0:  # NaN too
-            raise BadParameters(f"time limit must be positive, got {self.time_limit}")
+        # a bool is an int to isinstance, but no limit
+        if self.node_limit is not None:
+            if type(self.node_limit) is not int:
+                raise BadParameters(f"node limit must be an int, got {self.node_limit!r}")
+            if self.node_limit <= 0:
+                raise BadParameters(f"node limit must be positive, got {self.node_limit}")
+        if self.time_limit is not None:
+            if type(self.time_limit) not in (int, float):
+                raise BadParameters(
+                    f"time limit must be an int or a float, got {self.time_limit!r}"
+                )
+            if not self.time_limit > 0:  # NaN too
+                raise BadParameters(f"time limit must be positive, got {self.time_limit}")
 
 
 @dataclass(frozen=True)
@@ -260,11 +271,11 @@ class _Searcher:
         host plus one edge is still too small for the pattern, admits could
         only say True, so it does not run.
 
-        orbit, given at a walk's root only (see walk), keys the candidates
-        so that two with one key lie in one orbit of the stabiliser of the
-        host of chosen and of the walk's side conditions.  Such a
-        relabelling takes the host plus one of them to the host plus the
-        other, and freeness does not depend on labels, so the first
+        orbit, the root rule's key at this node's depth (see walk), keys
+        the candidates so that two with one key lie in one orbit of the
+        stabiliser of the host of chosen and of the walk's side conditions.
+        Such a relabelling takes the host plus one of them to the host plus
+        the other, and freeness does not depend on labels, so the first
         candidate of each key that fits is tested and its verdict serves
         the rest of its key; only that first one is expanded.  Without
         orbit every child is.
@@ -358,7 +369,7 @@ class _Searcher:
         self,
         need: Callable[[], int],
         stop_at: Optional[int] = None,
-        orbit: Optional[Callable[[int], int]] = None,
+        orbits: Sequence[Callable[[int], int]] = (),
         root: Sequence[int] = (),
         cap: Optional[int] = None,
     ) -> Iterator[list[int]]:
@@ -398,20 +409,27 @@ class _Searcher:
         floor(n * cap / r), as its degrees, each at most cap, sum to r
         times its size (Schoenheim; Johnson); the bar never falls.
 
-        orbit, the root rule, keys the root's candidates so that two with
-        one key lie in one orbit of the stabiliser of the root host and the
-        cap.  live takes one verdict per key and expands only the first
-        child of each; each still draws from all of L[i+1:], so a skipped
-        child stays available as a later edge.  hosts argues the rule
-        for the split's root, the host of root's edges (its candidates are
-        every edge).  The plain walk's root is the empty host, and its one
-        key, _one_orbit, keeps the hosts whose first edge is candidate 0,
-        {0, ..., r-1}: all one-edge hosts are isomorphic, so the root
-        admits every candidate or none.  A vertex relabelling
-        keeps a host free and linear, and every nonempty host relabels to
-        one that holds candidate 0, so every size is still reached; a
-        sorted edge list that starts with 0 is lex-smaller than any that
-        does not, so the lex-least host of each size is among them too.
+        orbits, the root rule, holds one key per depth below root: orbits[j]
+        keys the candidates of every node j edges below root that the walk
+        expands, so that two with one key lie in one orbit of the
+        stabiliser of that node's host and the cap.  live takes one verdict
+        per key and expands only the first child of each; each still draws
+        from all of L[i+1:], so a skipped child stays available as a later
+        edge.  Deeper nodes take no key.  hosts argues the rule for the
+        split's root, the host of root's edges (its candidates are every
+        edge), and for the plain walk's two levels:
+        - The plain walk's root is the empty host, and its key,
+          _one_orbit, keeps the hosts whose first edge is candidate 0,
+          s_0 = {0, ..., r-1}: all one-edge hosts are isomorphic, so the
+          root admits every candidate or none.  A vertex relabelling
+          keeps a host free and linear, and every nonempty host relabels
+          to one that holds s_0, so every size is still reached; a
+          sorted edge list that starts with s_0 is lex-smaller than any
+          that does not, so the lex-least host of each size is among
+          them too.
+        - Its one expanded child is the host {s_0}, whose candidates the
+          second key, petals(1), sorts by their overlap k = |q & s_0|
+          with it (hosts).
         Only max_edges may use the rule: counting labelled hosts needs the
         whole tree.  The empty root is still a node, so a pattern that
         forbids every edge gives 0.  The walk starts by resetting the
@@ -453,8 +471,9 @@ class _Searcher:
                 return
             children, taken = [], ()
             if size != stop_at:
+                depth = size - len(root)
+                orbit = orbits[depth] if depth < len(orbits) else None
                 children, taken = self.live(chosen, tail, used, orbit, len(root))
-            orbit = None  # the root's children only
             reach = size + (self.gain(children, cap) if bar > size else len(children))
             if reach < bar:
                 stats.bound_cuts += 1
@@ -482,7 +501,9 @@ class _Searcher:
     def petals(self, d: int) -> Callable[[int], int]:
         """The root orbit key of the split walk for D = d: a candidate's
         number of petal vertices, those up to (r-1)d, as a fitting one
-        avoids 0 (see hosts)."""
+        avoids 0 (see hosts).  petals(1) counts the vertices up to r-1,
+        which is also a candidate's overlap with s_0 = {0, ..., r-1}, the
+        plain walk's key one edge below its root."""
         cands, top = self.cands, (self.r - 1) * d
         return lambda q: bisect_right(cands[q], top)
 
@@ -496,14 +517,15 @@ class _Searcher:
         cap (through is empty), so its proof is the plain walk under the
         root rule: it proves the value, and the first host it reaches of
         the largest size is the lex-least of that size (walk's root-rule
-        argument).  A linear host, and so every 2-uniform one, is proved
-        by the max-degree split alone: for D from the longest free star
-        s_0, s_1, ... at vertex 0 down, while D * n >= r * (|best| + 1),
-        one walk rooted at s_0..s_{D-1} under the degree cap D takes every
-        better host it yields; top is the D at which best last rose.  D's
-        family is the hosts that hold that star and no other edge through
-        0, with every degree at most D.  A pattern that forbids every edge
-        leaves no free star, so no walk runs and the value is 0.
+        argument and the second-edge rule below).  A linear host, and so
+        every 2-uniform one, is proved by the max-degree split alone: for
+        D from the longest free star s_0, s_1, ... at vertex 0 down, while
+        D * n >= r * (|best| + 1), one walk rooted at s_0..s_{D-1} under the
+        degree cap D takes every better host it yields; top is the D at
+        which best last rose.  D's family is the hosts that hold that star
+        and no other edge through 0, with every degree at most D.  A
+        pattern that forbids every edge leaves no free star, so no walk
+        runs and the value is 0.
 
         Why the split is sound: take a free linear host with m edges and a
         vertex of maximum degree D.  The degrees sum to rm, so D * n >= rm.
@@ -563,9 +585,35 @@ class _Searcher:
             the first child of its orbit, and that child's subtree, which
             draws from every later root child, holds it.  So the walk finds
             a host of F whenever F has one.
-        The split's argument and both rules use only that freeness survives
-        a vertex relabelling and the removal of edges, so they hold for
-        every pattern: a union, one wider than n, or none.
+        The second-edge rule on a general host.  The plain walk's one
+        expanded root child is the host {s_0}, s_0 = {0, ..., r-1}, and
+        petals(1) keys its candidates by their overlap k = |q & s_0|, at
+        most r-1, so that node makes at most r admits calls and expands at
+        most r children, the first candidate of each k, c_k =
+        {0..k-1} | {r..2r-1-k}.  Let G be Sym(s_0) x Sym(the other n-r
+        vertices), the relabellings that fix s_0 as a set.
+        - G takes any candidate with overlap k to any other: it maps the k
+          shared vertices of one onto those of the other, and its r-k
+          outside vertices onto the other's.  G keeps freeness, and s_0
+          stays the least edge of every host that holds it.  A general
+          host has no degree cap and no pair masks, so nothing else needs
+          to be kept, and rule (a) above holds here as well: one verdict
+          per k.
+        - A host H that holds s_0 and whose second edge e is not the first
+          candidate c of its class: some g in G takes e to c < e, and
+          g(H) holds s_0 and c, so its second edge is less than e.  This
+          can happen only finitely often, so some host of H's size has a
+          class head as its second edge; that head's subtree draws from
+          every later candidate and holds it.  So every size is reached.
+        - The lex-least extremal host W holds s_0 (walk), and its second
+          edge heads its class: otherwise the g above takes W to a
+          lex-smaller extremal host.  The walk meets hosts in
+          lexicographic order, so W is still the first host of its size
+          it reaches.
+
+        The split's argument and all these rules use only that freeness
+        survives a vertex relabelling and the removal of edges, so they
+        hold for every pattern: a union, one wider than n, or none.
         """
         best: tuple[int, ...] = ()
 
@@ -574,10 +622,10 @@ class _Searcher:
 
         if self.linear:
             star = self.grow_star()
-            walks = (self.walk(need, root=star[:d], cap=d, orbit=self.petals(d))
+            walks = (self.walk(need, root=star[:d], cap=d, orbits=(self.petals(d),))
                      for d in range(len(star), 0, -1) if d * self.n >= self.r * need())
         else:
-            walks = [self.walk(need, orbit=_one_orbit)]
+            walks = [self.walk(need, orbits=(_one_orbit, self.petals(1)))]
         for walk in walks:
             for chosen in walk:
                 if len(chosen) > len(best):
@@ -689,8 +737,11 @@ def iter_free(
     """
     budget = budget or SearchBudget()
     s = _Searcher(n, r, pattern, host, budget)
-    if edge_count is not None and edge_count < 0:
-        raise BadParameters(f"edge count must be nonnegative, got {edge_count}")
+    if edge_count is not None:
+        if type(edge_count) is not int:
+            raise BadParameters(f"edge count must be an int, got {edge_count!r}")
+        if edge_count < 0:
+            raise BadParameters(f"edge count must be nonnegative, got {edge_count}")
 
     try:
         for chosen in s.walk(lambda: edge_count or 0, edge_count):

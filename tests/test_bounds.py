@@ -261,6 +261,23 @@ _REJECTED = [
      "component counts must be a pair, got (1, 2, 3)"),
     (lt.turan_formulas, (3, 1, 10), "no formula applies at r=3, ell=1, k=None"),
     (lt.removal_upper, (3, 4, 1, 10, -5), "path-free maximum must be nonnegative, got -5"),
+    # a size that is not an int, a bool included, is refused by name
+    # before any arithmetic (Fraction raises TypeError on a float)
+    (lt.linear_path_upper, (3, 4, 10.5), "n must be an int, got 10.5"),
+    (lt.linear_path_upper, (3.0, 4, 10), "r must be an int, got 3.0"),
+    (lt.linear_path_upper, (3, 4.0, 10), "ell must be an int, got 4.0"),
+    (lt.star_forest_upper, (3, 2, True, 10), "k must be an int, got True"),
+    (lt.path_star_forest_upper, (3, 4, (4, 2.0), 10), "star length 1 must be an int, got 2.0"),
+    (lt.packing_lower, (3, 4, "10"), "n must be an int, got '10'"),
+    (lt.removal_upper, (3, 4, 1.5, 10), "k must be an int, got 1.5"),
+    (lt.inserted_product_lower, (3, 4, 1, 10.0), "n must be an int, got 10.0"),
+    (lt.path_turan_exact, (3, 4, 10.0), "n must be an int, got 10.0"),
+    (lt.disjoint_paths_turan, (3, 4, 2.0, 10), "k must be an int, got 2.0"),
+    (lt.star_turan_upper, (3, 4.5, 10), "ell must be an int, got 4.5"),
+    (lt.path_star_turan, (3, 4, 1.0, 10), "k must be an int, got 1.0"),
+    (lt.forest_turan, (3, 4, 2, 0.0, 10), "k2 must be an int, got 0.0"),
+    (lt.turan_formulas, (3, 4, 10.0), "n must be an int, got 10.0"),
+    (lt.turan_formulas, (3, 3, 10, 1.5), "k must be an int, got 1.5"),
 ]
 
 

@@ -308,6 +308,22 @@ class TestCone:
         assert str(info.value) == "C(300,3) exceeds the enumeration cap 2000000"
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: lt.thm45_construction(3, 4, 14.0), "n must be an int, got 14.0"),
+    (lambda: lt.thm45_construction(3.0, 4, 14), "r must be an int, got 3.0"),
+    (lambda: lt.thm47_construction(3, 4, 3, 1.0), "copies must be an int, got 1.0"),
+    (lambda: lt.thm47_construction(3, 4, True, 1), "k must be an int, got True"),
+    (lambda: lt.cone_construction(7, 3, 1.0, lt.make_hypergraph(6, [], r=3)),
+     "k must be an int, got 1.0"),
+    (lambda: fallback_block_count(3, 4, limit=9.5), "limit must be an int, got 9.5"),
+])
+def test_sizes_that_are_not_ints_are_refused(build, message):
+    # a bool counts as no int; a float would otherwise reach range()
+    with pytest.raises(BadParameters) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_report_rendering():
     rep = lt.thm45_construction(3, 4, 14)
     text = str(rep)

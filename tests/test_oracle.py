@@ -190,7 +190,7 @@ def test_search_matches_bitmask_exhaustion(data):
         pytest.param(7, "P3@r3", "linear", 5, id="7-P3@r3-linear"),
         pytest.param(6, "C3@r3", "linear", 1, id="6-C3@r3-linear"),
         pytest.param(7, "P4@r3", "linear", 5, id="7-P4@r3-linear"),
-        pytest.param(7, "S2@r3", "general", 26, id="7-S2@r3-general"),
+        pytest.param(7, "S2@r3", "general", 8, id="7-S2@r3-general"),
         pytest.param(6, "P3@r3", "general", 21, id="6-P3@r3-general"),
         # the benchmark's exact-grid rows; the linear ones take the
         # max-degree split (P4 has 9 vertices, so P4 on 7 and 8 vertices
@@ -216,7 +216,7 @@ def test_node_counts_are_pinned(n, expr, host, nodes):
     "n,expr,host,counters",
     [
         (7, "P3@r3", "linear", (9, 1, 0)),
-        (7, "S2@r3", "general", (184, 115, 24)),
+        (7, "S2@r3", "general", (31, 19, 6)),
         (10, "2*P2@r3", "linear", (205, 11, 17)),
         (10, "P2+S2@r3", "linear", (205, 11, 17)),
     ],
@@ -235,7 +235,7 @@ def walk_max(n, r, pattern):
     and the witness's edge list."""
     s = _Searcher(n, r, pattern, "linear", lt.SearchBudget())
     best = ()
-    for chosen in s.walk(lambda: len(best) + 1, orbit=_one_orbit):
+    for chosen in s.walk(lambda: len(best) + 1, orbits=(_one_orbit,)):
         if len(chosen) > len(best):
             best = tuple(chosen)
     return len(best), list(s.graph(best).edges)
@@ -325,9 +325,9 @@ def split_roots(r, n, expr):
         yield s, s.petals(d), star[:d]
 
 
-def root_live(s, root, orbit=None):
+def root_live(s, root, orbits=()):
     """The root's live list in the walk rooted at root under the degree
-    cap len(root), with orbit as its root rule, as walk computes it, and
+    cap len(root), with orbits as its root rule, as walk computes it, and
     the admits calls that took."""
     lists = []
     live = s.live
@@ -338,7 +338,7 @@ def root_live(s, root, orbit=None):
 
     s.live = recording
     calls = s.stats.admits_calls
-    for _ in s.walk(lambda: 0, len(root) + 1, orbit, root, len(root)):
+    for _ in s.walk(lambda: 0, len(root) + 1, orbits, root, len(root)):
         pass
     del s.live
     return lists[0][0], s.stats.admits_calls - calls
@@ -373,9 +373,15 @@ def test_split_root_admits_by_the_first_anchor(r, n, expr):
             and lt.is_free(s.graph(root + [q]), pattern)
         ]
         assert root_live(s, root)[0] == expected, d
-        children, calls = root_live(s, root, orbit)
+        children, calls = root_live(s, root, (orbit,))
         assert children == expected, d
         assert calls <= r + 1
+
+
+def vertex_swaps(blocks):
+    """The swaps of adjacent vertices inside each block: they generate the
+    relabellings that permute each block's vertices among themselves."""
+    return [{x: y, y: x} for block in blocks for x, y in zip(block, block[1:])]
 
 
 def stabiliser_orbits(s, d, cands):
@@ -389,8 +395,13 @@ def stabiliser_orbits(s, d, cands):
     n, step = s.n, s.r - 1
     petals = [list(range(1 + step * j, 1 + step * (j + 1))) for j in range(d)]
     swaps = [dict(zip(a + b, b + a)) for a, b in zip(petals, petals[1:])]
-    for block in [*petals, list(range(1 + step * d, n))]:
-        swaps += [{x: y, y: x} for x, y in zip(block, block[1:])]
+    swaps += vertex_swaps([*petals, list(range(1 + step * d, n))])
+    return closure_orbits(s, cands, swaps)
+
+
+def closure_orbits(s, cands, swaps):
+    """cands, a list closed under the relabellings that swaps generate,
+    split into the orbits of that group, each in cands' order."""
     index = {s.cands[q]: q for q in cands}
     orbit = {q: q for q in cands}
     for q in cands:  # merge the class of each image into q's
@@ -422,7 +433,7 @@ def test_split_root_expands_one_child_per_orbit(r, n, expr):
         orbits = stabiliser_orbits(s, d, children)
         expanded = [
             chosen[-1]
-            for chosen in s.walk(lambda: 0, d + 1, orbit, root, d)
+            for chosen in s.walk(lambda: 0, d + 1, (orbit,), root, d)
             if len(chosen) == d + 1
         ]
         assert expanded == sorted((o[0] for o in orbits), key=children.index), d
@@ -430,7 +441,89 @@ def test_split_root_expands_one_child_per_orbit(r, n, expr):
     assert max(sizes) >= 2
 
 
-def subtree_gains(s, root=(), orbit=None, cap=None):
+def second_level(s, orbits):
+    """The plain walk's node at s_0 = {0, ..., r-1}, candidate 0, under the
+    root rule orbits: its live list, the admits calls that took, and the
+    children it expands."""
+    lists = []
+    live = s.live
+
+    def recording(chosen, *args):
+        calls = s.stats.admits_calls
+        children, taken = live(chosen, *args)
+        lists.append((list(chosen), children, s.stats.admits_calls - calls))
+        return children, taken
+
+    s.live = recording
+    expanded = [chosen[-1] for chosen in s.walk(lambda: 0, 2, orbits) if len(chosen) == 2]
+    del s.live
+    (at, children, calls), = [row for row in lists if len(row[0]) == 1]
+    assert at == [0]
+    return children, calls, expanded
+
+
+@pytest.mark.parametrize(
+    "r,n,expr",
+    [(3, n, expr) for n in (6, 7, 8) for expr in ("P2", "P3", "S2", "S3", "C3", "2*P1", "P1+S2")]
+    + [(4, n, expr) for n in (7, 8) for expr in ("P2", "S2", "C3", "2*P1")],
+)
+def test_general_second_level_takes_one_check_and_child_per_overlap(monkeypatch, r, n, expr):
+    # on a general host the node at s_0 keys its candidates, under the
+    # root rule max_edges passes, by their overlap with s_0: its live list
+    # is every q with {s_0, q} free, by a whole-host check, with the key
+    # and candidate by candidate; it makes one admits call per overlap
+    # (none while two edges cannot hold the pattern) and expands exactly
+    # the first live candidate of each orbit of the relabellings that fix
+    # s_0 as a set, orbits found here by closing under their generators,
+    # not by the overlap key
+    pattern = lt.parse_pattern(f"{expr}@r{r}")
+    rules = []
+    walk = _Searcher.walk
+
+    def recorded(self, *args, **kwargs):
+        rules.append(kwargs["orbits"])
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Searcher, "walk", recorded)
+    lt.max_edges(n, r, pattern, "general", lt.SearchBudget(node_limit=1))
+    monkeypatch.undo()
+    (orbits,) = rules
+    s = _Searcher(n, r, pattern, "general", lt.SearchBudget())
+    expected = [q for q in range(1, len(s.cands)) if lt.is_free(s.graph([0, q]), pattern)]
+    plain, plain_calls, _ = second_level(s, (_one_orbit,))
+    assert plain == expected
+    children, calls, expanded = second_level(s, orbits)
+    assert children == expected
+    overlaps = {len(set(s.cands[q]) & set(range(r))) for q in range(1, len(s.cands))}
+    assert calls == (len(overlaps) if plain_calls else 0) <= r
+    orbits = closure_orbits(s, children, vertex_swaps([list(range(r)), list(range(r, n))]))
+    assert expanded == sorted((o[0] for o in orbits), key=children.index)
+    assert len(expanded) >= 2
+
+
+GENERAL_WITNESS_PATTERNS = ("P1", *WITNESS_PATTERNS)
+
+
+def test_general_witness_is_the_first_free_host_of_its_size():
+    # the general walk fixes the first edge and keeps only the first
+    # second edge of each overlap with it; iter_free takes neither rule
+    # and lists hosts in lexicographic order, so its first host of the
+    # value's size is an independent lex-least witness
+    matched = 0
+    for r, top in ((3, 8), (4, 7)):
+        for n in range(r, top + 1):
+            for expr in GENERAL_WITNESS_PATTERNS:
+                pattern = pattern_at(r, expr)
+                res = lt.max_edges(n, r, pattern, "general", lt.SearchBudget(node_limit=3000))
+                if not res.exact:
+                    continue
+                first = next(lt.iter_free(n, r, pattern, "general", edge_count=res.value))
+                assert res.witness == first, (r, n, expr)
+                matched += 1
+    assert matched >= 124  # of 130 rows; the others outrun the budget
+
+
+def subtree_gains(s, root=(), orbits=(), cap=None):
     """For every node of the walk rooted at root under the degree cap cap
     (walk's default when None): [size, |L|, gain(L), size of the largest
     host in the node's subtree].  The walk runs with the bar at 0, so it
@@ -447,7 +540,7 @@ def subtree_gains(s, root=(), orbit=None, cap=None):
         return children, taken
 
     s.live = recording
-    for _ in s.walk(lambda: 0, None, orbit, root, cap):
+    for _ in s.walk(lambda: 0, None, orbits, root, cap):
         pass
     del s.live
     stack = []
@@ -474,12 +567,12 @@ def test_gain_bounds_every_subtree(r, top, expr):
         index = {e: q for q, e in enumerate(s.cands)}
         star = [index[(0, *range(1 + (r - 1) * j, r + (r - 1) * j))]
                 for j in range(s.degree_cap)]
-        walks = [((), _one_orbit, None)] + [
-            (star[:d], None, d) for d in range(1, len(star) + 1)
+        walks = [((), (_one_orbit,), None)] + [
+            (star[:d], (), d) for d in range(1, len(star) + 1)
             if pattern is None or lt.is_free(s.graph(star[:d]), pattern)
         ]
-        for root, orbit, cap in walks:
-            for size, live, gain, largest in subtree_gains(s, root, orbit, cap):
+        for root, orbits, cap in walks:
+            for size, live, gain, largest in subtree_gains(s, root, orbits, cap):
                 assert gain <= live, (n, root, size)
                 assert size + gain >= largest, (n, root, size)
                 checked += 1
@@ -747,23 +840,23 @@ UNION_ROWS = [
     (10, 3, "2*P2", "linear", 100, (13, "exact", 28, 205, 11, 17), "e16f59768666"),
     (10, 3, "P2+S2", "linear", 100, (13, "exact", 28, 205, 11, 17), "e16f59768666"),
     (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 747, 226, 94), "dcdcf6cd425c"),
-    (6, 3, "2*P1", "general", 100, (10, "interrupted", 101, 545, 99, 96), "05bd1b448ddd"),
-    (7, 3, "2*P1", "general", 100, (15, "interrupted", 101, 989, 183, 92), "0ae9c0acebb4"),
-    (8, 3, "2*P1", "general", 100, (21, "interrupted", 101, 1431, 228, 92), "159bf9c948c4"),
+    (6, 3, "2*P1", "general", 100, (10, "interrupted", 101, 529, 99, 96), "05bd1b448ddd"),
+    (7, 3, "2*P1", "general", 100, (15, "interrupted", 101, 958, 180, 92), "0ae9c0acebb4"),
+    (8, 3, "2*P1", "general", 100, (21, "interrupted", 101, 1379, 219, 92), "159bf9c948c4"),
     (8, 3, "P1+S2", "general", 100, (28, "interrupted", 101, 1392, 277, 82), "84ebd2d3b303"),
-    (9, 3, "2*P1", "general", 100, (28, "interrupted", 101, 1958, 284, 88), "5e848b790af8"),
+    (9, 3, "2*P1", "general", 100, (28, "interrupted", 101, 1878, 265, 88), "5e848b790af8"),
     (9, 3, "P1+S2", "general", 100, (28, "interrupted", 101, 1849, 368, 79), "5e848b790af8"),
     (9, 3, "P1+C3", "general", 40, (39, "interrupted", 41, 2087, 35, 0), "1b0d4d709ad1"),
-    (10, 3, "2*P1", "general", 100, (36, "interrupted", 101, 2586, 340, 85), "540b738511c8"),
+    (10, 3, "2*P1", "general", 100, (36, "interrupted", 101, 2470, 306, 85), "540b738511c8"),
     (10, 3, "P1+S2", "general", 100, (36, "interrupted", 101, 2635, 287, 76), "540b738511c8"),
     (10, 3, "2*P2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
     (10, 3, "P2+S2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
     (8, 4, "2*P1", "linear", 100, (2, "exact", 1, 1, 0, 1), "3929c590e9bf"),
     (9, 4, "2*P1", "linear", 100, (3, "exact", 2, 2, 0, 1), "238abed65f6f"),
     (10, 4, "2*P1", "linear", 100, (5, "exact", 5, 13, 1, 1), "95d59a87ef69"),
-    (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1540, 99, 68), "da0a21ca2dfa"),
-    (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3431, 125, 53), "92f25cca91e3"),
-    (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6603, 142, 34), "97eb85d7e757"),
+    (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1475, 99, 68), "da0a21ca2dfa"),
+    (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3310, 121, 53), "92f25cca91e3"),
+    (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6398, 128, 34), "97eb85d7e757"),
 ]
 
 
@@ -821,6 +914,32 @@ def test_budget_validation():
         lt.SearchBudget(time_limit=-1.0)
     with pytest.raises(BadParameters):
         lt.SearchBudget(time_limit=float("nan"))
+
+
+@pytest.mark.parametrize("limits,message", [
+    ({"node_limit": "5"}, "node limit must be an int, got '5'"),
+    ({"node_limit": 2.5}, "node limit must be an int, got 2.5"),
+    ({"node_limit": True}, "node limit must be an int, got True"),
+    ({"time_limit": "1"}, "time limit must be an int or a float, got '1'"),
+    ({"time_limit": True}, "time limit must be an int or a float, got True"),
+])
+def test_budget_limits_of_the_wrong_type_are_refused(limits, message):
+    # a bool is an int to isinstance, but no limit
+    with pytest.raises(BadParameters) as info:
+        lt.max_edges(9, 3, P3, budget=lt.SearchBudget(**limits))
+    assert str(info.value) == message
+
+
+def test_budget_limits_of_either_number_type_are_taken():
+    assert lt.SearchBudget(node_limit=5, time_limit=1).time_limit == 1
+    assert lt.max_edges(7, 3, P3, budget=lt.SearchBudget(time_limit=30.0)).value == 7
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, "2", True])
+def test_edge_count_of_the_wrong_type_is_refused(count):
+    with pytest.raises(BadParameters) as info:
+        next(lt.iter_free(6, 3, P3, edge_count=count))
+    assert str(info.value) == f"edge count must be an int, got {count!r}"
 
 
 @pytest.mark.parametrize("n,r", [(999_999_999, 3), (100_000, 99_999), (75, 3), (37, 4)])

@@ -33,7 +33,7 @@ def test_frontier_table_is_what_the_search_gives(capsys):
     # every row of the README's exact-frontier table, run through the
     # CLI: exact, with the value, node count and method the table gives
     rows = _frontier_rows()
-    assert len(rows) == 23
+    assert len(rows) == 25
     for command, value, nodes, proof in rows:
         argv = shlex.split(command)
         assert argv[:2] == ["linturan", "turan"], command

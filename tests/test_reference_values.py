@@ -25,7 +25,7 @@ def test_linear_packing_is_spencers_number(n):
     assert (res.status, res.value) == ("exact", n * ((n - 1) // 2) // 3 - (n % 6 == 5))
 
 
-@pytest.mark.parametrize("n", range(6, 12))
+@pytest.mark.parametrize("n", range(6, 14))
 def test_general_s2_is_frankls_value(n):
     # the most triples no two of which meet in exactly one point: n, n-1,
     # n-2, n-2 for n = 0, 1, 2, 3 mod 4 (P. Frankl, "On families of
@@ -36,7 +36,7 @@ def test_general_s2_is_frankls_value(n):
     assert (res.status, res.value) == ("exact", n - (0, 1, 2, 2)[n % 4])
 
 
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("n", [6, 7, 8])
 def test_general_c3_is_a_star(n):
     # a triple system with no loose triangle has at most C(n-1, 2) edges,
     # the triples through one point: for n >= 75 by P. Frankl and Z.
