@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BadParameters, InvariantViolation, NoDesignAvailable
-from .hypergraph import Hypergraph, _check_size, linearity_violation, make_hypergraph
+from .hypergraph import Hypergraph, _check_ints, _check_size, linearity_violation, make_hypergraph
 
 __all__ = [
     "Design",
@@ -56,6 +56,7 @@ DEFAULT_SEARCH_CAP = 13
 
 
 def _check_params(n: int, r: int) -> None:
+    _check_ints(n=n, r=r)
     if r < 2 or n < r:
         raise BadParameters(f"need n >= r >= 2, got n={n}, r={r}")
 

@@ -147,10 +147,6 @@ class SweepReport:
     embeddings_checked: int
     failures: tuple[FrameReport, ...]
 
-    @property
-    def all_pass(self) -> bool:
-        return self.status == "pass"
-
 
 class _End(NamedTuple):
     """An end u of a path, in one direction's frame: ones lists the host

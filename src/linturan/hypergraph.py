@@ -90,9 +90,6 @@ class Hypergraph:
     def degrees(self) -> list[int]:
         return [len(ds) for ds in self.incidence]
 
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
     def __repr__(self) -> str:  # keep failure output short
         u = f"r={self.r}" if self.r is not None else "mixed"
         return f"Hypergraph(n={self.n}, m={self.edge_count}, {u})"
@@ -242,6 +239,7 @@ def integer_lattice(r: int, d: int) -> Hypergraph:
     and the whole lattice is linear.  Raises ProductTooLarge past
     DEFAULT_PRODUCT_CAP vertices.
     """
+    _check_ints(r=r, d=d)
     if r < 2 or d < 1:
         raise BadParameters(f"lattice needs r >= 2 and d >= 1, got r={r}, d={d}")
     n = r**d

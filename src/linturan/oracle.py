@@ -11,30 +11,28 @@ Both max_edges and the enumerators consume the same depth-first walk
 (_Searcher.walk); they differ in the size bar below which a branch is
 cut, in the size at which it stops growing, and in the root rule, which
 only max_edges takes.  max_edges reads one stream of ever better hosts,
-_Searcher.hosts, from one proof per host kind.  A general host is proved
-by the plain walk under the root rule.  A linear host, and every
-2-uniform host is one, is proved by the max-degree split alone: one walk
-per degree D, rooted at the star of D edges at vertex 0 under the degree
-cap D and raising its bar as it finds better hosts, shows that no host
-has one edge more, and the host at which the bar last rose is the
-lex-least witness; hosts' docstring argues both.  Budgets turn an
-over-long search into an explicit interrupted result (or
-InterruptedSearch for the enumerators, which have no partial answer
-worth returning).
+_Searcher.hosts, from one proof on both host kinds, the max-degree
+split: one walk per degree D, rooted at the star of D edges at vertex 0
+under the degree cap D and raising its bar as it finds better hosts,
+shows that no host has one edge more, and the host at which the bar
+last rose is the lex-least witness.  A general host with r >= 3 has no
+degree cap, so its star stops at one edge, s_0 = {0, ..., r-1}, and it
+makes the one walk D = 1.  hosts' docstring argues the split and its
+root rule once, for both.  Budgets turn an over-long search into an
+explicit interrupted result (or InterruptedSearch for the enumerators,
+which have no partial answer worth returning).
 Exploration is serial, so values never depend on scheduling.
 
 The walk is forward-checked.  Each node tests every later candidate edge
 once and keeps the ones it admits in a live list; its children draw
 their candidates only from that list, since a host that contains the
 pattern keeps containing it as edges are added.  Three prunes ride on
-this, each argued in walk's or gain's docstring: the live list bounds
-how many edges a subtree can still gain (vertex by vertex on a linear
-host, under a degree cap), a walk ends once its bar passes the most
-edges its degree cap allows, and the root rule skips relabelled copies:
-max_edges fixes the first edge to s_0 = {0, ..., r-1} and, on a general
-host, the second up to the relabellings that fix s_0, one per overlap
-with s_0; a split walk fixes its first edge after the star up to the
-star's symmetries.
+this, each argued in walk's, gain's or hosts' docstring: the live list
+bounds how many edges a subtree can still gain (vertex by vertex on a
+linear host, under a degree cap), a walk ends once its bar passes the
+most edges its degree cap allows, and the root rule skips relabelled
+copies: a split walk fixes its first edge after the star up to the
+star's symmetries, one per number of vertices it shares with the star.
 Searches whose candidate edges would list more than DEFAULT_PRODUCT_CAP
 vertices are refused before anything is built.
 
@@ -75,7 +73,7 @@ from .errors import (
     ProductTooLarge,
 )
 from .hgio import graph_to_obj
-from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, is_linear, make_hypergraph
+from .hypergraph import DEFAULT_PRODUCT_CAP, Hypergraph, _check_ints, is_linear, make_hypergraph
 from .patterns import ForbiddenPattern, pattern_expr
 from .results import ResultRecord, ResultsStore, SearchStats
 
@@ -98,10 +96,8 @@ class SearchBudget:
     time_limit: Optional[float] = None  # seconds
 
     def __post_init__(self):
-        # a bool is an int to isinstance, but no limit
         if self.node_limit is not None:
-            if type(self.node_limit) is not int:
-                raise BadParameters(f"node limit must be an int, got {self.node_limit!r}")
+            _check_ints(**{"node limit": self.node_limit})
             if self.node_limit <= 0:
                 raise BadParameters(f"node limit must be positive, got {self.node_limit}")
         if self.time_limit is not None:
@@ -127,12 +123,6 @@ class OracleResult:
 
 class _Stop(Exception):
     """Internal unwind when a budget limit is reached."""
-
-
-def _one_orbit(q: int) -> int:
-    """walk's root rule on the empty root: one orbit, since all one-edge
-    hosts are isomorphic."""
-    return 0
 
 
 def _check_search_size(n: int, r: int) -> None:
@@ -346,7 +336,8 @@ class _Searcher:
     def grow_star(self) -> list[int]:
         """The longest free star s_0, s_1, ... at vertex 0, s_j = {0} and
         the (r-1) vertices from 1 + (r-1)*j on, with at most
-        floor((n-1)/(r-1)) edges.  Each edge is tried by admits on the star
+        floor((n-1)/(r-1)) edges on a linear host and one on a general
+        host (hosts).  Each edge is tried by admits on the star
         before it, which is free, so the first anchor is exact; a star that
         holds the pattern stays non-free with more edges.  As in live, no
         trial runs while the star plus one edge is smaller than the pattern,
@@ -356,7 +347,7 @@ class _Searcher:
         star: list[int] = []
         for edges in incidence:
             edges.clear()
-        for j in range(self.degree_cap):
+        for j in range(self.degree_cap if self.linear else 1):
             q = cands.index((0, *range(1 + (r - 1) * j, 1 + (r - 1) * (j + 1))))
             if least is not None and len(star) + 1 >= least and not self.admits(star, q):
                 break
@@ -415,25 +406,14 @@ class _Searcher:
         stabiliser of that node's host and the cap.  live takes one verdict
         per key and expands only the first child of each; each still draws
         from all of L[i+1:], so a skipped child stays available as a later
-        edge.  Deeper nodes take no key.  hosts argues the rule for the
-        split's root, the host of root's edges (its candidates are every
-        edge), and for the plain walk's two levels:
-        - The plain walk's root is the empty host, and its key,
-          _one_orbit, keeps the hosts whose first edge is candidate 0,
-          s_0 = {0, ..., r-1}: all one-edge hosts are isomorphic, so the
-          root admits every candidate or none.  A vertex relabelling
-          keeps a host free and linear, and every nonempty host relabels
-          to one that holds s_0, so every size is still reached; a
-          sorted edge list that starts with s_0 is lex-smaller than any
-          that does not, so the lex-least host of each size is among
-          them too.
-        - Its one expanded child is the host {s_0}, whose candidates the
-          second key, petals(1), sorts by their overlap k = |q & s_0|
-          with it (hosts).
-        Only max_edges may use the rule: counting labelled hosts needs the
-        whole tree.  The empty root is still a node, so a pattern that
-        forbids every edge gives 0.  The walk starts by resetting the
-        incidence, so a walk left unfinished does not disturb the next.
+        edge.  Deeper nodes take no key.  hosts argues the rule for its one
+        use, a key at the split's root.  Only max_edges may use the rule:
+        counting labelled hosts needs the whole tree.
+
+        The root draws its candidates from after its last edge, as every
+        node does, and from every edge when root is empty.  The walk starts
+        by resetting the incidence, so a walk left unfinished does not
+        disturb the next.
         """
         stats, masks, cands = self.stats, self.pair_masks, self.cands
         incidence, through = self.incidence, self.through
@@ -458,7 +438,7 @@ class _Searcher:
         used = 0
         for q in root:
             used = push(q, used)
-        tail: Sequence[int] = range(len(masks))
+        tail: Sequence[int] = range(root[-1] + 1 if root else 0, len(masks))
         # one frame per open node: [live list, indices of the children
         # taken, next of those, pairs used, reach]
         stack: list[list] = []
@@ -500,10 +480,10 @@ class _Searcher:
 
     def petals(self, d: int) -> Callable[[int], int]:
         """The root orbit key of the split walk for D = d: a candidate's
-        number of petal vertices, those up to (r-1)d, as a fitting one
-        avoids 0 (see hosts).  petals(1) counts the vertices up to r-1,
-        which is also a candidate's overlap with s_0 = {0, ..., r-1}, the
-        plain walk's key one edge below its root."""
+        number of vertices on the star of d edges at 0, those up to
+        (r-1)d (see hosts).  A fitting candidate on a linear host avoids
+        0, so it counts petal vertices; on a general host petals(1) is the
+        overlap with s_0 = {0, ..., r-1}."""
         cands, top = self.cands, (self.r - 1) * d
         return lambda q: bisect_right(cands[q], top)
 
@@ -513,66 +493,79 @@ class _Searcher:
         the lex-least host of the maximum size.  Every walk of the proof
         ticks one budget and keeps its bar one above the best host so far.
 
-        A general host with r >= 3 has no pair masks to enforce a degree
-        cap (through is empty), so its proof is the plain walk under the
-        root rule: it proves the value, and the first host it reaches of
-        the largest size is the lex-least of that size (walk's root-rule
-        argument and the second-edge rule below).  A linear host, and so
-        every 2-uniform one, is proved by the max-degree split alone: for
-        D from the longest free star s_0, s_1, ... at vertex 0 down, while
-        D * n >= r * (|best| + 1), one walk rooted at s_0..s_{D-1} under the
-        degree cap D takes every better host it yields; top is the D at
-        which best last rose.  D's family is the hosts that hold that star
-        and no other edge through 0, with every degree at most D.  A
-        pattern that forbids every edge leaves no free star, so no walk
-        runs and the value is 0.
+        The proof is the max-degree split, on both host kinds: for D from
+        the longest free star s_0, s_1, ... at vertex 0 (grow_star) down,
+        while D * n >= r * (|best| + 1), one walk rooted at s_0..s_{D-1}
+        under the degree cap D and the root rule petals(D) takes every
+        better host it yields; top is the D at which best last rose.  D's
+        family is, on a linear host, the hosts that hold that star and no
+        other edge through 0, with every degree at most D.  A general host
+        with r >= 3 has no pair masks (through is empty), so no cap binds
+        it and its star stops at one edge: its one walk is D = 1, rooted
+        at s_0 = {0, ..., r-1}, the test reads n >= r, and the family is
+        every host that holds s_0.  A pattern that forbids every edge
+        leaves no free star, so no walk runs, no node is visited and the
+        value is 0.
 
-        Why the split is sound: take a free linear host with m edges and a
-        vertex of maximum degree D.  The degrees sum to rm, so D * n >= rm.
-        Its D edges meet pairwise only in that vertex, so a relabelling
-        takes it to 0 and its edges to s_0..s_{D-1}, keeping the host free,
-        linear, of size m and of maximum degree D: the star is free, and
-        the host is in D's family.  By orbit rule (b) and gain's bound, a D
-        walk under the rising bar finds the largest host of its family: a
-        host of the family with more edges than best lies in an expanded
-        root child's subtree, and no cut or stop (walk) removes it while
-        the bar is at most its size.  A host with one edge more than the
-        value would have been found: its star is free, so its D is at most
-        the longest, and D * n >= r * (value + 1), so the loop reaches D.
+        Why the split is sound: every free host with m >= 1 edges
+        relabels into the family of a D the loop walks, keeping it free
+        and of size m.  On a general host a relabelling takes any of its
+        edges to s_0.  On a linear host take a vertex of maximum degree D:
+        the degrees sum to rm, so D * n >= rm, and its D edges meet
+        pairwise only in that vertex, so a relabelling takes it to 0 and
+        its edges to s_0..s_{D-1}, keeping the host linear and of maximum
+        degree D; the star is free, so D is at most the longest.  By rule
+        (b) below and gain's bound, a D walk under the rising bar finds
+        the largest host of its family: a host of the family with more
+        edges than best lies in an expanded root child's subtree, and no
+        cut or stop (walk) removes it while the bar is at most its size.
+        So a host with one edge more than the value would have been found:
+        D * n >= r * (value + 1) for its D, so the loop reaches D.
 
         Why the host at which best last rose is the lex-least extremal
         host W:
         1. Every extremal host has maximum degree at most top: every D
            above top up to the longest free star was walked to the end with
-           a bar at most the value and found no host of that size.
-        2. Relabel an extremal host whose maximum degree is top so that its
-           star is s_0..s_{top-1}.  Each s_j is the least r-set that meets
-           s_0..s_{j-1} in at most one vertex, so W, no greater than that
-           host, starts with the same star; it has degree exactly top at 0
-           and lies in top's family.
+           a bar at most the value and found no host of that size.  (On a
+           general host top is 1 and no D is above it.)
+        2. W lies in top's family.  On a general host s_0 is the least
+           r-set, and W relabels to a host that holds it, so W holds it.
+           On a linear host relabel an extremal host whose maximum degree
+           is top so that its star is s_0..s_{top-1}.  Each s_j is the
+           least r-set that meets s_0..s_{j-1} in at most one vertex, so W,
+           no greater than that host, starts with the same star; it has
+           degree exactly top at 0.
         3. W's least edge outside the star is the first fitting candidate
-           of its petal orbit: otherwise a relabelling in G (below) takes
-           it to an earlier one, and W to a lex-smaller extremal host.  So
-           rule (b) expands W's subtree.
+           of its orbit: otherwise a relabelling in G (below) takes it to
+           an earlier one, and W to a lex-smaller extremal host.  So rule
+           (b) expands W's subtree.
         4. The walk meets hosts in lexicographic order, and no cut removes
            W while the bar is at most the value.  Any host of that size met
            earlier would be a lex-smaller host of the family, so W is where
            best reaches the value.
 
-        The orbit rules at the split's root.  Let F be the hosts of one
-        size in D's family, and G the vertex relabellings that fix 0 and
-        permute the petals {1 + (r-1)j, ..., (r-1)(j+1)} as blocks, the
-        vertices inside each petal, and the n-1-(r-1)D untouched vertices
-        above the petals.  G maps the star to itself, so it keeps the used
-        pairs, every degree and every condition of F: it maps F onto F.  A
-        root candidate that fits avoids 0, whose degree is D already, and
+        The root rule.  Let F be the hosts of one size in D's family, and G
+        the vertex relabellings that map F onto F.  On a linear host G
+        holds those that fix 0 and permute the petals {1 + (r-1)j, ...,
+        (r-1)(j+1)} as blocks, the vertices inside each petal, and the
+        n-1-(r-1)D untouched vertices above the petals: they map the star
+        to itself, so they keep the used pairs, every degree and every
+        condition of F.  On a general host G holds Sym(s_0) x Sym(the other
+        n-r vertices), as F asks only for s_0.  The star's edges are the
+        least edges of every host of F: on a linear host every other edge
+        avoids 0, whose degree is D already, and on a general host s_0 is
+        the least r-set.  The root draws its candidates from after its
+        last edge (walk), and on a linear host every earlier one holds 0.
+        Let k be a fitting candidate's number of vertices on the star,
+        those up to (r-1)D (petals).  On a linear host it avoids 0 and
         meets each petal in at most one vertex, since two would be a pair
-        of a star edge.  So two fitting candidates with the same number k
-        of petal vertices are one orbit of G: a relabelling in G takes the
-        k petals of one to those of the other, its petal vertices to the
-        other's, and its r-k untouched vertices to the other's.  There are
-        at most r+1 orbits, keyed by k (petals).  At r = 2 each petal is
-        one vertex, and k still counts petal vertices.
+        of a star edge; on a general host it meets s_0 in k <= r-1
+        vertices, as s_0 itself is not a candidate.  So two fitting
+        candidates with the same k are one orbit of G: a relabelling in G
+        takes the k star vertices of one to the other's (on a linear host
+        moving their petals as blocks), and its r-k untouched vertices to
+        the other's.  There are at most r+1 orbits, keyed by k.  At r = 2
+        each petal is one vertex, and k still counts petal vertices.
         (a) One admissibility check per orbit: a relabelling in G takes the
             star plus one candidate to the star plus the other, so both are
             free or neither, and the root's live list is the same list.
@@ -585,33 +578,8 @@ class _Searcher:
             the first child of its orbit, and that child's subtree, which
             draws from every later root child, holds it.  So the walk finds
             a host of F whenever F has one.
-        The second-edge rule on a general host.  The plain walk's one
-        expanded root child is the host {s_0}, s_0 = {0, ..., r-1}, and
-        petals(1) keys its candidates by their overlap k = |q & s_0|, at
-        most r-1, so that node makes at most r admits calls and expands at
-        most r children, the first candidate of each k, c_k =
-        {0..k-1} | {r..2r-1-k}.  Let G be Sym(s_0) x Sym(the other n-r
-        vertices), the relabellings that fix s_0 as a set.
-        - G takes any candidate with overlap k to any other: it maps the k
-          shared vertices of one onto those of the other, and its r-k
-          outside vertices onto the other's.  G keeps freeness, and s_0
-          stays the least edge of every host that holds it.  A general
-          host has no degree cap and no pair masks, so nothing else needs
-          to be kept, and rule (a) above holds here as well: one verdict
-          per k.
-        - A host H that holds s_0 and whose second edge e is not the first
-          candidate c of its class: some g in G takes e to c < e, and
-          g(H) holds s_0 and c, so its second edge is less than e.  This
-          can happen only finitely often, so some host of H's size has a
-          class head as its second edge; that head's subtree draws from
-          every later candidate and holds it.  So every size is reached.
-        - The lex-least extremal host W holds s_0 (walk), and its second
-          edge heads its class: otherwise the g above takes W to a
-          lex-smaller extremal host.  The walk meets hosts in
-          lexicographic order, so W is still the first host of its size
-          it reaches.
 
-        The split's argument and all these rules use only that freeness
+        The split's argument and the root rule use only that freeness
         survives a vertex relabelling and the removal of edges, so they
         hold for every pattern: a union, one wider than n, or none.
         """
@@ -620,14 +588,11 @@ class _Searcher:
         def need() -> int:
             return len(best) + 1
 
-        if self.linear:
-            star = self.grow_star()
-            walks = (self.walk(need, root=star[:d], cap=d, orbits=(self.petals(d),))
-                     for d in range(len(star), 0, -1) if d * self.n >= self.r * need())
-        else:
-            walks = [self.walk(need, orbits=(_one_orbit, self.petals(1)))]
-        for walk in walks:
-            for chosen in walk:
+        star = self.grow_star()
+        for d in range(len(star), 0, -1):
+            if d * self.n < self.r * need():
+                break
+            for chosen in self.walk(need, root=star[:d], cap=d, orbits=(self.petals(d),)):
                 if len(chosen) > len(best):
                     best = tuple(chosen)
                     yield best
@@ -662,11 +627,11 @@ def max_edges(
     edge set, because the search explores candidates in ascending order
     and only strict improvements replace the incumbent.
 
-    The hosts come from _Searcher.hosts.  A linear host, and so every
-    2-uniform one, takes the max-degree split (stats.proof
-    "degree-split"), whose first node, if any, is its widest root star;
-    a general host with r >= 3 is proved by the plain walk, whose first
-    node is the empty host.  A budget cut returns the best host found so
+    The hosts come from _Searcher.hosts, the max-degree split, whose
+    first node, if any, is its widest root star.  stats.proof reads
+    "degree-split" on a linear host, and so on every 2-uniform one, and
+    "walk" on a general host with r >= 3, whose one walk is rooted at
+    the single edge {0, ..., r-1}.  A budget cut returns the best host found so
     far, re-verified, as interrupted.
     """
     budget = budget or SearchBudget()
@@ -738,8 +703,7 @@ def iter_free(
     budget = budget or SearchBudget()
     s = _Searcher(n, r, pattern, host, budget)
     if edge_count is not None:
-        if type(edge_count) is not int:
-            raise BadParameters(f"edge count must be an int, got {edge_count!r}")
+        _check_ints(**{"edge count": edge_count})
         if edge_count < 0:
             raise BadParameters(f"edge count must be nonnegative, got {edge_count}")
 

@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import BadParameters
-from .hypergraph import Hypergraph, _check_size, make_hypergraph
+from .hypergraph import Hypergraph, _check_ints, _check_size, make_hypergraph
 
 __all__ = [
     "PatternComponent",
@@ -64,6 +64,7 @@ class PatternComponent:
     def __post_init__(self):
         if self.kind not in _KIND_ORDER:
             raise BadParameters(f"unknown component kind {self.kind!r}")
+        _check_ints(**{"component length": self.length})
         if self.length < 1:
             raise BadParameters(f"component length must be >= 1, got {self.length}")
         if self.kind == "cycle" and self.length < 3:
@@ -90,8 +91,7 @@ class ForbiddenPattern:
     components: tuple[PatternComponent, ...]
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or isinstance(self.r, bool):
-            raise BadParameters(f"uniformity must be an int, got {self.r!r}")
+        _check_ints(uniformity=self.r)
         if self.r < 2:
             raise BadParameters(f"uniformity must be >= 2, got {self.r}")
         if not self.components:
@@ -165,6 +165,7 @@ def forest(components: Sequence[PatternComponent], r: int) -> ForbiddenPattern:
 
 def copies(k: int, pattern: ForbiddenPattern) -> ForbiddenPattern:
     """k vertex-disjoint copies, flattened into one union pattern."""
+    _check_ints(**{"copy count": k})
     if k < 1:
         raise BadParameters(f"copy count must be >= 1, got {k}")
     return ForbiddenPattern(pattern.r, pattern.components * k)

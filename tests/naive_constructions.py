@@ -59,7 +59,7 @@ def structural_forest_premises(
         )
     if any(len(c) >= ell * (r - 1) + 1 for c in comps):
         raise InvariantViolation("a component is large enough to hold the path")
-    if rest.edge_count and rest.max_degree() >= ell:
+    if max(map(len, rest.incidence), default=0) >= ell:
         raise InvariantViolation("a component is dense enough to hold the star")
 
 

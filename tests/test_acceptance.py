@@ -114,7 +114,7 @@ def test_criterion_05_end_set_sweep(announce):
                 continue
             qualifying += 1
             sweep = lt.verify_frame_sweep(h, 4, 3)
-            assert sweep.all_pass, (n, h.edges, sweep.failures)
+            assert sweep.status == "pass", (n, h.edges, sweep.failures)
             embeddings += sweep.embeddings_checked
             rep = lt.verify_frame(h, first, 4)
             assert rep.min_end_sum <= 2

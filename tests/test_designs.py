@@ -100,6 +100,18 @@ def test_admissibility_is_the_divisibility_test():
         assert lt.is_admissible(n, 3) == want
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: lt.build_design(7.0, 3), "n must be an int, got 7.0"),
+    (lambda: lt.build_design(7, 3.0), "r must be an int, got 3.0"),
+    (lambda: lt.is_admissible(7.0, 3), "n must be an int, got 7.0"),
+    (lambda: lt.block_count(True, 3), "n must be an int, got True"),
+], ids=["float-n", "float-r", "admissible", "bool-n"])
+def test_non_int_sizes_are_rejected(call, message):
+    with pytest.raises(BadParameters) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_counting_fractions():
     assert lt.block_count(9, 3) == Fraction(12)
     assert lt.block_count(8, 3) == Fraction(28, 3)  # non-integral: inadmissible

@@ -89,7 +89,7 @@ def test_traversing_pair_is_found_and_intersects():
 
 def test_sweep_checks_every_embedding(p3_plus_pendant):
     rep = lt.verify_frame_sweep(p3_plus_pendant, 4, 3)
-    assert rep.all_pass
+    assert rep.status == "pass"
     assert rep.embeddings_checked == 4
     assert rep.failures == ()
 

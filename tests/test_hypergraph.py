@@ -61,6 +61,7 @@ def test_linearity_violation_names_an_edge_pair():
 @pytest.mark.parametrize("call,error,message", [
     (lambda: lt.integer_lattice(1, 2), lt.BadParameters,
      "lattice needs r >= 2 and d >= 1, got r=1, d=2"),
+    (lambda: lt.integer_lattice(2.0, 2), lt.BadParameters, "r must be an int, got 2.0"),
     (lambda: lt.disjoint_union([]), lt.BadParameters,
      "disjoint_union needs at least one hypergraph"),
     (lambda: lt.remove_vertices(lt.make_hypergraph(5, [(0, 1, 2)]), [1, 5]),
@@ -79,7 +80,7 @@ def test_linearity_violation_names_an_edge_pair():
      "vertex count must be an int, got True"),
     (lambda: lt.make_hypergraph(3, [(0, 1, 2)], 3.0), lt.BadParameters,
      "uniform order must be an int or None, got 3.0"),
-], ids=["lattice", "union", "remove", "float-vertex", "bool-vertex", "str-vertex",
+], ids=["lattice", "float-lattice", "union", "remove", "float-vertex", "bool-vertex", "str-vertex",
         "float-n", "bool-n", "float-r"])
 def test_rejected_arguments_are_named(call, error, message):
     with pytest.raises(error) as info:
@@ -168,7 +169,6 @@ def small_hypergraphs(draw, max_n=8, max_edges=6):
 @given(small_hypergraphs())
 def test_degree_sum_identity(h):
     assert sum(h.degrees()) == sum(len(e) for e in h.edges)
-    assert h.max_degree() == (max(h.degrees()) if h.n else 0)
 
 
 @given(small_hypergraphs())

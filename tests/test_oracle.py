@@ -20,7 +20,7 @@ from linturan.errors import (
     ProductTooLarge,
 )
 from linturan.cli import main
-from linturan.oracle import HOSTS, SearchStats, _Searcher, _check_search_size, _one_orbit
+from linturan.oracle import HOSTS, SearchStats, _Searcher, _check_search_size
 
 P2 = lt.linear_path(2, 3)
 P3 = lt.linear_path(3, 3)
@@ -190,8 +190,8 @@ def test_search_matches_bitmask_exhaustion(data):
         pytest.param(7, "P3@r3", "linear", 5, id="7-P3@r3-linear"),
         pytest.param(6, "C3@r3", "linear", 1, id="6-C3@r3-linear"),
         pytest.param(7, "P4@r3", "linear", 5, id="7-P4@r3-linear"),
-        pytest.param(7, "S2@r3", "general", 8, id="7-S2@r3-general"),
-        pytest.param(6, "P3@r3", "general", 21, id="6-P3@r3-general"),
+        pytest.param(7, "S2@r3", "general", 7, id="7-S2@r3-general"),
+        pytest.param(6, "P3@r3", "general", 20, id="6-P3@r3-general"),
         # the benchmark's exact-grid rows; the linear ones take the
         # max-degree split (P4 has 9 vertices, so P4 on 7 and 8 vertices
         # is the split's unconstrained search)
@@ -230,12 +230,19 @@ def test_search_counters_are_pinned(n, expr, host, counters):
     )
 
 
+def one_orbit(q):
+    """A root rule for the empty root: every candidate in one orbit, as
+    all one-edge hosts are isomorphic, so only hosts whose first edge is
+    candidate 0, {0, ..., r-1}, are searched."""
+    return 0
+
+
 def walk_max(n, r, pattern):
     """max_edges on a linear host as the walk alone computes it: the value
     and the witness's edge list."""
     s = _Searcher(n, r, pattern, "linear", lt.SearchBudget())
     best = ()
-    for chosen in s.walk(lambda: len(best) + 1, orbits=(_one_orbit,)):
+    for chosen in s.walk(lambda: len(best) + 1, orbits=(one_orbit,)):
         if len(chosen) > len(best):
             best = tuple(chosen)
     return len(best), list(s.graph(best).edges)
@@ -441,10 +448,10 @@ def test_split_root_expands_one_child_per_orbit(r, n, expr):
     assert max(sizes) >= 2
 
 
-def second_level(s, orbits):
-    """The plain walk's node at s_0 = {0, ..., r-1}, candidate 0, under the
-    root rule orbits: its live list, the admits calls that took, and the
-    children it expands."""
+def general_root(s, orbits):
+    """The root of the walk rooted at s_0 = {0, ..., r-1}, candidate 0,
+    under the root rule orbits: its live list, the admits calls that
+    took, and the children it expands."""
     lists = []
     live = s.live
 
@@ -455,7 +462,7 @@ def second_level(s, orbits):
         return children, taken
 
     s.live = recording
-    expanded = [chosen[-1] for chosen in s.walk(lambda: 0, 2, orbits) if len(chosen) == 2]
+    expanded = [chosen[-1] for chosen in s.walk(lambda: 0, 2, orbits, (0,)) if len(chosen) == 2]
     del s.live
     (at, children, calls), = [row for row in lists if len(row[0]) == 1]
     assert at == [0]
@@ -468,31 +475,34 @@ def second_level(s, orbits):
     + [(4, n, expr) for n in (7, 8) for expr in ("P2", "S2", "C3", "2*P1")],
 )
 def test_general_second_level_takes_one_check_and_child_per_overlap(monkeypatch, r, n, expr):
-    # on a general host the node at s_0 keys its candidates, under the
-    # root rule max_edges passes, by their overlap with s_0: its live list
-    # is every q with {s_0, q} free, by a whole-host check, with the key
-    # and candidate by candidate; it makes one admits call per overlap
-    # (none while two edges cannot hold the pattern) and expands exactly
-    # the first live candidate of each orbit of the relabellings that fix
-    # s_0 as a set, orbits found here by closing under their generators,
-    # not by the overlap key
+    # a general max_edges makes one walk, rooted at s_0 under the key
+    # petals(1), which sorts the root's candidates by their overlap with
+    # s_0: its live list is every q after s_0 with {s_0, q} free, by a
+    # whole-host check, with the key and candidate by candidate; it makes
+    # one admits call per overlap (none while two edges cannot hold the
+    # pattern) and expands exactly the first live candidate of each orbit
+    # of the relabellings that fix s_0 as a set, orbits found here by
+    # closing under their generators, not by the overlap key
     pattern = lt.parse_pattern(f"{expr}@r{r}")
-    rules = []
+    walks = []
     walk = _Searcher.walk
 
     def recorded(self, *args, **kwargs):
-        rules.append(kwargs["orbits"])
+        walks.append((tuple(kwargs["root"]), kwargs["orbits"]))
         return walk(self, *args, **kwargs)
 
     monkeypatch.setattr(_Searcher, "walk", recorded)
     lt.max_edges(n, r, pattern, "general", lt.SearchBudget(node_limit=1))
     monkeypatch.undo()
-    (orbits,) = rules
+    ((root, orbits),) = walks
     s = _Searcher(n, r, pattern, "general", lt.SearchBudget())
+    assert root == (0,) and len(orbits) == 1
+    petals = s.petals(1)
+    assert [orbits[0](q) for q in range(len(s.cands))] == [petals(q) for q in range(len(s.cands))]
     expected = [q for q in range(1, len(s.cands)) if lt.is_free(s.graph([0, q]), pattern)]
-    plain, plain_calls, _ = second_level(s, (_one_orbit,))
+    plain, plain_calls, _ = general_root(s, ())
     assert plain == expected
-    children, calls, expanded = second_level(s, orbits)
+    children, calls, expanded = general_root(s, orbits)
     assert children == expected
     overlaps = {len(set(s.cands[q]) & set(range(r))) for q in range(1, len(s.cands))}
     assert calls == (len(overlaps) if plain_calls else 0) <= r
@@ -567,7 +577,7 @@ def test_gain_bounds_every_subtree(r, top, expr):
         index = {e: q for q, e in enumerate(s.cands)}
         star = [index[(0, *range(1 + (r - 1) * j, r + (r - 1) * j))]
                 for j in range(s.degree_cap)]
-        walks = [((), (_one_orbit,), None)] + [
+        walks = [((), (one_orbit,), None)] + [
             (star[:d], (), d) for d in range(1, len(star) + 1)
             if pattern is None or lt.is_free(s.graph(star[:d]), pattern)
         ]
@@ -778,30 +788,35 @@ def test_time_budget_spent_before_the_root_gives_the_empty_host(monkeypatch):
     assert res.stats.nodes == 1
 
 
-@pytest.mark.parametrize("n,r,expr", [(7, 3, "P1"), (7, 3, "S1"), (6, 2, "P1")])
+@pytest.mark.parametrize("n,r,expr", [(7, 3, "P1"), (7, 3, "S1"), (6, 2, "P1"), (7, 4, "P1"),
+                                      (7, 4, "S1")])
 def test_pattern_that_forbids_every_edge_visits_no_node(capsys, tmp_path, n, r, expr):
-    # no edge is free, so the split's one trial finds no free star and no
-    # walk runs: the value is 0, exact, with the empty witness and no
-    # node, and the CLI and a results store say the same
+    # no edge is free, so the split's one trial finds no free star, on a
+    # general host no free s_0, and no walk runs: the value is 0, exact,
+    # with the empty witness and no node, and the CLI and a results store
+    # say the same
     pattern = lt.parse_pattern(f"{expr}@r{r}")
-    res = lt.max_edges(n, r, pattern)
-    s = res.stats
-    assert (res.value, res.status, res.witness) == (0, "exact", lt.make_hypergraph(n, [], r))
-    assert (s.nodes, s.admits_calls, s.admits_rejects, s.bound_cuts, s.proof) == (
-        0, 1, 1, 0, "degree-split")
-    rfile = tmp_path / "r.jsonl"
-    argv = ["turan", "--n", str(n), "--r", str(r), "--pattern", f"{expr}@r{r}", "--linear",
-            "--report-format", "structured", "--results", str(rfile)]
-    assert main(argv) == 0
-    got = json.loads(capsys.readouterr().out)
-    assert (got["status"], got["value"], got["nodes"], got["admits_calls"], got["proof"]) == (
-        "exact", 0, 0, 1, "degree-split")
-    rec = lt.ResultsStore(rfile).best(n, r, f"{expr}@r{r}", "linear")
-    assert (rec.value, rec.status, rec.witness_graph()) == (0, "exact", res.witness)
-    assert dataclasses.replace(rec.stats, elapsed=0) == dataclasses.replace(s, elapsed=0)
-    # served from the store, the row reports the stored record
-    assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out) == got
+    for host in HOSTS:
+        proof = "degree-split" if takes_split(n, r, pattern, host) else "walk"
+        res = lt.max_edges(n, r, pattern, host)
+        s = res.stats
+        assert (res.value, res.status, res.witness) == (0, "exact", lt.make_hypergraph(n, [], r))
+        assert (s.nodes, s.admits_calls, s.admits_rejects, s.bound_cuts, s.proof) == (
+            0, 1, 1, 0, proof)
+        rfile = tmp_path / f"{host}.jsonl"
+        argv = ["turan", "--n", str(n), "--r", str(r), "--pattern", f"{expr}@r{r}",
+                "--report-format", "structured", "--results", str(rfile)]
+        argv += ["--linear"] if host == "linear" else []
+        assert main(argv) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["status"], got["value"], got["nodes"], got["admits_calls"], got["proof"]) == (
+            "exact", 0, 0, 1, proof)
+        rec = lt.ResultsStore(rfile).best(n, r, f"{expr}@r{r}", host)
+        assert (rec.value, rec.status, rec.witness_graph()) == (0, "exact", res.witness)
+        assert dataclasses.replace(rec.stats, elapsed=0) == dataclasses.replace(s, elapsed=0)
+        # served from the store, the row reports the stored record
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == got
 
 
 def test_union_search_builds_only_the_witness(monkeypatch):
@@ -827,7 +842,11 @@ def _digest(witness):
 # (n, r, pattern, host, node limit): (value, status, nodes, admits_calls,
 # admits_rejects, bound_cuts) and a digest of the witness's edge list;
 # the values and digests are the ones the search gave when a union took a
-# whole-host check, and the counters move only when the walk's tree does
+# whole-host check, and the counters move only when the walk's tree does.
+# A general row's walk is rooted at {0, 1, 2}, not at the empty host, so
+# its budget reaches one node further: at n=9 P1+C3 the 40-node budget
+# reaches the host of 40 edges, which took 41 nodes when the empty host
+# was a node
 UNION_ROWS = [
     (7, 3, "2*P1", "linear", 100, (7, "exact", 5, 10, 1, 0), "b510de7e3234"),
     (8, 3, "2*P1", "linear", 100, (7, "exact", 5, 11, 2, 3), "b510de7e3234"),
@@ -840,23 +859,23 @@ UNION_ROWS = [
     (10, 3, "2*P2", "linear", 100, (13, "exact", 28, 205, 11, 17), "e16f59768666"),
     (10, 3, "P2+S2", "linear", 100, (13, "exact", 28, 205, 11, 17), "e16f59768666"),
     (10, 3, "P1+C3", "linear", 100, (12, "interrupted", 101, 747, 226, 94), "dcdcf6cd425c"),
-    (6, 3, "2*P1", "general", 100, (10, "interrupted", 101, 529, 99, 96), "05bd1b448ddd"),
-    (7, 3, "2*P1", "general", 100, (15, "interrupted", 101, 958, 180, 92), "0ae9c0acebb4"),
-    (8, 3, "2*P1", "general", 100, (21, "interrupted", 101, 1379, 219, 92), "159bf9c948c4"),
-    (8, 3, "P1+S2", "general", 100, (28, "interrupted", 101, 1392, 277, 82), "84ebd2d3b303"),
-    (9, 3, "2*P1", "general", 100, (28, "interrupted", 101, 1878, 265, 88), "5e848b790af8"),
-    (9, 3, "P1+S2", "general", 100, (28, "interrupted", 101, 1849, 368, 79), "5e848b790af8"),
-    (9, 3, "P1+C3", "general", 40, (39, "interrupted", 41, 2087, 35, 0), "1b0d4d709ad1"),
-    (10, 3, "2*P1", "general", 100, (36, "interrupted", 101, 2470, 306, 85), "540b738511c8"),
-    (10, 3, "P1+S2", "general", 100, (36, "interrupted", 101, 2635, 287, 76), "540b738511c8"),
-    (10, 3, "2*P2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
-    (10, 3, "P2+S2", "general", 100, (44, "interrupted", 101, 3947, 245, 58), "d6443d5e3719"),
+    (6, 3, "2*P1", "general", 100, (10, "interrupted", 101, 540, 100, 96), "05bd1b448ddd"),
+    (7, 3, "2*P1", "general", 100, (15, "interrupted", 101, 968, 182, 93), "0ae9c0acebb4"),
+    (8, 3, "2*P1", "general", 100, (21, "interrupted", 101, 1407, 225, 92), "159bf9c948c4"),
+    (8, 3, "P1+S2", "general", 100, (28, "interrupted", 101, 1412, 282, 82), "84ebd2d3b303"),
+    (9, 3, "2*P1", "general", 100, (28, "interrupted", 101, 1898, 269, 89), "5e848b790af8"),
+    (9, 3, "P1+S2", "general", 100, (28, "interrupted", 101, 1863, 368, 79), "5e848b790af8"),
+    (9, 3, "P1+C3", "general", 40, (40, "interrupted", 41, 2096, 35, 0), "86e697e00330"),
+    (10, 3, "2*P1", "general", 100, (36, "interrupted", 101, 2496, 311, 86), "540b738511c8"),
+    (10, 3, "P1+S2", "general", 100, (36, "interrupted", 101, 2652, 290, 76), "540b738511c8"),
+    (10, 3, "2*P2", "general", 100, (44, "interrupted", 101, 3952, 248, 60), "d6443d5e3719"),
+    (10, 3, "P2+S2", "general", 100, (44, "interrupted", 101, 3952, 248, 60), "d6443d5e3719"),
     (8, 4, "2*P1", "linear", 100, (2, "exact", 1, 1, 0, 1), "3929c590e9bf"),
     (9, 4, "2*P1", "linear", 100, (3, "exact", 2, 2, 0, 1), "238abed65f6f"),
     (10, 4, "2*P1", "linear", 100, (5, "exact", 5, 13, 1, 1), "95d59a87ef69"),
-    (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1475, 99, 68), "da0a21ca2dfa"),
-    (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3310, 121, 53), "92f25cca91e3"),
-    (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6398, 128, 34), "97eb85d7e757"),
+    (8, 4, "2*P1", "general", 100, (35, "interrupted", 101, 1480, 100, 68), "da0a21ca2dfa"),
+    (9, 4, "2*P1", "general", 100, (56, "interrupted", 101, 3323, 123, 53), "92f25cca91e3"),
+    (10, 4, "2*P1", "general", 100, (84, "interrupted", 101, 6420, 131, 35), "97eb85d7e757"),
 ]
 
 

@@ -37,6 +37,22 @@ def test_non_int_uniformity_is_rejected(r):
         lt.ForbiddenPattern(r, (lt.PatternComponent("path", 2),))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: lt.linear_path(3.0, 3), "component length must be an int, got 3.0"),
+    (lambda: lt.linear_path(True, 3), "component length must be an int, got True"),
+    (lambda: lt.linear_star(2.0, 3), "component length must be an int, got 2.0"),
+    (lambda: lt.copies(2.0, lt.linear_path(2, 3)), "copy count must be an int, got 2.0"),
+    (lambda: lt.max_edges(7, 3, lt.linear_path(3.0, 3)),
+     "component length must be an int, got 3.0"),
+], ids=["float-path", "bool-path", "float-star", "float-copies", "max-edges"])
+def test_non_int_sizes_are_rejected(call, message):
+    # a float length would print as P3.0, which parse_pattern refuses,
+    # and break the search with a TypeError or ValueError
+    with pytest.raises(BadParameters) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_forest_realization_sizes():
     cases = {
         "P2+S2@r3": (10, 4),
