@@ -312,7 +312,8 @@ def cone_construction(
     linear in general, and flagged when not.  When ``free_pattern`` is
     given, its absence is checked by search; presence becomes a caveat,
     not an error, since it only means the kernel lacked the assumed
-    freeness.
+    freeness.  Raises ProductTooLarge when the C(n, r) r-sets it lists
+    would pass CONE_ENUMERATION_CAP.
     """
     _check_ints(n=n, r=r, k=k)
     if k < 1:
@@ -327,10 +328,9 @@ def cone_construction(
         raise BadParameters(
             f"kernel edges have order {kernel.r}, cone needs {r}"
         )
-    if math.comb(n, r) > CONE_ENUMERATION_CAP:
-        raise BadParameters(
-            f"C({n},{r}) exceeds the enumeration cap {CONE_ENUMERATION_CAP}"
-        )
+    _check_size(
+        f"cone enumeration of C({n},{r})", math.comb(n, r), f"{r}-sets", CONE_ENUMERATION_CAP
+    )
 
     edges = [e for e in itertools.combinations(range(n), r) if e[0] < k]
     edges.extend(tuple(v + k for v in e) for e in kernel.edges)

@@ -17,10 +17,10 @@ build_design assembles one by the first applicable strategy:
               x*y = pi(x+y mod 2t), pi(2x) = x, pi(2x+1) = t+x
   projective  (n, r) = (q*q+q+1, q+1) for a prime q up to a cap
   affine      (n, r) = (q*q, q) for a prime q up to a cap
-  search      exact-cover backtracking up to a size cap, canonicalized by
-              always extending the least uncovered pair with ascending
-              vertices and introducing new points in order (the first
-              block is therefore 0..r-1)
+  search      up to a size cap, the oracle's walk for the lex-least
+              linear host with n(n-1)/(r(r-1)) edges, rooted at the star
+              of (n-1)/(r-1) blocks through point 0 (oracle.lex_least_design;
+              the first block is therefore 0..r-1)
 
 Inadmissible or out-of-reach parameters, and a search that finds
 nothing, yield an absent outcome with the reason; every successful build
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_PRIME_CAP = 7
-# the largest n the exact-cover search tries; r = 3 never reaches it, every
+# the largest n the design search tries; r = 3 never reaches it, every
 # admissible n being 1 or 3 mod 6 and built by skolem or bose
 DEFAULT_SEARCH_CAP = 13
 
@@ -183,53 +183,6 @@ def _affine_plane(q: int) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _search(n: int, r: int) -> Optional[list[tuple[int, ...]]]:
-    """Lexicographic exact-cover backtracking over uncovered pairs."""
-    covered: set[tuple[int, int]] = set()
-    blocks: list[tuple[int, ...]] = []
-    total = n * (n - 1) // 2
-
-    def least_uncovered() -> Optional[tuple[int, int]]:
-        for a in range(n):
-            for b in range(a + 1, n):
-                if (a, b) not in covered:
-                    return (a, b)
-        return None
-
-    def block_pairs(block: tuple[int, ...]):
-        return itertools.combinations(sorted(block), 2)
-
-    def solve(seen: int) -> bool:
-        if len(covered) == total:
-            return True
-        a, b = least_uncovered()
-
-        def grow(block: list[int], need: int, seen: int) -> bool:
-            if need == 0:
-                chosen = tuple(sorted(block))
-                pairs = list(block_pairs(chosen))
-                covered.update(pairs)
-                blocks.append(chosen)
-                if solve(seen):
-                    return True
-                blocks.pop()
-                covered.difference_update(pairs)
-                return False
-            # new points only in order: candidate may not skip past `seen`
-            for c in range(block[-1] + 1, min(n, seen + 1)):
-                if any((min(x, c), max(x, c)) in covered for x in block):
-                    continue
-                if grow(block + [c], need - 1, max(seen, c + 1)):
-                    return True
-            return False
-
-        return grow([a, b], r - 2, max(seen, b + 1))
-
-    if solve(0):
-        return blocks
-    return None
-
-
 def build_design(
     n: int,
     r: int,
@@ -239,7 +192,8 @@ def build_design(
     """Construct a verified design, or report why none was produced.
 
     Raises ProductTooLarge when an admissible design would have more than
-    DEFAULT_PRODUCT_CAP blocks.
+    DEFAULT_PRODUCT_CAP blocks, and when the search's C(n, r) candidate
+    blocks would list more than DEFAULT_PRODUCT_CAP points in all.
     """
     if not is_admissible(n, r):
         return DesignOutcome(None, "inadmissible")
@@ -262,7 +216,10 @@ def build_design(
     elif n == r * r and _is_prime(r) and r <= prime_cap:
         strategy, edges = "affine", _affine_plane(r)
     elif n <= search_cap:
-        strategy, edges = "search", _search(n, r)
+        # imported here: oracle imports bounds, which imports this module
+        from .oracle import lex_least_design
+
+        strategy, edges = "search", lex_least_design(n, r)
         if edges is None:
             return DesignOutcome(
                 None, f"search-exhausted: exhaustive search finds no design for n={n}, r={r}"

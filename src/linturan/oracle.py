@@ -20,7 +20,8 @@ degree cap, so its star stops at one edge, s_0 = {0, ..., r-1}, and it
 makes the one walk D = 1.  hosts' docstring argues the split and its
 root rule once, for both.  Budgets turn an over-long search into an
 explicit interrupted result (or InterruptedSearch for the enumerators,
-which have no partial answer worth returning).
+which have no partial answer worth returning).  lex_least_design, the
+design builder's search, is one walk of the split at the design degree.
 Exploration is serial, so values never depend on scheduling.
 
 The walk is forward-checked.  Each node tests every later candidate edge
@@ -596,6 +597,29 @@ class _Searcher:
                 if len(chosen) > len(best):
                     best = tuple(chosen)
                     yield best
+
+
+def lex_least_design(n: int, r: int) -> Optional[list[tuple[int, ...]]]:
+    """The lex-least 2-(n, r, 1) design's blocks, or None when there is
+    none; n and r must be admissible (designs.is_admissible).
+
+    A design is a linear host with size = nD/r edges, D = (n-1)/(r-1)
+    being the longest star at 0 when no pattern is forbidden, and one
+    walk of the split (hosts) at that D, its bar held at size, finds it.
+    Every design is D-regular, so it relabels into D's family, and the
+    designs are that family's hosts of size edges.  Rule (b) keeps one of
+    them in an expanded root child's subtree, and gain never cuts a host
+    as large as the bar, so the walk finds a design when one exists.  By
+    hosts' points 2-4 the first one it meets is the lex-least design.
+    """
+    s = _Searcher(n, r, None, "linear", SearchBudget())
+    star = s.grow_star()
+    d = len(star)
+    size = n * d // r
+    for chosen in s.walk(lambda: size, size, (s.petals(d),), star, d):
+        if len(chosen) == size:
+            return [s.cands[q] for q in chosen]
+    return None
 
 
 def path_cap(

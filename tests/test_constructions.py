@@ -303,9 +303,11 @@ class TestCone:
         with pytest.raises(BadParameters) as info:
             lt.cone_construction(3, 4, 1, lt.make_hypergraph(2, [], r=4))
         assert str(info.value) == "no edges of order 4 fit on 3 vertices"
-        with pytest.raises(BadParameters) as info:
+        with pytest.raises(lt.ProductTooLarge) as info:
             lt.cone_construction(300, 3, 1, lt.make_hypergraph(299, [], r=3))
-        assert str(info.value) == "C(300,3) exceeds the enumeration cap 2000000"
+        assert str(info.value) == (
+            "cone enumeration of C(300,3) would have 4455100 3-sets (cap 2000000)"
+        )
 
 
 @pytest.mark.parametrize("build,message", [

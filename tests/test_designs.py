@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import linturan as lt
-from linturan.errors import BadParameters, NoDesignAvailable
+from linturan.errors import BadParameters, NoDesignAvailable, ProductTooLarge
 
 
 def pair_coverage(h):
@@ -80,6 +80,36 @@ def test_search_builds_verified_designs(n, r, caps, blocks):
     assert lt.verify_design(d.graph)
     assert set(pair_coverage(d.graph).values()) == {1}
     assert d.graph.edges[0] == tuple(range(r))  # new points enter in order
+
+
+LEX_LEAST = [(n, r, caps) for n, r, caps, _ in SEARCHES] + [
+    # prime_cap 1 keeps the affine plane of order 2, K_4, from answering
+    (n, 2, {"prime_cap": 1}) for n in range(3, 9)
+]
+
+
+@pytest.mark.parametrize("n,r,caps", LEX_LEAST)
+def test_search_builds_the_lex_least_design(n, r, caps):
+    # iter_free walks every labelled linear host in lexicographic order,
+    # with no root rule, so its first host of the block count is the
+    # lex-least design, found without the split's symmetry argument
+    d = lt.build_design(n, r, **caps).design
+    assert d.strategy == "search"
+    blocks = int(lt.block_count(n, r))
+    assert d.graph == next(lt.iter_free(n, r, None, "linear", edge_count=blocks))
+
+
+def test_search_depth_is_not_bounded_by_the_call_stack():
+    # 528 blocks deep, past Python's recursion limit for a recursive search
+    d = lt.build_design(33, 2, search_cap=33).design
+    assert (d.strategy, d.num_blocks) == ("search", 528)
+    assert lt.verify_design(d.graph)
+
+
+def test_search_past_the_candidate_cap_is_refused():
+    # C(31, 6) six-point candidates list more vertices than the oracle's cap
+    with pytest.raises(ProductTooLarge):
+        lt.build_design(31, 6, prime_cap=3, search_cap=31)
 
 
 def test_exhausted_search_says_so():

@@ -79,6 +79,19 @@ def test_thm45_affine_plane_attains_the_p5_value():
     assert (built.actual, res.status, res.value) == (12, "exact", 12)
 
 
+@pytest.mark.parametrize("n", range(3, 15))
+def test_paper_path_caps_hold_on_the_exact_values(n):
+    # linear_path_upper at r = 3: the matching number floor(n/3) for P2,
+    # which is exact, n for P3 and 6n for P4.  The P3 cap is attained by
+    # one Fano plane at n = 7 and by two disjoint ones at n = 14 only
+    p2, p3, p4 = (lt.max_edges(n, 3, lt.linear_path(ell, 3), "linear") for ell in (2, 3, 4))
+    assert p2.exact and p3.exact and p4.exact
+    assert p2.value == lt.linear_path_upper(3, 2, n).value
+    assert p3.value <= lt.linear_path_upper(3, 3, n).value
+    assert (p3.value == n) == (n in (7, 14))
+    assert p4.value <= lt.linear_path_upper(3, 4, n).value
+
+
 # graphs: at r = 2 every host is linear, so both host strings search the
 # same hosts, and both prove their value by the max-degree split
 def graph_max(n, expr, host):
