@@ -438,16 +438,15 @@ def _suite_checks():
     yield (
         "designs 7,9,13,15 build and verify",
         lambda: all(
-            build_design(n, 3).ok and verify_design(build_design(n, 3).design.graph)
-            for n in (7, 9, 13, 15)
+            outcome.ok and verify_design(outcome.design.graph)
+            for outcome in (build_design(n, 3) for n in (7, 9, 13, 15))
         ),
     )
     yield (
         "designs 6,8 inadmissible",
         lambda: all(
-            not build_design(n, 3).ok
-            and build_design(n, 3).reason == "inadmissible"
-            for n in (6, 8)
+            not outcome.ok and outcome.reason == "inadmissible"
+            for outcome in (build_design(n, 3) for n in (6, 8))
         ),
     )
     yield (

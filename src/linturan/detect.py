@@ -18,8 +18,9 @@ Only host edges of exactly the pattern's order participate; a mixed host
 is searched through the subset of its edge positions that hold order-r
 edges, so every position the search reports is a host edge index.  The
 host does not have to be linear.  Paths and cycles grow by one step rule
-(_steps) in one walker (_walks), stars by one star rule (_star_leaves);
-contains and occurs_through share all three.
+(_steps) in one walker (_walks), stars by one star rule (_stars);
+contains and occurs_through share all three.  A walk or union placement
+that recurses past Python's recursion limit raises BadParameters.
 
 Vertex sets.  The search reads one table per host (EdgeTable, built by
 edge_table): each edge's vertices as an ascending tuple, to scan, and as
@@ -27,7 +28,7 @@ a set, to test.  The set kind is chosen once, by the host's vertex
 count.  A host on at most _MASK_LIMIT vertices gets Python ints, where
 bit v stands for vertex v.  A larger host gets frozensets, which
 edge_table builds too; nothing keeps a table past the search that asked
-for it.  _steps, _walks, _star_leaves and _Search are written once
+for it.  _steps, _walks, _stars and _Search are written once
 against &, | and == on the table, and banned sets and a walk's vertex
 set are of the same kind, so both kinds give the same answers in the
 same order.  The limit is the same argument as
@@ -79,7 +80,7 @@ assembles no Embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import nsmallest
+from heapq import merge, nsmallest
 from itertools import islice
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
@@ -355,40 +356,46 @@ def _walks(table, incidence, chain, conns, tail, skip, used, left, rest, closed,
                           goal, floor, banned)
 
 
-def _star_leaves(bits, centre, through, used, left, banned=None):
-    """The star step rule: ascending picks (lists) of `left` more edges
-    from through, the edges at a centre c, that avoid banned and meet
-    used, and each other, only in c; each pick comes with used and its
-    edges' vertices (pick, span).  centre is unit[c], and c lies in used.
-    Each edge of through holds c, so its meet with the span so far holds
-    c, and a meet equal to centre holds nothing else; an edge inside used
-    (r >= 2) never fits.
-
-    One depth-first loop over a stack of indices into through.  A branch
-    with fewer edges of through left than picks still to make is closed:
-    it can yield nothing.
+def _stars(table, incidence, centres, used, left, need, floor=-1, banned=None):
+    """The star rule: (c, pick, span) for each c of centres in at least
+    need edges and each pick (list) of `left` more edges at c, above
+    position floor, that avoid banned and meet used, and each other, only
+    in c; span is used and the pick's vertices, and c lies in used.  An
+    edge at c holds c, so its meet with the span so far holds c, and a
+    meet equal to unit[c] holds nothing else; an edge inside used (r >= 2)
+    never fits.  One depth-first loop per centre over indices into c's
+    incidence above floor, picks in its order; a branch with fewer edges
+    left in the list than picks still to make is closed.
     """
-    if left == 0:
-        yield [], used
-        return
-    picks: list[int] = []  # indices into through of the edges picked so far
-    spans = [used]  # spans[j]: used and the first j picks
-    i = 0
-    while True:
-        if len(through) - i < left - len(picks):
-            if not picks:
-                return
-            i = picks.pop() + 1
-            spans.pop()
+    _, bits, unit, _ = table
+    for c in centres:
+        through = incidence[c]
+        if len(through) < need:
             continue
-        es = bits[through[i]]
-        if es & spans[-1] == centre and not (banned and es & banned):
-            if len(picks) + 1 == left:
-                yield [through[j] for j in picks] + [through[i]], spans[-1] | es
-            else:
-                picks.append(i)
-                spans.append(spans[-1] | es)
-        i += 1
+        if not left:
+            yield c, [], used
+            continue
+        if floor >= 0:
+            through = [q for q in through if q > floor]
+        centre = unit[c]
+        picks: list[int] = []  # indices into through of the edges picked so far
+        spans = [used]  # spans[j]: used and the first j picks
+        i = 0
+        while True:
+            if len(through) - i < left - len(picks):
+                if not picks:
+                    break
+                i = picks.pop() + 1
+                spans.pop()
+                continue
+            es = bits[through[i]]
+            if es & spans[-1] == centre and not (banned and es & banned):
+                if len(picks) + 1 == left:
+                    yield c, [through[j] for j in picks] + [through[i]], spans[-1] | es
+                else:
+                    picks.append(i)
+                    spans.append(spans[-1] | es)
+            i += 1
 
 
 class _Search:
@@ -530,37 +537,29 @@ class _Search:
 
         A star's lowest edge p0 holds its centre c, and c lies in ell
         edges, so a p0 none of whose vertices has degree ell is skipped.
-        The second edge is a path step from p0, whose single meet is c;
-        a c of degree below ell is skipped, and the other edges are
-        picked from c's incidence after the second edge.  An incidence
-        list in another order than ascending misses no star: taking as
-        the second edge the star edge above p0 that comes first in c's
-        list leaves the others after it.  Such a star may then come more
-        than once, and out of position order.
+        _stars picks the other edges at each vertex c of p0, above p0, and
+        the streams merge on the second edge: it meets p0 in c alone, so
+        it is in one stream only, and the stars come in (p0, p1, ...)
+        order.  A non-ascending incidence list misses no star and repeats
+        none, as each is picked once, at its centre above its lowest edge,
+        but the stars come in another order.
         """
         table, incidence = self.table, self.incidence
-        verts, bits, unit, _ = table
+        verts, bits, _, _ = table
         for p0 in starts:
             if all(len(incidence[v]) < ell for v in verts[p0]):
                 continue
-            e0 = bits[p0]
-            for p1, c in _steps(table, incidence, p0, -1, e0, p0, banned):
-                at_c = incidence[c]
-                if len(at_c) < ell:
-                    continue
-                above = at_c[at_c.index(p1) + 1 :]
-                for pick, used in _star_leaves(bits, unit[c], above, e0 | bits[p1], ell - 2,
-                                               banned):
-                    chosen = [p0, p1] + pick
-                    vm = [c] + [v for pos in chosen for v in verts[pos] if v != c]
-                    yield chosen, vm, used
+            stars = merge(*(_stars(table, incidence, (c,), bits[p0], ell - 1, ell, p0, banned)
+                            for c in verts[p0]), key=lambda star: star[1][0])
+            for c, pick, used in stars:
+                chosen = [p0] + pick
+                vm = [c] + [v for pos in chosen for v in verts[pos] if v != c]
+                yield chosen, vm, used
 
     # -- union search -----------------------------------------------------
 
     def component_present(self, comp: PatternComponent, banned) -> bool:
-        for _ in self.iter_component(comp, banned):
-            return True
-        return False
+        return next(self.iter_component(comp, banned), None) is not None
 
     def _busiest_vertices(self, banned, k: int):
         """The k vertices of highest degree in the host of the edges that
@@ -668,20 +667,23 @@ def iter_embeddings(h: Hypergraph, pattern: ForbiddenPattern) -> Iterator[Embedd
                 incidence[v].append(i)
     search = _Search(pattern, table, incidence, edges)
     slots = None
-    for chosen in search.iter_all():
-        if slots is None:
-            # read at the first occurrence, not before: edge_slots builds
-            # the pattern's realization, which a free host never needs
-            size, slots = pattern.num_edges, pattern.edge_slots
-        # each component's host edges go into the pattern's edge slots;
-        # the vertex lists, in component order, are the vertex map
-        edge_map = [0] * size
-        vertex_map: list[int] = []
-        for (positions, vmap), at in zip(chosen, slots):
-            for pos, j in zip(positions, at):
-                edge_map[j] = pos
-            vertex_map += vmap
-        yield _require_valid(h, Embedding(pattern, tuple(edge_map), tuple(vertex_map)))
+    try:
+        for chosen in search.iter_all():
+            if slots is None:
+                # read at the first occurrence, not before: edge_slots builds
+                # the pattern's realization, which a free host never needs
+                size, slots = pattern.num_edges, pattern.edge_slots
+            # each component's host edges go into the pattern's edge slots;
+            # the vertex lists, in component order, are the vertex map
+            edge_map = [0] * size
+            vertex_map: list[int] = []
+            for (positions, vmap), at in zip(chosen, slots):
+                for pos, j in zip(positions, at):
+                    edge_map[j] = pos
+                vertex_map += vmap
+            yield _require_valid(h, Embedding(pattern, tuple(edge_map), tuple(vertex_map)))
+    except RecursionError:
+        raise BadParameters(f"{pattern} is too deep for the recursion limit") from None
 
 
 def contains(h: Hypergraph, pattern: ForbiddenPattern) -> Optional[Embedding]:
@@ -730,41 +732,44 @@ def occurs_through(
     BadParameters with a union.
     """
     comps = pattern.components
-    if len(comps) == 1:
-        return next(_through(table, incidence, q, comps[0], also), None) is not None
-    if also is not None:
-        raise BadParameters(f"a second anchor needs a one-component pattern, not {pattern}")
-    search = _Search(pattern, table, incidence,
-                     range(len(table.bits)) if edges is None else edges)
-    for i, comp in enumerate(comps):
-        if i and comps[i - 1] == comp:
-            continue  # each distinct type once
-        rest = comps[:i] + comps[i + 1:]
-        tried = set()  # a path comes once per direction
-        for occurrence in _through(table, incidence, q, comp):
-            used = occurrence[-1]
-            if used not in tried:
-                tried.add(used)
-                if next(search.place(rest, 0, used, []), None) is not None:
-                    return True
-    return False
+    try:
+        if len(comps) == 1:
+            return next(_through(table, incidence, q, comps[0], also), None) is not None
+        if also is not None:
+            raise BadParameters(f"a second anchor needs a one-component pattern, not {pattern}")
+        search = _Search(pattern, table, incidence,
+                         range(len(table.bits)) if edges is None else edges)
+        for i, comp in enumerate(comps):
+            if i and comps[i - 1] == comp:
+                continue  # each distinct type once
+            rest = comps[:i] + comps[i + 1:]
+            tried = set()  # a path comes once per direction
+            for occurrence in _through(table, incidence, q, comp):
+                used = occurrence[-1]
+                if used not in tried:
+                    tried.add(used)
+                    if next(search.place(rest, 0, used, []), None) is not None:
+                        return True
+        return False
+    except RecursionError:
+        raise BadParameters(f"{pattern} is too deep for the recursion limit") from None
 
 
 def _through(table, incidence, q, comp: PatternComponent, also=None) -> Iterator:
     """The occurrences of one component that use edge q, and edge also as
     well when it is given (an occurrence may repeat), each ending with its
     vertex set.  Paths and cycles are the walks of _walks, (chain, conns,
-    back, used), read as they come; a star or a single edge is the list
-    of its edges besides q and also, with its vertex set (pick, span), and
-    stars are searched by _star_leaves.  Each rule below only drops
-    branches that hold no occurrence through both anchors.
+    back, used), read as they come; a star is (c, pick, span) as _stars
+    yields it, pick its edges besides q and also, and a single edge is
+    ([], its vertex set).  Each rule below only drops branches that hold
+    no occurrence through both anchors.
 
     - One edge: q alone is an occurrence, and no single edge holds two.
     - Shared pair: two edges of a loose path, cycle or star share at most
       one vertex, so when q and also share two or more, no occurrence
       holds both (only a general host has such a pair).
     - Stars: a star through q has its centre c in q and ell edges at c:
-      the star rule searches each c in q of degree ell or more, and on a
+      _stars searches each c in q of degree ell or more, and on a
       linear host its first pick succeeds.  Two edges of a star meet only
       in the centre, so with also, c is the single vertex q and also share
       and ell-2 more edges at c avoid both.
@@ -776,7 +781,7 @@ def _through(table, incidence, q, comp: PatternComponent, also=None) -> Iterator
       as its goal.  A path is walked in both directions from q, so its
       second arm is at most as long as its first.
     """
-    verts, bits, unit, _ = table
+    verts, bits, _, _ = table
     eq = bits[q]
     ell = comp.length
     if ell == 1:
@@ -789,13 +794,7 @@ def _through(table, incidence, q, comp: PatternComponent, also=None) -> Iterator
         if len(centres) > 1:
             return iter([])
     if comp.kind == "star":
-        picks = ell - 1 if also is None else ell - 2
-        return (
-            occurrence
-            for c in centres
-            if len(incidence[c]) >= ell
-            for occurrence in _star_leaves(bits, unit[c], incidence[c], used, picks)
-        )
+        return _stars(table, incidence, centres, used, ell - 1 if also is None else ell - 2, ell)
     closed = comp.kind == "cycle"
     if also is not None and centres:
         (c,) = centres

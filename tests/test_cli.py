@@ -228,6 +228,18 @@ class TestCheck:
         assert code == EXIT_FAIL
         assert '"edge_map": [0, 1, 2]' in text
 
+    def test_pattern_past_the_recursion_limit_is_an_error(self, capsys, tmp_path):
+        # a loose path of 1 200 edges walks 1 200 steps deep: the check
+        # names the pattern on an error line instead of a traceback
+        host = tmp_path / "p1200.txt"
+        assert run(capsys, "build", "path", "--ell", "1200", "--r", "3",
+                   "--out", str(host))[0] == EXIT_OK
+        code, out, err = run(capsys, "check", "free", "--in", str(host),
+                             "--pattern", "P1200@r3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: P1200@r3 is too deep for the recursion limit\n"
+
     def test_host_that_is_not_utf8_is_an_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"n 3 r 3\n0 1 \xff\n")

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -10,7 +11,7 @@ from linturan.detect import _require_valid
 from linturan.errors import BadParameters, MalformedEmbedding
 from linturan.hypergraph import DEFAULT_PRODUCT_CAP
 import naive_detect as nd
-from hostgen import piecewise_host, random_host
+from hostgen import piecewise_host, random_edges, random_host
 
 
 def test_fano_path_facts(fano):
@@ -251,6 +252,49 @@ def _agreement(host):
 def test_detector_matches_naive_enumeration(seed):
     rng = random.Random(7000 + seed)
     assert sum(_agreement(random_host(rng)) for _ in range(10)) > 0
+
+
+def _two_centre_hosts(rng, r, ell, count):
+    """count seeded general hosts of order r with an edge through two
+    vertices of degree ell or more: two star centres on one start edge."""
+    hosts = []
+    while len(hosts) < count:
+        h = random_edges(rng, rng.randint(r + 2, 8), r, rng.randint(2 * ell, 14), False)
+        if any(sum(len(h.incidence[v]) >= ell for v in e) >= 2 for e in h.edges):
+            hosts.append(h)
+    return hosts
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_stars_come_in_canonical_order(r, ell):
+    # a start edge with two centres has a stream of stars at each; merged
+    # on the second edge they list every star once, in ascending edge_map
+    rng = random.Random(10 * r + ell)
+    pattern = lt.linear_star(ell, r)
+    for h in _two_centre_hosts(rng, r, ell, 12):
+        maps = [emb.edge_map for emb in lt.iter_embeddings(h, pattern)]
+        assert all(a < b for a, b in zip(maps, maps[1:])), h.edges
+        assert {frozenset(m) for m in maps} == nd.occurrence_edge_sets(h, "star", ell), h.edges
+
+
+def test_too_deep_patterns_are_refused_by_name():
+    # _walks recurses once per path step and _Search.place once per union
+    # component; past the recursion limit both queries name the pattern
+    path = lt.linear_path(1200, 3)
+    host = lt.realize(path)
+    k = 1000
+    matching = lt.make_hypergraph(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)], 3)
+    many = lt.parse_pattern(f"{k}*P1@r3")
+    for h, pattern in [(host, path), (matching, many)]:
+        with pytest.raises(BadParameters, match=rf"^{re.escape(str(pattern))} is too deep"):
+            lt.contains(h, pattern)
+        table = lt.detect.edge_table(h.n, h.edges)
+        with pytest.raises(BadParameters, match=rf"^{re.escape(str(pattern))} is too deep"):
+            lt.detect.occurs_through(table, h.incidence, 0, pattern)
+    # shallower ones still answer
+    assert lt.contains(lt.realize(lt.linear_path(600, 3)), lt.linear_path(600, 3))
+    assert lt.contains(matching, lt.parse_pattern("400*P1@r3"))
 
 
 def _mixed_host(rng):
